@@ -1,9 +1,11 @@
 """Hot recurrence kernels with a numba fast path and a pure-numpy fallback.
 
 The backend is chosen at import time: numba when it is importable, numpy when
-it is not or when ``OPSPARSE_PURE_NUMPY=1`` is set.  Every kernel exists in
-both variants with identical semantics; ``tests/test_kernels.py`` compares
-them.  All kernels work on the *orthonormal* three-term recurrence
+it is not or when ``OPSPARSE_PURE_NUMPY=1`` is set.  Every recurrence kernel
+exists in both variants with identical semantics; ``tests/test_kernels.py``
+compares them.  ``refine_roots`` is built on ``recurrence_last`` and so
+follows its backend.  All kernels work on the *orthonormal* three-term
+recurrence
 
     p_0(x) = p0,   p_1(x) = (a[1] x + b[1]) p0,
     p_j(x) = (a[j] x + b[j]) p_{j-1}(x) - c[j] p_{j-2}(x)
@@ -117,35 +119,6 @@ def adjoint_numpy(p0, a, b, c, lam, sqw, yvec):
             pm, pc = pc, (a[j] * lam + b[j]) * pc - c[j] * pm
             out[j] = z @ pc
     return out
-
-
-def refine_roots_numpy(p0, a, b, c, q0, aq, bq, cq, dpref, lo, hi, n_bisect, n_newton):
-    """Refine bracketed roots of p_jmax(cos theta) in theta.
-
-    lo/hi bracket one sign change each.  Bisection narrows the bracket, then
-    guarded Newton (derivative via the shifted family q and prefactor dpref)
-    polishes.  Returns theta.
-    """
-    lo = lo.copy()
-    hi = hi.copy()
-    flo = last_numpy(p0, a, b, c, np.cos(lo))
-    for _ in range(n_bisect):
-        mid = 0.5 * (lo + hi)
-        fm = last_numpy(p0, a, b, c, np.cos(mid))
-        take_lo = (flo * fm) > 0.0
-        lo = np.where(take_lo, mid, lo)
-        flo = np.where(take_lo, fm, flo)
-        hi = np.where(take_lo, hi, mid)
-    theta = 0.5 * (lo + hi)
-    for _ in range(n_newton):
-        xv = np.cos(theta)
-        f = last_numpy(p0, a, b, c, xv)
-        fq = last_numpy(q0, aq, bq, cq, xv)
-        fp = -np.sin(theta) * dpref * fq
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(fp != 0.0, f / fp, 0.0)
-        theta = np.clip(theta - step, lo, hi)
-    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -263,51 +236,6 @@ if HAS_NUMBA:
                 out[j] = s
         return out
 
-    @njit(cache=True)
-    def _eval_last_scalar(p0, a, b, c, xm):
-        jmax = a.shape[0] - 1
-        pm = p0
-        pc = p0
-        if jmax >= 1:
-            pc = (a[1] * xm + b[1]) * p0
-            for j in range(2, jmax + 1):
-                pn = (a[j] * xm + b[j]) * pc - c[j] * pm
-                pm = pc
-                pc = pn
-        return pc
-
-    @njit(cache=True, parallel=True)
-    def _refine_roots_nb(p0, a, b, c, q0, aq, bq, cq, dpref, lo, hi, n_bisect, n_newton):
-        n = lo.shape[0]
-        theta = np.empty(n)
-        for i in prange(n):
-            tl = lo[i]
-            th = hi[i]
-            fl = _eval_last_scalar(p0, a, b, c, np.cos(tl))
-            for _ in range(n_bisect):
-                tm = 0.5 * (tl + th)
-                fm = _eval_last_scalar(p0, a, b, c, np.cos(tm))
-                if fl * fm > 0.0:
-                    tl = tm
-                    fl = fm
-                else:
-                    th = tm
-            t = 0.5 * (tl + th)
-            for _ in range(n_newton):
-                xv = np.cos(t)
-                f = _eval_last_scalar(p0, a, b, c, xv)
-                fq = _eval_last_scalar(q0, aq, bq, cq, xv)
-                fp = -np.sin(t) * dpref * fq
-                if fp != 0.0:
-                    cand = t - f / fp
-                    if cand < tl:
-                        cand = tl
-                    elif cand > th:
-                        cand = th
-                    t = cand
-            theta[i] = t
-        return theta
-
 
 def _as_f64(x):
     return np.ascontiguousarray(x, dtype=np.float64)
@@ -349,11 +277,17 @@ def apply_adjoint(p0, a, b, c, lam, sqw, yvec):
     return adjoint_numpy(p0, a, b, c, lam, sqw, yvec)
 
 
-def refine_roots(p0, a, b, c, q0, aq, bq, cq, dpref, lo, hi, n_bisect=16, n_newton=4):
-    if HAS_NUMBA:
-        return _refine_roots_nb(
-            float(p0), _as_f64(a), _as_f64(b), _as_f64(c),
-            float(q0), _as_f64(aq), _as_f64(bq), _as_f64(cq), float(dpref),
-            _as_f64(lo), _as_f64(hi), n_bisect, n_newton,
-        )
-    return refine_roots_numpy(p0, a, b, c, q0, aq, bq, cq, dpref, lo, hi, n_bisect, n_newton)
+def refine_roots(p0, a, b, c, q0, aq, bq, cq, dpref, theta):
+    """One Newton step on p_jmax(cos theta) = 0 in theta.
+
+    The slope is -sin(theta) * dpref * q_{jmax-1}(cos theta), with q the
+    recurrence (q0, aq, bq, cq) of the (alpha+1, beta+1) family.  Angles
+    where the slope vanishes are returned unchanged.
+    """
+    theta = np.asarray(theta, dtype=np.float64)
+    x = np.cos(theta)
+    f = recurrence_last(p0, a, b, c, x)
+    fp = -np.sin(theta) * dpref * recurrence_last(q0, aq, bq, cq, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(fp != 0.0, f / fp, 0.0)
+    return theta - step

@@ -197,6 +197,10 @@ def cmd_transform(args) -> int:
         plan = load_plan(args.plan)
         if plan.n != doc["n"]:
             raise ValueError(f"plan N={plan.n} does not match signal n={doc['n']}")
+        if (plan.params.alpha, plan.params.beta) != (doc["alpha"], doc["beta"]):
+            raise ValueError(
+                f"plan (alpha, beta)=({plan.params.alpha}, {plan.params.beta}) does not "
+                f"match signal ({doc['alpha']}, {doc['beta']})")
     else:
         plan = build_plan(JacobiParams(doc["alpha"], doc["beta"]), doc["n"])
     vec = doc["vector"]

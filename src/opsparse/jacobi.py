@@ -3,8 +3,9 @@
 Everything here works with the classical parameters alpha, beta > -1.  The
 orthonormal family is evaluated through a rescaled three-term recurrence whose
 coefficients stay O(1) in the degree, so values are stable up to N = 2**16.
-Roots are indexed by *ascending angle* theta = arccos(lambda), i.e. descending
-lambda.
+Roots are the eigenvalues of the tridiagonal Jacobi matrix of that recurrence
+(Golub-Welsch), polished by one Newton step in theta, and indexed by
+*ascending angle* theta = arccos(lambda), i.e. descending lambda.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from . import _kernels
 
@@ -195,49 +197,38 @@ def _derivative_prefactor(params: JacobiParams, n: int) -> float:
 def compute_roots(params: JacobiParams, n: int, residual_tol: float = 1e-12) -> np.ndarray:
     """All n roots of the degree-n Jacobi polynomial as ascending angles.
 
-    Brackets come from a sign-change scan of p_n(cos theta) on a uniform theta
-    grid (refined until exactly n sign changes appear), then bisection and a
-    bracket-guarded Newton polish.  Raises if the scan cannot isolate n roots
-    or the polished residuals exceed ``residual_tol`` times the grid scale.
+    Golub-Welsch: the roots are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix J of the orthonormal recurrence (diagonal -b_j/a_j,
+    off-diagonal 1/a_j), found by LAPACK's root-free QR (``sterf``).  One
+    Newton step on p_n(cos theta) in theta then restores the accuracy that
+    arccos loses near theta = 0 and pi.  Raises if the angles are not
+    strictly increasing or the residuals exceed ``residual_tol`` times the
+    per-root scale max(1, |p_n(1)|, |p_n(-1)|, |d/dtheta p_n|).
     """
     if n < 1:
         raise ValueError("need n >= 1")
     p0, a, b, c = orthonormal_coeffs(params, n)
     shifted = JacobiParams(params.alpha + 1.0, params.beta + 1.0)
-    q0, aq, bq, cq = orthonormal_coeffs(shifted, max(n - 1, 0))
+    q0, aq, bq, cq = orthonormal_coeffs(shifted, n - 1)
     dpref = _derivative_prefactor(params, n)
 
-    m = 4
-    grid = None
-    vals = None
-    while m <= 512:
-        grid = np.linspace(0.0, math.pi, m * n + 1)
-        vals = _kernels.recurrence_last(p0, a, b, c, np.cos(grid))
-        sign_change = np.signbit(vals[:-1]) != np.signbit(vals[1:])
-        if int(sign_change.sum()) == n:
-            break
-        m *= 2
-    else:
-        raise RuntimeError(f"could not isolate {n} roots on a grid (alpha={params.alpha}, beta={params.beta})")
-
-    idx = np.nonzero(sign_change)[0]
-    lo = grid[idx]
-    hi = grid[idx + 1]
-    theta = _kernels.refine_roots(p0, a, b, c, q0, aq, bq, cq, dpref, lo, hi,
-                                  n_bisect=12, n_newton=3)
-    theta = np.sort(theta)
+    lam = eigvalsh_tridiagonal(-b[1:] / a[1:], 1.0 / a[1:n], lapack_driver="sterf")
+    theta = np.arccos(np.clip(lam[::-1], -1.0, 1.0))
+    theta = _kernels.refine_roots(p0, a, b, c, q0, aq, bq, cq, dpref, theta)
     if np.any(np.diff(theta) <= 0.0):
         raise RuntimeError("root angles are not strictly increasing")
     resid = np.abs(_kernels.recurrence_last(p0, a, b, c, np.cos(theta)))
-    # Scale per root: grid magnitude or the local d/dtheta slope, whichever is
-    # larger.  Near the edges the raw residual floor grows with the recurrence
-    # length, but the backward error |p_N|/|p_N'| stays at machine level.
+    # Scale per root: the endpoint magnitude or the local d/dtheta slope,
+    # whichever is larger.  Near the edges the raw residual floor grows with
+    # the recurrence length, but the backward error |p_N|/|p_N'| stays at
+    # machine level.
     slope = np.abs(
         np.sin(theta) * dpref * _kernels.recurrence_last(q0, aq, bq, cq, np.cos(theta))
     )
-    scale = np.maximum(max(1.0, float(np.max(np.abs(vals)))), slope)
+    ends = _kernels.recurrence_last(p0, a, b, c, np.array([1.0, -1.0]))
+    scale = np.maximum(max(1.0, float(np.max(np.abs(ends)))), slope)
     worst = float(np.max(resid / scale))
-    if worst > residual_tol:
+    if not worst <= residual_tol:  # NaN fails too
         raise RuntimeError(f"root residual {worst:.3e} exceeds {residual_tol:.1e}")
     return theta
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import struct
-import weakref
 import zlib
 from dataclasses import dataclass, field
 
@@ -143,10 +142,9 @@ class TransformPlan:
         self._coeffs = orthonormal_coeffs(self.params, self.n - 1)
         self._dense = None
         self._rows: dict[int, np.ndarray] = {}
-        self._band_cache = weakref.WeakKeyDictionary()
 
     def __getstate__(self):
-        # the caches are derived data and the weak dict does not pickle
+        # the caches are derived data; workers rebuild what they use
         return (self.params, self.n, self.theta, self.lam, self.weights,
                 self.U, self.moments)
 
@@ -205,14 +203,11 @@ class TransformPlan:
     # -- moment combination -------------------------------------------------
 
     def filter_band(self, filt) -> np.ndarray:
-        """Banded sum_r b_r M_r for a Chebyshev-coefficient filter; cached.
+        """Banded sum_r b_r M_r for a Chebyshev-coefficient filter.
 
         Returns shape (N, 2d+1) with row j holding columns j-d..j+d (zeros
         outside the matrix).  ``filt`` needs ``coeffs`` and ``degree``.
         """
-        cached = self._band_cache.get(filt)
-        if cached is not None:
-            return cached
         d = filt.degree
         if d > self.moments.degree:
             raise ValueError(
@@ -227,7 +222,6 @@ class TransformPlan:
             out[: n - o, d + o] = vals
             if o:
                 out[o:, d - o] = vals
-        self._band_cache[filt] = out
         return out
 
     def bucket_count(self, i: int) -> int:
@@ -235,8 +229,15 @@ class TransformPlan:
 
 
 def _build_moments(params, n, d, lam, sqw) -> MomentMatrices:
-    """Accumulate the diagonal stacks of M_0..M_d, chunked over roots."""
+    """Diagonal stacks of M_0..M_d.
+
+    M_0 = F^T F is the identity because F is square and orthogonal, so it is
+    stored exactly; M_1..M_d are accumulated in one pass chunked over roots.
+    """
     stacks = [np.zeros((d + 1 - o, n - o)) for o in range(d + 1)]
+    stacks[0][0] = 1.0
+    if d == 0:
+        return MomentMatrices(d, n, stacks)
     p0, a, b, c = orthonormal_coeffs(params, n - 1)
     chunk = max(128, min(n, int(2.0e7) // n))
     for start in range(0, n, chunk):
@@ -245,8 +246,9 @@ def _build_moments(params, n, d, lam, sqw) -> MomentMatrices:
         fchunk = (table * sqw[start:stop]).T  # (rows, degrees)
         tm = chebvander(lam[start:stop], d)  # (rows, d+1)
         for o in range(d + 1):
+            r0 = max(o, 1)  # first Chebyshev degree accumulated on diagonal o
             b_o = fchunk[:, : n - o] * fchunk[:, o:]
-            stacks[o] += tm[:, o:].T @ b_o
+            stacks[o][r0 - o :] += tm[:, r0:].T @ b_o
     return MomentMatrices(d, n, stacks)
 
 

@@ -120,6 +120,21 @@ def test_transform_rejects_mismatched_plan(tmp_path, capsys):
     assert "does not match" in json.loads(stderr)["message"]
 
 
+def test_transform_rejects_plan_with_other_alpha_beta(tmp_path, capsys):
+    plan_path = tmp_path / "plan.bin"
+    run_cli(capsys, "plan", "--alpha", "0", "--beta", "0", "--n", "64",
+            "--out", str(plan_path))
+    sig = tmp_path / "sig.json"
+    run_cli(capsys, "synth", "--alpha", "0.5", "--beta", "0", "--n", "64",
+            "--k", "1", "--out", str(sig))
+    code, _, stderr = run_cli(capsys, "transform", "--input", str(sig),
+                              "--plan", str(plan_path), "--out",
+                              str(tmp_path / "out.json"))
+    assert code == 2
+    assert "(alpha, beta)" in json.loads(stderr)["message"]
+    assert not (tmp_path / "out.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # recovery subcommands
 

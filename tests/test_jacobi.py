@@ -202,7 +202,7 @@ def test_derivative_prefactor_is_consistent():
 
 
 @pytest.mark.parametrize("alpha,beta", PARAM_GRID[:4])
-@pytest.mark.parametrize("n", [1, 2, 16, 64])
+@pytest.mark.parametrize("n", [1, 2, 16, 64, 2048])
 def test_roots_match_scipy(alpha, beta, n):
     p = JacobiParams(alpha, beta)
     theta = compute_roots(p, n)
@@ -219,6 +219,16 @@ def test_chebyshev_roots_closed_form():
     theta = compute_roots(p, n)
     expect = (2 * np.arange(n) + 1) * math.pi / (2 * n)
     np.testing.assert_allclose(theta, expect, atol=1e-13)
+
+
+def test_chebyshev_roots_closed_form_large_n():
+    # arccos of the eigenvalues alone is off by ~1.5e-13 near theta = 0 and
+    # pi here; the Newton polish brings every angle to rounding level
+    p = JacobiParams(-0.5, -0.5)
+    n = 2048
+    theta = compute_roots(p, n)
+    expect = (2 * np.arange(n) + 1) * math.pi / (2 * n)
+    np.testing.assert_allclose(theta, expect, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("alpha,beta", PARAM_GRID[:4])
@@ -247,6 +257,11 @@ def test_roots_large_n_smoke():
 def test_roots_validation():
     with pytest.raises(ValueError):
         compute_roots(JacobiParams(0.0, 0.0), 0)
+
+
+def test_roots_residual_gate_runs():
+    with pytest.raises(RuntimeError, match="root residual"):
+        compute_roots(JacobiParams(0.5, -0.25), 64, residual_tol=1e-20)
 
 
 def test_params_validation():

@@ -1,6 +1,7 @@
 """The jit kernels and the numpy fallbacks must agree bit-for-bit where the
 operation order is identical (per-point recurrences) and to rounding where
-it is not (the adjoint's dot products)."""
+it is not (the adjoint's dot products).  The Newton root polish has one
+implementation and is checked against closed-form roots."""
 
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from opsparse import _kernels
-from opsparse.jacobi import JacobiParams, orthonormal_coeffs
+from opsparse.jacobi import JacobiParams, _derivative_prefactor, orthonormal_coeffs
 
 
 @pytest.fixture(scope="module")
@@ -74,16 +75,17 @@ def test_adjoint_matches_numpy(setup):
     np.testing.assert_allclose(jit, ref, rtol=1e-12, atol=1e-12)
 
 
-def test_refine_roots_matches_numpy(setup):
-    p0, a, b, c, _, _ = setup
-    params = JacobiParams(0.25, -0.5)
-    shifted = JacobiParams(1.25, 0.5)
-    q0, aq, bq, cq = orthonormal_coeffs(shifted, 62)
-    lo = np.linspace(0.02, 3.0, 40)
-    hi = lo + 0.04
-    jit = _kernels.refine_roots(p0, a, b, c, q0, aq, bq, cq, 10.0, lo, hi, 8, 2)
-    ref = _kernels.refine_roots_numpy(p0, a, b, c, q0, aq, bq, cq, 10.0, lo, hi, 8, 2)
-    np.testing.assert_allclose(jit, ref, atol=1e-14)
+def test_refine_roots_polishes_chebyshev_roots(rng):
+    # T_n(cos theta) = cos(n theta): one Newton step from a 1e-7 perturbation
+    # lands on the closed-form roots (2k+1) pi / (2n)
+    n = 64
+    p0, a, b, c = orthonormal_coeffs(JacobiParams(-0.5, -0.5), n)
+    q0, aq, bq, cq = orthonormal_coeffs(JacobiParams(0.5, 0.5), n - 1)
+    dpref = _derivative_prefactor(JacobiParams(-0.5, -0.5), n)
+    exact = (2 * np.arange(n) + 1) * np.pi / (2 * n)
+    start = exact + rng.uniform(-1e-7, 1e-7, n)
+    theta = _kernels.refine_roots(p0, a, b, c, q0, aq, bq, cq, dpref, start)
+    np.testing.assert_allclose(theta, exact, rtol=0, atol=1e-14)
 
 
 def test_jmax_zero_paths():

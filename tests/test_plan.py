@@ -99,8 +99,13 @@ def test_filter_band_matches_dense(small_plan, rng):
             i = j + o
             if 0 <= i < 32:
                 assert band[j, 4 + o] == pytest.approx(dense[j, i], abs=1e-12)
-    # cached by identity
-    assert small_plan.filter_band(fake) is band
+
+
+@pytest.mark.parametrize("degree", [0, 3])
+def test_m0_is_exact_identity(degree):
+    # F is square and orthogonal, so M_0 = F^T F is stored as exact ones
+    plan = build_plan(JacobiParams(0.5, -0.25), 24, degree=degree)
+    np.testing.assert_array_equal(plan.moments.diagonal(0, 0), np.ones(24))
 
 
 def test_filter_band_degree_check(small_plan):
