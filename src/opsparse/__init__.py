@@ -10,15 +10,7 @@ from .ksparse import (
     recover,
 )
 from .onesparse import OneSparseResult, RecoveryError, solve_one_sparse
-from .plan import (
-    TransformPlan,
-    build_plan,
-    save_plan,
-    load_plan,
-    apply_forward,
-    apply_inverse,
-    flatness,
-)
+from .plan import TransformPlan, build_plan, load_plan, save_plan
 
 __version__ = "0.1.0"
 
@@ -30,9 +22,6 @@ __all__ = [
     "build_plan",
     "save_plan",
     "load_plan",
-    "apply_forward",
-    "apply_inverse",
-    "flatness",
     "BoxcarFilter",
     "build_boxcar",
     "QueryOracle",

@@ -306,8 +306,6 @@ def cmd_recover(args) -> int:
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        # spawn, not fork: the jit threading layer deadlocks in forked
-        # children once a parallel kernel has run in the parent
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
             futures = [pool.submit(_run_trial, plan, cfg, exp.sigma, exp.noise,
@@ -379,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="build and save a transform plan")
     _add_basis_args(p)
     p.add_argument("--degree", type=int, default=0,
-                   help="moment degree to precompute (default 0)")
+                   help="moment degree to precompute, 0 <= degree < n (default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plan)
 

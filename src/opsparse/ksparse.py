@@ -31,7 +31,6 @@ __all__ = [
     "ReductionConfig",
     "SimulatedAccess",
     "large",
-    "simulate_query",
     "verify",
     "peeler",
     "recover",
@@ -221,10 +220,14 @@ class SimulatedAccess:
         self._zvals = z
 
     def query_many(self, js: np.ndarray) -> np.ndarray:
+        """Filtered samples at indices js; each reads at most 2d+1 entries."""
         js = np.asarray(js, dtype=np.int64)
+        n = self._plan.n
+        if js.size and (js.min() < 0 or js.max() >= n):
+            raise IndexError(f"indices {js.min()}..{js.max()} out of range for N={n}")
         d = self._degree
         win = js[:, None] + np.arange(-d, d + 1)[None, :]
-        valid = (win >= 0) & (win < self._plan.n)
+        valid = (win >= 0) & (win < n)
         vals = np.zeros(win.shape)
         flat = win[valid]
         vals[valid] = self._oracle.query_many(flat) - self._zvals[flat]
@@ -232,21 +235,6 @@ class SimulatedAccess:
 
     def query(self, j: int) -> float:
         return float(self.query_many(np.array([j]))[0])
-
-
-def simulate_query(plan, oracle, zhat: SparseApprox, filt: BoxcarFilter,
-                   j: int) -> float:
-    """One filtered sample at coefficient index j (at most 2d+1 raw queries)."""
-    if not 0 <= j < plan.n:
-        raise IndexError(f"index {j} out of range for N={plan.n}")
-    band = plan.filter_band(filt)
-    d = filt.degree
-    win = np.arange(max(0, j - d), min(plan.n, j + d + 1))
-    nu = band[j, win - j + d]
-    vals = oracle.query_many(win).astype(np.float64, copy=True)
-    for h, v in zhat.items():
-        vals -= v * plan.row(h)[win]
-    return float(nu @ vals)
 
 
 def _verify_samples(plan, mu: float, eps: float, c_t1: float) -> int:

@@ -31,9 +31,6 @@ __all__ = [
     "build_plan",
     "save_plan",
     "load_plan",
-    "apply_forward",
-    "apply_inverse",
-    "flatness",
     "PlanFormatError",
     "PlanMagicError",
     "PlanVersionError",
@@ -256,26 +253,14 @@ def build_plan(params: JacobiParams, n: int, degree: int = 0) -> TransformPlan:
     """Compute roots, weights, flatness, and moments up to ``degree``."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if degree < 0 or degree >= 2 * n:
-        raise ValueError("moment degree must be in [0, 2n)")
+    if not 0 <= degree < n:
+        # M_{n-1} is already dense: a higher degree would add no band
+        raise ValueError(f"moment degree must be in [0, n) = [0, {n}), got {degree}")
     theta = compute_roots(params, n)
     weights, u = compute_weights(params, theta, n)
     lam = np.cos(theta)
     moments = _build_moments(params, n, degree, lam, np.sqrt(weights))
     return TransformPlan(params, n, theta, lam, weights, u, moments)
-
-
-def apply_forward(plan: TransformPlan, x: np.ndarray) -> np.ndarray:
-    return plan.forward(x)
-
-
-def apply_inverse(plan: TransformPlan, y: np.ndarray) -> np.ndarray:
-    return plan.inverse(y)
-
-
-def flatness(plan: TransformPlan) -> float:
-    """Largest absolute entry of F (the flatness constant U)."""
-    return plan.U
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +324,15 @@ def load_plan(path) -> TransformPlan:
     alpha, beta, n, degree, u = struct.unpack_from("<ddQQd", body, 0)
     n = int(n)
     degree = int(degree)
-    band_floats = sum(
-        (2 * r + 1) * n - r * (r + 1) for r in range(degree + 1)
-    )
+    if n < 1 or degree >= n:
+        raise PlanFormatError(f"plan header has N={n}, degree={degree}; "
+                              "need N >= 1 and 0 <= degree < N")
+    try:
+        params = JacobiParams(alpha, beta)
+    except ValueError as exc:
+        raise PlanFormatError(f"plan header: {exc}") from None
+    # sum over r = 0..d of (2r+1) N - r(r+1)
+    band_floats = n * (degree + 1) ** 2 - degree * (degree + 1) * (degree + 2) // 3
     expect = head_size + 8 * (3 * n + band_floats)
     if len(body) != expect:
         raise PlanTruncatedError(
@@ -374,4 +365,4 @@ def load_plan(path) -> TransformPlan:
         for o in range(r + 1):
             stacks[o][r - o] = band[: n - o, r + o]
     moments = MomentMatrices(degree, n, stacks)
-    return TransformPlan(JacobiParams(alpha, beta), n, theta, lam, weights, u, moments)
+    return TransformPlan(params, n, theta, lam, weights, u, moments)

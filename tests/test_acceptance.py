@@ -20,6 +20,7 @@ from opsparse import (
     QueryOracle,
     RecoveryError,
     ReductionConfig,
+    SimulatedAccess,
     SparseApprox,
     build_boxcar,
     build_plan,
@@ -28,7 +29,6 @@ from opsparse import (
 )
 from opsparse.cli import synth_spectrum
 from opsparse.dct import chebyshev_transform_direct, chebyshev_via_fourier, embed
-from opsparse.ksparse import simulate_query
 from opsparse.numtheory import bad_intervals, is_good_bruteforce
 from opsparse.onesparse import SpreadConstants, approx_arccos
 
@@ -174,7 +174,7 @@ def test_criterion_5_filtered_query_equivalence():
                     np.zeros(64))
         expected = float((dense_filter @ (y - zvals))[j])
         oracle = QueryOracle(y)
-        got = simulate_query(plan, oracle, zhat, filt, j)
+        got = SimulatedAccess(plan, oracle, zhat, filt).query(j)
         worst = max(worst, abs(got - expected))
         if oracle.count > 2 * filt.degree + 1:
             over_budget += 1

@@ -78,6 +78,11 @@ def test_plan_rejects_bad_parameters(tmp_path, capsys):
     err = json.loads(stderr)
     assert err["error"] == "ValueError"
     assert not out.exists()
+    code, _, stderr = run_cli(capsys, "plan", "--alpha", "0", "--beta", "0",
+                              "--n", "8", "--degree", "10", "--out", str(out))
+    assert code == 2
+    assert "moment degree must be in [0, n)" in json.loads(stderr)["message"]
+    assert not out.exists()
 
 
 def test_synth_then_transform_roundtrip(tmp_path, capsys):

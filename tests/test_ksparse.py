@@ -19,7 +19,7 @@ from opsparse import (
     recover,
     solve_one_sparse,
 )
-from opsparse.ksparse import large, peeler, simulate_query, verify
+from opsparse.ksparse import large, peeler, verify
 
 
 @pytest.fixture(scope="module")
@@ -165,20 +165,29 @@ def test_simulate_query_cost_and_agreement(rng):
     y = rng.standard_normal(64)
     zhat = SparseApprox({30: 0.4})
     d = filt.degree
+    mat = plan.matrix()
+    dense_filter = mat.T @ (filt(plan.lam)[:, None] * mat)
+    expected = dense_filter @ (y - 0.4 * plan.row(30))
 
     for j in (0, 11, 32, 63):
         oracle = QueryOracle(y)
-        val = simulate_query(plan, oracle, zhat, filt, j)
+        val = SimulatedAccess(plan, oracle, zhat, filt).query(j)
         window = min(64, j + d + 1) - max(0, j - d)
         assert oracle.count == window
         assert oracle.count <= 2 * d + 1
-        access = SimulatedAccess(plan, QueryOracle(y), zhat, filt)
-        assert val == pytest.approx(access.query(j), abs=1e-10)
+        assert val == pytest.approx(expected[j], abs=1e-10)
 
+    # out-of-range indices raise before any raw entry is read
+    for js in ([64], [-1], [3, 64, 5]):
+        oracle = QueryOracle(y)
+        access = SimulatedAccess(plan, oracle, zhat, filt)
+        with pytest.raises(IndexError, match="out of range"):
+            access.query_many(np.array(js))
+        assert oracle.count == 0
+    oracle = QueryOracle(y)
     with pytest.raises(IndexError, match="out of range"):
-        simulate_query(plan, QueryOracle(y), zhat, filt, 64)
-    with pytest.raises(IndexError, match="out of range"):
-        simulate_query(plan, QueryOracle(y), zhat, filt, -1)
+        SimulatedAccess(plan, oracle, zhat, filt).query(-1)
+    assert oracle.count == 0
 
 
 # ---------------------------------------------------------------------------

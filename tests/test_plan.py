@@ -2,9 +2,13 @@
 persistence, format-error taxonomy."""
 
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
 
 from opsparse import JacobiParams, build_plan, load_plan, save_plan
@@ -70,8 +74,10 @@ def test_forward_inverse_roundtrip(small_plan, rng):
     x = rng.standard_normal(32)
     y = small_plan.forward(x)
     np.testing.assert_allclose(small_plan.inverse(y), x, atol=1e-12)
-    # forward equals the dense matrix action
+    # forward and inverse equal the dense matrix and its transpose
     np.testing.assert_allclose(y, small_plan.matrix() @ x, atol=1e-12)
+    np.testing.assert_allclose(small_plan.inverse(x), small_plan.matrix().T @ x,
+                               atol=1e-12)
 
 
 def test_row_matches_matrix(small_plan):
@@ -119,6 +125,10 @@ def test_input_validation(small_plan):
         small_plan.forward(np.zeros(31))
     with pytest.raises(ValueError):
         small_plan.inverse(np.zeros(33))
+    with pytest.raises(ValueError, match=r"moment degree must be in \[0, n\)"):
+        build_plan(JacobiParams(0.0, 0.0), 8, degree=10)
+    with pytest.raises(ValueError, match=r"moment degree must be in \[0, n\)"):
+        build_plan(JacobiParams(0.0, 0.0), 8, degree=8)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +187,65 @@ def test_load_rejects_corruption(tmp_path, small_plan):
     path.write_bytes(blob)
     with pytest.raises(PlanChecksumError):
         load_plan(path)
+
+
+def _plan_blob(alpha, beta, n, degree, payload=b""):
+    """A v1 plan file around a given header and payload, with a valid CRC."""
+    body = struct.pack("<ddQQd", alpha, beta, n, degree, 1.0) + payload
+    crc = zlib.crc32(body) & 0xFFFFFFFF
+    return b"OPSP" + struct.pack("<I", 1) + body + struct.pack("<I", crc)
+
+
+def test_load_rejects_header_degree_bound(tmp_path):
+    path = tmp_path / "p.plan"
+    # 52 bytes; sizing the band for this degree used to loop without end
+    path.write_bytes(_plan_blob(0.0, 0.0, 8, 2**60))
+    assert path.stat().st_size == 52
+    with pytest.raises(PlanFormatError, match="degree"):
+        load_plan(path)
+    # degree > N with a body of the length that degree implies
+    n, d = 4, 6
+    floats = 3 * n + sum((2 * r + 1) * n - r * (r + 1) for r in range(d + 1))
+    path.write_bytes(_plan_blob(0.0, 0.0, n, d, bytes(8 * floats)))
+    with pytest.raises(PlanFormatError, match="degree"):
+        load_plan(path)
+    path.write_bytes(_plan_blob(0.0, 0.0, 0, 0))
+    with pytest.raises(PlanFormatError):
+        load_plan(path)
+
+
+@pytest.fixture(scope="module")
+def tiny_plan_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "p.plan"
+    save_plan(build_plan(JacobiParams(0.5, -0.25), 6, degree=2), path)
+    return path.read_bytes()
+
+
+@given(data=st.data())
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_fuzz_raises_only_format_errors(tmp_path, tiny_plan_blob, data):
+    """Random headers, truncations and byte flips of a small plan file either
+    load or raise a PlanFormatError, never anything else and never slowly."""
+    blob = bytearray(tiny_plan_blob)
+    kind = data.draw(st.sampled_from(["header", "truncate", "flip"]))
+    if kind == "header":
+        floats = st.floats(allow_nan=True, allow_infinity=True)
+        sizes = st.one_of(st.integers(0, 16), st.integers(0, 2**64 - 1))
+        blob = _plan_blob(data.draw(floats), data.draw(floats), data.draw(sizes),
+                          data.draw(sizes), bytes(blob[48:-4]))
+    elif kind == "truncate":
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        for pos in data.draw(st.lists(st.integers(0, len(blob) - 1), min_size=1,
+                                      max_size=4)):
+            blob[pos] ^= data.draw(st.integers(1, 255))
+    path = tmp_path / "fuzz.plan"
+    path.write_bytes(bytes(blob))
+    try:
+        plan = load_plan(path)
+    except PlanFormatError:
+        return
+    assert plan.n >= 1 and 0 <= plan.moments.degree < plan.n
 
 
 def test_format_errors_share_base():
