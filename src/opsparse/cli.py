@@ -21,12 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxcar import build_boxcar
 from .dct import chebyshev_transform_direct, chebyshev_via_fourier
 from .jacobi import JacobiParams
 from .ksparse import QueryOracle, ReductionConfig, large, recover
 from .onesparse import RecoveryError, solve_one_sparse
-from .plan import TransformPlan, build_plan, load_plan, save_plan
+from .plan import PlanFormatError, TransformPlan, build_plan, load_plan, save_plan
 
 SIGNAL_FORMAT = "opsparse-signal"
 SIGNAL_VERSION = 1
@@ -131,12 +130,27 @@ def write_signal(path, vector: np.ndarray, alpha: float, beta: float,
 
 
 def read_signal(path) -> dict:
+    """Decode a signal file; malformed files raise ValueError or KeyError."""
     with open(path, encoding="ascii") as fh:
         doc = json.load(fh)
-    if doc.get("format") != SIGNAL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != SIGNAL_FORMAT:
         raise ValueError(f"{path}: not an {SIGNAL_FORMAT} file")
     if doc.get("version") != SIGNAL_VERSION:
         raise ValueError(f"{path}: unsupported signal version {doc.get('version')}")
+    if type(doc["n"]) is not int or doc["n"] < 0:
+        raise ValueError(f"{path}: n must be a non-negative integer, got {doc['n']!r}")
+    for name in ("alpha", "beta"):
+        value = doc[name]
+        # false for NaN, infinities and ints beyond the float range
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{path}: {name} must be a finite number, got {value!r}")
+        doc[name] = float(value)
+    if not isinstance(doc["data"], str):
+        raise ValueError(f"{path}: data must be a base64 string")
+    truth = doc.get("truth")
+    if truth is not None and not (isinstance(truth, dict)
+                                  and isinstance(truth.get("support"), list)):
+        raise ValueError(f"{path}: truth must be an object with a support list")
     vec = _decode_vector(doc["data"])
     if len(vec) != doc["n"]:
         raise ValueError(f"{path}: payload length {len(vec)} != n={doc['n']}")
@@ -173,19 +187,18 @@ def synth_spectrum(n: int, k: int, sigma: float, noise: float,
 # subcommands
 
 
-def _plan_from_args(args, degree: int = 0) -> TransformPlan:
-    return build_plan(JacobiParams(args.alpha, args.beta), args.n, degree=degree)
+def _plan_from_args(args) -> TransformPlan:
+    return build_plan(JacobiParams(args.alpha, args.beta), args.n)
 
 
 def cmd_plan(args) -> int:
-    plan = _plan_from_args(args, degree=args.degree)
+    plan = _plan_from_args(args)
     save_plan(plan, args.out)
     print(json.dumps({
         "path": args.out,
         "n": plan.n,
         "alpha": plan.params.alpha,
         "beta": plan.params.beta,
-        "degree": plan.moments.degree,
         "flatness": plan.U,
     }))
     return 0
@@ -294,8 +307,7 @@ def cmd_recover(args) -> int:
                            args.mu, gamma, sigma, args.noise, args.trials,
                            args.seed, args.profile, overrides, args.format)
     cfg = exp.reduction()
-    probe = build_boxcar(math.pi / 2.0, cfg.boxcar_width(), cfg.boxcar_eps())
-    plan = _plan_from_args(args, degree=probe.degree)
+    plan = _plan_from_args(args)
     seqs = np.random.SeedSequence(exp.seed).spawn(exp.trials)
 
     workers = _worker_count(exp.trials)
@@ -376,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="build and save a transform plan")
     _add_basis_args(p)
-    p.add_argument("--degree", type=int, default=0,
-                   help="moment degree to precompute, 0 <= degree < n (default 0)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plan)
 
@@ -441,7 +451,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, PlanFormatError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2

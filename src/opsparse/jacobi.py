@@ -28,6 +28,7 @@ __all__ = [
     "eval_orthonormal",
     "eval_derivative",
     "orthonormal_table",
+    "jacobi_matrix",
     "compute_roots",
     "compute_weights",
 ]
@@ -186,6 +187,16 @@ def orthonormal_table(params: JacobiParams, jmax: int, x: np.ndarray) -> np.ndar
     return _kernels.recurrence_table(p0, a, b, c, np.asarray(x, dtype=np.float64))
 
 
+def jacobi_matrix(params: JacobiParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, off) of the n x n symmetric tridiagonal Jacobi matrix J.
+
+    x p_{j-1} = p_j / a_j - (b_j / a_j) p_{j-1} + p_{j-2} / a_{j-1}, so the
+    diagonal is -b_j/a_j (j = 1..n) and the off-diagonal 1/a_j (j = 1..n-1).
+    """
+    _, a, b, _ = orthonormal_coeffs(params, n)
+    return -b[1:] / a[1:], 1.0 / a[1:n]
+
+
 def _derivative_prefactor(params: JacobiParams, n: int) -> float:
     """kappa with d/dx p_n = kappa * q_{n-1}, q orthonormal for (a+1, b+1)."""
     shifted = JacobiParams(params.alpha + 1.0, params.beta + 1.0)
@@ -212,7 +223,7 @@ def compute_roots(params: JacobiParams, n: int, residual_tol: float = 1e-12) -> 
     q0, aq, bq, cq = orthonormal_coeffs(shifted, n - 1)
     dpref = _derivative_prefactor(params, n)
 
-    lam = eigvalsh_tridiagonal(-b[1:] / a[1:], 1.0 / a[1:n], lapack_driver="sterf")
+    lam = eigvalsh_tridiagonal(*jacobi_matrix(params, n), lapack_driver="sterf")
     theta = np.arccos(np.clip(lam[::-1], -1.0, 1.0))
     theta = _kernels.refine_roots(p0, a, b, c, q0, aq, bq, cq, dpref, theta)
     if np.any(np.diff(theta) <= 0.0):

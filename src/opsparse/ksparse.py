@@ -226,12 +226,20 @@ class SimulatedAccess:
         if js.size and (js.min() < 0 or js.max() >= n):
             raise IndexError(f"indices {js.min()}..{js.max()} out of range for N={n}")
         d = self._degree
-        win = js[:, None] + np.arange(-d, d + 1)[None, :]
-        valid = (win >= 0) & (win < n)
-        vals = np.zeros(win.shape)
-        flat = win[valid]
-        vals[valid] = self._oracle.query_many(flat) - self._zvals[flat]
-        return np.einsum("ij,ij->i", self._band[js], vals)
+        offsets = np.arange(-d, d + 1)
+        out = np.empty(js.size)
+        # row blocks keep each temporary <= 64 KiB, under glibc's default 128 KiB
+        # mmap threshold, so calls reuse heap pages instead of mapping fresh ones
+        step = max(1, 8192 // (2 * d + 1))
+        for start in range(0, js.size, step):
+            rows = js[start : start + step]
+            win = rows[:, None] + offsets
+            valid = (win >= 0) & (win < n)
+            vals = np.zeros(win.shape)
+            flat = win[valid]
+            vals[valid] = self._oracle.query_many(flat) - self._zvals[flat]
+            out[start : start + step] = np.einsum("ij,ij->i", self._band[rows], vals)
+        return out
 
     def query(self, j: int) -> float:
         return float(self.query_many(np.array([j]))[0])

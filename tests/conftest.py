@@ -6,7 +6,7 @@ from opsparse import JacobiParams, build_plan
 
 @pytest.fixture(scope="session")
 def legendre_plan_64():
-    return build_plan(JacobiParams(0.0, 0.0), 64, degree=12)
+    return build_plan(JacobiParams(0.0, 0.0), 64)
 
 
 @pytest.fixture(scope="session")

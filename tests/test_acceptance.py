@@ -158,8 +158,7 @@ def test_criterion_5_filtered_query_equivalence():
               float(rng.uniform(0.3, 0.6)),
               float(rng.uniform(0.02, 0.05))) for _ in range(200)]
     filters = [build_boxcar(*case) for case in cases]
-    plan = build_plan(JacobiParams(0.0, 0.0), 64,
-                      degree=max(f.degree for f in filters))
+    plan = build_plan(JacobiParams(0.0, 0.0), 64)
     mat = plan.matrix()
     worst = 0.0
     over_budget = 0
@@ -260,8 +259,7 @@ def test_criterion_8_k_sparse_recovery():
     for k, gamma in ((2, 1.0), (4, 0.6)):
         cfg = ReductionConfig.calibrated(k, 0.05, 0.1, gamma)
         profile = cfg
-        probe = build_boxcar(math.pi / 2, cfg.boxcar_width(), cfg.boxcar_eps())
-        plan = build_plan(JacobiParams(0.0, 0.0), 2048, degree=probe.degree)
+        plan = build_plan(JacobiParams(0.0, 0.0), 2048)
         sigma = 3.0 * gamma / (2.0 * math.pi)
         for noise in (0.0, cfg.delta / (2.0 * cfg.c_big)):
             hits = 0

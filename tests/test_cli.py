@@ -1,9 +1,12 @@
 """End-to-end tests of the command-line driver, run in-process."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from opsparse import load_plan
 from opsparse.cli import main, read_signal, synth_spectrum, write_signal
@@ -37,6 +40,71 @@ def test_signal_rejects_foreign_files(tmp_path):
     path.write_text('{"format": "something-else", "version": 1}\n')
     with pytest.raises(ValueError, match="not an opsparse-signal file"):
         read_signal(path)
+    path.write_text('[1, 2, 3]\n')
+    with pytest.raises(ValueError, match="not an opsparse-signal file"):
+        read_signal(path)
+
+
+def test_signal_header_checks(tmp_path):
+    path = tmp_path / "sig.json"
+    write_signal(path, np.ones(4), 0.5, -0.25)
+    good = json.loads(path.read_text())
+    for key, value, match in (("n", -1, "n must be"), ("n", 4.0, "n must be"),
+                              ("n", True, "n must be"), ("alpha", "0", "alpha must be"),
+                              ("beta", 10**400, "beta must be"),
+                              ("data", 7, "data must be"),
+                              ("truth", [1], "truth must be")):
+        path.write_text(json.dumps({**good, key: value}))
+        with pytest.raises(ValueError, match=match):
+            read_signal(path)
+    path.write_text(json.dumps(good).replace("0.5", "NaN"))
+    with pytest.raises(ValueError, match="alpha must be"):
+        read_signal(path)
+
+
+@pytest.fixture(scope="module")
+def small_signal_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sig") / "s.json"
+    write_signal(path, np.arange(3.0), 0.5, -0.25,
+                 {"support": [1], "values": [2.0], "sigma": 0.1, "noise": 0.0,
+                  "seed": 1})
+    return path.read_bytes()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+
+@given(data=st.data())
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_signal_fuzz_raises_only_reported_errors(tmp_path, small_signal_text, data):
+    """Random JSON documents and fields, truncations and byte flips of a small
+    signal file decode or raise only the errors `main` reports."""
+    blob = bytearray(small_signal_text)
+    kind = data.draw(st.sampled_from(["document", "field", "truncate", "flip"]))
+    if kind == "document":
+        blob = json.dumps(data.draw(JSON_VALUES)).encode("ascii")
+    elif kind == "field":
+        doc = json.loads(blob)
+        doc[data.draw(st.sampled_from(sorted(doc)))] = data.draw(JSON_VALUES)
+        blob = json.dumps(doc).encode("ascii")
+    elif kind == "truncate":
+        blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        for pos in data.draw(st.lists(st.integers(0, len(blob) - 1), min_size=1,
+                                      max_size=4)):
+            blob[pos] ^= data.draw(st.integers(1, 255))
+    path = tmp_path / "fuzz.json"
+    path.write_bytes(bytes(blob))
+    try:
+        doc = read_signal(path)
+    except (ValueError, KeyError):
+        return
+    assert doc["vector"].shape == (doc["n"],)
+    assert np.isfinite([doc["alpha"], doc["beta"]]).all()
 
 
 def test_synth_spectrum_separation_and_noise(rng):
@@ -61,13 +129,13 @@ def test_synth_spectrum_rejects_impossible_packing(rng):
 def test_plan_build_and_save(tmp_path, capsys):
     out = tmp_path / "plan.bin"
     code, stdout, _ = run_cli(capsys, "plan", "--alpha", "0", "--beta", "0",
-                              "--n", "64", "--degree", "4", "--out", str(out))
+                              "--n", "64", "--out", str(out))
     assert code == 0
     report = json.loads(stdout)
-    assert report["n"] == 64 and report["degree"] == 4
+    assert report["n"] == 64 and "degree" not in report
     assert report["flatness"] > 0
     plan = load_plan(out)
-    assert plan.n == 64 and plan.moments.degree == 4
+    assert plan.n == 64 and plan.U == report["flatness"]
 
 
 def test_plan_rejects_bad_parameters(tmp_path, capsys):
@@ -79,9 +147,9 @@ def test_plan_rejects_bad_parameters(tmp_path, capsys):
     assert err["error"] == "ValueError"
     assert not out.exists()
     code, _, stderr = run_cli(capsys, "plan", "--alpha", "0", "--beta", "0",
-                              "--n", "8", "--degree", "10", "--out", str(out))
+                              "--n", "0", "--out", str(out))
     assert code == 2
-    assert "moment degree must be in [0, n)" in json.loads(stderr)["message"]
+    assert "n must be >= 1" in json.loads(stderr)["message"]
     assert not out.exists()
 
 
@@ -137,6 +205,27 @@ def test_transform_rejects_plan_with_other_alpha_beta(tmp_path, capsys):
                               str(tmp_path / "out.json"))
     assert code == 2
     assert "(alpha, beta)" in json.loads(stderr)["message"]
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_transform_reports_bad_plan_file(tmp_path, capsys):
+    sig = tmp_path / "sig.json"
+    run_cli(capsys, "synth", "--alpha", "0", "--beta", "0", "--n", "64",
+            "--k", "1", "--out", str(sig))
+    garbage = tmp_path / "garbage.bin"
+    garbage.write_bytes(b"garbage")
+    plan_v1 = tmp_path / "v1.bin"
+    run_cli(capsys, "plan", "--alpha", "0", "--beta", "0", "--n", "64",
+            "--out", str(plan_v1))
+    blob = bytearray(plan_v1.read_bytes())
+    blob[4:8] = struct.pack("<I", 1)
+    plan_v1.write_bytes(blob)
+    for path, error in ((garbage, "PlanMagicError"), (plan_v1, "PlanVersionError")):
+        code, _, stderr = run_cli(capsys, "transform", "--input", str(sig),
+                                  "--plan", str(path), "--out",
+                                  str(tmp_path / "out.json"))
+        assert code == 2
+        assert json.loads(stderr)["error"] == error
     assert not (tmp_path / "out.json").exists()
 
 

@@ -24,10 +24,7 @@ from opsparse.ksparse import large, peeler, verify
 
 @pytest.fixture(scope="module")
 def peel_plan():
-    # moment degree sized to the widest filter the k=1 / k=2 configs below
-    # can request (gamma=1.0, eps down to 0.025/sqrt(2))
-    probe = build_boxcar(math.pi / 2, 0.25, 0.025 / math.sqrt(2))
-    return build_plan(JacobiParams(0.0, 0.0), 256, degree=probe.degree)
+    return build_plan(JacobiParams(0.0, 0.0), 256)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +140,7 @@ def test_large_matches_sorted(xs, data):
 
 def test_simulated_access_matches_dense_application(rng):
     filt = build_boxcar(1.2, 0.5, 0.05)
-    plan = build_plan(JacobiParams(0.0, 0.0), 64, degree=filt.degree)
+    plan = build_plan(JacobiParams(0.0, 0.0), 64)
     y = rng.standard_normal(64)
     zhat = SparseApprox({5: 0.7, 20: -1.1})
 
@@ -158,10 +155,20 @@ def test_simulated_access_matches_dense_application(rng):
     np.testing.assert_allclose(got, expected, atol=1e-10)
     assert access.query(13) == got[13]
 
+    # more indices than one row block of query_many, with both ends and repeats
+    d = filt.degree
+    js = np.concatenate([[0, 63, 0], rng.integers(0, 64, size=900), [63, 31, 31]])
+    assert js.size > 8192 // (2 * d + 1)
+    oracle = QueryOracle(y)
+    got = SimulatedAccess(plan, oracle, zhat, filt).query_many(js)
+    np.testing.assert_allclose(got, expected[js], atol=1e-10)
+    windows = np.minimum(64, js + d + 1) - np.maximum(0, js - d)
+    assert oracle.count == int(windows.sum())
+
 
 def test_simulate_query_cost_and_agreement(rng):
     filt = build_boxcar(1.2, 0.5, 0.05)
-    plan = build_plan(JacobiParams(0.0, 0.0), 64, degree=filt.degree)
+    plan = build_plan(JacobiParams(0.0, 0.0), 64)
     y = rng.standard_normal(64)
     zhat = SparseApprox({30: 0.4})
     d = filt.degree

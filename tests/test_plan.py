@@ -2,6 +2,7 @@
 persistence, format-error taxonomy."""
 
 import math
+import pickle
 import struct
 import zlib
 
@@ -38,6 +39,25 @@ def dense_moment(plan, r):
     return f.T @ (cheb_t(r, plan.lam)[:, None] * f)
 
 
+def one_hot_filter(r):
+    """A degree-r filter with Chebyshev coefficients e_r, so its band is M_r."""
+    coeffs = np.zeros(r + 1)
+    coeffs[r] = 1.0
+    return type("F", (), {"coeffs": coeffs, "degree": r})()
+
+
+def band_to_dense(band):
+    """Dense matrix from a filter_band output (row j holds columns j-d..j+d)."""
+    n, width = band.shape
+    d = width // 2
+    out = np.zeros((n, n))
+    for j in range(n):
+        for c in range(width):
+            if 0 <= j - d + c < n:
+                out[j, j - d + c] = band[j, c]
+    return out
+
+
 def test_orthogonality(small_plan):
     f = small_plan.matrix()
     gram = f.T @ f
@@ -45,29 +65,21 @@ def test_orthogonality(small_plan):
 
 
 def test_moments_match_dense_triple_product(small_plan):
-    for r in range(7):
+    # M_r = T_r(J) from the Jacobi matrix against F^T T_r(diag(lambda)) F;
+    # degrees up to N-1, where M_r is dense
+    for r in list(range(7)) + [31]:
+        band = small_plan.filter_band(one_hot_filter(r))
         expect = dense_moment(small_plan, r)
-        np.testing.assert_allclose(small_plan.moments.dense(r), expect, atol=1e-12)
+        np.testing.assert_allclose(band_to_dense(band), expect, atol=1e-12)
 
 
 def test_moments_are_exactly_banded(small_plan):
-    # quadrature exactness forces entries with |i-j| > r to vanish; the
-    # storage makes them structurally zero, and the dense oracle agrees
+    # quadrature exactness forces entries with |i-j| > r to vanish; T_r(J)
+    # is r-banded by construction, and the dense oracle agrees
     for r in (2, 5):
         expect = dense_moment(small_plan, r)
         i, j = np.indices(expect.shape)
         assert np.abs(expect[np.abs(i - j) > r]).max() < 1e-13
-
-
-def test_moment_accessors(small_plan):
-    m = small_plan.moments
-    assert m.entry(3, 5, 9) == 0.0
-    assert m.entry(3, 5, 7) == pytest.approx(m.dense(3)[5, 7])
-    band = m.band_matrix(2)
-    assert band.shape == (32, 5)
-    assert band[10, 2 + 1] == pytest.approx(m.dense(2)[10, 11])
-    with pytest.raises(ValueError):
-        m.diagonal(2, 3)
 
 
 def test_forward_inverse_roundtrip(small_plan, rng):
@@ -95,7 +107,7 @@ def test_bucket_offsets(small_plan):
 
 
 def test_filter_band_matches_dense(small_plan, rng):
-    coeffs = rng.standard_normal(5)  # degree-4 generic filter, fits d=6
+    coeffs = rng.standard_normal(5)  # degree-4 generic filter
     fake = type("F", (), {"coeffs": coeffs, "degree": 4})()
     band = small_plan.filter_band(fake)
     f = small_plan.matrix()
@@ -109,15 +121,29 @@ def test_filter_band_matches_dense(small_plan, rng):
 
 @pytest.mark.parametrize("degree", [0, 3])
 def test_m0_is_exact_identity(degree):
-    # F is square and orthogonal, so M_0 = F^T F is stored as exact ones
+    # F is square and orthogonal, so M_0 = F^T F = T_0(J) is exact ones
     plan = build_plan(JacobiParams(0.5, -0.25), 24, degree=degree)
-    np.testing.assert_array_equal(plan.moments.diagonal(0, 0), np.ones(24))
+    band = plan.filter_band(one_hot_filter(0))
+    np.testing.assert_array_equal(band, np.ones((24, 1)))
+
+
+def test_filter_band_grows_its_cache(rng):
+    # a higher degree than any earlier call rebuilds the moments; a lower
+    # one reads the cached diagonals
+    plan = build_plan(JacobiParams(1.5, -0.3), 40)
+    f = plan.matrix()
+    for d in (2, 9, 5):
+        coeffs = rng.standard_normal(d + 1)
+        band = plan.filter_band(type("F", (), {"coeffs": coeffs, "degree": d})())
+        dense = f.T @ (chebval(plan.lam, coeffs)[:, None] * f)
+        np.testing.assert_allclose(band_to_dense(band), dense, atol=1e-12)
 
 
 def test_filter_band_degree_check(small_plan):
-    fake = type("F", (), {"coeffs": np.zeros(99), "degree": 98})()
-    with pytest.raises(ValueError, match="exceeds plan moment degree"):
-        small_plan.filter_band(fake)
+    for d in (32, 98):
+        fake = type("F", (), {"coeffs": np.zeros(d + 1), "degree": d})()
+        with pytest.raises(ValueError, match=r"must be < N = 32"):
+            small_plan.filter_band(fake)
 
 
 def test_input_validation(small_plan):
@@ -145,9 +171,9 @@ def test_save_load_roundtrip_bitwise(tmp_path, small_plan):
     np.testing.assert_array_equal(back.theta, small_plan.theta)
     np.testing.assert_array_equal(back.lam, small_plan.lam)
     np.testing.assert_array_equal(back.weights, small_plan.weights)
-    assert back.moments.degree == small_plan.moments.degree
-    for o, stack in enumerate(small_plan.moments.stacks):
-        np.testing.assert_array_equal(back.moments.stacks[o], stack)
+    for r in (0, 3, 6):
+        np.testing.assert_array_equal(back.filter_band(one_hot_filter(r)),
+                                      small_plan.filter_band(one_hot_filter(r)))
 
 
 def test_load_rejects_bad_magic(tmp_path, small_plan):
@@ -164,10 +190,11 @@ def test_load_rejects_bad_version(tmp_path, small_plan):
     path = tmp_path / "p.plan"
     save_plan(small_plan, path)
     blob = bytearray(path.read_bytes())
-    blob[4:8] = (99).to_bytes(4, "little")
-    path.write_bytes(blob)
-    with pytest.raises(PlanVersionError):
-        load_plan(path)
+    for version in (99, 1):  # v1 files stored moment bands; they are refused
+        blob[4:8] = version.to_bytes(4, "little")
+        path.write_bytes(blob)
+        with pytest.raises(PlanVersionError):
+            load_plan(path)
 
 
 def test_load_rejects_truncation(tmp_path, small_plan):
@@ -189,35 +216,28 @@ def test_load_rejects_corruption(tmp_path, small_plan):
         load_plan(path)
 
 
-def _plan_blob(alpha, beta, n, degree, payload=b""):
-    """A v1 plan file around a given header and payload, with a valid CRC."""
-    body = struct.pack("<ddQQd", alpha, beta, n, degree, 1.0) + payload
+def _plan_blob(alpha, beta, n, payload=b""):
+    """A v2 plan file around a given header and payload, with a valid CRC."""
+    body = struct.pack("<ddQd", alpha, beta, n, 1.0) + payload
     crc = zlib.crc32(body) & 0xFFFFFFFF
-    return b"OPSP" + struct.pack("<I", 1) + body + struct.pack("<I", crc)
+    return b"OPSP" + struct.pack("<I", 2) + body + struct.pack("<I", crc)
 
 
-def test_load_rejects_header_degree_bound(tmp_path):
+def test_load_rejects_header_size_bound(tmp_path):
     path = tmp_path / "p.plan"
-    # 52 bytes; sizing the band for this degree used to loop without end
-    path.write_bytes(_plan_blob(0.0, 0.0, 8, 2**60))
-    assert path.stat().st_size == 52
-    with pytest.raises(PlanFormatError, match="degree"):
+    path.write_bytes(_plan_blob(0.0, 0.0, 0))
+    with pytest.raises(PlanFormatError, match="N=0"):
         load_plan(path)
-    # degree > N with a body of the length that degree implies
-    n, d = 4, 6
-    floats = 3 * n + sum((2 * r + 1) * n - r * (r + 1) for r in range(d + 1))
-    path.write_bytes(_plan_blob(0.0, 0.0, n, d, bytes(8 * floats)))
-    with pytest.raises(PlanFormatError, match="degree"):
-        load_plan(path)
-    path.write_bytes(_plan_blob(0.0, 0.0, 0, 0))
-    with pytest.raises(PlanFormatError):
+    # a 44-byte file claiming N = 2**64-1 is sized, not allocated
+    path.write_bytes(_plan_blob(0.0, 0.0, 2**64 - 1))
+    with pytest.raises(PlanTruncatedError):
         load_plan(path)
 
 
 @pytest.fixture(scope="module")
 def tiny_plan_blob(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "p.plan"
-    save_plan(build_plan(JacobiParams(0.5, -0.25), 6, degree=2), path)
+    save_plan(build_plan(JacobiParams(0.5, -0.25), 6), path)
     return path.read_bytes()
 
 
@@ -232,7 +252,7 @@ def test_load_fuzz_raises_only_format_errors(tmp_path, tiny_plan_blob, data):
         floats = st.floats(allow_nan=True, allow_infinity=True)
         sizes = st.one_of(st.integers(0, 16), st.integers(0, 2**64 - 1))
         blob = _plan_blob(data.draw(floats), data.draw(floats), data.draw(sizes),
-                          data.draw(sizes), bytes(blob[48:-4]))
+                          bytes(blob[40:-4]))
     elif kind == "truncate":
         blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
     else:
@@ -245,7 +265,7 @@ def test_load_fuzz_raises_only_format_errors(tmp_path, tiny_plan_blob, data):
         plan = load_plan(path)
     except PlanFormatError:
         return
-    assert plan.n >= 1 and 0 <= plan.moments.degree < plan.n
+    assert plan.n >= 1 and plan.theta.shape == plan.weights.shape == (plan.n,)
 
 
 def test_format_errors_share_base():
@@ -254,8 +274,11 @@ def test_format_errors_share_base():
 
 
 def test_pickle_roundtrip(small_plan, rng):
-    import pickle
-
     back = pickle.loads(pickle.dumps(small_plan))
     x = rng.standard_normal(32)
     np.testing.assert_array_equal(back.forward(x), small_plan.forward(x))
+    np.testing.assert_array_equal(back.filter_band(one_hot_filter(4)),
+                                  small_plan.filter_band(one_hot_filter(4)))
+    # the moment cache is derived data and does not travel
+    bare = build_plan(JacobiParams(0.5, -0.25), 32)
+    assert len(pickle.dumps(small_plan)) == len(pickle.dumps(bare))
