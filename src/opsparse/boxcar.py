@@ -11,8 +11,8 @@ form, and damp coefficient m by the heat-kernel factor exp(-m^2 sigma^2 / 2).
 The smoothed indicator stays in [0, 1] exactly, so only the series truncation
 and the Gaussian blur eat into the eps budget; sigma is sized so each
 contributes a fraction of eps.  Every filter is verified on a dense angle
-grid before being returned; if verification fails the degree is doubled (and
-the blur sharpened) a bounded number of times.
+grid before being returned; if verification fails the degree grows by a
+quarter, with sigma held, a bounded number of times.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ __all__ = ["BoxcarFilter", "BoxcarConstructionError", "build_boxcar", "eval_boxc
 # Half-width of the sharp box relative to the filter width; leaves a margin
 # of width/2 on each side for the Gaussian roll-off.
 _BOX_FACTOR = 1.5
-# At most this many degree doublings before giving up.
-_MAX_DOUBLINGS = 6
+# At most this many degree increases before giving up.
+_MAX_GROWTHS = 6
 # Relaxation applied to eps during grid verification.
 SLACK = 0.1
 
@@ -112,16 +112,17 @@ def _build_cached(center: float, width: float, eps: float) -> BoxcarFilter:
     d = 4
     while (4.0 / (math.pi * d)) * math.exp(-0.5 * (d * sigma) ** 2) > eps / 8.0:
         d += 1
-    for _ in range(_MAX_DOUBLINGS + 1):
+    for _ in range(_MAX_GROWTHS + 1):
         m = np.arange(d + 1, dtype=np.float64)
         coeffs = _indicator_coeffs(center, half, d) * np.exp(-0.5 * (m * sigma) ** 2)
         if _verify(coeffs, center, width, eps):
             return BoxcarFilter(center, width, eps, d, coeffs)
-        d *= 2
-        sigma /= math.sqrt(2.0)
+        # the first guess falls a few percent short (its tail bound is loose);
+        # a quarter more keeps the degree inside ReductionConfig.degree_budget
+        d += d // 4
     raise BoxcarConstructionError(
         f"boxcar verification failed for center={center!r} width={width!r} "
-        f"eps={eps!r} after {_MAX_DOUBLINGS} degree doublings"
+        f"eps={eps!r} after {_MAX_GROWTHS} degree increases"
     )
 
 

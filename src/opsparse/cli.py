@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,33 +29,6 @@ from .plan import PlanFormatError, TransformPlan, build_plan, load_plan, save_pl
 
 SIGNAL_FORMAT = "opsparse-signal"
 SIGNAL_VERSION = 1
-
-
-@dataclass
-class ExperimentConfig:
-    """Everything one `recover` run needs; the seed pins the whole run."""
-
-    alpha: float
-    beta: float
-    n: int
-    k: int
-    delta: float
-    mu: float
-    gamma: float
-    sigma: float
-    noise: float
-    trials: int
-    seed: int
-    profile: str
-    overrides: dict[str, float] = field(default_factory=dict)
-    fmt: str = "csv"
-
-    def reduction(self) -> ReductionConfig:
-        if self.profile == "stock":
-            return ReductionConfig(self.k, self.delta, self.mu, self.gamma,
-                                   **self.overrides)
-        return ReductionConfig.calibrated(self.k, self.delta, self.mu,
-                                          self.gamma, **self.overrides)
 
 
 @dataclass
@@ -85,19 +58,6 @@ class TrialRecord:
             str(self.queries),
             str(int(self.success)),
         ]
-
-    def as_json(self) -> dict:
-        return {
-            "trial": self.trial,
-            "support": self.support,
-            "values": self.values,
-            "rec_support": self.rec_support,
-            "rec_values": self.rec_values,
-            "rel_l2_error": self.rel_l2_error,
-            "queries": self.queries,
-            "wall_time": self.wall_time,
-            "success": self.success,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +185,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.k < 1:
+        raise ValueError(f"k must be >= 1, got {args.k}")
     rng = np.random.default_rng(args.seed)
     sigma = args.sigma if args.sigma is not None else 1.0 / (4.0 * args.k * args.k)
     support, values, spectrum = synth_spectrum(args.n, args.k, sigma,
@@ -291,6 +253,8 @@ def _worker_count(trials: int) -> int:
 
 
 def cmd_recover(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {args.trials}")
     overrides = {name: getattr(args, name) for name in
                  ("c_t0", "c_t1", "c_t2", "c_mu0", "c_d", "c_big")
                  if getattr(args, name) is not None}
@@ -303,38 +267,37 @@ def cmd_recover(args) -> int:
     elif sigma is None:
         # separation that backs the angular gap: 3*gamma/(2*pi) of the indices
         sigma = 3.0 * gamma / (2.0 * math.pi)
-    exp = ExperimentConfig(args.alpha, args.beta, args.n, args.k, args.delta,
-                           args.mu, gamma, sigma, args.noise, args.trials,
-                           args.seed, args.profile, overrides, args.format)
-    cfg = exp.reduction()
+    make = ReductionConfig if args.profile == "stock" else ReductionConfig.calibrated
+    cfg = make(args.k, args.delta, args.mu, gamma, **overrides)
     plan = _plan_from_args(args)
-    seqs = np.random.SeedSequence(exp.seed).spawn(exp.trials)
+    seqs = np.random.SeedSequence(args.seed).spawn(args.trials)
 
-    workers = _worker_count(exp.trials)
+    workers = _worker_count(args.trials)
     records: list[TrialRecord] = []
     if workers == 1:
-        for t in range(exp.trials):
-            records.append(_run_trial(plan, cfg, exp.sigma, exp.noise, t, seqs[t]))
+        for t in range(args.trials):
+            records.append(_run_trial(plan, cfg, sigma, args.noise, t, seqs[t]))
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            futures = [pool.submit(_run_trial, plan, cfg, exp.sigma, exp.noise,
-                                   t, seqs[t]) for t in range(exp.trials)]
+            futures = [pool.submit(_run_trial, plan, cfg, sigma, args.noise,
+                                   t, seqs[t]) for t in range(args.trials)]
             records = [f.result() for f in futures]
     records.sort(key=lambda r: r.trial)
+    rate = sum(r.success for r in records) / len(records)
 
-    if exp.fmt == "json":
+    if args.format == "json":
         payload = {
             "config": {
-                "alpha": exp.alpha, "beta": exp.beta, "n": exp.n, "k": exp.k,
-                "delta": exp.delta, "mu": exp.mu, "gamma": exp.gamma,
-                "sigma": exp.sigma, "noise": exp.noise, "seed": exp.seed,
-                "profile": exp.profile, "overrides": exp.overrides,
+                "alpha": args.alpha, "beta": args.beta, "n": args.n, "k": args.k,
+                "delta": args.delta, "mu": args.mu, "gamma": gamma,
+                "sigma": sigma, "noise": args.noise, "seed": args.seed,
+                "profile": args.profile, "overrides": overrides,
             },
-            "trials": [r.as_json() for r in records],
-            "success_rate": sum(r.success for r in records) / len(records),
+            "trials": [asdict(r) for r in records],
+            "success_rate": rate,
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
@@ -347,8 +310,7 @@ def cmd_recover(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
-        rate = sum(r.success for r in records) / len(records)
-        print(json.dumps({"path": args.out, "trials": exp.trials,
+        print(json.dumps({"path": args.out, "trials": args.trials,
                           "success_rate": rate}))
     else:
         sys.stdout.write(text)

@@ -9,12 +9,9 @@ transform.  The Fourier step is pluggable; a dense FFT is the default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "EmbeddedSignal",
     "EmbeddingConsistencyError",
     "chebyshev_transform_direct",
     "embed",
@@ -27,14 +24,6 @@ class EmbeddingConsistencyError(ValueError):
     """The two DFT bins that should duplicate each coefficient disagree."""
 
 
-@dataclass(frozen=True)
-class EmbeddedSignal:
-    """Complex length-2N carrier for a length-N coefficient vector."""
-
-    f: np.ndarray
-    source_length: int
-
-
 def chebyshev_transform_direct(c: np.ndarray) -> np.ndarray:
     """Dense O(N^2) transform: chat[j] = sum_l c[l] cos((pi/2N) l (2j+1))."""
     c = np.asarray(c, dtype=np.float64)
@@ -44,8 +33,8 @@ def chebyshev_transform_direct(c: np.ndarray) -> np.ndarray:
     return np.cos((np.pi / (2 * n)) * np.outer(2 * j + 1, ell)) @ c
 
 
-def embed(c: np.ndarray) -> EmbeddedSignal:
-    """Fold c into the modulated complex signal whose DFT duplicates chat.
+def embed(c: np.ndarray) -> np.ndarray:
+    """Fold c into the complex length-2N signal whose DFT duplicates chat.
 
     x places c symmetrically on a length-4N circle (index 0 doubled), y
     rotates by N, z modulates by powers of omega = exp(-2 pi i / 4N), and f
@@ -61,7 +50,7 @@ def embed(c: np.ndarray) -> EmbeddedSignal:
     y = np.roll(x, n)  # y[j] = x[(j - N) mod 4N]
     j = np.arange(2 * n)
     omega_pow = np.exp((-2j * np.pi / (4 * n)) * j)
-    return EmbeddedSignal(omega_pow * y[: 2 * n], n)
+    return omega_pow * y[: 2 * n]
 
 
 def extract(fhat: np.ndarray, rtol: float = 1e-6) -> np.ndarray:
@@ -94,4 +83,4 @@ def chebyshev_via_fourier(c: np.ndarray, fourier=None) -> np.ndarray:
     """chat computed through the embedding and a (pluggable) DFT oracle."""
     if fourier is None:
         fourier = np.fft.fft
-    return extract(fourier(embed(c).f))
+    return extract(fourier(embed(c)))

@@ -125,10 +125,18 @@ def orthonormal_coeffs(params: JacobiParams, jmax: int):
     """Coefficient arrays (p0, a, b, c) for the orthonormal recurrence.
 
     p_j = (a[j] x + b[j]) p_{j-1} - c[j] p_{j-2}; index 0 of each array is
-    unused.  p0 = h_0^{-1/2}.
+    unused.  p0 = h_0^{-1/2}.  Raises ValueError when log h_0 is not finite
+    or p0 would leave the float range, as it can for huge alpha or beta,
+    where the lgamma differences in h_0 are lost to round-off.
     """
     al, be = params.alpha, params.beta
-    p0 = math.exp(-0.5 * log_norm_factor(params, 0))
+    try:
+        log_h0 = log_norm_factor(params, 0)
+    except OverflowError:  # lgamma of a parameter near the float maximum
+        log_h0 = math.inf
+    if not abs(log_h0) < 1400.0:
+        raise ValueError(f"h_0 = exp({log_h0}) for {params} is outside the float range")
+    p0 = math.exp(-0.5 * log_h0)
     a = np.zeros(jmax + 1)
     b = np.zeros(jmax + 1)
     c = np.zeros(jmax + 1)

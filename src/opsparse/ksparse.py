@@ -11,19 +11,12 @@ before being committed to the running sparse estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boxcar import BoxcarFilter, build_boxcar
-from .onesparse import (
-    DEFAULT_CONFIG,
-    OneSparseResult,
-    RecoveryError,
-    _round_count,
-    _sample_size,
-    solve_one_sparse,
-)
+from .onesparse import SAMPLE_CAP, RecoveryError, solve_one_sparse
 
 __all__ = [
     "QueryOracle",
@@ -180,17 +173,6 @@ class ReductionConfig:
     def degree_budget(self) -> int:
         return math.ceil(self.c_d * math.sqrt(self.k) / (self.eps() * self.gamma))
 
-    def query_budget(self, plan) -> int:
-        """Generous deterministic cap on raw queries for one recover call."""
-        probe = build_boxcar(math.pi / 2.0, self.boxcar_width(), self.boxcar_eps())
-        fan = 2 * probe.degree + 1
-        solver_eps = 6.0 * self.eps()
-        s = _sample_size(plan, solver_eps, DEFAULT_CONFIG)
-        rounds = _round_count(self.mu0() / 2.0 / 6.0 / plan.n, DEFAULT_CONFIG)
-        t1 = _verify_samples(plan, self.mu0() / 2.0, self.eps(), self.c_t1)
-        per_draw = (rounds * s + t1) * fan
-        return 4 * self.k * self.t2() * self.t0() * per_draw
-
 
 def large(s: int, x: np.ndarray) -> float:
     """Magnitude of the s-th largest entry of x by absolute value."""
@@ -247,7 +229,10 @@ class SimulatedAccess:
 
 def _verify_samples(plan, mu: float, eps: float, c_t1: float) -> int:
     t1 = c_t1 * plan.n * plan.U**2 * math.log(1.0 / min(mu, 0.5)) / eps**2
-    return int(min(max(16.0, math.ceil(t1)), 4.0e6))
+    if not t1 <= SAMPLE_CAP:
+        raise ValueError(f"verification needs {t1:.0f} samples, above the cap "
+                         f"{SAMPLE_CAP}; lower c_t1 or raise delta")
+    return int(max(16.0, math.ceil(t1)))
 
 
 def verify(plan, y_access, v: float, h: int, mu: float, eps: float, rng,

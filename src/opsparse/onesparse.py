@@ -5,8 +5,8 @@ solver finds ell and estimates v using polylogarithmically many samples.  The
 stages: prune the angular regions near 0 and pi (where the cosine ratio
 estimator degrades), prune roots whose normalized angle has badly
 equidistributed integer dilates, then binary-search the angle by estimating
-cos(w * theta_ell) at dyadically growing blow-ups w, and finish with a
-correlation check that also yields the value estimate.
+cos(w * theta_ell) at dyadically growing blow-ups w and prune over the final
+interval.  Every stage that finds the spike also yields its value estimate.
 
 Every pruning stage shares one sample set per round across all candidate
 roots, so the query count depends on the sampling schedule, not on the
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Protocol
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,19 +32,12 @@ __all__ = [
     "SPREAD",
     "RecoveryError",
     "ArcCosError",
-    "check",
     "prune",
     "prune_non_spread",
     "query_cos",
     "approx_arccos",
     "solve_one_sparse",
 ]
-
-
-class SampleAccess(Protocol):
-    """Counted query access to entries of the coefficient-side vector."""
-
-    def query_many(self, idx: np.ndarray) -> np.ndarray: ...
 
 
 class RecoveryError(RuntimeError):
@@ -88,10 +81,12 @@ class OneSparseConfig:
     r_min: int = 3  # minimum rounds (kept odd for clean medians)
     c_theta: float = 1.0  # boundary prune reach
     c_r_cos: float = 8.0  # rounds multiplier for the cosine estimator
-    row_cand_limit: int = 512  # above this, correlate via a full transform
 
 
 DEFAULT_CONFIG = OneSparseConfig()
+# Most samples one estimator round (or one verification) may draw.  A larger
+# request is refused, not clipped: clipping would void its guarantee.
+SAMPLE_CAP = 4_000_000
 
 
 def _sample_size(plan: plan_mod.TransformPlan, eps: float, cfg: OneSparseConfig) -> int:
@@ -99,7 +94,10 @@ def _sample_size(plan: plan_mod.TransformPlan, eps: float, cfg: OneSparseConfig)
     flat = plan.U * plan.U * n
     big = math.log(n) / (eps * eps)
     s = max(cfg.c_s * flat * big * math.log(big), cfg.s_floor * flat * math.log(n))
-    return int(min(max(8.0, math.ceil(s)), 4.0e6))
+    if not s <= SAMPLE_CAP:
+        raise ValueError(f"solver round needs {s:.0f} samples, above the cap "
+                         f"{SAMPLE_CAP}; raise eps")
+    return int(max(8.0, math.ceil(s)))
 
 
 def _round_count(mu: float, cfg: OneSparseConfig) -> int:
@@ -107,24 +105,23 @@ def _round_count(mu: float, cfg: OneSparseConfig) -> int:
     return int(r) | 1
 
 
-def _correlate(plan, cand: np.ndarray, js: np.ndarray, y: np.ndarray, cfg) -> np.ndarray:
-    """(N/s)-scaled correlations of one sampling round against candidate rows."""
+def _correlate(plan, cand: np.ndarray, js: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(N/s)-scaled correlations of one sampling round against candidate rows.
+
+    The samples are summed into a length-N vector and multiplied by all of F:
+    through the cached dense matrix up to ``DENSE_CACHE_LIMIT``, through the
+    recurrence above it.
+    """
     n = plan.n
-    scale = n / len(js)
-    if n <= plan_mod.DENSE_CACHE_LIMIT:
-        f = plan.matrix()
-        if len(cand) * 2 >= n:
-            acc = np.bincount(js, weights=y, minlength=n)
-            return scale * (f @ acc)[cand]
-        return scale * (f[np.ix_(cand, js)] @ y)
-    if len(cand) <= cfg.row_cand_limit:
-        rows = np.stack([plan.row(int(c))[js] for c in cand])
-        return scale * (rows @ y)
     acc = np.bincount(js, weights=y, minlength=n)
-    return scale * plan.forward(acc)[cand]
+    if n <= plan_mod.DENSE_CACHE_LIMIT:
+        full = plan.matrix() @ acc
+    else:
+        full = plan.forward(acc)
+    return (n / len(js)) * full[cand]
 
 
-def _estimate(plan, oracle, cand, mu_each, eps, rng, cfg, early_fail):
+def _estimate(plan, oracle, cand, mu_each, eps, rng, cfg):
     """Medians of the norm and correlation estimators over shared samples.
 
     Returns (u, per-candidate medians), or None if an early partial median
@@ -139,8 +136,8 @@ def _estimate(plan, oracle, cand, mu_each, eps, rng, cfg, early_fail):
         js = rng.integers(0, n, size=s)
         y = oracle.query_many(js)
         u_rounds[r] = math.sqrt((n / s) * float(y @ y))
-        v_rounds[r] = _correlate(plan, cand, js, y, cfg)
-        if early_fail and r in (1, 3) and r < rounds - 1:
+        v_rounds[r] = _correlate(plan, cand, js, y)
+        if r in (1, 3) and r < rounds - 1:
             u_part = float(np.median(u_rounds[: r + 1]))
             v_part = np.abs(np.median(v_rounds[: r + 1], axis=0))
             if np.all(v_part <= u_part / 20.0):
@@ -148,29 +145,10 @@ def _estimate(plan, oracle, cand, mu_each, eps, rng, cfg, early_fail):
     return float(np.median(u_rounds)), np.median(v_rounds, axis=0)
 
 
-def check(plan, oracle, candidate: int, mu: float, eps: float, rng,
-          cfg: OneSparseConfig = DEFAULT_CONFIG) -> tuple[bool, float]:
-    """Decide whether the spike sits at ``candidate`` and estimate its value.
-
-    Returns (True, v~) when the correlation median clears a tenth of the
-    norm median; an all-zero signal yields (False, 0.0).
-    """
-    if not 0 <= candidate < plan.n:
-        raise IndexError(f"candidate {candidate} out of range for N={plan.n}")
-    got = _estimate(plan, oracle, np.array([candidate]), mu, eps, rng, cfg,
-                    early_fail=False)
-    u, v = got
-    if u == 0.0:
-        return False, 0.0
-    value = float(v[0])
-    return bool(abs(value) > u / 10.0), value
-
-
 def _prune_over(plan, oracle, cand, mu, eps, rng, cfg) -> Optional[tuple[int, float]]:
     if len(cand) == 0:
         return None
-    got = _estimate(plan, oracle, cand, mu / len(cand), eps, rng, cfg,
-                    early_fail=True)
+    got = _estimate(plan, oracle, cand, mu / len(cand), eps, rng, cfg)
     if got is None:
         return None
     u, v = got
@@ -324,8 +302,12 @@ def solve_one_sparse(plan, oracle, eps: float, mu: float, rng,
     """Full staged recovery of the spike index and value.
 
     Raises RecoveryError when every stage fails (the k-sparse peeler treats
-    that as a miss and moves on).
+    that as a miss and moves on), and ValueError unless eps and mu lie in
+    (0, 1).
     """
+    for name, value in (("eps", eps), ("mu", mu)):
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
     n = plan.n
     nu = SPREAD.nu
     d0 = SpreadConstants.delta0(eps)
@@ -357,6 +339,5 @@ def solve_one_sparse(plan, oracle, eps: float, mu: float, rng,
             raise RecoveryError("angle search failed") from exc
         got = prune(plan, oracle, lo, hi, mu / 6.0, eps, rng, cfg)
         if got is not None:
-            _, value = check(plan, oracle, got[0], mu / 6.0, eps, rng, cfg)
-            return OneSparseResult(got[0], value)
+            return OneSparseResult(*got)
     raise RecoveryError("all pruning stages failed")

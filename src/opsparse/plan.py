@@ -15,7 +15,6 @@ each), and a trailing CRC-32 of everything after the version field.
 
 from __future__ import annotations
 
-import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -48,8 +47,6 @@ VERSION = 2
 
 # Dense transform matrices are cached up to this size (128 MB at f64).
 DENSE_CACHE_LIMIT = 4096
-# Cap for the per-row cache, in total cached floats.
-_ROW_CACHE_FLOATS = 2**25
 
 
 class PlanFormatError(Exception):
@@ -83,16 +80,12 @@ class TransformPlan:
     U: float
     lam: np.ndarray = field(init=False, repr=False)
     sqw: np.ndarray = field(init=False, repr=False)
-    bucket_offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.lam = np.cos(self.theta)
         self.sqw = np.sqrt(self.weights)
-        edges = np.arange(self.n + 1) * (math.pi / self.n)
-        self.bucket_offsets = np.searchsorted(self.theta, edges, side="left")
         self._coeffs = orthonormal_coeffs(self.params, self.n - 1)
         self._dense = None
-        self._rows: dict[int, np.ndarray] = {}
         self._stacks: list[np.ndarray] | None = None
 
     def __getstate__(self):
@@ -114,17 +107,15 @@ class TransformPlan:
         return self._dense
 
     def row(self, ell: int) -> np.ndarray:
-        """Row F[ell, :] = sqrt(w_ell) * (p_0..p_{N-1})(lambda_ell); cached."""
+        """Row F[ell, :] = sqrt(w_ell) * (p_0..p_{N-1})(lambda_ell).
+
+        Read from ``matrix()`` when it is cached, else one recurrence.
+        """
         if self._dense is not None:
             return self._dense[ell]
-        got = self._rows.get(ell)
-        if got is None:
-            p0, a, b, c = self._coeffs
-            table = _kernels.recurrence_table(p0, a, b, c, self.lam[ell : ell + 1])
-            got = self.sqw[ell] * table[:, 0]
-            if len(self._rows) * self.n < _ROW_CACHE_FLOATS:
-                self._rows[ell] = got
-        return got
+        p0, a, b, c = self._coeffs
+        table = _kernels.recurrence_table(p0, a, b, c, self.lam[ell : ell + 1])
+        return self.sqw[ell] * table[:, 0]
 
     # -- transforms ---------------------------------------------------------
 
@@ -175,9 +166,6 @@ class TransformPlan:
             if o:
                 out[o:, d - o] = vals
         return out
-
-    def bucket_count(self, i: int) -> int:
-        return int(self.bucket_offsets[i + 1] - self.bucket_offsets[i])
 
 
 def _chebyshev_stacks(params: JacobiParams, n: int, d: int) -> list[np.ndarray]:
@@ -283,4 +271,7 @@ def load_plan(path) -> TransformPlan:
     off = 8 + head_size
     theta = np.frombuffer(blob, dtype="<f8", count=n, offset=off).copy()
     weights = np.frombuffer(blob, dtype="<f8", count=n, offset=off + 8 * n).copy()
-    return TransformPlan(params, n, theta, weights, u)
+    try:
+        return TransformPlan(params, n, theta, weights, u)
+    except ValueError as exc:
+        raise PlanFormatError(f"plan header: {exc}") from None

@@ -303,7 +303,7 @@ def test_criterion_9_chebyshev_fourier_bridge():
         c[support] = rng.uniform(0.5, 2.0, size=k) * rng.choice([-1, 1], size=k)
         carriers = sorted({n - int(j) for j in support}
                           | {n + int(j) for j in support})
-        if not np.array_equal(np.flatnonzero(embed(c).f), carriers):
+        if not np.array_equal(np.flatnonzero(embed(c)), carriers):
             mismatches += 1
     ok = worst <= 1e-9 and mismatches == 0
     report(9, "Chebyshev-Fourier bridge", ok,

@@ -254,6 +254,30 @@ def test_recover1_reports_failure_on_empty_signal(tmp_path, capsys):
     assert json.loads(stderr)["error"] == "recovery-failed"
 
 
+@pytest.mark.parametrize("argv, match", [
+    (("recover1", "--input", "{sig}", "--eps", "0"), "eps must lie in"),
+    (("recover1", "--input", "{sig}", "--eps", "-1"), "eps must lie in"),
+    (("recover1", "--input", "{sig}", "--mu", "0"), "mu must lie in"),
+    (("recover", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "1",
+      "--delta", "0.05", "--trials", "0", "--format", "json"), "trials must be"),
+    (("recover", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "1",
+      "--delta", "0.05", "--trials", "-1"), "trials must be"),
+    (("synth", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "0",
+      "--out", "{out}"), "k must be"),
+])
+def test_bad_arguments_are_reported(tmp_path, capsys, argv, match):
+    sig = tmp_path / "sig.json"
+    write_signal(sig, np.zeros(64), 0.0, 0.0)
+    argv = [a.format(sig=sig, out=tmp_path / "out.json") for a in argv]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    err = json.loads(stderr)
+    assert err["error"] == "ValueError"
+    assert match in err["message"]
+    assert not (tmp_path / "out.json").exists()
+
+
 RECOVER_ARGS = ("recover", "--alpha", "0", "--beta", "0", "--n", "256",
                 "--k", "2", "--delta", "0.05", "--gamma", "1.0",
                 "--trials", "2", "--seed", "9")

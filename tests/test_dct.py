@@ -55,11 +55,10 @@ def test_embedding_shape_and_sparsity(rng):
         c = np.zeros(n)
         c[support] = rng.standard_normal(k)
         emb = embed(c)
-        assert emb.f.shape == (2 * n,)
-        assert emb.source_length == n
+        assert emb.shape == (2 * n,)
         # coefficient j lands at carrier positions n-j and n+j, so sparsity
         # transfers exactly (the j=0 term occupies a single position)
-        nonzero = np.nonzero(np.abs(emb.f) > 0)[0]
+        nonzero = np.nonzero(np.abs(emb) > 0)[0]
         expect = sorted({n - j for j in support} | {n + j for j in support})
         assert list(nonzero) == expect
         assert len(nonzero) == 2 * k - (1 if 0 in support else 0)
@@ -67,7 +66,7 @@ def test_embedding_shape_and_sparsity(rng):
 
 def test_extract_checks_bin_consistency(rng):
     c = rng.standard_normal(32)
-    fhat = np.fft.fft(embed(c).f)
+    fhat = np.fft.fft(embed(c))
     fhat[3] += 1.0  # break one bin of the duplicated pair
     with pytest.raises(EmbeddingConsistencyError):
         extract(fhat)

@@ -19,7 +19,8 @@ from opsparse import (
     recover,
     solve_one_sparse,
 )
-from opsparse.ksparse import large, peeler, verify
+from opsparse.ksparse import _verify_samples, large, peeler, verify
+from opsparse.onesparse import DEFAULT_CONFIG, SAMPLE_CAP, _round_count, _sample_size
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +272,23 @@ def test_peeler_degree_budget_guard(legendre_plan_256):
         peeler(legendre_plan_256, y, SparseApprox(), cfg, solve_one_sparse, rng)
 
 
+def test_default_gamma_boxcars_fit_degree_budget():
+    # README's `recover` example: N=2048, k=2, sigma=1/(4k^2) and the gamma it
+    # implies; stride 16 includes roots 48 and 2000, whose boxcars take the
+    # most degree increases
+    plan = build_plan(JacobiParams(0.0, 0.0), 2048)
+    cfg = ReductionConfig.calibrated(2, 0.05, 0.1, 2.0 * math.pi / 16.0 / 3.0)
+    degrees = [build_boxcar(float(th), cfg.boxcar_width(), cfg.boxcar_eps()).degree
+               for th in plan.theta[::16]]
+    assert max(degrees) <= cfg.degree_budget()
+
+
+def test_verify_samples_refuse_the_cap(peel_plan):
+    assert _verify_samples(peel_plan, 0.25, 0.1, 2.0) < SAMPLE_CAP
+    with pytest.raises(ValueError, match=f"above the cap {SAMPLE_CAP}"):
+        _verify_samples(peel_plan, 0.25, 1e-3, 2.0)
+
+
 def test_recover_two_spikes(peel_plan):
     plan = peel_plan
     cfg = ReductionConfig.calibrated(2, 0.05, 0.1, 1.0)
@@ -282,7 +300,13 @@ def test_recover_two_spikes(peel_plan):
     assert zhat.support() == [60, 200]
     err = np.linalg.norm(zhat.to_dense(256) - truth.to_dense(256))
     assert err <= 3.0 * cfg.delta * np.linalg.norm(truth.to_dense(256))
-    assert oracle.count <= cfg.query_budget(plan)
+    # generous deterministic bound: every draw of every pass at full cost
+    probe = build_boxcar(math.pi / 2.0, cfg.boxcar_width(), cfg.boxcar_eps())
+    s = _sample_size(plan, 6.0 * cfg.eps(), DEFAULT_CONFIG)
+    rounds = _round_count(cfg.mu0() / 2.0 / 6.0 / plan.n, DEFAULT_CONFIG)
+    t1 = _verify_samples(plan, cfg.mu0() / 2.0, cfg.eps(), cfg.c_t1)
+    per_draw = (rounds * s + t1) * (2 * probe.degree + 1)
+    assert oracle.count <= 4 * cfg.k * cfg.t2() * cfg.t0() * per_draw
 
 
 def test_recover_zero_signal_returns_empty(peel_plan):

@@ -18,7 +18,6 @@ from opsparse.onesparse import (
     RecoveryError,
     SpreadConstants,
     approx_arccos,
-    check,
     prune,
     prune_non_spread,
     query_cos,
@@ -35,35 +34,7 @@ def spike_signal(plan, ell, v, noise=0.0, rng=None):
 
 
 # ---------------------------------------------------------------------------
-# check / prune
-
-
-def test_check_accepts_true_candidate(legendre_plan_256, rng):
-    plan = legendre_plan_256
-    oracle = QueryOracle(spike_signal(plan, 100, -1.3))
-    ok, value = check(plan, oracle, 100, 0.05, 0.01, rng)
-    assert ok
-    assert value == pytest.approx(-1.3, rel=0.13)
-    assert oracle.count > 0
-
-
-def test_check_rejects_wrong_candidate(legendre_plan_256, rng):
-    plan = legendre_plan_256
-    oracle = QueryOracle(spike_signal(plan, 100, -1.3))
-    ok, value = check(plan, oracle, 17, 0.05, 0.01, rng)
-    assert not ok
-    assert abs(value) < 0.3
-
-
-def test_check_zero_signal(legendre_plan_256, rng):
-    plan = legendre_plan_256
-    ok, value = check(plan, QueryOracle(np.zeros(plan.n)), 5, 0.05, 0.01, rng)
-    assert (ok, value) == (False, 0.0)
-
-
-def test_check_candidate_range(legendre_plan_256, rng):
-    with pytest.raises(IndexError):
-        check(legendre_plan_256, QueryOracle(np.zeros(256)), 256, 0.05, 0.01, rng)
+# prune
 
 
 def test_prune_finds_spike_in_window(legendre_plan_256, rng):
@@ -275,6 +246,24 @@ def test_solver_zero_signal_raises(legendre_plan_256, rng):
     with pytest.raises(RecoveryError):
         solve_one_sparse(legendre_plan_256, QueryOracle(np.zeros(256)), 0.01,
                          0.05, rng)
+
+
+def test_solver_rejects_eps_and_mu_outside_unit_interval(legendre_plan_256, rng):
+    oracle = QueryOracle(np.zeros(256))
+    for eps, mu in ((0.0, 0.05), (-1.0, 0.05), (1.0, 0.05), (0.01, 0.0),
+                    (0.01, 1.5), (float("nan"), 0.05)):
+        with pytest.raises(ValueError, match="must lie in"):
+            solve_one_sparse(legendre_plan_256, oracle, eps, mu, rng)
+    assert oracle.count == 0
+
+
+def test_sample_size_refuses_the_cap(legendre_plan_256):
+    from opsparse.onesparse import SAMPLE_CAP, _sample_size
+
+    cfg = OneSparseConfig()
+    assert _sample_size(legendre_plan_256, 0.01, cfg) < SAMPLE_CAP
+    with pytest.raises(ValueError, match=f"above the cap {SAMPLE_CAP}"):
+        _sample_size(legendre_plan_256, 1e-4, cfg)
 
 
 def test_config_round_count_is_odd():

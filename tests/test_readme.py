@@ -1,16 +1,38 @@
-"""README's quick-start runs as written."""
+"""README's quick-start and command-line examples run as written."""
 
 import re
+import shlex
 from pathlib import Path
+
+from opsparse.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_quick_start_recovers_its_support(capsys):
+def readme_section(title):
     text = README.read_text(encoding="utf-8")
-    section = text.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    return text.split(f"## {title}", 1)[1].split("\n## ", 1)[0]
+
+
+def test_quick_start_recovers_its_support(capsys):
+    section = readme_section("Quick start")
     (code,) = re.findall(r"```python\n(.*?)```", section, flags=re.S)
     scope = {}
     exec(compile(code, str(README), "exec"), scope)
     assert scope["zhat"].support() == [300, 1500]
     assert "[300, 1500]" in capsys.readouterr().out
+
+
+def test_command_line_examples_run(tmp_path, monkeypatch):
+    (block,) = re.findall(r"```sh\n(.*?)```", readme_section("Command line"),
+                          flags=re.S)
+    # one trial instead of README's fifty keeps the test fast
+    assert "--trials 50" in block
+    lines = block.replace("\\\n", " ").replace("--trials 50", "--trials 1")
+    commands = [shlex.split(line)[1:] for line in lines.splitlines()
+                if line.startswith("opsparse ")]
+    assert len(commands) == 7
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("OPSPARSE_THREADS", "1")
+    for argv in commands:
+        assert main(argv) == 0, argv
