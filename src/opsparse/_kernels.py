@@ -1,13 +1,14 @@
 """Recurrence kernels for the orthonormal Jacobi polynomials, in numpy.
 
-Each kernel sweeps the degree with whole-array steps over the evaluation
-points.  ``refine_roots`` is built on ``recurrence_last``.  All kernels work
-on the *orthonormal* three-term recurrence
+``_sweep`` is the one place the orthonormal three-term recurrence
 
     p_0(x) = p0,   p_1(x) = (a[1] x + b[1]) p0,
     p_j(x) = (a[j] x + b[j]) p_{j-1}(x) - c[j] p_{j-2}(x)
 
-with coefficient arrays indexed so that entry 0 is unused.
+is written, with coefficient arrays indexed so that entry 0 is unused.  It
+steps the degree with whole-array operations over the evaluation points, and
+every kernel below consumes its output; ``refine_roots`` is built on
+``recurrence_last``.
 """
 
 from __future__ import annotations
@@ -27,79 +28,62 @@ __all__ = [
 BACKEND = "numpy"
 
 
-def recurrence_table(p0, a, b, c, x):
-    """Table of p_j(x) for j = 0..jmax, shape (jmax+1, len(x))."""
+def _sweep(p0, a, b, c, x):
+    """Yield p_0(x), p_1(x), ..., p_jmax(x) with jmax = len(a) - 1."""
     jmax = a.shape[0] - 1
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty((jmax + 1, x.shape[0]))
-    out[0] = p0
-    if jmax >= 1:
-        out[1] = (a[1] * x + b[1]) * p0
+    pm = np.full(x.shape[0], p0)
+    yield pm
+    if jmax == 0:
+        return
+    pc = (a[1] * x + b[1]) * p0
+    yield pc
     for j in range(2, jmax + 1):
-        out[j] = (a[j] * x + b[j]) * out[j - 1] - c[j] * out[j - 2]
+        pm, pc = pc, (a[j] * x + b[j]) * pc - c[j] * pm
+        yield pc
+
+
+def recurrence_table(p0, a, b, c, x):
+    """Table of p_j(x) for j = 0..jmax, shape (jmax+1, len(x))."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty((a.shape[0], x.shape[0]))
+    for j, p in enumerate(_sweep(p0, a, b, c, x)):
+        out[j] = p
     return out
 
 
 def recurrence_last(p0, a, b, c, x):
     """p_jmax(x) only, without materializing the table."""
-    jmax = a.shape[0] - 1
-    x = np.asarray(x, dtype=np.float64)
-    pm = np.full(x.shape[0], p0)
-    if jmax == 0:
-        return pm
-    pc = (a[1] * x + b[1]) * p0
-    for j in range(2, jmax + 1):
-        pm, pc = pc, (a[j] * x + b[j]) * pc - c[j] * pm
-    return pc
+    for p in _sweep(p0, a, b, c, x):
+        pass
+    return p
 
 
 def sumsq_maxabs(p0, a, b, c, x):
     """(sum_j p_j(x)^2, max_j |p_j(x)|) accumulated over j = 0..jmax."""
-    jmax = a.shape[0] - 1
-    x = np.asarray(x, dtype=np.float64)
-    pm = np.full(x.shape[0], p0)
-    ss = pm * pm
-    mx = np.abs(pm)
-    if jmax >= 1:
-        pc = (a[1] * x + b[1]) * p0
-        ss += pc * pc
-        np.maximum(mx, np.abs(pc), out=mx)
-        for j in range(2, jmax + 1):
-            pm, pc = pc, (a[j] * x + b[j]) * pc - c[j] * pm
-            ss += pc * pc
-            np.maximum(mx, np.abs(pc), out=mx)
+    sweep = _sweep(p0, a, b, c, x)
+    p = next(sweep)
+    ss = p * p
+    mx = np.abs(p)
+    for p in sweep:
+        ss += p * p
+        np.maximum(mx, np.abs(p), out=mx)
     return ss, mx
 
 
 def apply_forward(p0, a, b, c, lam, sqw, xvec):
     """y[l] = sqw[l] * sum_j xvec[j] p_j(lam[l]) without building the table."""
-    n = lam.shape[0]
-    jmax = a.shape[0] - 1
-    pm = np.full(n, p0)
-    acc = xvec[0] * pm
-    if jmax >= 1:
-        pc = (a[1] * lam + b[1]) * p0
-        acc += xvec[1] * pc
-        for j in range(2, jmax + 1):
-            pm, pc = pc, (a[j] * lam + b[j]) * pc - c[j] * pm
-            acc += xvec[j] * pc
+    sweep = _sweep(p0, a, b, c, lam)
+    acc = xvec[0] * next(sweep)
+    for j, p in enumerate(sweep, 1):
+        acc += xvec[j] * p
     return sqw * acc
 
 
 def apply_adjoint(p0, a, b, c, lam, sqw, yvec):
     """out[j] = sum_l sqw[l] p_j(lam[l]) yvec[l]."""
-    jmax = a.shape[0] - 1
     z = sqw * yvec
-    out = np.empty(jmax + 1)
-    pm = np.full(lam.shape[0], p0)
-    out[0] = z @ pm
-    if jmax >= 1:
-        pc = (a[1] * lam + b[1]) * p0
-        out[1] = z @ pc
-        for j in range(2, jmax + 1):
-            pm, pc = pc, (a[j] * lam + b[j]) * pc - c[j] * pm
-            out[j] = z @ pc
-    return out
+    return np.array([z @ p for p in _sweep(p0, a, b, c, lam)])
 
 
 def refine_roots(p0, a, b, c, q0, aq, bq, cq, dpref, theta):

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
 from scipy.special import erfcinv
 
-__all__ = ["BoxcarFilter", "BoxcarConstructionError", "build_boxcar", "eval_boxcar"]
+__all__ = ["BoxcarFilter", "BoxcarConstructionError", "build_boxcar"]
 
 # Half-width of the sharp box relative to the filter width; leaves a margin
 # of width/2 on each side for the Gaussian roll-off.
@@ -51,12 +50,8 @@ class BoxcarFilter:
     coeffs: np.ndarray
 
     def __call__(self, x):
-        return eval_boxcar(self, x)
-
-
-def eval_boxcar(filt: BoxcarFilter, x):
-    """Evaluate sum_r b_r T_r(x) by Clenshaw backward recurrence."""
-    return chebval(x, filt.coeffs)
+        """Evaluate sum_r b_r T_r(x) by Clenshaw backward recurrence."""
+        return chebval(x, self.coeffs)
 
 
 def _indicator_coeffs(center: float, half: float, degree: int) -> np.ndarray:
@@ -101,8 +96,15 @@ def _verify(coeffs: np.ndarray, center: float, width: float, eps: float) -> bool
     return not np.any(np.abs(vals) > 1.0 + tol)
 
 
-@lru_cache(maxsize=256)
-def _build_cached(center: float, width: float, eps: float) -> BoxcarFilter:
+def build_boxcar(center: float, width: float, eps: float) -> BoxcarFilter:
+    """Construct and grid-verify a boxcar filter."""
+    if not 0.0 <= center <= math.pi:
+        raise ValueError("center must lie in [0, pi]")
+    if not 0.0 < width <= math.pi / 2.0:
+        raise ValueError("width must lie in (0, pi/2]")
+    if not 0.0 < eps < 1.0:
+        raise ValueError("eps must lie in (0, 1)")
+    center, width, eps = float(center), float(width), float(eps)
     half = _BOX_FACTOR * width
     margin = half - width  # distance from the pass band edge to the box edge
     # Gaussian tail at the margin <= eps/4.
@@ -124,14 +126,3 @@ def _build_cached(center: float, width: float, eps: float) -> BoxcarFilter:
         f"boxcar verification failed for center={center!r} width={width!r} "
         f"eps={eps!r} after {_MAX_GROWTHS} degree increases"
     )
-
-
-def build_boxcar(center: float, width: float, eps: float) -> BoxcarFilter:
-    """Construct and grid-verify a boxcar filter."""
-    if not 0.0 <= center <= math.pi:
-        raise ValueError("center must lie in [0, pi]")
-    if not 0.0 < width <= math.pi / 2.0:
-        raise ValueError("width must lie in (0, pi/2]")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
-    return _build_cached(float(center), float(width), float(eps))

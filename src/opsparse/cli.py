@@ -335,11 +335,10 @@ def cmd_dct(args) -> int:
 # argument parsing
 
 
-def _add_basis_args(p, need_n=True):
+def _add_basis_args(p):
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
-    if need_n:
-        p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:

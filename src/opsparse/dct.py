@@ -53,11 +53,12 @@ def embed(c: np.ndarray) -> np.ndarray:
     return omega_pow * y[: 2 * n]
 
 
-def extract(fhat: np.ndarray, rtol: float = 1e-6) -> np.ndarray:
+def extract(fhat: np.ndarray) -> np.ndarray:
     """Recover chat from the length-2N DFT of an embedded signal.
 
     Each coefficient appears in two bins (j and 2N-1-j) with opposite signs
-    after demodulation; the pair is checked for consistency and averaged.
+    after demodulation; the pair must agree to 1e-6 of the largest bin (or
+    of 1), and is averaged.
     """
     fhat = np.asarray(fhat, dtype=np.complex128)
     if len(fhat) % 2:
@@ -67,7 +68,7 @@ def extract(fhat: np.ndarray, rtol: float = 1e-6) -> np.ndarray:
     low = fhat[:n]
     high = fhat[2 * n - 1 - j]
     scale = max(1.0, float(np.abs(fhat).max()))
-    bad = np.abs(low + high) > rtol * scale
+    bad = np.abs(low + high) > 1e-6 * scale
     if np.any(bad):
         raise EmbeddingConsistencyError(
             f"duplicated spectrum bins disagree at {int(np.argmax(bad))} "

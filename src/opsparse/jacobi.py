@@ -11,7 +11,7 @@ Roots are the eigenvalues of the tridiagonal Jacobi matrix of that recurrence
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -33,28 +33,22 @@ __all__ = [
     "compute_weights",
 ]
 
+# Largest root residual compute_roots accepts, relative to the per-root scale.
+RESIDUAL_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class JacobiParams:
-    """Jacobi weight parameters with the derived oscillation constants.
-
-    ``phase`` is the asymptotic cosine phase -(alpha + 1/2) pi/2 and ``nshift``
-    the frequency shift (alpha + beta + 1)/2 that appear in the large-degree
-    behaviour of the orthonormal polynomials.
-    """
+    """Jacobi weight parameters alpha, beta > -1, both finite."""
 
     alpha: float
     beta: float
-    phase: float = field(init=False)
-    nshift: float = field(init=False)
 
     def __post_init__(self):
         if not (self.alpha > -1.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be a finite number > -1, got {self.alpha}")
         if not (self.beta > -1.0 and math.isfinite(self.beta)):
             raise ValueError(f"beta must be a finite number > -1, got {self.beta}")
-        object.__setattr__(self, "phase", -(self.alpha + 0.5) * math.pi / 2.0)
-        object.__setattr__(self, "nshift", (self.alpha + self.beta + 1.0) / 2.0)
 
 
 def log_norm_factor(params: JacobiParams, j) -> np.ndarray | float:
@@ -213,7 +207,7 @@ def _derivative_prefactor(params: JacobiParams, n: int) -> float:
     return 0.5 * (n + params.alpha + params.beta + 1.0) * math.exp(0.5 * (lh_shift - lh_own))
 
 
-def compute_roots(params: JacobiParams, n: int, residual_tol: float = 1e-12) -> np.ndarray:
+def compute_roots(params: JacobiParams, n: int) -> np.ndarray:
     """All n roots of the degree-n Jacobi polynomial as ascending angles.
 
     Golub-Welsch: the roots are the eigenvalues of the symmetric tridiagonal
@@ -221,7 +215,7 @@ def compute_roots(params: JacobiParams, n: int, residual_tol: float = 1e-12) -> 
     off-diagonal 1/a_j), found by LAPACK's root-free QR (``sterf``).  One
     Newton step on p_n(cos theta) in theta then restores the accuracy that
     arccos loses near theta = 0 and pi.  Raises if the angles are not
-    strictly increasing or the residuals exceed ``residual_tol`` times the
+    strictly increasing or the residuals exceed ``RESIDUAL_TOL`` times the
     per-root scale max(1, |p_n(1)|, |p_n(-1)|, |d/dtheta p_n|).
     """
     if n < 1:
@@ -247,8 +241,8 @@ def compute_roots(params: JacobiParams, n: int, residual_tol: float = 1e-12) -> 
     ends = _kernels.recurrence_last(p0, a, b, c, np.array([1.0, -1.0]))
     scale = np.maximum(max(1.0, float(np.max(np.abs(ends)))), slope)
     worst = float(np.max(resid / scale))
-    if not worst <= residual_tol:  # NaN fails too
-        raise RuntimeError(f"root residual {worst:.3e} exceeds {residual_tol:.1e}")
+    if not worst <= RESIDUAL_TOL:  # NaN fails too
+        raise RuntimeError(f"root residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e}")
     return theta
 
 

@@ -236,7 +236,7 @@ def _verify_samples(plan, mu: float, eps: float, c_t1: float) -> int:
 
 
 def verify(plan, y_access, v: float, h: int, mu: float, eps: float, rng,
-           c_t1: float = 2.0) -> bool:
+           c_t1: float) -> bool:
     """Sampled residual test of the claim 'the filtered signal is v at h'.
 
     Estimates ||y - v F[h]||^2 from T1 uniform samples (residuals clamped to

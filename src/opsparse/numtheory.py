@@ -43,7 +43,6 @@ def farey(order: int) -> np.ndarray:
 class BadIntervalSet:
     """Merged cover of the eps-bad reals in [0, 1) for dilation length N."""
 
-    eps: float
     n: int
     centers: np.ndarray
     lo: np.ndarray = field(init=False)
@@ -82,7 +81,7 @@ def bad_intervals(n: int, eps: float) -> BadIntervalSet:
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
     order = math.ceil(4.0 / eps)
-    return BadIntervalSet(eps, n, farey(order))
+    return BadIntervalSet(n, farey(order))
 
 
 def is_good_bruteforce(y: float, n: int, eps: float) -> bool:

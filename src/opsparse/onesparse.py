@@ -28,8 +28,7 @@ from .numtheory import bad_intervals
 __all__ = [
     "OneSparseConfig",
     "OneSparseResult",
-    "SpreadConstants",
-    "SPREAD",
+    "spread_rho",
     "RecoveryError",
     "ArcCosError",
     "prune",
@@ -53,22 +52,13 @@ class OneSparseResult(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class SpreadConstants:
-    """Thresholds controlling which angles count as safely spread."""
-
-    nu: float = 0.125
-
-    @staticmethod
-    def delta0(eps: float) -> float:
-        return math.sqrt(eps) / 5000.0
-
-    @staticmethod
-    def rho(delta: float) -> float:
-        return 2.0 * math.sqrt(5.0 * delta)
+# The analysis's blow-up fraction nu: the angle search dilates by at most nu * N.
+_NU = 0.125
 
 
-SPREAD = SpreadConstants()
+def spread_rho(delta: float) -> float:
+    """Angular half-width 2 sqrt(5 delta) of the arccos confidence interval."""
+    return 2.0 * math.sqrt(5.0 * delta)
 
 
 @dataclass(frozen=True)
@@ -185,7 +175,7 @@ def prune_non_spread(plan, oracle, delta0: float, nu: float, mu: float,
     majorizes the non-spread set for every blow-up fraction nu, so nu enters
     only through the caller's choice of delta0 budget.
     """
-    rho = SpreadConstants.rho(delta0)
+    rho = spread_rho(delta0)
     cover = bad_intervals(plan.n, min(1.0, 2.0 * rho / math.pi))
     cand = np.nonzero(cover.contains(plan.theta / math.pi))[0]
     return _prune_over(plan, oracle, cand, mu, eps, rng, cfg)
@@ -265,7 +255,7 @@ def approx_arccos(cos_query: Callable[[int], float], tau: int,
     extra query at a co-prime-scaled blow-up, as the containment proof
     prescribes.  Raises ArcCosError when no branch is consistent.
     """
-    rho = SpreadConstants.rho(eps0)
+    rho = spread_rho(eps0)
     if not 0.0 < rho < math.pi / 22.0:
         raise ValueError(f"rho={rho:.4f} outside (0, pi/22); eps0 too large")
     r = math.acos(min(1.0, max(-1.0, cos_query(1))))
@@ -309,9 +299,9 @@ def solve_one_sparse(plan, oracle, eps: float, mu: float, rng,
         if not 0.0 < value < 1.0:
             raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
     n = plan.n
-    nu = SPREAD.nu
-    d0 = SpreadConstants.delta0(eps)
+    nu = _NU
     root_eps = math.sqrt(eps)
+    d0 = root_eps / 5000.0  # spread threshold delta_0 of the analysis
     c_prime = max(cfg.c_theta, 4.0 * nu * root_eps * d0)
     near_zero = min(c_prime / (nu * root_eps * d0 * n), math.pi)
     got = prune(plan, oracle, 0.0, near_zero, mu / 6.0, eps, rng, cfg)
@@ -322,7 +312,7 @@ def solve_one_sparse(plan, oracle, eps: float, mu: float, rng,
                     mu / 6.0, eps, rng, cfg)
         if got is not None:
             return OneSparseResult(*got)
-        rho0 = SpreadConstants.rho(d0)
+        rho0 = spread_rho(d0)
         got = prune_non_spread(plan, oracle, d0, 2.0 * nu, rho0 * rho0 * mu,
                                eps, rng, cfg)
         if got is not None:

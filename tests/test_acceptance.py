@@ -30,7 +30,7 @@ from opsparse import (
 from opsparse.cli import synth_spectrum
 from opsparse.dct import chebyshev_transform_direct, chebyshev_via_fourier, embed
 from opsparse.numtheory import bad_intervals, is_good_bruteforce
-from opsparse.onesparse import SpreadConstants, approx_arccos
+from opsparse.onesparse import approx_arccos, spread_rho
 
 PARAMS = ((-0.5, -0.5), (0.0, 0.0), (0.5, 0.5), (1.5, -0.3))
 SIZES = (16, 64, 256)
@@ -186,7 +186,7 @@ def test_criterion_5_filtered_query_equivalence():
 def test_criterion_6_arccos_confidence_intervals():
     start = time.perf_counter()
     rng = np.random.default_rng(11)
-    rho = SpreadConstants.rho(1e-4)
+    rho = spread_rho(1e-4)
     bound = 2.0 * rho / 2**8 * (1 + 1e-12)  # width meets the bound exactly
     angles = list(rng.uniform(0.01, math.pi - 0.01, 1000))
     for _ in range(200):  # adversarial: parked next to collision angles

@@ -13,6 +13,7 @@ import scipy.integrate
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
+from opsparse import _kernels
 from opsparse.jacobi import (
     JacobiParams,
     compute_roots,
@@ -259,9 +260,12 @@ def test_roots_validation():
         compute_roots(JacobiParams(0.0, 0.0), 0)
 
 
-def test_roots_residual_gate_runs():
+def test_roots_residual_gate_runs(monkeypatch):
+    # a Newton step that lands 1e-9 rad off every root must trip the 1e-12 gate
+    refine = _kernels.refine_roots
+    monkeypatch.setattr(_kernels, "refine_roots", lambda *args: refine(*args) + 1e-9)
     with pytest.raises(RuntimeError, match="root residual"):
-        compute_roots(JacobiParams(0.5, -0.25), 64, residual_tol=1e-20)
+        compute_roots(JacobiParams(0.5, -0.25), 64)
 
 
 def test_params_validation():

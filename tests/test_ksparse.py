@@ -208,7 +208,7 @@ def test_verify_accepts_small_residual(legendre_plan_64, rng):
     pert = rng.standard_normal(plan.n)
     pert *= math.sqrt(v * v / 2000.0) / np.linalg.norm(pert)
     y = QueryOracle(v * plan.row(h) + pert)
-    assert verify(plan, y, v, h, 0.25, 0.1, rng)
+    assert verify(plan, y, v, h, 0.25, 0.1, rng, 2.0)
 
 
 def test_verify_rejects_large_residual(legendre_plan_64, rng):
@@ -217,7 +217,7 @@ def test_verify_rejects_large_residual(legendre_plan_64, rng):
     pert = rng.standard_normal(plan.n)
     pert *= math.sqrt(v * v / 2.0) / np.linalg.norm(pert)
     y = QueryOracle(v * plan.row(h) + pert)
-    assert not verify(plan, y, v, h, 0.25, 0.1, rng)
+    assert not verify(plan, y, v, h, 0.25, 0.1, rng, 2.0)
 
 
 def test_verify_clamps_outliers_without_discarding(legendre_plan_64, rng):
@@ -227,13 +227,13 @@ def test_verify_clamps_outliers_without_discarding(legendre_plan_64, rng):
     v, h = 1.0, 10
     y = v * plan.row(h)
     y[41] += 1.0e6
-    assert not verify(plan, QueryOracle(y), v, h, 0.25, 0.1, rng)
+    assert not verify(plan, QueryOracle(y), v, h, 0.25, 0.1, rng, 2.0)
 
 
 def test_verify_rejects_zero_value(legendre_plan_64, rng):
     plan = legendre_plan_64
     y = QueryOracle(np.zeros(plan.n))
-    assert not verify(plan, y, 0.0, 10, 0.25, 0.1, rng)
+    assert not verify(plan, y, 0.0, 10, 0.25, 0.1, rng, 2.0)
 
 
 # ---------------------------------------------------------------------------

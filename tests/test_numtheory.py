@@ -128,7 +128,7 @@ def test_scatter_constant():
 
 
 def test_interval_set_len_and_edges():
-    cover = BadIntervalSet(0.5, 50, farey(3))
+    cover = BadIntervalSet(50, farey(3))
     assert len(cover) == len(cover.lo) == len(cover.hi)
     assert cover.contains(cover.lo[0])
     assert cover.contains(cover.hi[-1])

@@ -16,12 +16,12 @@ from opsparse.onesparse import (
     ArcCosError,
     OneSparseConfig,
     RecoveryError,
-    SpreadConstants,
     approx_arccos,
     prune,
     prune_non_spread,
     query_cos,
     solve_one_sparse,
+    spread_rho,
 )
 
 
@@ -78,7 +78,7 @@ def test_prune_early_fail_saves_queries(legendre_plan_256, rng):
 
 def test_prune_non_spread_candidates_are_selective(legendre_plan_4096):
     plan = legendre_plan_4096
-    rho = SpreadConstants.rho(0.002)
+    rho = spread_rho(0.002)
     cover = bad_intervals(plan.n, min(1.0, 2.0 * rho / math.pi))
     cand = np.nonzero(cover.contains(plan.theta / math.pi))[0]
     assert 0 < len(cand) < plan.n // 2
@@ -95,7 +95,7 @@ def test_prune_non_spread_finds_bad_angle_spike(legendre_plan_4096, rng):
 
 def test_prune_non_spread_ignores_spread_spike(legendre_plan_4096, rng):
     plan = legendre_plan_4096
-    rho = SpreadConstants.rho(0.002)
+    rho = spread_rho(0.002)
     cover = bad_intervals(plan.n, min(1.0, 2.0 * rho / math.pi))
     spread = np.nonzero(~cover.contains(plan.theta / math.pi))[0]
     ell = int(spread[len(spread) // 3])
@@ -159,7 +159,7 @@ def noisy_oracle(theta, eps0, gen):
 
 
 def test_approx_arccos_exact(rng):
-    rho = SpreadConstants.rho(1e-4)
+    rho = spread_rho(1e-4)
     for theta in rng.uniform(0.01, math.pi - 0.01, 300):
         lo, hi = approx_arccos(exact_oracle(theta), 8, 1e-4)
         assert lo <= theta <= hi
@@ -169,7 +169,7 @@ def test_approx_arccos_exact(rng):
 
 
 def test_approx_arccos_noisy(rng):
-    rho = SpreadConstants.rho(1e-4)
+    rho = spread_rho(1e-4)
     for theta in rng.uniform(0.01, math.pi - 0.01, 100):
         lo, hi = approx_arccos(noisy_oracle(theta, 1e-4, rng), 8, 1e-4)
         assert lo <= theta <= hi
@@ -178,7 +178,7 @@ def test_approx_arccos_noisy(rng):
 
 def test_approx_arccos_dyadic_adversarial(rng):
     # angles parked on (or jittered off) collision points h*pi/2^t
-    rho = SpreadConstants.rho(1e-4)
+    rho = spread_rho(1e-4)
     cases = []
     for _ in range(60):
         t = int(rng.integers(1, 9))
