@@ -7,8 +7,8 @@
 
 is written, with coefficient arrays indexed so that entry 0 is unused.  It
 steps the degree with whole-array operations over the evaluation points, and
-every kernel below consumes its output; ``refine_roots`` is built on
-``recurrence_last``.
+every kernel below consumes its output; ``value_and_slope`` and
+``refine_roots`` are built on ``recurrence_last``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ __all__ = [
     "BACKEND",
     "recurrence_table",
     "recurrence_last",
+    "value_and_slope",
     "sumsq_maxabs",
     "apply_forward",
     "apply_adjoint",
@@ -53,10 +54,19 @@ def recurrence_table(p0, a, b, c, x):
 
 
 def recurrence_last(p0, a, b, c, x):
-    """p_jmax(x) only, without materializing the table."""
+    """(p_{jmax-1}(x), p_jmax(x)) without materializing the table; p_{-1} = 0."""
+    prev = last = 0.0
     for p in _sweep(p0, a, b, c, x):
-        pass
-    return p
+        prev, last = last, p
+    return prev, last
+
+
+def value_and_slope(p0, a, b, c, u, kappa, theta):
+    """(p_n, d/dtheta p_n) at cos theta, n = jmax, from one sweep, by the
+    identity (1 - x^2) p_n'(x) = (u - n x) p_n(x) + kappa p_{n-1}(x)."""
+    x = np.cos(theta)
+    pm, pn = recurrence_last(p0, a, b, c, x)
+    return pn, -((u - (a.shape[0] - 1) * x) * pn + kappa * pm) / np.sin(theta)
 
 
 def sumsq_maxabs(p0, a, b, c, x):
@@ -86,17 +96,9 @@ def apply_adjoint(p0, a, b, c, lam, sqw, yvec):
     return np.array([z @ p for p in _sweep(p0, a, b, c, lam)])
 
 
-def refine_roots(p0, a, b, c, q0, aq, bq, cq, dpref, theta):
-    """One Newton step on p_jmax(cos theta) = 0 in theta.
-
-    The slope is -sin(theta) * dpref * q_{jmax-1}(cos theta), with q the
-    recurrence (q0, aq, bq, cq) of the (alpha+1, beta+1) family.  Angles
-    where the slope vanishes are returned unchanged.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    x = np.cos(theta)
-    f = recurrence_last(p0, a, b, c, x)
-    fp = -np.sin(theta) * dpref * recurrence_last(q0, aq, bq, cq, x)
+def refine_roots(p0, a, b, c, u, kappa, theta):
+    """One Newton step on p_jmax(cos theta) = 0 in theta; angles where the
+    slope from ``value_and_slope`` vanishes are returned unchanged."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        step = np.where(fp != 0.0, f / fp, 0.0)
-    return theta - step
+        f, fp = value_and_slope(p0, a, b, c, u, kappa, theta)
+        return theta - np.where(fp != 0.0, f / fp, 0.0)

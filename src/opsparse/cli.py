@@ -256,7 +256,7 @@ def cmd_recover(args) -> int:
     if args.trials < 1:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
     overrides = {name: getattr(args, name) for name in
-                 ("c_t0", "c_t1", "c_t2", "c_mu0", "c_d", "c_big")
+                 ("c_t0", "c_t1", "c_t2", "c_d", "c_big")
                  if getattr(args, name) is not None}
     sigma = args.sigma
     gamma = args.gamma
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--profile", choices=("calibrated", "stock"),
                    default="calibrated")
-    for name in ("c-t0", "c-t1", "c-t2", "c-mu0", "c-d", "c-big"):
+    for name in ("c-t0", "c-t1", "c-t2", "c-d", "c-big"):
         p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float,
                        default=None, help=f"override multiplier {name}")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

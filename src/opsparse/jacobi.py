@@ -2,10 +2,15 @@
 
 Everything here works with the classical parameters alpha, beta > -1.  The
 orthonormal family is evaluated through a rescaled three-term recurrence whose
-coefficients stay O(1) in the degree, so values are stable up to N = 2**16.
-Roots are the eigenvalues of the tridiagonal Jacobi matrix of that recurrence
-(Golub-Welsch), polished by one Newton step in theta, and indexed by
-*ascending angle* theta = arccos(lambda), i.e. descending lambda.
+coefficients stay O(1) in the degree.  Roots are the eigenvalues of the
+tridiagonal Jacobi matrix of that recurrence (Golub-Welsch), polished by one
+Newton step in theta, and indexed by *ascending angle* theta = arccos(lambda),
+i.e. descending lambda.
+
+Measured range: the root residual gate passes up to N = 16384 at (0, -0.999),
+(-0.999, 0) and (-0.5, -0.5), but rejects (-0.99, -0.99) from N = 4096, and
+(-0.9, -0.9) and (-0.95, -0.5) at N = 16384: near theta_1 ~ 5e-5 the float64
+spacing of cos(theta) holds |p_n| to about 1e-12 of the slope.
 """
 
 from __future__ import annotations
@@ -166,11 +171,7 @@ def eval_orthonormal(params: JacobiParams, j: int, x) -> np.ndarray | float:
     x = np.asarray(x, dtype=np.float64)
     scalar = x.ndim == 0
     xv = np.atleast_1d(x).astype(np.float64)
-    p0, a, b, c = orthonormal_coeffs(params, j)
-    a = a[: j + 1]
-    b = b[: j + 1]
-    c = c[: j + 1]
-    out = _kernels.recurrence_last(p0, a, b, c, xv)
+    _, out = _kernels.recurrence_last(*orthonormal_coeffs(params, j), xv)
     return float(out[0]) if scalar else out
 
 
@@ -199,12 +200,13 @@ def jacobi_matrix(params: JacobiParams, n: int) -> tuple[np.ndarray, np.ndarray]
     return -b[1:] / a[1:], 1.0 / a[1:n]
 
 
-def _derivative_prefactor(params: JacobiParams, n: int) -> float:
-    """kappa with d/dx p_n = kappa * q_{n-1}, q orthonormal for (a+1, b+1)."""
-    shifted = JacobiParams(params.alpha + 1.0, params.beta + 1.0)
-    lh_shift = log_norm_factor(shifted, n - 1)
-    lh_own = log_norm_factor(params, n)
-    return 0.5 * (n + params.alpha + params.beta + 1.0) * math.exp(0.5 * (lh_shift - lh_own))
+def _slope_coeffs(params: JacobiParams, n: int) -> tuple[float, float]:
+    """(u, kappa) with (1 - x^2) p_n' = (u - n x) p_n + kappa p_{n-1}: DLMF §18.9's
+    (2n+a+b)(1-x^2) P_n' = n[(a-b) - (2n+a+b) x] P_n + 2(n+a)(n+b) P_{n-1}
+    divided by (2n+a+b) sqrt(h_n)."""
+    a, b = params.alpha, params.beta
+    t = 2.0 * n + a + b
+    return n * (a - b) / t, 2.0 * (n + a) * (n + b) / t * math.sqrt(_norm_ratio_sq(params, n))
 
 
 def compute_roots(params: JacobiParams, n: int) -> np.ndarray:
@@ -214,35 +216,32 @@ def compute_roots(params: JacobiParams, n: int) -> np.ndarray:
     Jacobi matrix J of the orthonormal recurrence (diagonal -b_j/a_j,
     off-diagonal 1/a_j), found by LAPACK's root-free QR (``sterf``).  One
     Newton step on p_n(cos theta) in theta then restores the accuracy that
-    arccos loses near theta = 0 and pi.  Raises if the angles are not
-    strictly increasing or the residuals exceed ``RESIDUAL_TOL`` times the
-    per-root scale max(1, |p_n(1)|, |p_n(-1)|, |d/dtheta p_n|).
+    arccos loses near theta = 0 and pi.  Raises ValueError if the angles are
+    not strictly increasing inside (0, pi) or the residuals exceed
+    ``RESIDUAL_TOL`` times the per-root scale
+    max(1, |p_n(1)|, |p_n(-1)|, |d/dtheta p_n|).
     """
     if n < 1:
         raise ValueError("need n >= 1")
     p0, a, b, c = orthonormal_coeffs(params, n)
-    shifted = JacobiParams(params.alpha + 1.0, params.beta + 1.0)
-    q0, aq, bq, cq = orthonormal_coeffs(shifted, n - 1)
-    dpref = _derivative_prefactor(params, n)
+    u, kappa = _slope_coeffs(params, n)
+    where = f"alpha={params.alpha}, beta={params.beta}, N={n}"
 
     lam = eigvalsh_tridiagonal(*jacobi_matrix(params, n), lapack_driver="sterf")
     theta = np.arccos(np.clip(lam[::-1], -1.0, 1.0))
-    theta = _kernels.refine_roots(p0, a, b, c, q0, aq, bq, cq, dpref, theta)
-    if np.any(np.diff(theta) <= 0.0):
-        raise RuntimeError("root angles are not strictly increasing")
-    resid = np.abs(_kernels.recurrence_last(p0, a, b, c, np.cos(theta)))
+    theta = _kernels.refine_roots(p0, a, b, c, u, kappa, theta)
+    if np.any(np.diff(theta, prepend=0.0, append=math.pi) <= 0.0):
+        raise ValueError(f"root angles are not strictly increasing inside (0, pi) at {where}")
+    resid, slope = _kernels.value_and_slope(p0, a, b, c, u, kappa, theta)
     # Scale per root: the endpoint magnitude or the local d/dtheta slope,
     # whichever is larger.  Near the edges the raw residual floor grows with
     # the recurrence length, but the backward error |p_N|/|p_N'| stays at
     # machine level.
-    slope = np.abs(
-        np.sin(theta) * dpref * _kernels.recurrence_last(q0, aq, bq, cq, np.cos(theta))
-    )
-    ends = _kernels.recurrence_last(p0, a, b, c, np.array([1.0, -1.0]))
-    scale = np.maximum(max(1.0, float(np.max(np.abs(ends)))), slope)
-    worst = float(np.max(resid / scale))
+    _, ends = _kernels.recurrence_last(p0, a, b, c, np.array([1.0, -1.0]))
+    scale = np.maximum(max(1.0, float(np.max(np.abs(ends)))), np.abs(slope))
+    worst = float(np.max(np.abs(resid) / scale))
     if not worst <= RESIDUAL_TOL:  # NaN fails too
-        raise RuntimeError(f"root residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e}")
+        raise ValueError(f"root residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e} at {where}")
     return theta
 
 

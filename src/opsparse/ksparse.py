@@ -121,15 +121,13 @@ class ReductionConfig:
     c_t0: float = 4.0
     c_t1: float = 2.0
     c_t2: float = 2.0
-    c_mu0: float = 1.0
     c_d: float = 2.0
     c_big: float = 20.0
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        for name in ("delta", "mu", "gamma", "c_t0", "c_t1", "c_t2",
-                     "c_mu0", "c_d", "c_big"):
+        for name in ("delta", "mu", "gamma", "c_t0", "c_t1", "c_t2", "c_d", "c_big"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.delta > DELTA_CAP:
@@ -141,7 +139,7 @@ class ReductionConfig:
     def calibrated(cls, k: int, delta: float, mu: float, gamma: float,
                    **overrides) -> "ReductionConfig":
         """The acceptance-suite profile: tighter C, cheaper verification."""
-        base = dict(c_t0=1.0, c_t1=0.008, c_t2=1.0, c_mu0=1.0, c_d=1.0, c_big=2.0)
+        base = dict(c_t0=1.0, c_t1=0.008, c_t2=1.0, c_d=1.0, c_big=2.0)
         base.update(overrides)
         return cls(k, delta, mu, gamma, **base)
 
@@ -151,7 +149,7 @@ class ReductionConfig:
         return self.delta / self.c_big
 
     def mu0(self) -> float:
-        return self.c_mu0 * self.mu**2 * _C0**2 * self.gamma**2 / self.k**2
+        return self.mu**2 * _C0**2 * self.gamma**2 / self.k**2
 
     def t0(self) -> int:
         return math.ceil(self.c_t0 * math.log(1.0 / self.mu0()) / (_C0 * self.gamma))

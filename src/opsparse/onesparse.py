@@ -165,15 +165,14 @@ def prune(plan, oracle, lo: float, hi: float, mu: float, eps: float, rng,
     return _prune_over(plan, oracle, np.arange(i0, i1), mu, eps, rng, cfg)
 
 
-def prune_non_spread(plan, oracle, delta0: float, nu: float, mu: float,
-                     eps: float, rng,
+def prune_non_spread(plan, oracle, delta0: float, mu: float, eps: float, rng,
                      cfg: OneSparseConfig = DEFAULT_CONFIG) -> Optional[tuple[int, float]]:
     """Prune over the roots whose angle may defeat the cosine estimator.
 
     A root is a candidate when theta/pi lies within 1/N of a rational with
     denominator at most ceil(4 / (2 rho(delta0) / pi)); that interval cover
     majorizes the non-spread set for every blow-up fraction nu, so nu enters
-    only through the caller's choice of delta0 budget.
+    only through the caller's choice of delta0.
     """
     rho = spread_rho(delta0)
     cover = bad_intervals(plan.n, min(1.0, 2.0 * rho / math.pi))
@@ -313,8 +312,7 @@ def solve_one_sparse(plan, oracle, eps: float, mu: float, rng,
         if got is not None:
             return OneSparseResult(*got)
         rho0 = spread_rho(d0)
-        got = prune_non_spread(plan, oracle, d0, 2.0 * nu, rho0 * rho0 * mu,
-                               eps, rng, cfg)
+        got = prune_non_spread(plan, oracle, d0, rho0 * rho0 * mu, eps, rng, cfg)
         if got is not None:
             return OneSparseResult(*got)
         tau = min(max(int(math.log2(nu * n)) - 1, 1), int(math.log2(2 * n / 3)))

@@ -226,6 +226,7 @@ def _one_sparse_trial(plan, seq, noise):
     return hit, oracle.count
 
 
+@pytest.mark.slow
 def test_criterion_7_one_sparse_recovery(legendre_plan_4096):
     start = time.perf_counter()
     plan = legendre_plan_4096
@@ -252,6 +253,7 @@ def test_criterion_7_one_sparse_recovery(legendre_plan_4096):
            f"{medians[2**14]:.0f} (x{ratio:.2f} <= 2), {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_8_k_sparse_recovery():
     start = time.perf_counter()
     results = []
@@ -282,7 +284,7 @@ def test_criterion_8_k_sparse_recovery():
     report(8, "k-sparse recovery", ok,
            f"{blocks} (>= 45 clean, >= 40 noisy); calibrated profile "
            f"c_t0={profile.c_t0} c_t1={profile.c_t1} c_t2={profile.c_t2} "
-           f"c_mu0={profile.c_mu0} c_d={profile.c_d} c_big={profile.c_big}; "
+           f"c_d={profile.c_d} c_big={profile.c_big}; "
            f"{elapsed:.0f}s")
 
 

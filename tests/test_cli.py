@@ -153,6 +153,22 @@ def test_plan_rejects_bad_parameters(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_plan_reports_a_failed_root_gate(tmp_path, capsys):
+    # at alpha = beta = -0.99 the first root sits at theta ~ 5e-5, where
+    # float64 cos(theta) cannot bring p_n below the 1e-12 residual gate
+    out = tmp_path / "plan.bin"
+    code, _, stderr = run_cli(capsys, "plan", "--alpha", "-0.99", "--beta", "-0.99",
+                              "--n", "4096", "--out", str(out))
+    assert code == 2
+    lines = stderr.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "ValueError"
+    assert "root residual" in err["message"]
+    assert "alpha=-0.99, beta=-0.99, N=4096" in err["message"]
+    assert not out.exists()
+
+
 def test_synth_then_transform_roundtrip(tmp_path, capsys):
     sig = tmp_path / "sig.json"
     code, stdout, _ = run_cli(capsys, "synth", "--alpha", "0", "--beta", "0",

@@ -26,7 +26,7 @@ from opsparse.jacobi import (
     orthonormal_coeffs,
     orthonormal_table,
     recurrence_coeffs,
-    _derivative_prefactor,
+    _slope_coeffs,
 )
 
 PARAM_GRID = [(-0.5, -0.5), (0.0, 0.0), (0.5, 0.5), (1.5, -0.3), (0.0, -0.999)]
@@ -183,19 +183,18 @@ def test_derivative_identity_finite_difference():
     assert eval_derivative(p, 0, 0.3) == 0.0
 
 
-def test_derivative_prefactor_chebyshev():
-    # d/dx p_n for Chebyshev maps onto the orthonormal U-family with factor n
-    assert _derivative_prefactor(JacobiParams(-0.5, -0.5), 8) == pytest.approx(8.0, rel=1e-12)
-
-
-def test_derivative_prefactor_is_consistent():
-    p = JacobiParams(0.9, 0.1)
-    n = 7
-    shifted = JacobiParams(p.alpha + 1, p.beta + 1)
-    x = 0.21
-    lhs = eval_derivative(p, n, x) / math.sqrt(norm_factor(p, n))
-    rhs = _derivative_prefactor(p, n) * eval_orthonormal(shifted, n - 1, x)
-    assert lhs == pytest.approx(rhs, rel=1e-11)
+@pytest.mark.parametrize("alpha,beta", PARAM_GRID + [(0.5, -0.25)])
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_theta_slope_matches_shifted_family(alpha, beta, n):
+    # d/dtheta p_n from p_{n-1} and p_n against -sin(theta) P_n' / sqrt(h_n),
+    # where eval_derivative takes P_n' from the (alpha+1, beta+1) family
+    p = JacobiParams(alpha, beta)
+    theta = np.linspace(0.05, math.pi - 0.05, 9)
+    value, slope = _kernels.value_and_slope(
+        *orthonormal_coeffs(p, n), *_slope_coeffs(p, n), theta)
+    expect = -np.sin(theta) * eval_derivative(p, n, np.cos(theta)) / math.sqrt(norm_factor(p, n))
+    np.testing.assert_allclose(value, eval_orthonormal(p, n, np.cos(theta)), rtol=1e-12)
+    np.testing.assert_allclose(slope, expect, rtol=1e-10, atol=1e-10 * np.max(np.abs(expect)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +263,17 @@ def test_roots_residual_gate_runs(monkeypatch):
     # a Newton step that lands 1e-9 rad off every root must trip the 1e-12 gate
     refine = _kernels.refine_roots
     monkeypatch.setattr(_kernels, "refine_roots", lambda *args: refine(*args) + 1e-9)
-    with pytest.raises(RuntimeError, match="root residual"):
+    with pytest.raises(ValueError, match="root residual"):
+        compute_roots(JacobiParams(0.5, -0.25), 64)
+
+
+def test_roots_must_lie_inside_zero_pi(monkeypatch):
+    # the gate's slope divides by sin(theta): an angle at 0 would get an
+    # infinite scale and pass, so it is refused before the gate
+    refine = _kernels.refine_roots
+    monkeypatch.setattr(_kernels, "refine_roots",
+                        lambda *args: np.concatenate(([0.0], refine(*args)[1:])))
+    with pytest.raises(ValueError, match=r"inside \(0, pi\) at alpha=0.5, beta=-0.25, N=64"):
         compute_roots(JacobiParams(0.5, -0.25), 64)
 
 

@@ -89,7 +89,7 @@ def test_prune_non_spread_finds_bad_angle_spike(legendre_plan_4096, rng):
     # the root angle closest to pi/2 has theta/pi ~ 1/2: maximally non-spread
     ell = int(np.argmin(np.abs(plan.theta - math.pi / 2)))
     oracle = QueryOracle(spike_signal(plan, ell, 1.1))
-    got = prune_non_spread(plan, oracle, 0.002, 0.25, 0.05, 0.01, rng)
+    got = prune_non_spread(plan, oracle, 0.002, 0.05, 0.01, rng)
     assert got is not None and got[0] == ell
 
 
@@ -100,7 +100,7 @@ def test_prune_non_spread_ignores_spread_spike(legendre_plan_4096, rng):
     spread = np.nonzero(~cover.contains(plan.theta / math.pi))[0]
     ell = int(spread[len(spread) // 3])
     oracle = QueryOracle(spike_signal(plan, ell, 1.1))
-    assert prune_non_spread(plan, oracle, 0.002, 0.25, 0.05, 0.01, rng) is None
+    assert prune_non_spread(plan, oracle, 0.002, 0.05, 0.01, rng) is None
 
 
 # ---------------------------------------------------------------------------
