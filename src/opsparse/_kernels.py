@@ -6,9 +6,21 @@
     p_j(x) = (a[j] x + b[j]) p_{j-1}(x) - c[j] p_{j-2}(x)
 
 is written, with coefficient arrays indexed so that entry 0 is unused.  It
-steps the degree with whole-array operations over the evaluation points, and
-every kernel below consumes its output; ``value_and_slope`` and
-``refine_roots`` are built on ``recurrence_last``.
+steps the degree with whole-array operations over the evaluation points, in
+place: three preallocated buffers rotate, and a step adds b[j] only when it
+is nonzero (every b[j] is exactly 0 when alpha = beta).  Each element goes
+through the same IEEE operations in the same order as the expression above;
+a skipped addition of an exact zero could change only the sign of a zero.
+A yielded p_j is overwritten while p_{j+2} is computed, so a consumer may
+hold the current and the previous value, no more; every kernel below uses
+them in time, and ``recurrence_last``, which keeps the last two, relies on
+that.  ``value_and_slope`` and ``refine_roots`` are built on it.
+
+``apply_forward`` maps a (B, jmax+1) stack of coefficient rows to
+(B, len(lam)) in one sweep, adding v p_j into row r only where row r's
+coefficient v at degree j is nonzero.  Each row gets the sum it would get
+alone, so evaluating at a subset of the points, or stacking rows, changes no
+bit of any output.
 """
 
 from __future__ import annotations
@@ -30,7 +42,11 @@ BACKEND = "numpy"
 
 
 def _sweep(p0, a, b, c, x):
-    """Yield p_0(x), p_1(x), ..., p_jmax(x) with jmax = len(a) - 1."""
+    """Yield p_0(x), p_1(x), ..., p_jmax(x) with jmax = len(a) - 1.
+
+    The yielded arrays are reused buffers: p_j stays valid until p_{j+2} is
+    computed.
+    """
     jmax = a.shape[0] - 1
     x = np.asarray(x, dtype=np.float64)
     pm = np.full(x.shape[0], p0)
@@ -39,8 +55,15 @@ def _sweep(p0, a, b, c, x):
         return
     pc = (a[1] * x + b[1]) * p0
     yield pc
+    t = np.empty_like(pc)
     for j in range(2, jmax + 1):
-        pm, pc = pc, (a[j] * x + b[j]) * pc - c[j] * pm
+        np.multiply(x, a[j], out=t)
+        if b[j] != 0.0:
+            t += b[j]
+        t *= pc
+        pm *= c[j]
+        t -= pm
+        pm, pc, t = pc, t, pm
         yield pc
 
 
@@ -81,12 +104,17 @@ def sumsq_maxabs(p0, a, b, c, x):
     return ss, mx
 
 
-def apply_forward(p0, a, b, c, lam, sqw, xvec):
-    """y[l] = sqw[l] * sum_j xvec[j] p_j(lam[l]) without building the table."""
-    sweep = _sweep(p0, a, b, c, lam)
-    acc = xvec[0] * next(sweep)
-    for j, p in enumerate(sweep, 1):
-        acc += xvec[j] * p
+def apply_forward(p0, a, b, c, lam, sqw, x):
+    """y[r, l] = sqw[l] * sum_j x[r, j] p_j(lam[l]) for a (B, jmax+1) stack x,
+    from one sweep and without building the table."""
+    degs, rows = np.nonzero(x.T)  # ordered by degree
+    vals = x[rows, degs]
+    acc = np.zeros((x.shape[0], len(lam)))
+    k = 0
+    for j, p in enumerate(_sweep(p0, a, b, c, lam)):
+        while k < len(degs) and degs[k] == j:
+            acc[rows[k]] += vals[k] * p
+            k += 1
     return sqw * acc
 
 

@@ -39,7 +39,8 @@ class QueryOracle:
     """Counted entrywise access to a fixed vector.
 
     The counter increases by exactly one per entry access, including
-    repeated accesses to the same index.
+    repeated accesses to the same index.  An index outside [0, N) raises
+    IndexError and leaves the counter untouched.
     """
 
     def __init__(self, values: np.ndarray):
@@ -50,13 +51,22 @@ class QueryOracle:
         return len(self._values)
 
     def query(self, i: int) -> float:
+        self._check_range(i, i)
         self.count += 1
         return float(self._values[i])
 
     def query_many(self, idx: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.int64)
+        if idx.size:
+            self._check_range(idx.min(), idx.max())
         self.count += idx.size
         return self._values[idx]
+
+    def _check_range(self, lo, hi) -> None:
+        """Refuse indices outside [0, N) before anything is counted."""
+        n = len(self._values)
+        if lo < 0 or hi >= n:
+            raise IndexError(f"indices {lo}..{hi} out of range for N={n}")
 
 
 class SparseApprox:

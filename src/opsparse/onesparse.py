@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import _kernels
 from . import plan as plan_mod
 from .jacobi import log_norm_factor
 from .numtheory import bad_intervals
@@ -95,39 +96,50 @@ def _round_count(mu: float, cfg: OneSparseConfig) -> int:
     return int(r) | 1
 
 
-def _correlate(plan, cand: np.ndarray, js: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(N/s)-scaled correlations of one sampling round against candidate rows.
+def _correlate(plan, cand: np.ndarray, sums: list[np.ndarray], s: int) -> np.ndarray:
+    """(N/s)-scaled correlations of a segment of sampling rounds against
+    candidate rows, shape (len(sums), len(cand)).
 
-    The samples are summed into a length-N vector and multiplied by all of F:
-    through the cached dense matrix up to ``DENSE_CACHE_LIMIT``, through the
-    recurrence above it.
+    ``sums`` holds each round's s samples summed into a length-N vector.  Up
+    to ``DENSE_CACHE_LIMIT`` every round is one product with the cached dense
+    F (a GEMM on the stack would sum in another order).  Above it the whole
+    segment is one recurrence sweep, evaluated at the candidate roots only.
     """
     n = plan.n
-    acc = np.bincount(js, weights=y, minlength=n)
     if n <= plan_mod.DENSE_CACHE_LIMIT:
-        full = plan.matrix() @ acc
+        full = np.array([plan.matrix() @ acc for acc in sums])[:, cand]
     else:
-        full = plan.forward(acc)
-    return (n / len(js)) * full[cand]
+        full = _kernels.apply_forward(*plan.coeffs, plan.lam[cand], plan.sqw[cand],
+                                      np.array(sums))
+    return (n / s) * full
 
 
 def _estimate(plan, oracle, cand, mu_each, eps, rng, cfg):
     """Medians of the norm and correlation estimators over shared samples.
 
-    Returns (u, per-candidate medians), or None if an early partial median
-    showed nothing anywhere near the acceptance threshold.
+    Every round is drawn and queried in turn; correlations are computed once
+    per checkpoint segment, rounds {0, 1}, {2, 3} and the rest, since only
+    the partial medians after rounds 1 and 3 can stop early.  Returns (u,
+    per-candidate medians), or None if an early partial median showed
+    nothing anywhere near the acceptance threshold.
     """
     s = _sample_size(plan, eps, cfg)
     rounds = _round_count(mu_each, cfg)
     n = plan.n
     u_rounds = np.empty(rounds)
     v_rounds = np.empty((rounds, len(cand)))
+    sums = []
     for r in range(rounds):
         js = rng.integers(0, n, size=s)
         y = oracle.query_many(js)
         u_rounds[r] = math.sqrt((n / s) * float(y @ y))
-        v_rounds[r] = _correlate(plan, cand, js, y)
-        if r in (1, 3) and r < rounds - 1:
+        sums.append(np.bincount(js, weights=y, minlength=n))
+        last = r == rounds - 1
+        if not last and r not in (1, 3):
+            continue
+        v_rounds[r + 1 - len(sums) : r + 1] = _correlate(plan, cand, sums, s)
+        sums = []
+        if not last:
             u_part = float(np.median(u_rounds[: r + 1]))
             v_part = np.abs(np.median(v_rounds[: r + 1], axis=0))
             if np.all(v_part <= u_part / 20.0):

@@ -80,11 +80,13 @@ class TransformPlan:
     U: float
     lam: np.ndarray = field(init=False, repr=False)
     sqw: np.ndarray = field(init=False, repr=False)
+    # recurrence coefficients (p0, a, b, c) of p_0..p_{N-1}, for ``_kernels``
+    coeffs: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.lam = np.cos(self.theta)
         self.sqw = np.sqrt(self.weights)
-        self._coeffs = orthonormal_coeffs(self.params, self.n - 1)
+        self.coeffs = orthonormal_coeffs(self.params, self.n - 1)
         self._dense = None
         self._stacks: list[np.ndarray] | None = None
 
@@ -101,7 +103,7 @@ class TransformPlan:
     def matrix(self) -> np.ndarray:
         """Dense F (rows indexed by root, columns by degree); cached."""
         if self._dense is None:
-            p0, a, b, c = self._coeffs
+            p0, a, b, c = self.coeffs
             table = _kernels.recurrence_table(p0, a, b, c, self.lam)
             self._dense = (table * self.sqw).T.copy()
         return self._dense
@@ -113,7 +115,7 @@ class TransformPlan:
         """
         if self._dense is not None:
             return self._dense[ell]
-        p0, a, b, c = self._coeffs
+        p0, a, b, c = self.coeffs
         table = _kernels.recurrence_table(p0, a, b, c, self.lam[ell : ell + 1])
         return self.sqw[ell] * table[:, 0]
 
@@ -130,15 +132,15 @@ class TransformPlan:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"expected shape ({self.n},)")
-        p0, a, b, c = self._coeffs
-        return _kernels.apply_forward(p0, a, b, c, self.lam, self.sqw, x)
+        p0, a, b, c = self.coeffs
+        return _kernels.apply_forward(p0, a, b, c, self.lam, self.sqw, x[None])[0]
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
         """F^T @ y; the exact inverse of forward since F is orthogonal."""
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.n,):
             raise ValueError(f"expected shape ({self.n},)")
-        p0, a, b, c = self._coeffs
+        p0, a, b, c = self.coeffs
         return _kernels.apply_adjoint(p0, a, b, c, self.lam, self.sqw, y)
 
     # -- moment combination -------------------------------------------------

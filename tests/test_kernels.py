@@ -1,11 +1,13 @@
 """Recurrence kernels at their edges: the Newton root polish against
-closed-form roots, and the degree-0 paths.  The table, ``sumsq_maxabs`` and
-the forward and adjoint maps are checked through their callers in
-``test_jacobi.py`` and ``test_plan.py``."""
+closed-form roots, the degree-0 paths, the rotation of the sweep's in-place
+buffers, and the stacked forward map.  The table values, ``sumsq_maxabs`` and
+the adjoint map are checked through their callers in ``test_jacobi.py`` and
+``test_plan.py``."""
 
 import numpy as np
+import pytest
 
-from opsparse import _kernels
+from opsparse import _kernels, build_plan
 from opsparse.jacobi import JacobiParams, _slope_coeffs, orthonormal_coeffs
 
 
@@ -29,3 +31,33 @@ def test_jmax_zero_paths():
     np.testing.assert_array_equal(last, [p0, p0])
     tab = _kernels.recurrence_table(p0, empty, empty, empty, x)
     assert tab.shape == (1, 2)
+
+
+@pytest.mark.parametrize("jmax", [1, 2, 3, 17])
+def test_recurrence_last_matches_table(jmax):
+    # jmax 1..3 are the steps where the three buffers first rotate
+    coeffs = orthonormal_coeffs(JacobiParams(1.5, -0.3), jmax)
+    x = np.linspace(-1.0, 1.0, 9)
+    tab = _kernels.recurrence_table(*coeffs, x)
+    prev, last = _kernels.recurrence_last(*coeffs, x)
+    np.testing.assert_array_equal(prev, tab[-2])
+    np.testing.assert_array_equal(last, tab[-1])
+
+
+@pytest.mark.parametrize("alpha, beta, n", [(0.0, 0.0, 40), (1.5, -0.3, 33), (0.5, 0.5, 1)])
+def test_apply_forward_stack_equals_rows(alpha, beta, n, rng):
+    plan = build_plan(JacobiParams(alpha, beta), n)
+    x = rng.standard_normal((4, n))
+    x[1] = 0.0  # an all-zero row
+    x[2, ::3] = 0.0  # skipped coefficients inside a row
+    cand = np.arange(0, n, 2)
+    for lam, sqw in ((plan.lam, plan.sqw), (plan.lam[cand], plan.sqw[cand])):
+        got = _kernels.apply_forward(*plan.coeffs, lam, sqw, x)
+        assert got.shape == (4, len(lam))
+        for r in range(4):
+            one = _kernels.apply_forward(*plan.coeffs, lam, sqw, x[r : r + 1])
+            np.testing.assert_array_equal(got[r], one[0])
+        np.testing.assert_array_equal(got[1], 0.0)
+    full = _kernels.apply_forward(*plan.coeffs, plan.lam, plan.sqw, x)
+    np.testing.assert_array_equal(full[:, cand], got)
+    np.testing.assert_allclose(full, x @ plan.matrix().T, rtol=0, atol=1e-12)

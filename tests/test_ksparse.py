@@ -42,6 +42,17 @@ def test_query_oracle_counts_every_access():
     assert oracle.count == 4  # repeats are billed individually
 
 
+def test_query_oracle_refuses_out_of_range_uncounted():
+    oracle = QueryOracle(np.arange(5.0))
+    for idx in ([-1, 0], [5], [0, 2, 5]):
+        with pytest.raises(IndexError, match="out of range"):
+            oracle.query_many(idx)
+    for i in (-1, 5):
+        with pytest.raises(IndexError, match="out of range"):
+            oracle.query(i)
+    assert oracle.count == 0
+
+
 # ---------------------------------------------------------------------------
 # sparse estimate container
 

@@ -10,19 +10,25 @@ import math
 import numpy as np
 import pytest
 
+from opsparse import JacobiParams, build_plan
 from opsparse.ksparse import QueryOracle
 from opsparse.numtheory import bad_intervals
 from opsparse.onesparse import (
     ArcCosError,
     OneSparseConfig,
     RecoveryError,
+    SAMPLE_CAP,
     approx_arccos,
     prune,
     prune_non_spread,
     query_cos,
     solve_one_sparse,
     spread_rho,
+    _estimate,
+    _round_count,
+    _sample_size,
 )
+from opsparse.plan import DENSE_CACHE_LIMIT
 
 
 def spike_signal(plan, ell, v, noise=0.0, rng=None):
@@ -70,6 +76,55 @@ def test_prune_early_fail_saves_queries(legendre_plan_256, rng):
     full = QueryOracle(spike_signal(plan, 130, 0.8))
     prune(plan, full, 0.0, math.pi, 1e-6, 0.01, np.random.default_rng(1))
     assert empty.count < full.count
+
+
+@pytest.fixture(scope="module")
+def plan_above_dense_limit():
+    return build_plan(JacobiParams(0.0, 0.0), DENSE_CACHE_LIMIT + 1)
+
+
+def per_round_estimate(plan, oracle, cand, mu_each, eps, rng, cfg):
+    """The estimator as one forward transform per round, indexed at cand."""
+    s = _sample_size(plan, eps, cfg)
+    rounds = _round_count(mu_each, cfg)
+    n = plan.n
+    u_rounds = np.empty(rounds)
+    v_rounds = np.empty((rounds, len(cand)))
+    for r in range(rounds):
+        js = rng.integers(0, n, size=s)
+        y = oracle.query_many(js)
+        u_rounds[r] = math.sqrt((n / s) * float(y @ y))
+        v_rounds[r] = (n / s) * plan.forward(np.bincount(js, weights=y, minlength=n))[cand]
+        if r in (1, 3) and r < rounds - 1:
+            u_part = float(np.median(u_rounds[: r + 1]))
+            v_part = np.abs(np.median(v_rounds[: r + 1], axis=0))
+            if np.all(v_part <= u_part / 20.0):
+                return None
+    return float(np.median(u_rounds)), np.median(v_rounds, axis=0)
+
+
+def test_estimate_segments_match_per_round_forward(plan_above_dense_limit):
+    plan = plan_above_dense_limit
+    cfg = OneSparseConfig()
+    mu_each = 1e-9
+    assert _round_count(mu_each, cfg) == 7  # segments {0, 1}, {2, 3}, {4, 5, 6}
+    y = spike_signal(plan, 1234, 0.9, noise=0.01, rng=np.random.default_rng(2))
+    cand = np.arange(1200, 1300)
+    want_oracle, got_oracle = QueryOracle(y), QueryOracle(y)
+    want = per_round_estimate(plan, want_oracle, cand, mu_each, 0.01,
+                              np.random.default_rng(5), cfg)
+    got = _estimate(plan, got_oracle, cand, mu_each, 0.01, np.random.default_rng(5), cfg)
+    assert got[0] == want[0]
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got_oracle.count == want_oracle.count == 7 * _sample_size(plan, 0.01, cfg)
+
+
+def test_estimate_zero_signal_stops_after_round_one(plan_above_dense_limit, rng):
+    plan = plan_above_dense_limit
+    cfg = OneSparseConfig()
+    oracle = QueryOracle(np.zeros(plan.n))
+    assert _estimate(plan, oracle, np.arange(plan.n), 1e-9, 0.01, rng, cfg) is None
+    assert oracle.count == 2 * _sample_size(plan, 0.01, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +313,6 @@ def test_solver_rejects_eps_and_mu_outside_unit_interval(legendre_plan_256, rng)
 
 
 def test_sample_size_refuses_the_cap(legendre_plan_256):
-    from opsparse.onesparse import SAMPLE_CAP, _sample_size
-
     cfg = OneSparseConfig()
     assert _sample_size(legendre_plan_256, 0.01, cfg) < SAMPLE_CAP
     with pytest.raises(ValueError, match=f"above the cap {SAMPLE_CAP}"):
@@ -267,8 +320,6 @@ def test_sample_size_refuses_the_cap(legendre_plan_256):
 
 
 def test_config_round_count_is_odd():
-    from opsparse.onesparse import _round_count
-
     cfg = OneSparseConfig()
     for mu in (0.5, 0.1, 1e-3, 1e-9, 1e-15):
         assert _round_count(mu, cfg) % 2 == 1
