@@ -15,6 +15,7 @@ A yielded p_j is overwritten while p_{j+2} is computed, so a consumer may
 hold the current and the previous value, no more; every kernel below uses
 them in time, and ``recurrence_last``, which keeps the last two, relies on
 that.  ``value_and_slope`` and ``refine_roots`` are built on it.
+``recurrence_table`` is point-major, the layout of the transform matrix F.
 
 ``apply_forward`` maps a (B, jmax+1) stack of coefficient rows to
 (B, len(lam)) in one sweep, adding v p_j into row r only where row r's
@@ -68,11 +69,12 @@ def _sweep(p0, a, b, c, x):
 
 
 def recurrence_table(p0, a, b, c, x):
-    """Table of p_j(x) for j = 0..jmax, shape (jmax+1, len(x))."""
+    """Table of p_j(x_i), shape (len(x), jmax+1): row i is one point, column
+    j one degree, written as the sweep reaches it."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty((a.shape[0], x.shape[0]))
+    out = np.empty((x.shape[0], a.shape[0]))
     for j, p in enumerate(_sweep(p0, a, b, c, x)):
-        out[j] = p
+        out[:, j] = p
     return out
 
 

@@ -185,9 +185,9 @@ def eval_derivative(params: JacobiParams, j: int, x) -> np.ndarray | float:
 
 
 def orthonormal_table(params: JacobiParams, jmax: int, x: np.ndarray) -> np.ndarray:
-    """Matrix [p_j(x_i)]_{j<=jmax, i}, evaluated by one recurrence sweep."""
-    p0, a, b, c = orthonormal_coeffs(params, jmax)
-    return _kernels.recurrence_table(p0, a, b, c, np.asarray(x, dtype=np.float64))
+    """Matrix [p_j(x_i)]_{j<=jmax, i}, evaluated by one recurrence sweep; a
+    transposed view of the point-major kernel table."""
+    return _kernels.recurrence_table(*orthonormal_coeffs(params, jmax), x).T
 
 
 def jacobi_matrix(params: JacobiParams, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -35,12 +35,24 @@ _C0 = 1.0 / (2.0 * math.pi)
 DELTA_CAP = 0.1
 
 
+def _indices(idx, n: int) -> np.ndarray:
+    """idx as int64; IndexError unless all are integers in [0, n) (or none are)."""
+    idx = np.asarray(idx)
+    if idx.size:
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise IndexError(f"indices must be integers, got dtype {idx.dtype}")
+        lo, hi = idx.min(), idx.max()
+        if lo < 0 or hi >= n:
+            raise IndexError(f"indices {lo}..{hi} out of range for N={n}")
+    return idx.astype(np.int64, copy=False)
+
+
 class QueryOracle:
     """Counted entrywise access to a fixed vector.
 
     The counter increases by exactly one per entry access, including
-    repeated accesses to the same index.  An index outside [0, N) raises
-    IndexError and leaves the counter untouched.
+    repeated accesses to the same index.  An index that is not an integer
+    in [0, N) raises IndexError and leaves the counter untouched.
     """
 
     def __init__(self, values: np.ndarray):
@@ -51,22 +63,14 @@ class QueryOracle:
         return len(self._values)
 
     def query(self, i: int) -> float:
-        self._check_range(i, i)
+        i = _indices(i, len(self._values))
         self.count += 1
         return float(self._values[i])
 
     def query_many(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size:
-            self._check_range(idx.min(), idx.max())
+        idx = _indices(idx, len(self._values))
         self.count += idx.size
         return self._values[idx]
-
-    def _check_range(self, lo, hi) -> None:
-        """Refuse indices outside [0, N) before anything is counted."""
-        n = len(self._values)
-        if lo < 0 or hi >= n:
-            raise IndexError(f"indices {lo}..{hi} out of range for N={n}")
 
 
 class SparseApprox:
@@ -211,10 +215,8 @@ class SimulatedAccess:
 
     def query_many(self, js: np.ndarray) -> np.ndarray:
         """Filtered samples at indices js; each reads at most 2d+1 entries."""
-        js = np.asarray(js, dtype=np.int64)
         n = self._plan.n
-        if js.size and (js.min() < 0 or js.max() >= n):
-            raise IndexError(f"indices {js.min()}..{js.max()} out of range for N={n}")
+        js = _indices(js, n)
         d = self._degree
         offsets = np.arange(-d, d + 1)
         out = np.empty(js.size)

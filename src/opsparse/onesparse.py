@@ -21,7 +21,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import _kernels
 from . import plan as plan_mod
 from .jacobi import log_norm_factor
 from .numtheory import bad_intervals
@@ -103,14 +102,13 @@ def _correlate(plan, cand: np.ndarray, sums: list[np.ndarray], s: int) -> np.nda
     ``sums`` holds each round's s samples summed into a length-N vector.  Up
     to ``DENSE_CACHE_LIMIT`` every round is one product with the cached dense
     F (a GEMM on the stack would sum in another order).  Above it the whole
-    segment is one recurrence sweep, evaluated at the candidate roots only.
+    segment is one ``plan.forward`` sweep at the candidate roots only.
     """
     n = plan.n
     if n <= plan_mod.DENSE_CACHE_LIMIT:
         full = np.array([plan.matrix() @ acc for acc in sums])[:, cand]
     else:
-        full = _kernels.apply_forward(*plan.coeffs, plan.lam[cand], plan.sqw[cand],
-                                      np.array(sums))
+        full = plan.forward(np.array(sums), cand)
     return (n / s) * full
 
 

@@ -45,7 +45,8 @@ __all__ = [
 MAGIC = b"OPSP"
 VERSION = 2
 
-# Dense transform matrices are cached up to this size (128 MB at f64).
+# Up to this N the one-sparse solver correlates against the cached dense F
+# (128 MiB at f64), above it through ``forward``; ``matrix()`` caches at any N.
 DENSE_CACHE_LIMIT = 4096
 
 
@@ -80,13 +81,11 @@ class TransformPlan:
     U: float
     lam: np.ndarray = field(init=False, repr=False)
     sqw: np.ndarray = field(init=False, repr=False)
-    # recurrence coefficients (p0, a, b, c) of p_0..p_{N-1}, for ``_kernels``
-    coeffs: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.lam = np.cos(self.theta)
         self.sqw = np.sqrt(self.weights)
-        self.coeffs = orthonormal_coeffs(self.params, self.n - 1)
+        self._coeffs = orthonormal_coeffs(self.params, self.n - 1)
         self._dense = None
         self._stacks: list[np.ndarray] | None = None
 
@@ -101,11 +100,10 @@ class TransformPlan:
     # -- dense access -------------------------------------------------------
 
     def matrix(self) -> np.ndarray:
-        """Dense F (rows indexed by root, columns by degree); cached."""
+        """Dense F, the root-by-degree recurrence table times sqrt(w) in place; cached."""
         if self._dense is None:
-            p0, a, b, c = self.coeffs
-            table = _kernels.recurrence_table(p0, a, b, c, self.lam)
-            self._dense = (table * self.sqw).T.copy()
+            table = _kernels.recurrence_table(*self._coeffs, self.lam)
+            self._dense = np.multiply(table, self.sqw[:, None], out=table)
         return self._dense
 
     def row(self, ell: int) -> np.ndarray:
@@ -113,35 +111,33 @@ class TransformPlan:
 
         Read from ``matrix()`` when it is cached, else one recurrence.
         """
+        if not 0 <= ell < self.n:
+            raise IndexError(f"row {ell} out of range for N={self.n}")
         if self._dense is not None:
             return self._dense[ell]
-        p0, a, b, c = self.coeffs
-        table = _kernels.recurrence_table(p0, a, b, c, self.lam[ell : ell + 1])
-        return self.sqw[ell] * table[:, 0]
+        table = _kernels.recurrence_table(*self._coeffs, self.lam[ell : ell + 1])
+        return self.sqw[ell] * table[0]
 
     # -- transforms ---------------------------------------------------------
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """F @ x: coefficients to weighted samples at the roots.
-
-        Always evaluated through the recurrence kernels, never the cached
-        dense matrix: a BLAS matmul sums in a different order, and results
-        must not depend on whether some earlier caller materialized
-        ``matrix()`` in this process.
-        """
+    def forward(self, x: np.ndarray, roots=slice(None)) -> np.ndarray:
+        """F[roots] @ x for x of shape (N,) or (B, N), from one recurrence sweep,
+        never through F: its BLAS product sums in another order, and results
+        must not depend on whether ``matrix()`` was built.  Each row equals
+        the unstacked full transform at ``roots`` bit for bit."""
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected shape ({self.n},)")
-        p0, a, b, c = self.coeffs
-        return _kernels.apply_forward(p0, a, b, c, self.lam, self.sqw, x[None])[0]
+        if x.ndim not in (1, 2) or x.shape[-1] != self.n:
+            raise ValueError(f"expected shape ({self.n},) or (B, {self.n}), got {x.shape}")
+        y = _kernels.apply_forward(*self._coeffs, self.lam[roots], self.sqw[roots],
+                                   x.reshape(-1, self.n))
+        return y if x.ndim == 2 else y[0]
 
     def inverse(self, y: np.ndarray) -> np.ndarray:
         """F^T @ y; the exact inverse of forward since F is orthogonal."""
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.n,):
             raise ValueError(f"expected shape ({self.n},)")
-        p0, a, b, c = self.coeffs
-        return _kernels.apply_adjoint(p0, a, b, c, self.lam, self.sqw, y)
+        return _kernels.apply_adjoint(*self._coeffs, self.lam, self.sqw, y)
 
     # -- moment combination -------------------------------------------------
 

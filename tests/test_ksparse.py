@@ -53,6 +53,31 @@ def test_query_oracle_refuses_out_of_range_uncounted():
     assert oracle.count == 0
 
 
+def test_query_oracle_refuses_non_integer_indices_uncounted():
+    oracle = QueryOracle(np.arange(5.0))
+    for idx in ([1.7], [True, False], np.array([0.0, 2.0])):
+        with pytest.raises(IndexError, match="must be integers"):
+            oracle.query_many(idx)
+    for i in (2.5, True):
+        with pytest.raises(IndexError, match="must be integers"):
+            oracle.query(i)
+    assert oracle.count == 0
+    assert oracle.query_many([]).size == 0  # an empty list is float to numpy
+    assert oracle.count == 0
+
+
+def test_simulated_access_refuses_non_integer_indices_uncounted():
+    plan = build_plan(JacobiParams(0.0, 0.0), 64)
+    oracle = QueryOracle(np.arange(64.0))
+    access = SimulatedAccess(plan, oracle, SparseApprox(), build_boxcar(1.2, 0.5, 0.05))
+    for js in ([1.7], [True, False]):
+        with pytest.raises(IndexError, match="must be integers"):
+            access.query_many(js)
+    with pytest.raises(IndexError, match="must be integers"):
+        access.query(1.7)
+    assert oracle.count == 0
+
+
 # ---------------------------------------------------------------------------
 # sparse estimate container
 

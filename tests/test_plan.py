@@ -1,6 +1,7 @@
 """Transform plans: moment bands against the dense triple product, exact
 persistence, format-error taxonomy."""
 
+import math
 import pickle
 import struct
 import zlib
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
 
 from opsparse import JacobiParams, build_plan, load_plan, save_plan
+from opsparse.jacobi import orthonormal_table
 from opsparse.plan import (
     PlanChecksumError,
     PlanFormatError,
@@ -99,6 +101,52 @@ def test_row_matches_matrix():
     for ell, row in zip((0, 13, 31), rows):
         np.testing.assert_array_equal(row, f[ell])
         np.testing.assert_array_equal(plan.row(ell), f[ell])
+
+
+def test_row_refuses_out_of_range():
+    plan = build_plan(JacobiParams(0.5, -0.25), 64)
+    for cached in (False, True):
+        if cached:
+            plan.matrix()
+        for ell in (-1, 64):
+            with pytest.raises(IndexError, match=rf"row {ell} out of range for N=64"):
+                plan.row(ell)
+
+
+def test_row_matches_orthonormal_table():
+    # the one-point table scaled by sqrt(w), as a benchmark input is rendered
+    plan = build_plan(JacobiParams(1.5, -0.3), 33)
+    for ell in (0, 17, 32):
+        tab = orthonormal_table(plan.params, plan.n - 1, plan.lam[ell : ell + 1])
+        np.testing.assert_array_equal(tab[:, 0] * math.sqrt(plan.weights[ell]),
+                                      plan.row(ell))
+
+
+def test_matrix_is_the_scaled_table():
+    # one C-ordered N x N array, bit for bit the degree-major table weighted
+    # and transposed
+    plan = build_plan(JacobiParams(1.5, -0.3), 33)
+    table = orthonormal_table(plan.params, plan.n - 1, plan.lam)
+    f = plan.matrix()
+    assert f.flags.c_contiguous
+    np.testing.assert_array_equal(f, (table * plan.sqw).T.copy())
+
+
+@pytest.mark.parametrize("alpha, beta, n", [(0.0, 0.0, 40), (1.5, -0.3, 33), (0.5, 0.5, 1)])
+def test_forward_stack_at_root_subset(alpha, beta, n, rng):
+    plan = build_plan(JacobiParams(alpha, beta), n)
+    x = rng.standard_normal((4, n))
+    x[1] = 0.0
+    roots = np.arange(0, n, 2)
+    got = plan.forward(x, roots)
+    assert got.shape == (4, len(roots))
+    for r in range(4):
+        np.testing.assert_array_equal(got[r], plan.forward(x[r])[roots])
+    np.testing.assert_allclose(got, (plan.matrix()[roots] @ x.T).T, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        plan.forward(x[None])
+    with pytest.raises(ValueError):
+        plan.forward(np.zeros((4, n + 1)), roots)
 
 
 def test_filter_band_matches_dense(small_plan, rng):
