@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxcar import BoxcarFilter, build_boxcar
-from .onesparse import SAMPLE_CAP, RecoveryError, solve_one_sparse
+from .onesparse import (DEFAULT_CONFIG, SAMPLE_CAP, RecoveryError, _sample_size,
+                        solve_one_sparse)
 
 __all__ = [
     "QueryOracle",
@@ -33,6 +34,13 @@ __all__ = [
 _C0 = 1.0 / (2.0 * math.pi)
 # The noise-parameter cap; larger targets are outside the calibrated regime.
 DELTA_CAP = 0.1
+# A draw's energy floor is ENERGY_TAU * delta * R / sqrt(k), R = ||x - F^T zhat||.
+# Spikes below delta R / sqrt(k) hold at most delta R in norm together, within
+# the recovery bound, so a spike the peeler must find has |v| >= delta R / sqrt(k).
+# Its boxcar keeps at least 1 - eps_box of it, so its draw's filtered norm is
+# u >= (1 - eps_box)|v|: about twice the floor at 1/2, a margin for the
+# sampling error of one round's u and of the estimate of R.
+ENERGY_TAU = 0.5
 
 
 def _indices(idx, n: int) -> np.ndarray:
@@ -113,6 +121,15 @@ class SparseApprox:
 
     def copy(self) -> "SparseApprox":
         return SparseApprox(dict(self._entries))
+
+    def image(self, plan) -> np.ndarray | None:
+        """The dense image F^T zhat = sum of v * F[h]; None while empty."""
+        if not self._entries:
+            return None
+        z = np.zeros(plan.n)
+        for h, v in self._entries.items():
+            z += v * plan.row(h)
+        return z
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{h}: {v:.6g}" for h, v in sorted(self._entries.items()))
@@ -200,18 +217,16 @@ class SimulatedAccess:
 
     Serves entries of the inverse transform of D_b (v_hat - z_hat), where b
     is the boxcar evaluated at the roots, using the banded filter moments of
-    the plan and the sparse estimate's dense coefficient image.
+    the plan and ``z``, the sparse estimate's dense image
+    (``SparseApprox.image``; None while the estimate is empty).
     """
 
-    def __init__(self, plan, oracle, zhat: SparseApprox, filt: BoxcarFilter):
+    def __init__(self, plan, oracle, z: np.ndarray | None, filt: BoxcarFilter):
         self._plan = plan
         self._oracle = oracle
         self._band = plan.filter_band(filt)
         self._degree = filt.degree
-        z = np.zeros(plan.n)
-        for h, v in zhat.items():
-            z += v * plan.row(h)
-        self._zvals = z
+        self._z = z
 
     def query_many(self, js: np.ndarray) -> np.ndarray:
         """Filtered samples at indices js; each reads at most 2d+1 entries."""
@@ -229,7 +244,8 @@ class SimulatedAccess:
             valid = (win >= 0) & (win < n)
             vals = np.zeros(win.shape)
             flat = win[valid]
-            vals[valid] = self._oracle.query_many(flat) - self._zvals[flat]
+            raw = self._oracle.query_many(flat)
+            vals[valid] = raw if self._z is None else raw - self._z[flat]
             out[start : start + step] = np.einsum("ij,ij->i", self._band[rows], vals)
         return out
 
@@ -264,6 +280,15 @@ def verify(plan, y_access, v: float, h: int, mu: float, eps: float, rng,
     return g <= v * v / 1000.0
 
 
+def _residual_norm(plan, oracle, z: np.ndarray | None, s: int, rng) -> float:
+    """Estimate of ||x - F^T zhat|| from s uniform raw reads, all counted."""
+    js = rng.integers(0, plan.n, size=s)
+    resid = oracle.query_many(js)
+    if z is not None:
+        resid = resid - z[js]
+    return math.sqrt((plan.n / s) * float(resid @ resid))
+
+
 def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
            one_sparse_solver, rng) -> tuple[SparseApprox, bool]:
     """One peeling pass: try to locate and commit a single new spike.
@@ -272,6 +297,11 @@ def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
     candidate anywhere, i.e. every residual entry is already small.  When the
     best candidate is an already-known index its value is folded in place and
     the pass repeats, up to the configured number of refinement rounds.
+
+    ``one_sparse_solver(plan, access, eps, mu, rng, window=, floor=)`` is
+    called once per draw with the draw's pass band theta_ell +- width as
+    ``window`` and the energy floor ENERGY_TAU * delta * R / sqrt(k) as
+    ``floor``; it signals a miss with RecoveryError.
     """
     n = plan.n
     eps = cfg.eps()
@@ -281,25 +311,33 @@ def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
     width = cfg.boxcar_width()
     box_eps = cfg.boxcar_eps()
     budget = cfg.degree_budget()
+    solver_eps = 6.0 * eps
+    s = _sample_size(plan, solver_eps, DEFAULT_CONFIG)
     for _ in range(cfg.t2()):
+        z = zhat.image(plan)
+        floor = (ENERGY_TAU * cfg.delta * _residual_norm(plan, oracle, z, s, rng)
+                 / math.sqrt(cfg.k))
         found: list[tuple[int, float]] = []
         draws = 0
         while draws < t0:
             for _ in range(min(batch, t0 - draws)):
                 draws += 1
                 ell = int(rng.integers(0, n))
-                filt = build_boxcar(float(plan.theta[ell]), width, box_eps)
+                theta = float(plan.theta[ell])
+                filt = build_boxcar(theta, width, box_eps)
                 if filt.degree > budget:
                     raise ValueError(
                         f"boxcar degree {filt.degree} exceeds budget {budget}; "
                         "raise c_d or gamma")
-                access = SimulatedAccess(plan, oracle, zhat, filt)
+                access = SimulatedAccess(plan, oracle, z, filt)
                 try:
-                    got = one_sparse_solver(plan, access, 6.0 * eps, mu0 / 2.0, rng)
+                    got = one_sparse_solver(plan, access, solver_eps, mu0 / 2.0, rng,
+                                            window=(theta - width, theta + width),
+                                            floor=floor)
                 except RecoveryError:
                     continue
                 h, v = got.index, got.value
-                if abs(plan.theta[h] - plan.theta[ell]) > width:
+                if abs(plan.theta[h] - theta) > width:
                     continue
                 if verify(plan, access, v, h, mu0 / 2.0, eps, rng, cfg.c_t1):
                     found.append((h, v))

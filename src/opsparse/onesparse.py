@@ -71,6 +71,18 @@ class OneSparseConfig:
     r_min: int = 3  # minimum rounds (kept odd for clean medians)
     c_theta: float = 1.0  # boundary prune reach
     c_r_cos: float = 8.0  # rounds multiplier for the cosine estimator
+    d0_div: float = 5000.0  # spread threshold delta_0 = sqrt(eps) / d0_div
+    # eps0 of the angle search.  query_cos's angle error measured at most
+    # 0.038 rad at 1% noise; 1e-3 gives rho = 0.141, 3.7x that and just
+    # inside the pi/22 the containment proof needs.
+    arccos_eps: float = 1e-3
+
+    def __post_init__(self):
+        if not self.d0_div > 0.0:
+            raise ValueError(f"d0_div must be positive, got {self.d0_div!r}")
+        if not (self.arccos_eps > 0.0 and spread_rho(self.arccos_eps) < math.pi / 22.0):
+            raise ValueError(f"arccos_eps={self.arccos_eps!r} puts rho outside "
+                             "(0, pi/22)")
 
 
 DEFAULT_CONFIG = OneSparseConfig()
@@ -95,60 +107,70 @@ def _round_count(mu: float, cfg: OneSparseConfig) -> int:
     return int(r) | 1
 
 
-def _correlate(plan, cand: np.ndarray, sums: list[np.ndarray], s: int) -> np.ndarray:
+def _correlate(plan, cand, sums: list[np.ndarray], s: int) -> np.ndarray:
     """(N/s)-scaled correlations of a segment of sampling rounds against
-    candidate rows, shape (len(sums), len(cand)).
+    candidate rows, shape (len(sums), number of candidates).
 
-    ``sums`` holds each round's s samples summed into a length-N vector.  Up
-    to ``DENSE_CACHE_LIMIT`` every round is one product with the cached dense
-    F (a GEMM on the stack would sum in another order).  Above it the whole
-    segment is one ``plan.forward`` sweep at the candidate roots only.
+    ``cand`` is a slice (a view of F's rows) or an index array; ``sums``
+    holds each round's s samples summed into a length-N vector.  Up to
+    ``DENSE_CACHE_LIMIT`` every round is one product with the candidates'
+    rows of the cached dense F.  Above it the whole segment is one
+    ``plan.forward`` sweep at the candidate roots only.
     """
     n = plan.n
     if n <= plan_mod.DENSE_CACHE_LIMIT:
-        full = np.array([plan.matrix() @ acc for acc in sums])[:, cand]
+        rows = plan.matrix()[cand]
+        full = np.array([rows @ acc for acc in sums])
     else:
         full = plan.forward(np.array(sums), cand)
     return (n / s) * full
 
 
-def _estimate(plan, oracle, cand, mu_each, eps, rng, cfg):
+def _estimate(plan, oracle, cand, mu_each, eps, rng, cfg, floor=0.0):
     """Medians of the norm and correlation estimators over shared samples.
 
     Every round is drawn and queried in turn; correlations are computed once
     per checkpoint segment, rounds {0, 1}, {2, 3} and the rest, since only
     the partial medians after rounds 1 and 3 can stop early.  Returns (u,
     per-candidate medians), or None if an early partial median showed
-    nothing anywhere near the acceptance threshold.
+    nothing anywhere near the acceptance threshold.  Raises RecoveryError
+    when round 0's norm estimate is below ``floor``: the signal holds too
+    little energy for a spike worth finding.
     """
     s = _sample_size(plan, eps, cfg)
     rounds = _round_count(mu_each, cfg)
     n = plan.n
     u_rounds = np.empty(rounds)
-    v_rounds = np.empty((rounds, len(cand)))
+    segments = []  # (rounds in segment, candidates) correlations
     sums = []
     for r in range(rounds):
         js = rng.integers(0, n, size=s)
         y = oracle.query_many(js)
         u_rounds[r] = math.sqrt((n / s) * float(y @ y))
+        if r == 0 and u_rounds[0] < floor:
+            raise RecoveryError(f"filtered norm {u_rounds[0]:.3g} below the "
+                                f"energy floor {floor:.3g}")
         sums.append(np.bincount(js, weights=y, minlength=n))
         last = r == rounds - 1
         if not last and r not in (1, 3):
             continue
-        v_rounds[r + 1 - len(sums) : r + 1] = _correlate(plan, cand, sums, s)
+        segments.append(_correlate(plan, cand, sums, s))
         sums = []
         if not last:
             u_part = float(np.median(u_rounds[: r + 1]))
-            v_part = np.abs(np.median(v_rounds[: r + 1], axis=0))
+            v_part = np.abs(np.median(np.concatenate(segments), axis=0))
             if np.all(v_part <= u_part / 20.0):
                 return None
-    return float(np.median(u_rounds)), np.median(v_rounds, axis=0)
+    return float(np.median(u_rounds)), np.median(np.concatenate(segments), axis=0)
 
 
-def _prune_over(plan, oracle, cand, mu, eps, rng, cfg) -> Optional[tuple[int, float]]:
-    if len(cand) == 0:
+def _prune_over(plan, oracle, cand, mu, eps, rng, cfg,
+                floor) -> Optional[tuple[int, float]]:
+    """Shared-sample check over ``cand``, a slice or an index array of roots."""
+    roots = np.arange(plan.n)[cand]
+    if len(roots) == 0:
         return None
-    got = _estimate(plan, oracle, cand, mu / len(cand), eps, rng, cfg)
+    got = _estimate(plan, oracle, cand, mu / len(roots), eps, rng, cfg, floor)
     if got is None:
         return None
     u, v = got
@@ -158,26 +180,30 @@ def _prune_over(plan, oracle, cand, mu, eps, rng, cfg) -> Optional[tuple[int, fl
     if len(hits) == 0:
         return None
     first = int(hits[0])
-    return int(cand[first]), float(v[first])
+    return int(roots[first]), float(v[first])
 
 
 def prune(plan, oracle, lo: float, hi: float, mu: float, eps: float, rng,
-          cfg: OneSparseConfig = DEFAULT_CONFIG) -> Optional[tuple[int, float]]:
+          cfg: OneSparseConfig = DEFAULT_CONFIG, *,
+          floor: float = 0.0) -> Optional[tuple[int, float]]:
     """Run the shared-sample check over every root with angle in [lo, hi].
 
     Returns (index, value estimate) for the first passing root in ascending
     angle order, or None when no candidate passes (zero queries if the
-    interval holds no roots).
+    interval holds no roots).  ``floor`` is the energy floor of ``_estimate``.
     """
     lo, hi = max(0.0, lo), min(math.pi, hi)
     i0 = int(np.searchsorted(plan.theta, lo, side="left"))
     i1 = int(np.searchsorted(plan.theta, hi, side="right"))
-    return _prune_over(plan, oracle, np.arange(i0, i1), mu, eps, rng, cfg)
+    return _prune_over(plan, oracle, slice(i0, i1), mu, eps, rng, cfg, floor)
 
 
 def prune_non_spread(plan, oracle, delta0: float, mu: float, eps: float, rng,
-                     cfg: OneSparseConfig = DEFAULT_CONFIG) -> Optional[tuple[int, float]]:
-    """Prune over the roots whose angle may defeat the cosine estimator.
+                     cfg: OneSparseConfig = DEFAULT_CONFIG, *,
+                     window: tuple[float, float] = (0.0, math.pi),
+                     floor: float = 0.0) -> Optional[tuple[int, float]]:
+    """Prune over the roots in ``window`` whose angle may defeat the cosine
+    estimator.
 
     A root is a candidate when theta/pi lies within 1/N of a rational with
     denominator at most ceil(4 / (2 rho(delta0) / pi)); that interval cover
@@ -186,8 +212,10 @@ def prune_non_spread(plan, oracle, delta0: float, mu: float, eps: float, rng,
     """
     rho = spread_rho(delta0)
     cover = bad_intervals(plan.n, min(1.0, 2.0 * rho / math.pi))
-    cand = np.nonzero(cover.contains(plan.theta / math.pi))[0]
-    return _prune_over(plan, oracle, cand, mu, eps, rng, cfg)
+    theta = plan.theta
+    inside = (theta >= window[0]) & (theta <= window[1])
+    cand = np.nonzero(cover.contains(theta / math.pi) & inside)[0]
+    return _prune_over(plan, oracle, cand, mu, eps, rng, cfg, floor)
 
 
 def _side_weight(params, j: np.ndarray) -> np.ndarray:
@@ -297,32 +325,49 @@ def approx_arccos(cos_query: Callable[[int], float], tau: int,
 
 
 def solve_one_sparse(plan, oracle, eps: float, mu: float, rng,
-                     cfg: OneSparseConfig = DEFAULT_CONFIG) -> OneSparseResult:
+                     cfg: OneSparseConfig = DEFAULT_CONFIG, *,
+                     window: tuple[float, float] = (0.0, math.pi),
+                     floor: float = 0.0) -> OneSparseResult:
     """Full staged recovery of the spike index and value.
 
-    Raises RecoveryError when every stage fails (the k-sparse peeler treats
-    that as a miss and moves on), and ValueError unless eps and mu lie in
-    (0, 1).
+    Only roots with angle in ``window`` = (lo, hi) are candidates.  When the
+    first estimator round's filtered-norm estimate u is below ``floor`` the
+    solve ends there, after one round's reads.  The defaults, (0, pi) and
+    0, restrict nothing.
+
+    Raises RecoveryError when every stage fails or the floor is not met (the
+    k-sparse peeler treats both as a miss and moves on), and ValueError
+    unless eps and mu lie in (0, 1), lo <= hi and floor is finite and >= 0.
     """
     for name, value in (("eps", eps), ("mu", mu)):
         if not 0.0 < value < 1.0:
             raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+    wlo, whi = window
+    if not wlo <= whi:
+        raise ValueError(f"window needs lo <= hi, got {window!r}")
+    if not (math.isfinite(floor) and floor >= 0.0):
+        raise ValueError(f"floor must be finite and >= 0, got {floor!r}")
     n = plan.n
     nu = _NU
     root_eps = math.sqrt(eps)
-    d0 = root_eps / 5000.0  # spread threshold delta_0 of the analysis
+    d0 = root_eps / cfg.d0_div
+
+    def prune_in(lo, hi, mu_stage):
+        return prune(plan, oracle, max(lo, wlo), min(hi, whi), mu_stage, eps,
+                     rng, cfg, floor=floor)
+
     c_prime = max(cfg.c_theta, 4.0 * nu * root_eps * d0)
     near_zero = min(c_prime / (nu * root_eps * d0 * n), math.pi)
-    got = prune(plan, oracle, 0.0, near_zero, mu / 6.0, eps, rng, cfg)
+    got = prune_in(0.0, near_zero, mu / 6.0)
     if got is not None:
         return OneSparseResult(*got)
     if near_zero < math.pi:
-        got = prune(plan, oracle, math.pi - cfg.c_theta / (nu * n), math.pi,
-                    mu / 6.0, eps, rng, cfg)
+        got = prune_in(math.pi - cfg.c_theta / (nu * n), math.pi, mu / 6.0)
         if got is not None:
             return OneSparseResult(*got)
         rho0 = spread_rho(d0)
-        got = prune_non_spread(plan, oracle, d0, rho0 * rho0 * mu, eps, rng, cfg)
+        got = prune_non_spread(plan, oracle, d0, rho0 * rho0 * mu, eps, rng, cfg,
+                               window=window, floor=floor)
         if got is not None:
             return OneSparseResult(*got)
         tau = min(max(int(math.log2(nu * n)) - 1, 1), int(math.log2(2 * n / 3)))
@@ -332,10 +377,10 @@ def solve_one_sparse(plan, oracle, eps: float, mu: float, rng,
         try:
             lo, hi = approx_arccos(
                 lambda w: query_cos(plan, oracle, w, nprime, r_cos, rng, eps),
-                tau, root_eps)
+                tau, cfg.arccos_eps)
         except ArcCosError as exc:
             raise RecoveryError("angle search failed") from exc
-        got = prune(plan, oracle, lo, hi, mu / 6.0, eps, rng, cfg)
+        got = prune_in(lo, hi, mu / 6.0)
         if got is not None:
             return OneSparseResult(*got)
     raise RecoveryError("all pruning stages failed")

@@ -173,7 +173,7 @@ def test_criterion_5_filtered_query_equivalence():
                     np.zeros(64))
         expected = float((dense_filter @ (y - zvals))[j])
         oracle = QueryOracle(y)
-        got = SimulatedAccess(plan, oracle, zhat, filt).query(j)
+        got = SimulatedAccess(plan, oracle, zhat.image(plan), filt).query(j)
         worst = max(worst, abs(got - expected))
         if oracle.count > 2 * filt.degree + 1:
             over_budget += 1

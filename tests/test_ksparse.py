@@ -19,8 +19,15 @@ from opsparse import (
     recover,
     solve_one_sparse,
 )
-from opsparse.ksparse import _verify_samples, large, peeler, verify
-from opsparse.onesparse import DEFAULT_CONFIG, SAMPLE_CAP, _round_count, _sample_size
+from opsparse.ksparse import ENERGY_TAU, _verify_samples, large, peeler, verify
+from opsparse.onesparse import (
+    DEFAULT_CONFIG,
+    SAMPLE_CAP,
+    OneSparseResult,
+    RecoveryError,
+    _round_count,
+    _sample_size,
+)
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +76,7 @@ def test_query_oracle_refuses_non_integer_indices_uncounted():
 def test_simulated_access_refuses_non_integer_indices_uncounted():
     plan = build_plan(JacobiParams(0.0, 0.0), 64)
     oracle = QueryOracle(np.arange(64.0))
-    access = SimulatedAccess(plan, oracle, SparseApprox(), build_boxcar(1.2, 0.5, 0.05))
+    access = SimulatedAccess(plan, oracle, None, build_boxcar(1.2, 0.5, 0.05))
     for js in ([1.7], [True, False]):
         with pytest.raises(IndexError, match="must be integers"):
             access.query_many(js)
@@ -187,7 +194,7 @@ def test_simulated_access_matches_dense_application(rng):
     zvals = 0.7 * plan.row(5) - 1.1 * plan.row(20)
     expected = dense_filter @ (y - zvals)
 
-    access = SimulatedAccess(plan, QueryOracle(y), zhat, filt)
+    access = SimulatedAccess(plan, QueryOracle(y), zhat.image(plan), filt)
     got = access.query_many(np.arange(64))
     np.testing.assert_allclose(got, expected, atol=1e-10)
     assert access.query(13) == got[13]
@@ -197,7 +204,7 @@ def test_simulated_access_matches_dense_application(rng):
     js = np.concatenate([[0, 63, 0], rng.integers(0, 64, size=900), [63, 31, 31]])
     assert js.size > 8192 // (2 * d + 1)
     oracle = QueryOracle(y)
-    got = SimulatedAccess(plan, oracle, zhat, filt).query_many(js)
+    got = SimulatedAccess(plan, oracle, zhat.image(plan), filt).query_many(js)
     np.testing.assert_allclose(got, expected[js], atol=1e-10)
     windows = np.minimum(64, js + d + 1) - np.maximum(0, js - d)
     assert oracle.count == int(windows.sum())
@@ -215,7 +222,7 @@ def test_simulate_query_cost_and_agreement(rng):
 
     for j in (0, 11, 32, 63):
         oracle = QueryOracle(y)
-        val = SimulatedAccess(plan, oracle, zhat, filt).query(j)
+        val = SimulatedAccess(plan, oracle, zhat.image(plan), filt).query(j)
         window = min(64, j + d + 1) - max(0, j - d)
         assert oracle.count == window
         assert oracle.count <= 2 * d + 1
@@ -224,13 +231,13 @@ def test_simulate_query_cost_and_agreement(rng):
     # out-of-range indices raise before any raw entry is read
     for js in ([64], [-1], [3, 64, 5]):
         oracle = QueryOracle(y)
-        access = SimulatedAccess(plan, oracle, zhat, filt)
+        access = SimulatedAccess(plan, oracle, zhat.image(plan), filt)
         with pytest.raises(IndexError, match="out of range"):
             access.query_many(np.array(js))
         assert oracle.count == 0
     oracle = QueryOracle(y)
     with pytest.raises(IndexError, match="out of range"):
-        SimulatedAccess(plan, oracle, zhat, filt).query(-1)
+        SimulatedAccess(plan, oracle, zhat.image(plan), filt).query(-1)
     assert oracle.count == 0
 
 
@@ -349,3 +356,106 @@ def test_recover_zero_signal_returns_empty(peel_plan):
     cfg = ReductionConfig.calibrated(2, 0.05, 0.1, 1.0)
     zhat = recover(peel_plan, QueryOracle(np.zeros(256)), cfg, seed=5)
     assert len(zhat) == 0
+
+
+# ---------------------------------------------------------------------------
+# pass-band windows and the energy floor
+
+
+def band_and_floor(plan, cfg, ell, resid):
+    """The window and floor that peeler hands a draw at root ell, with the
+    exact residual norm in place of its estimate."""
+    theta, width = float(plan.theta[ell]), cfg.boxcar_width()
+    floor = ENERGY_TAU * cfg.delta * float(np.linalg.norm(resid)) / math.sqrt(cfg.k)
+    return (theta - width, theta + width), floor
+
+
+def test_empty_bin_draw_ends_after_one_round(peel_plan):
+    plan = peel_plan
+    cfg = ReductionConfig.calibrated(2, 0.05, 0.1, 1.0)
+    ell = 128
+    theta, width = plan.theta[ell], cfg.boxcar_width()
+    far = np.nonzero(np.abs(plan.theta - theta) >= 2.0 * width)[0]
+    y = 1.2 * plan.row(int(far[10])) - 0.9 * plan.row(int(far[-10]))
+    window, floor = band_and_floor(plan, cfg, ell, y)
+    filt = build_boxcar(theta, width, cfg.boxcar_eps())
+    eps = 6.0 * cfg.eps()
+    oracle = QueryOracle(y)
+    access = SimulatedAccess(plan, oracle, None, filt)
+    with pytest.raises(RecoveryError, match="energy floor"):
+        solve_one_sparse(plan, access, eps, cfg.mu0() / 2.0, np.random.default_rng(4),
+                         window=window, floor=floor)
+    # exactly the first round's s filtered samples, each a clipped window
+    s = _sample_size(plan, eps, DEFAULT_CONFIG)
+    js = np.random.default_rng(4).integers(0, plan.n, size=s)
+    d = filt.degree
+    assert oracle.count == int((np.minimum(plan.n, js + d + 1) - np.maximum(0, js - d)).sum())
+
+
+def test_floor_keeps_a_spike_at_the_threshold(peel_plan):
+    # the smallest spike that must be found, |v| = delta R / sqrt(k), beside
+    # a large spike outside the pass band that sets R
+    plan = peel_plan
+    cfg = ReductionConfig.calibrated(2, 0.05, 0.1, 1.0)
+    small, big = 90, 200
+    assert abs(plan.theta[big] - plan.theta[small]) >= 2.0 * cfg.boxcar_width()
+    v = cfg.delta / math.sqrt(cfg.k) / math.sqrt(1.0 - cfg.delta**2 / cfg.k)
+    y = v * plan.row(small) + plan.row(big)
+    assert v == pytest.approx(cfg.delta * np.linalg.norm(y) / math.sqrt(cfg.k))
+    window, floor = band_and_floor(plan, cfg, small, y)
+    filt = build_boxcar(float(plan.theta[small]), cfg.boxcar_width(), cfg.boxcar_eps())
+    for seed in range(5):
+        access = SimulatedAccess(plan, QueryOracle(y), None, filt)
+        got = solve_one_sparse(plan, access, 6.0 * cfg.eps(), cfg.mu0() / 2.0,
+                               np.random.default_rng(seed), window=window, floor=floor)
+        assert got.index == small
+        assert got.value == pytest.approx(v, rel=0.2)
+
+
+def test_recover_commits_a_spike_at_the_threshold(peel_plan):
+    plan = peel_plan
+    cfg = ReductionConfig.calibrated(2, 0.05, 0.1, 1.0)
+    v = cfg.delta / math.sqrt(cfg.k) / math.sqrt(1.0 - cfg.delta**2 / cfg.k)
+    y = v * plan.row(90) + plan.row(200)
+    zhat = recover(plan, QueryOracle(y), cfg, seed=2)
+    assert zhat.support() == [90, 200]
+
+
+def test_peeler_counts_the_residual_estimate_and_passes_band_and_floor(peel_plan):
+    plan = peel_plan
+    cfg = ReductionConfig.calibrated(2, 0.05, 0.1, 1.0)
+    y = 1.3 * plan.row(100)
+    calls = []
+
+    def miss(plan, access, eps, mu, rng, *, window, floor):
+        calls.append((window, floor))
+        raise RecoveryError("stub reads nothing")
+
+    oracle = QueryOracle(y)
+    zhat, stop = peeler(plan, oracle, SparseApprox(), cfg, miss, np.random.default_rng(8))
+    assert stop and len(zhat) == 0
+    s = _sample_size(plan, 6.0 * cfg.eps(), DEFAULT_CONFIG)
+    assert oracle.count == s  # one residual estimate, every read counted
+    assert len(calls) == cfg.t0()
+    floors = {floor for _, floor in calls}
+    assert len(floors) == 1  # estimated once per pass
+    r_hat = floors.pop() * math.sqrt(cfg.k) / (ENERGY_TAU * cfg.delta)
+    assert r_hat == pytest.approx(1.3, rel=0.2)
+    for lo, hi in (w for w, _ in calls):
+        assert hi - lo == pytest.approx(2.0 * cfg.boxcar_width())
+
+
+def test_peeler_drives_a_stub_solver_with_the_new_keywords(peel_plan):
+    plan = peel_plan
+    cfg = ReductionConfig.calibrated(1, 0.05, 0.1, 1.0, c_d=2.0)
+    spike, value = 100, 1.3
+
+    def oracle_solver(plan, access, eps, mu, rng, *, window, floor):
+        if not window[0] <= plan.theta[spike] <= window[1]:
+            raise RecoveryError("spike outside the window")
+        return OneSparseResult(spike, value)
+
+    zhat, stop = peeler(plan, QueryOracle(value * plan.row(spike)), SparseApprox(),
+                        cfg, oracle_solver, np.random.default_rng(3))
+    assert not stop
+    assert dict(zhat.items()) == {spike: value}

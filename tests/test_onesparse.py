@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from opsparse import JacobiParams, build_plan
+from opsparse import JacobiParams, build_plan, onesparse
 from opsparse.ksparse import QueryOracle
 from opsparse.numtheory import bad_intervals
 from opsparse.onesparse import (
@@ -309,6 +309,73 @@ def test_solver_rejects_eps_and_mu_outside_unit_interval(legendre_plan_256, rng)
                     (0.01, 1.5), (float("nan"), 0.05)):
         with pytest.raises(ValueError, match="must lie in"):
             solve_one_sparse(legendre_plan_256, oracle, eps, mu, rng)
+    assert oracle.count == 0
+
+
+def test_solver_reaches_the_arccos_stage(monkeypatch):
+    # c_theta=1e-3 and delta_0 = sqrt(eps)/50 shrink the boundary and Farey
+    # prunes, so most solves at N=2048 go on to the angle search
+    plan = build_plan(JacobiParams(0.0, 0.0), 2048)
+    cfg = OneSparseConfig(c_theta=1e-3, d0_div=50.0)
+    searches = []
+    real = onesparse.approx_arccos
+
+    def spy(cos_query, tau, eps0):
+        searches.append(eps0)
+        return real(cos_query, tau, eps0)
+
+    monkeypatch.setattr(onesparse, "approx_arccos", spy)
+    hits = reached = 0
+    for i, seq in enumerate(np.random.SeedSequence(2048).spawn(20)):
+        gen = np.random.default_rng(seq)
+        ell = int(gen.integers(0, plan.n))
+        v = float(gen.uniform(0.5, 2.0) * gen.choice([-1, 1]))
+        oracle = QueryOracle(spike_signal(plan, ell, v, noise=0.01 * (i % 2), rng=gen))
+        before = len(searches)
+        try:
+            res = solve_one_sparse(plan, oracle, 0.01, 0.02, gen, cfg)
+        except RecoveryError:
+            continue
+        finally:
+            reached += len(searches) > before
+        hits += res.index == ell and abs(res.value - v) <= 13 * 0.01 * abs(v)
+    assert reached >= 10
+    assert hits >= 19
+    assert set(searches) == {cfg.arccos_eps}
+
+
+def test_config_checks_the_arccos_interval():
+    assert spread_rho(OneSparseConfig().arccos_eps) < math.pi / 22.0
+    for bad in (0.0, -1e-3, 0.01, float("nan")):
+        with pytest.raises(ValueError, match="arccos_eps"):
+            OneSparseConfig(arccos_eps=bad)
+    with pytest.raises(ValueError, match="d0_div"):
+        OneSparseConfig(d0_div=0.0)
+
+
+def test_solver_never_returns_a_root_outside_its_window(legendre_plan_256):
+    plan = legendre_plan_256
+    ell = 130
+    th = plan.theta[ell]
+    y = spike_signal(plan, ell, 0.9)
+    for window in ((th + 0.05, th + 0.6), (0.0, th - 0.05)):
+        for seed in range(3):
+            oracle = QueryOracle(y)
+            with pytest.raises(RecoveryError):
+                solve_one_sparse(plan, oracle, 0.01, 0.05, np.random.default_rng(seed),
+                                 window=window)
+    # the same spike inside the window is found
+    got = solve_one_sparse(plan, QueryOracle(y), 0.01, 0.05, np.random.default_rng(0),
+                           window=(th - 0.05, th + 0.05))
+    assert got.index == ell
+
+
+def test_solver_rejects_bad_window_and_floor(legendre_plan_256, rng):
+    oracle = QueryOracle(spike_signal(legendre_plan_256, 130, 0.9))
+    for kwargs in ({"window": (1.0, 0.5)}, {"window": (float("nan"), 1.0)},
+                   {"floor": -0.1}, {"floor": float("inf")}, {"floor": float("nan")}):
+        with pytest.raises(ValueError, match="window|floor"):
+            solve_one_sparse(legendre_plan_256, oracle, 0.01, 0.05, rng, **kwargs)
     assert oracle.count == 0
 
 
