@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxcar import BoxcarFilter, build_boxcar
-from .onesparse import (DEFAULT_CONFIG, SAMPLE_CAP, RecoveryError, _sample_size,
-                        solve_one_sparse)
+from .onesparse import SAMPLE_CAP, RecoveryError, estimate_norm, solve_one_sparse
 
 __all__ = [
     "QueryOracle",
@@ -122,10 +121,8 @@ class SparseApprox:
     def copy(self) -> "SparseApprox":
         return SparseApprox(dict(self._entries))
 
-    def image(self, plan) -> np.ndarray | None:
-        """The dense image F^T zhat = sum of v * F[h]; None while empty."""
-        if not self._entries:
-            return None
+    def image(self, plan) -> np.ndarray:
+        """The dense image F^T zhat = sum of v * F[h]."""
         z = np.zeros(plan.n)
         for h, v in self._entries.items():
             z += v * plan.row(h)
@@ -218,10 +215,10 @@ class SimulatedAccess:
     Serves entries of the inverse transform of D_b (v_hat - z_hat), where b
     is the boxcar evaluated at the roots, using the banded filter moments of
     the plan and ``z``, the sparse estimate's dense image
-    (``SparseApprox.image``; None while the estimate is empty).
+    (``SparseApprox.image``).
     """
 
-    def __init__(self, plan, oracle, z: np.ndarray | None, filt: BoxcarFilter):
+    def __init__(self, plan, oracle, z: np.ndarray, filt: BoxcarFilter):
         self._plan = plan
         self._oracle = oracle
         self._band = plan.filter_band(filt)
@@ -244,8 +241,7 @@ class SimulatedAccess:
             valid = (win >= 0) & (win < n)
             vals = np.zeros(win.shape)
             flat = win[valid]
-            raw = self._oracle.query_many(flat)
-            vals[valid] = raw if self._z is None else raw - self._z[flat]
+            vals[valid] = self._oracle.query_many(flat) - self._z[flat]
             out[start : start + step] = np.einsum("ij,ij->i", self._band[rows], vals)
         return out
 
@@ -280,15 +276,6 @@ def verify(plan, y_access, v: float, h: int, mu: float, eps: float, rng,
     return g <= v * v / 1000.0
 
 
-def _residual_norm(plan, oracle, z: np.ndarray | None, s: int, rng) -> float:
-    """Estimate of ||x - F^T zhat|| from s uniform raw reads, all counted."""
-    js = rng.integers(0, plan.n, size=s)
-    resid = oracle.query_many(js)
-    if z is not None:
-        resid = resid - z[js]
-    return math.sqrt((plan.n / s) * float(resid @ resid))
-
-
 def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
            one_sparse_solver, rng) -> tuple[SparseApprox, bool]:
     """One peeling pass: try to locate and commit a single new spike.
@@ -312,11 +299,12 @@ def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
     box_eps = cfg.boxcar_eps()
     budget = cfg.degree_budget()
     solver_eps = 6.0 * eps
-    s = _sample_size(plan, solver_eps, DEFAULT_CONFIG)
     for _ in range(cfg.t2()):
         z = zhat.image(plan)
-        floor = (ENERGY_TAU * cfg.delta * _residual_norm(plan, oracle, z, s, rng)
-                 / math.sqrt(cfg.k))
+        # R = ||x - F^T zhat||, estimated from counted raw reads
+        r_hat = estimate_norm(plan, lambda js: oracle.query_many(js) - z[js],
+                              solver_eps, rng)
+        floor = ENERGY_TAU * cfg.delta * r_hat / math.sqrt(cfg.k)
         found: list[tuple[int, float]] = []
         draws = 0
         while draws < t0:

@@ -35,6 +35,7 @@ __all__ = [
     "prune_non_spread",
     "query_cos",
     "approx_arccos",
+    "estimate_norm",
     "solve_one_sparse",
 ]
 
@@ -54,6 +55,12 @@ class OneSparseResult(NamedTuple):
 
 # The analysis's blow-up fraction nu: the angle search dilates by at most nu * N.
 _NU = 0.125
+# The spread threshold is delta_0 = sqrt(eps) / _D0_DIV.
+_D0_DIV = 5000.0
+# eps0 of the angle search.  query_cos's angle error measured at most 0.038 rad
+# at 1% noise; 1e-3 gives rho = 0.141, 3.7x that and just inside the pi/22 the
+# containment proof needs.
+_ARCCOS_EPS = 1e-3
 
 
 def spread_rho(delta: float) -> float:
@@ -71,18 +78,6 @@ class OneSparseConfig:
     r_min: int = 3  # minimum rounds (kept odd for clean medians)
     c_theta: float = 1.0  # boundary prune reach
     c_r_cos: float = 8.0  # rounds multiplier for the cosine estimator
-    d0_div: float = 5000.0  # spread threshold delta_0 = sqrt(eps) / d0_div
-    # eps0 of the angle search.  query_cos's angle error measured at most
-    # 0.038 rad at 1% noise; 1e-3 gives rho = 0.141, 3.7x that and just
-    # inside the pi/22 the containment proof needs.
-    arccos_eps: float = 1e-3
-
-    def __post_init__(self):
-        if not self.d0_div > 0.0:
-            raise ValueError(f"d0_div must be positive, got {self.d0_div!r}")
-        if not (self.arccos_eps > 0.0 and spread_rho(self.arccos_eps) < math.pi / 22.0):
-            raise ValueError(f"arccos_eps={self.arccos_eps!r} puts rho outside "
-                             "(0, pi/22)")
 
 
 DEFAULT_CONFIG = OneSparseConfig()
@@ -100,6 +95,19 @@ def _sample_size(plan: plan_mod.TransformPlan, eps: float, cfg: OneSparseConfig)
         raise ValueError(f"solver round needs {s:.0f} samples, above the cap "
                          f"{SAMPLE_CAP}; raise eps")
     return int(max(8.0, math.ceil(s)))
+
+
+def estimate_norm(plan, read: Callable[[np.ndarray], np.ndarray], eps: float, rng,
+                  cfg: OneSparseConfig = DEFAULT_CONFIG) -> float:
+    """Estimate of ||y|| from one estimator round of uniform samples of y.
+
+    ``read(js)`` returns y at the indices js; the round draws as many
+    samples as one round of ``prune`` at this eps.
+    """
+    s = _sample_size(plan, eps, cfg)
+    js = rng.integers(0, plan.n, size=s)
+    y = read(js)
+    return math.sqrt((plan.n / s) * float(y @ y))
 
 
 def _round_count(mu: float, cfg: OneSparseConfig) -> int:
@@ -332,8 +340,9 @@ def solve_one_sparse(plan, oracle, eps: float, mu: float, rng,
 
     Only roots with angle in ``window`` = (lo, hi) are candidates.  When the
     first estimator round's filtered-norm estimate u is below ``floor`` the
-    solve ends there, after one round's reads.  The defaults, (0, pi) and
-    0, restrict nothing.
+    solve ends there, after one round's reads; a positive floor is checked
+    again, from one more round, before the angle search.  The defaults,
+    (0, pi) and 0, restrict nothing.
 
     Raises RecoveryError when every stage fails or the floor is not met (the
     k-sparse peeler treats both as a miss and moves on), and ValueError
@@ -350,7 +359,7 @@ def solve_one_sparse(plan, oracle, eps: float, mu: float, rng,
     n = plan.n
     nu = _NU
     root_eps = math.sqrt(eps)
-    d0 = root_eps / cfg.d0_div
+    d0 = root_eps / _D0_DIV
 
     def prune_in(lo, hi, mu_stage):
         return prune(plan, oracle, max(lo, wlo), min(hi, whi), mu_stage, eps,
@@ -374,10 +383,14 @@ def solve_one_sparse(plan, oracle, eps: float, mu: float, rng,
         nprime = math.ceil(2.0 * nu * n)
         r_cos = math.ceil(cfg.c_r_cos
                           * (math.log(max(math.log(n), math.e)) + math.log(1.0 / mu)))
+        # the earlier stages check the floor only if the window holds some of
+        # their roots, so check it here before paying for the search
+        if floor > 0.0 and estimate_norm(plan, oracle.query_many, eps, rng, cfg) < floor:
+            raise RecoveryError(f"filtered norm below the energy floor {floor:.3g}")
         try:
             lo, hi = approx_arccos(
                 lambda w: query_cos(plan, oracle, w, nprime, r_cos, rng, eps),
-                tau, cfg.arccos_eps)
+                tau, _ARCCOS_EPS)
         except ArcCosError as exc:
             raise RecoveryError("angle search failed") from exc
         got = prune_in(lo, hi, mu / 6.0)

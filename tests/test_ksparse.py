@@ -76,7 +76,7 @@ def test_query_oracle_refuses_non_integer_indices_uncounted():
 def test_simulated_access_refuses_non_integer_indices_uncounted():
     plan = build_plan(JacobiParams(0.0, 0.0), 64)
     oracle = QueryOracle(np.arange(64.0))
-    access = SimulatedAccess(plan, oracle, None, build_boxcar(1.2, 0.5, 0.05))
+    access = SimulatedAccess(plan, oracle, SparseApprox().image(plan), build_boxcar(1.2, 0.5, 0.05))
     for js in ([1.7], [True, False]):
         with pytest.raises(IndexError, match="must be integers"):
             access.query_many(js)
@@ -381,7 +381,7 @@ def test_empty_bin_draw_ends_after_one_round(peel_plan):
     filt = build_boxcar(theta, width, cfg.boxcar_eps())
     eps = 6.0 * cfg.eps()
     oracle = QueryOracle(y)
-    access = SimulatedAccess(plan, oracle, None, filt)
+    access = SimulatedAccess(plan, oracle, SparseApprox().image(plan), filt)
     with pytest.raises(RecoveryError, match="energy floor"):
         solve_one_sparse(plan, access, eps, cfg.mu0() / 2.0, np.random.default_rng(4),
                          window=window, floor=floor)
@@ -405,7 +405,7 @@ def test_floor_keeps_a_spike_at_the_threshold(peel_plan):
     window, floor = band_and_floor(plan, cfg, small, y)
     filt = build_boxcar(float(plan.theta[small]), cfg.boxcar_width(), cfg.boxcar_eps())
     for seed in range(5):
-        access = SimulatedAccess(plan, QueryOracle(y), None, filt)
+        access = SimulatedAccess(plan, QueryOracle(y), SparseApprox().image(plan), filt)
         got = solve_one_sparse(plan, access, 6.0 * cfg.eps(), cfg.mu0() / 2.0,
                                np.random.default_rng(seed), window=window, floor=floor)
         assert got.index == small

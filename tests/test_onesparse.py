@@ -312,11 +312,12 @@ def test_solver_rejects_eps_and_mu_outside_unit_interval(legendre_plan_256, rng)
     assert oracle.count == 0
 
 
-def test_solver_reaches_the_arccos_stage(monkeypatch):
-    # c_theta=1e-3 and delta_0 = sqrt(eps)/50 shrink the boundary and Farey
-    # prunes, so most solves at N=2048 go on to the angle search
-    plan = build_plan(JacobiParams(0.0, 0.0), 2048)
-    cfg = OneSparseConfig(c_theta=1e-3, d0_div=50.0)
+@pytest.fixture
+def arccos_reach(monkeypatch):
+    """A Legendre N=2048 plan and a config under which most solves go on to
+    the angle search: c_theta=1e-3 and delta_0 = sqrt(eps)/50 shrink the
+    boundary and Farey prunes.  Calls to approx_arccos are recorded."""
+    monkeypatch.setattr(onesparse, "_D0_DIV", 50.0)
     searches = []
     real = onesparse.approx_arccos
 
@@ -325,6 +326,11 @@ def test_solver_reaches_the_arccos_stage(monkeypatch):
         return real(cos_query, tau, eps0)
 
     monkeypatch.setattr(onesparse, "approx_arccos", spy)
+    return build_plan(JacobiParams(0.0, 0.0), 2048), OneSparseConfig(c_theta=1e-3), searches
+
+
+def test_solver_reaches_the_arccos_stage(arccos_reach):
+    plan, cfg, searches = arccos_reach
     hits = reached = 0
     for i, seq in enumerate(np.random.SeedSequence(2048).spawn(20)):
         gen = np.random.default_rng(seq)
@@ -341,16 +347,41 @@ def test_solver_reaches_the_arccos_stage(monkeypatch):
         hits += res.index == ell and abs(res.value - v) <= 13 * 0.01 * abs(v)
     assert reached >= 10
     assert hits >= 19
-    assert set(searches) == {cfg.arccos_eps}
+    assert set(searches) == {onesparse._ARCCOS_EPS}
 
 
-def test_config_checks_the_arccos_interval():
-    assert spread_rho(OneSparseConfig().arccos_eps) < math.pi / 22.0
-    for bad in (0.0, -1e-3, 0.01, float("nan")):
-        with pytest.raises(ValueError, match="arccos_eps"):
-            OneSparseConfig(arccos_eps=bad)
-    with pytest.raises(ValueError, match="d0_div"):
-        OneSparseConfig(d0_div=0.0)
+def test_arccos_accuracy_keeps_rho_under_pi_over_22():
+    assert spread_rho(onesparse._ARCCOS_EPS) < math.pi / 22.0
+
+
+def test_angle_search_checks_the_floor_and_the_window(arccos_reach):
+    # a window holding one root that no stage before the angle search covers,
+    # so only the search and the final prune can look at it
+    plan, cfg, searches = arccos_reach
+    eps, mu = 0.01, 0.02
+    d0 = math.sqrt(eps) / onesparse._D0_DIV
+    cover = bad_intervals(plan.n, min(1.0, 2.0 * spread_rho(d0) / math.pi))
+    ell = next(i for i in range(1000, 1100)
+               if not cover.contains(plan.theta[i] / math.pi))
+    window = (plan.theta[ell] - 1e-4, plan.theta[ell] + 1e-4)
+    far = spike_signal(plan, 300, 1.0)
+    # energy below the floor: one round of reads, no search
+    oracle = QueryOracle(far)
+    with pytest.raises(RecoveryError, match="energy floor"):
+        solve_one_sparse(plan, oracle, eps, mu, np.random.default_rng(0), cfg,
+                         window=window, floor=2.0)
+    assert searches == []
+    assert oracle.count == _sample_size(plan, eps, cfg)
+    # a search that ends outside the window is a miss
+    with pytest.raises(RecoveryError):
+        solve_one_sparse(plan, QueryOracle(far), eps, mu, np.random.default_rng(0),
+                         cfg, window=window, floor=0.5)
+    assert len(searches) == 1
+    # the spike inside the window clears the floor and is found
+    got = solve_one_sparse(plan, QueryOracle(spike_signal(plan, ell, 1.0)), eps, mu,
+                           np.random.default_rng(0), cfg, window=window, floor=0.5)
+    assert len(searches) == 2
+    assert got.index == ell
 
 
 def test_solver_never_returns_a_root_outside_its_window(legendre_plan_256):
