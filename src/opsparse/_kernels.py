@@ -14,7 +14,8 @@ a skipped addition of an exact zero could change only the sign of a zero.
 A yielded p_j is overwritten while p_{j+2} is computed, so a consumer may
 hold the current and the previous value, no more; every kernel below uses
 them in time, and ``recurrence_last``, which keeps the last two, relies on
-that.  ``value_and_slope`` and ``refine_roots`` are built on it.
+that.  ``value_and_slope`` and ``refine_roots``, the Newton step that finds
+the plan's roots, are built on it.
 ``recurrence_table`` is point-major, the layout of the transform matrix F.
 
 ``apply_forward`` maps a (B, jmax+1) stack of coefficient rows to
@@ -126,9 +127,17 @@ def apply_adjoint(p0, a, b, c, lam, sqw, yvec):
     return np.array([z @ p for p in _sweep(p0, a, b, c, lam)])
 
 
-def refine_roots(p0, a, b, c, u, kappa, theta):
-    """One Newton step on p_jmax(cos theta) = 0 in theta; angles where the
-    slope from ``value_and_slope`` vanishes are returned unchanged."""
+def refine_roots(p0, a, b, c, u, kappa, alpha, beta, theta):
+    """One Newton step in theta on
+    f = sin(theta/2)^(alpha+1/2) cos(theta/2)^(beta+1/2) p_jmax(cos theta),
+    which behaves like a cosine in theta, so the step reaches every root from
+    an asymptotic guess.  With p_jmax and its theta slope from
+    ``value_and_slope`` and g = d/dtheta log of the factor, the step is
+    p / (p' + p g).  It starts from arccos(cos theta), the angle whose cosine
+    the sweep evaluates; angles where p' + p g vanishes are returned there."""
     with np.errstate(divide="ignore", invalid="ignore"):
+        theta = np.arccos(np.cos(theta))
         f, fp = value_and_slope(p0, a, b, c, u, kappa, theta)
-        return theta - np.where(fp != 0.0, f / fp, 0.0)
+        tan_half = np.tan(0.5 * theta)
+        den = fp + 0.5 * f * ((alpha + 0.5) / tan_half - (beta + 0.5) * tan_half)
+        return theta - np.where(den != 0.0, f / den, 0.0)

@@ -2,15 +2,17 @@
 
 Everything here works with the classical parameters alpha, beta > -1.  The
 orthonormal family is evaluated through a rescaled three-term recurrence whose
-coefficients stay O(1) in the degree.  Roots are the eigenvalues of the
-tridiagonal Jacobi matrix of that recurrence (Golub-Welsch), polished by one
-Newton step in theta, and indexed by *ascending angle* theta = arccos(lambda),
-i.e. descending lambda.
+coefficients stay O(1) in the degree.  Roots start from Gatteschi &
+Pittaluga's asymptotic angles and are polished by Newton's method in theta,
+with every step a sweep of that recurrence (Hale & Townsend, SISC 2013).
+They are indexed by *ascending angle* theta = arccos(lambda), i.e.
+descending lambda.
 
 Measured range: the root residual gate passes up to N = 16384 at (0, -0.999),
 (-0.999, 0) and (-0.5, -0.5), but rejects (-0.99, -0.99) from N = 4096, and
 (-0.9, -0.9) and (-0.95, -0.5) at N = 16384: near theta_1 ~ 5e-5 the float64
-spacing of cos(theta) holds |p_n| to about 1e-12 of the slope.
+spacing of cos(theta) holds |p_n| to about 1e-12 of the slope.  A slow test
+pins this map.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from . import _kernels
 
@@ -40,6 +41,12 @@ __all__ = [
 
 # Largest root residual compute_roots accepts, relative to the per-root scale.
 RESIDUAL_TOL = 1e-12
+# compute_roots' Newton schedule: _FULL_SWEEPS steps on every root, then up
+# to _EXTRA_SWEEPS more on the roots whose last step exceeded _STEP_TOL rad
+# (the extreme roots as alpha or beta nears -1 need 5-6 steps).
+_FULL_SWEEPS = 3
+_EXTRA_SWEEPS = 4
+_STEP_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -139,14 +146,29 @@ def orthonormal_coeffs(params: JacobiParams, jmax: int):
     a = np.zeros(jmax + 1)
     b = np.zeros(jmax + 1)
     c = np.zeros(jmax + 1)
-    rprev = 0.0
-    for j in range(1, jmax + 1):
-        r = math.sqrt(_norm_ratio_sq(params, j))
-        A, B, C = recurrence_coeffs(params, j)
-        a[j] = A * r
-        b[j] = B * r
-        c[j] = C * r * rprev
-        rprev = r
+    if jmax == 0:
+        return p0, a, b, c
+    # recurrence_coeffs and _norm_ratio_sq for j >= 2 over arrays, with the
+    # same IEEE operations in the same order, so every entry is bit-identical
+    # to the scalar forms; j = 1 takes their closed forms
+    j = np.arange(2.0, jmax + 1.0)
+    t = 2.0 * j + al + be
+    den = 2.0 * j * (j + al + be)
+    A = np.empty(jmax + 1)
+    B = np.empty(jmax + 1)
+    C = np.empty(jmax + 1)
+    r = np.empty(jmax + 1)
+    A[1], B[1], C[1] = recurrence_coeffs(params, 1)
+    A[2:] = t * (t - 1.0) / den
+    B[2:] = (t - 1.0) * (al * al - be * be) / (den * (t - 2.0))
+    C[2:] = (j + al - 1.0) * (j + be - 1.0) * t / (j * (j + al + be) * (t - 2.0))
+    r[0] = 0.0
+    r[1] = _norm_ratio_sq(params, 1)
+    r[2:] = (t + 1.0) / (t - 1.0) * (j * (j + al + be)) / ((j + al) * (j + be))
+    np.sqrt(r, out=r)
+    a[1:] = A[1:] * r[1:]
+    b[1:] = B[1:] * r[1:]
+    c[1:] = C[1:] * r[1:] * r[:-1]
     return p0, a, b, c
 
 
@@ -209,16 +231,28 @@ def _slope_coeffs(params: JacobiParams, n: int) -> tuple[float, float]:
     return n * (a - b) / t, 2.0 * (n + a) * (n + b) / t * math.sqrt(_norm_ratio_sq(params, n))
 
 
+def _root_guess(params: JacobiParams, n: int) -> np.ndarray:
+    """Gatteschi & Pittaluga's (1985) asymptotic angles of the n roots,
+    ascending: with rho = n + (alpha+beta+1)/2 and
+    phi_k = (k + alpha/2 - 1/4) pi / rho,
+    theta_k = phi_k + [(1/4 - alpha^2) cot(phi_k/2) - (1/4 - beta^2) tan(phi_k/2)] / (4 rho^2).
+    Exact at alpha = beta = -1/2 up to rounding."""
+    al, be = params.alpha, params.beta
+    rho = n + 0.5 * (al + be + 1.0)
+    phi = (np.arange(1, n + 1) + 0.5 * al - 0.25) * (math.pi / rho)
+    tan_half = np.tan(0.5 * phi)
+    return phi + ((0.25 - al * al) / tan_half - (0.25 - be * be) * tan_half) / (4.0 * rho * rho)
+
+
 def compute_roots(params: JacobiParams, n: int) -> np.ndarray:
     """All n roots of the degree-n Jacobi polynomial as ascending angles.
 
-    Golub-Welsch: the roots are the eigenvalues of the symmetric tridiagonal
-    Jacobi matrix J of the orthonormal recurrence (diagonal -b_j/a_j,
-    off-diagonal 1/a_j), found by LAPACK's root-free QR (``sterf``).  One
-    Newton step on p_n(cos theta) in theta then restores the accuracy that
-    arccos loses near theta = 0 and pi.  Raises ValueError if the angles are
-    not strictly increasing inside (0, pi) or the residuals exceed
-    ``RESIDUAL_TOL`` times the per-root scale
+    Newton's method in theta from ``_root_guess``: ``_FULL_SWEEPS`` steps of
+    ``_kernels.refine_roots`` on every root, then up to ``_EXTRA_SWEEPS``
+    more on the roots whose last step exceeded ``_STEP_TOL``.  Each step is
+    one sweep of the orthonormal recurrence, O(n) per root.  Raises
+    ValueError if the angles are not strictly increasing inside (0, pi) or
+    the residuals exceed ``RESIDUAL_TOL`` times the per-root scale
     max(1, |p_n(1)|, |p_n(-1)|, |d/dtheta p_n|).
     """
     if n < 1:
@@ -227,9 +261,17 @@ def compute_roots(params: JacobiParams, n: int) -> np.ndarray:
     u, kappa = _slope_coeffs(params, n)
     where = f"alpha={params.alpha}, beta={params.beta}, N={n}"
 
-    lam = eigvalsh_tridiagonal(*jacobi_matrix(params, n), lapack_driver="sterf")
-    theta = np.arccos(np.clip(lam[::-1], -1.0, 1.0))
-    theta = _kernels.refine_roots(p0, a, b, c, u, kappa, theta)
+    newton = (p0, a, b, c, u, kappa, params.alpha, params.beta)
+    theta = _root_guess(params, n)
+    for _ in range(_FULL_SWEEPS):
+        prev, theta = theta, _kernels.refine_roots(*newton, theta)
+    moving = np.flatnonzero(np.abs(theta - prev) > _STEP_TOL)
+    for _ in range(_EXTRA_SWEEPS):
+        if moving.size == 0:
+            break
+        prev = theta[moving]
+        theta[moving] = _kernels.refine_roots(*newton, prev)
+        moving = moving[np.abs(theta[moving] - prev) > _STEP_TOL]
     if np.any(np.diff(theta, prepend=0.0, append=math.pi) <= 0.0):
         raise ValueError(f"root angles are not strictly increasing inside (0, pi) at {where}")
     resid, slope = _kernels.value_and_slope(p0, a, b, c, u, kappa, theta)

@@ -18,7 +18,8 @@ def test_refine_roots_polishes_chebyshev_roots(rng):
     p = JacobiParams(-0.5, -0.5)
     exact = (2 * np.arange(n) + 1) * np.pi / (2 * n)
     start = exact + rng.uniform(-1e-7, 1e-7, n)
-    theta = _kernels.refine_roots(*orthonormal_coeffs(p, n), *_slope_coeffs(p, n), start)
+    theta = _kernels.refine_roots(*orthonormal_coeffs(p, n), *_slope_coeffs(p, n),
+                                  p.alpha, p.beta, start)
     np.testing.assert_allclose(theta, exact, rtol=0, atol=1e-14)
 
 
