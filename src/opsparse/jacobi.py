@@ -148,27 +148,23 @@ def orthonormal_coeffs(params: JacobiParams, jmax: int):
     c = np.zeros(jmax + 1)
     if jmax == 0:
         return p0, a, b, c
-    # recurrence_coeffs and _norm_ratio_sq for j >= 2 over arrays, with the
-    # same IEEE operations in the same order, so every entry is bit-identical
-    # to the scalar forms; j = 1 takes their closed forms
+    # A_j r_j, B_j r_j and C_j r_j r_{j-1} with r_j = sqrt(h_{j-1}/h_j): for
+    # j >= 2 the expressions of recurrence_coeffs and _norm_ratio_sq over
+    # arrays, in the same IEEE operations and order, so every entry has the
+    # bits of the scalar forms; j = 1 takes their closed forms (c[1] = 0)
     j = np.arange(2.0, jmax + 1.0)
     t = 2.0 * j + al + be
     den = 2.0 * j * (j + al + be)
-    A = np.empty(jmax + 1)
-    B = np.empty(jmax + 1)
-    C = np.empty(jmax + 1)
     r = np.empty(jmax + 1)
-    A[1], B[1], C[1] = recurrence_coeffs(params, 1)
-    A[2:] = t * (t - 1.0) / den
-    B[2:] = (t - 1.0) * (al * al - be * be) / (den * (t - 2.0))
-    C[2:] = (j + al - 1.0) * (j + be - 1.0) * t / (j * (j + al + be) * (t - 2.0))
-    r[0] = 0.0
     r[1] = _norm_ratio_sq(params, 1)
     r[2:] = (t + 1.0) / (t - 1.0) * (j * (j + al + be)) / ((j + al) * (j + be))
-    np.sqrt(r, out=r)
-    a[1:] = A[1:] * r[1:]
-    b[1:] = B[1:] * r[1:]
-    c[1:] = C[1:] * r[1:] * r[:-1]
+    np.sqrt(r[1:], out=r[1:])
+    A1, B1, _ = recurrence_coeffs(params, 1)
+    a[1], b[1] = A1 * r[1], B1 * r[1]
+    a[2:] = t * (t - 1.0) / den * r[2:]
+    b[2:] = (t - 1.0) * (al * al - be * be) / (den * (t - 2.0)) * r[2:]
+    C = (j + al - 1.0) * (j + be - 1.0) * t / (j * (j + al + be) * (t - 2.0))
+    c[2:] = C * r[2:] * r[1:-1]
     return p0, a, b, c
 
 

@@ -243,8 +243,8 @@ def test_chebyshev_roots_closed_form():
 
 
 def test_chebyshev_roots_closed_form_large_n():
-    # arccos of the eigenvalues alone is off by ~1.5e-13 near theta = 0 and
-    # pi here; the Newton polish brings every angle to rounding level
+    # each Newton step starts from arccos(cos theta), the angle the
+    # recurrence sees; stepping from theta itself leaves 3.4e-14 here
     p = JacobiParams(-0.5, -0.5)
     n = 2048
     theta = compute_roots(p, n)
