@@ -124,7 +124,13 @@ def read_signal(path) -> dict:
 
 def synth_spectrum(n: int, k: int, sigma: float, noise: float,
                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Random separated k-sparse spectrum; returns (support, values, noisy)."""
+    """Random separated k-sparse spectrum; returns (support, values, noisy).
+
+    Raises ValueError unless sigma and noise are finite and >= 0.
+    """
+    for name, val in (("sigma", sigma), ("noise", noise)):
+        if not 0.0 <= val < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {val}")
     min_sep = int(math.ceil(sigma * n))
     if (k - 1) * min_sep >= n:
         raise ValueError(f"cannot place {k} spikes {min_sep} indices apart in [0, {n})")

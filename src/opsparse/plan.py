@@ -6,7 +6,10 @@ flatness constant U = max |F|.  The banded matrices M_r = F^T T_r(D_lambda) F
 that filtered queries read are derived, not stored: F is square and
 orthogonal with F^T D_lambda F = J, the tridiagonal Jacobi matrix, so
 M_r = T_r(J) exactly, which is r-banded.  ``filter_band`` builds the diagonals
-of M_0..M_d from J on first use and caches them.
+of M_0..M_d from J on first use and caches them.  At alpha = beta J's diagonal
+is exactly zero, so T_r(J) has the parity of r: superdiagonal o of M_r is
+exactly zero unless r - o is even, and the cache keeps only the rows
+r = o, o+2, ... of each diagonal's stack, half of them.
 
 The on-disk format (v2) is a little-endian binary blob: magic ``OPSP``, a u32
 version, f64 alpha/beta, u64 N, f64 U, the theta and weight arrays (N f64
@@ -87,7 +90,7 @@ class TransformPlan:
         self.sqw = np.sqrt(self.weights)
         self._coeffs = orthonormal_coeffs(self.params, self.n - 1)
         self._dense = None
-        self._stacks: list[np.ndarray] | None = None
+        self._stacks: tuple[int, list[np.ndarray]] | None = None
 
     def __getstate__(self):
         # the caches are derived data; workers rebuild what they use
@@ -147,41 +150,49 @@ class TransformPlan:
         Returns shape (N, 2d+1) with row j holding columns j-d..j+d (zeros
         outside the matrix).  ``filt`` needs ``coeffs`` and ``degree``.  The
         moment diagonals are built from J on first use and rebuilt only for
-        a higher degree.
+        a higher degree.  Diagonal o contracts only the coefficients
+        b_o, b_{o+step}, ... against the stored rows of its stack
+        (``_chebyshev_stacks``): with step 2 the skipped M_r hold zeros there.
         """
         d = filt.degree
         if d >= self.n:
             raise ValueError(f"filter degree {d} must be < N = {self.n}")
-        if self._stacks is None or len(self._stacks) <= d:
+        if self._stacks is None or len(self._stacks[1]) <= d:
             self._stacks = _chebyshev_stacks(self.params, self.n, d)
+        step, stacks = self._stacks
         coeffs = np.asarray(filt.coeffs, dtype=np.float64)
         n = self.n
         out = np.zeros((n, 2 * d + 1))
         for o in range(0, d + 1):
-            stack = self._stacks[o][: d + 1 - o]
-            vals = coeffs[o:] @ stack
+            c = coeffs[o::step]
+            vals = c @ stacks[o][: c.size]
             out[: n - o, d + o] = vals
             if o:
                 out[o:, d - o] = vals
         return out
 
 
-def _chebyshev_stacks(params: JacobiParams, n: int, d: int) -> list[np.ndarray]:
-    """Diagonal stacks of M_r = T_r(J) for r = 0..d.
+def _chebyshev_stacks(params: JacobiParams, n: int, d: int) -> tuple[int, list[np.ndarray]]:
+    """(step, stacks): the nonzero diagonals of M_r = T_r(J) for r = 0..d.
 
-    ``stacks[o]`` has shape (d+1-o, N-o) and its row r-o is the o-th
-    superdiagonal of M_r; subdiagonals follow by symmetry.  T_r(J) is
-    r-banded, so T_{r+1} = 2 J T_r - T_{r-1} runs on (r+2) x N arrays whose
-    row o holds superdiagonal o, zero-padded at the end.  M_0 = I exactly.
+    ``step`` is 2 when J's diagonal is exactly zero (alpha = beta), else 1.
+    With a zero diagonal T_r(J) is even or odd with r, so its o-th
+    superdiagonal is exactly zero unless r - o is even.  ``stacks[o]`` has
+    shape (len(range(o, d+1, step)), N-o) and its row i is the o-th
+    superdiagonal of M_{o + i*step}; subdiagonals follow by symmetry.
+    T_r(J) is r-banded, so T_{r+1} = 2 J T_r - T_{r-1} runs on (r+2) x N
+    arrays whose row o holds superdiagonal o, zero-padded at the end.
+    M_0 = I exactly.
     """
     diag, off = jacobi_matrix(params, n)
-    stacks = [np.empty((d + 1 - o, n - o)) for o in range(d + 1)]
+    step = 2 if not diag.any() else 1
+    stacks = [np.empty((len(range(o, d + 1, step)), n - o)) for o in range(d + 1)]
     prev = np.zeros((d + 2, n))
     cur = np.zeros((d + 2, n))
     cur[0] = 1.0
     for r in range(d + 1):
-        for o in range(r + 1):
-            stacks[o][r - o] = cur[o, : n - o]
+        for o in range(r % step, r + 1, step):
+            stacks[o][(r - o) // step] = cur[o, : n - o]
         if r == d:
             break
         rows = r + 2  # T_{r+1} has superdiagonals 0..r+1
@@ -194,7 +205,7 @@ def _chebyshev_stacks(params: JacobiParams, n: int, d: int) -> list[np.ndarray]:
             nxt -= prev[:rows]
         prev, cur = cur, prev
         cur[:rows] = nxt
-    return stacks
+    return step, stacks
 
 
 def build_plan(params: JacobiParams, n: int, degree: int = 0) -> TransformPlan:

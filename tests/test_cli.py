@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line driver, run in-process."""
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -120,6 +121,13 @@ def test_synth_spectrum_separation_and_noise(rng):
 def test_synth_spectrum_rejects_impossible_packing(rng):
     with pytest.raises(ValueError, match="cannot place"):
         synth_spectrum(256, 5, 0.5, 0.0, rng)
+
+
+@pytest.mark.parametrize("sigma, noise", [(0.05, -1.0), (0.05, math.nan), (0.05, math.inf),
+                                          (-3.0, 0.0), (math.nan, 0.0)])
+def test_synth_spectrum_rejects_bad_sigma_and_noise(rng, sigma, noise):
+    with pytest.raises(ValueError, match="must be finite and >= 0"):
+        synth_spectrum(256, 2, sigma, noise, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +288,16 @@ def test_recover1_reports_failure_on_empty_signal(tmp_path, capsys):
       "--delta", "0.05", "--trials", "-1"), "trials must be"),
     (("synth", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "0",
       "--out", "{out}"), "k must be"),
+    (("synth", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "2",
+      "--noise", "-1", "--sigma", "-3", "--out", "{out}"), "must be finite and >= 0"),
+    (("synth", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "2",
+      "--noise", "nan", "--out", "{out}"), "noise must be finite and >= 0"),
+    (("recover", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "1",
+      "--delta", "0.05", "--gamma", "1", "--trials", "1", "--noise", "-1"),
+     "noise must be finite and >= 0"),
+    (("recover", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "1",
+      "--delta", "0.05", "--gamma", "1", "--trials", "1", "--sigma", "-3"),
+     "sigma must be finite and >= 0"),
 ])
 def test_bad_arguments_are_reported(tmp_path, capsys, argv, match):
     sig = tmp_path / "sig.json"

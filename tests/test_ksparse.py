@@ -76,12 +76,10 @@ def test_query_oracle_refuses_non_integer_indices_uncounted():
 def test_simulated_access_refuses_non_integer_indices_uncounted():
     plan = build_plan(JacobiParams(0.0, 0.0), 64)
     oracle = QueryOracle(np.arange(64.0))
-    access = SimulatedAccess(plan, oracle, SparseApprox().image(plan), build_boxcar(1.2, 0.5, 0.05))
+    access = SimulatedAccess(plan, oracle, SparseApprox(), build_boxcar(1.2, 0.5, 0.05))
     for js in ([1.7], [True, False]):
         with pytest.raises(IndexError, match="must be integers"):
             access.query_many(js)
-    with pytest.raises(IndexError, match="must be integers"):
-        access.query(1.7)
     assert oracle.count == 0
 
 
@@ -194,20 +192,67 @@ def test_simulated_access_matches_dense_application(rng):
     zvals = 0.7 * plan.row(5) - 1.1 * plan.row(20)
     expected = dense_filter @ (y - zvals)
 
-    access = SimulatedAccess(plan, QueryOracle(y), zhat.image(plan), filt)
+    access = SimulatedAccess(plan, QueryOracle(y), zhat, filt)
     got = access.query_many(np.arange(64))
     np.testing.assert_allclose(got, expected, atol=1e-10)
-    assert access.query(13) == got[13]
+    assert access.query_many(np.array([13]))[0] == got[13]
 
-    # more indices than one row block of query_many, with both ends and repeats
+    # many indices, with both ends and repeats
     d = filt.degree
     js = np.concatenate([[0, 63, 0], rng.integers(0, 64, size=900), [63, 31, 31]])
-    assert js.size > 8192 // (2 * d + 1)
     oracle = QueryOracle(y)
-    got = SimulatedAccess(plan, oracle, zhat.image(plan), filt).query_many(js)
+    got = SimulatedAccess(plan, oracle, zhat, filt).query_many(js)
     np.testing.assert_allclose(got, expected[js], atol=1e-10)
     windows = np.minimum(64, js + d + 1) - np.maximum(0, js - d)
     assert oracle.count == int(windows.sum())
+
+
+class RecordingOracle(QueryOracle):
+    """A QueryOracle that keeps every index it is asked for, call by call."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.calls = []
+
+    def query_many(self, idx):
+        out = super().query_many(idx)
+        self.calls.append(np.asarray(idx).copy())
+        return out
+
+
+def test_simulated_access_reads_exactly_the_windows_once_per_call(rng):
+    # one raw request per call, on the multiset of the clipped windows
+    # max(0, j-d) .. min(N-1, j+d), and the values of the dense
+    # F^T D_b F (x - F^T zhat) for a two-spike zhat
+    n = 64
+    filt = build_boxcar(1.2, 0.5, 0.05)
+    d = filt.degree
+    assert 0 < d < n // 2  # both interior and edge rows exist
+    plan = build_plan(JacobiParams(0.0, 0.0), n)
+    y = rng.standard_normal(n)
+    zhat = SparseApprox({9: 0.8, 40: -1.3})
+    mat = plan.matrix()
+    dense_filter = mat.T @ (filt(plan.lam)[:, None] * mat)
+    expected = dense_filter @ (y - zhat.image(plan))
+    interior = np.arange(d, n - d)
+    edge = np.concatenate([np.arange(d), np.arange(n - d, n)])
+    cases = {
+        "interior": rng.choice(interior, size=30),
+        "edge": rng.choice(edge, size=30),
+        "mixed with repeats": np.concatenate([[0, n - 1, d, n - d - 1, d - 1, n - d],
+                                              rng.integers(0, n, size=200), [0, 0, 31, 31]]),
+        "empty": np.array([], dtype=np.int64),
+    }
+    for name, js in cases.items():
+        oracle = RecordingOracle(y)
+        got = SimulatedAccess(plan, oracle, zhat, filt).query_many(js)
+        assert len(oracle.calls) == 1, name
+        windows = [np.arange(max(0, j - d), min(n - 1, j + d) + 1) for j in js]
+        want = np.sort(np.concatenate(windows)) if windows else np.array([], dtype=np.int64)
+        np.testing.assert_array_equal(np.sort(oracle.calls[0]), want, err_msg=name)
+        assert oracle.count == want.size, name
+        assert got.shape == js.shape, name
+        np.testing.assert_allclose(got, expected[js], rtol=0, atol=1e-10, err_msg=name)
 
 
 def test_simulate_query_cost_and_agreement(rng):
@@ -222,7 +267,7 @@ def test_simulate_query_cost_and_agreement(rng):
 
     for j in (0, 11, 32, 63):
         oracle = QueryOracle(y)
-        val = SimulatedAccess(plan, oracle, zhat.image(plan), filt).query(j)
+        val = SimulatedAccess(plan, oracle, zhat, filt).query_many(np.array([j]))[0]
         window = min(64, j + d + 1) - max(0, j - d)
         assert oracle.count == window
         assert oracle.count <= 2 * d + 1
@@ -231,13 +276,13 @@ def test_simulate_query_cost_and_agreement(rng):
     # out-of-range indices raise before any raw entry is read
     for js in ([64], [-1], [3, 64, 5]):
         oracle = QueryOracle(y)
-        access = SimulatedAccess(plan, oracle, zhat.image(plan), filt)
+        access = SimulatedAccess(plan, oracle, zhat, filt)
         with pytest.raises(IndexError, match="out of range"):
             access.query_many(np.array(js))
         assert oracle.count == 0
     oracle = QueryOracle(y)
     with pytest.raises(IndexError, match="out of range"):
-        SimulatedAccess(plan, oracle, zhat.image(plan), filt).query(-1)
+        SimulatedAccess(plan, oracle, zhat, filt).query_many(np.array([-1]))
     assert oracle.count == 0
 
 
@@ -381,7 +426,7 @@ def test_empty_bin_draw_ends_after_one_round(peel_plan):
     filt = build_boxcar(theta, width, cfg.boxcar_eps())
     eps = 6.0 * cfg.eps()
     oracle = QueryOracle(y)
-    access = SimulatedAccess(plan, oracle, SparseApprox().image(plan), filt)
+    access = SimulatedAccess(plan, oracle, SparseApprox(), filt)
     with pytest.raises(RecoveryError, match="energy floor"):
         solve_one_sparse(plan, access, eps, cfg.mu0() / 2.0, np.random.default_rng(4),
                          window=window, floor=floor)
@@ -405,7 +450,7 @@ def test_floor_keeps_a_spike_at_the_threshold(peel_plan):
     window, floor = band_and_floor(plan, cfg, small, y)
     filt = build_boxcar(float(plan.theta[small]), cfg.boxcar_width(), cfg.boxcar_eps())
     for seed in range(5):
-        access = SimulatedAccess(plan, QueryOracle(y), SparseApprox().image(plan), filt)
+        access = SimulatedAccess(plan, QueryOracle(y), SparseApprox(), filt)
         got = solve_one_sparse(plan, access, 6.0 * cfg.eps(), cfg.mu0() / 2.0,
                                np.random.default_rng(seed), window=window, floor=floor)
         assert got.index == small

@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
 
 from opsparse import JacobiParams, build_plan, load_plan, save_plan
-from opsparse.jacobi import orthonormal_table
+from opsparse.jacobi import jacobi_matrix, orthonormal_table
 from opsparse.plan import (
     PlanChecksumError,
     PlanFormatError,
     PlanMagicError,
     PlanTruncatedError,
     PlanVersionError,
+    _chebyshev_stacks,
 )
 
 
@@ -172,14 +173,50 @@ def test_m0_is_exact_identity(degree):
 
 def test_filter_band_grows_its_cache(rng):
     # a higher degree than any earlier call rebuilds the moments; a lower
-    # one reads the cached diagonals
-    plan = build_plan(JacobiParams(1.5, -0.3), 40)
-    f = plan.matrix()
-    for d in (2, 9, 5):
-        coeffs = rng.standard_normal(d + 1)
-        band = plan.filter_band(type("F", (), {"coeffs": coeffs, "degree": d})())
-        dense = f.T @ (chebval(plan.lam, coeffs)[:, None] * f)
-        np.testing.assert_allclose(band_to_dense(band), dense, atol=1e-12)
+    # one reads the cached diagonals.  At alpha = beta only every other
+    # moment row is stored
+    for alpha, beta in ((1.5, -0.3), (0.0, 0.0), (-0.5, -0.5)):
+        plan = build_plan(JacobiParams(alpha, beta), 40)
+        f = plan.matrix()
+        for d in (2, 9, 5):
+            coeffs = rng.standard_normal(d + 1)
+            band = plan.filter_band(type("F", (), {"coeffs": coeffs, "degree": d})())
+            dense = f.T @ (chebval(plan.lam, coeffs)[:, None] * f)
+            np.testing.assert_allclose(band_to_dense(band), dense, atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha, beta, step", [(0.0, 0.0, 2), (-0.5, -0.5, 2),
+                                               (0.5, -0.25, 1), (1.5, -0.3, 1)])
+def test_stacks_keep_one_row_per_nonzero_moment_diagonal(alpha, beta, step):
+    d = 9
+    got_step, stacks = _chebyshev_stacks(JacobiParams(alpha, beta), 24, d)
+    assert got_step == step
+    assert len(stacks) == d + 1
+    for o, stack in enumerate(stacks):
+        rows = (d - o) // 2 + 1 if step == 2 else d + 1 - o
+        assert stack.shape == (rows, 24 - o)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (-0.5, -0.5), (1.5, -0.3)])
+def test_stacks_hold_the_diagonals_of_dense_chebyshev_moments(alpha, beta):
+    # T_r(J) by the dense recurrence: at alpha = beta J's diagonal is exactly
+    # zero and superdiagonal o of T_r(J) is exactly 0.0 whenever r - o is odd
+    params = JacobiParams(alpha, beta)
+    n, d = 24, 11
+    diag, off = jacobi_matrix(params, n)
+    jmat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    moments = [np.eye(n), jmat.copy()]
+    for _ in range(2, d + 1):
+        moments.append(2.0 * jmat @ moments[-1] - moments[-2])
+    step, stacks = _chebyshev_stacks(params, n, d)
+    for r, t in enumerate(moments):
+        for o in range(r + 1):
+            if alpha == beta and (r - o) % 2:
+                assert np.all(np.diagonal(t, o) == 0.0)
+                assert np.all(np.diagonal(t, -o) == 0.0)
+            else:
+                np.testing.assert_allclose(stacks[o][(r - o) // step],
+                                           np.diagonal(t, o), rtol=0, atol=1e-12)
 
 
 def test_filter_band_degree_check(small_plan):
