@@ -16,7 +16,6 @@ candidate count.  All randomness flows through an explicit generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -26,7 +25,6 @@ from .jacobi import log_norm_factor
 from .numtheory import bad_intervals
 
 __all__ = [
-    "OneSparseConfig",
     "OneSparseResult",
     "spread_rho",
     "RecoveryError",
@@ -61,6 +59,13 @@ _D0_DIV = 5000.0
 # at 1% noise; 1e-3 gives rho = 0.141, 3.7x that and just inside the pi/22 the
 # containment proof needs.
 _ARCCOS_EPS = 1e-3
+# Sampling-schedule multipliers, calibrated by the acceptance suite.
+_C_S = 1e-3  # correlation sample count multiplier
+_S_FLOOR = 64.0  # lower bound multiplier on samples per round
+_C_R = 0.25  # rounds per unit of log(1/mu)
+_R_MIN = 3  # minimum rounds (kept odd for clean medians)
+_C_THETA = 1.0  # boundary prune reach
+_C_R_COS = 8.0  # rounds multiplier for the cosine estimator
 
 
 def spread_rho(delta: float) -> float:
@@ -68,50 +73,37 @@ def spread_rho(delta: float) -> float:
     return 2.0 * math.sqrt(5.0 * delta)
 
 
-@dataclass(frozen=True)
-class OneSparseConfig:
-    """Sampling-schedule multipliers, calibrated by the acceptance suite."""
-
-    c_s: float = 1e-3  # correlation sample count multiplier
-    s_floor: float = 64.0  # lower bound multiplier on samples per round
-    c_r: float = 0.25  # rounds per unit of log(1/mu)
-    r_min: int = 3  # minimum rounds (kept odd for clean medians)
-    c_theta: float = 1.0  # boundary prune reach
-    c_r_cos: float = 8.0  # rounds multiplier for the cosine estimator
-
-
-DEFAULT_CONFIG = OneSparseConfig()
 # Most samples one estimator round (or one verification) may draw.  A larger
 # request is refused, not clipped: clipping would void its guarantee.
 SAMPLE_CAP = 4_000_000
 
 
-def _sample_size(plan: plan_mod.TransformPlan, eps: float, cfg: OneSparseConfig) -> int:
+def _sample_size(plan: plan_mod.TransformPlan, eps: float) -> int:
     n = plan.n
     flat = plan.U * plan.U * n
     big = math.log(n) / (eps * eps)
-    s = max(cfg.c_s * flat * big * math.log(big), cfg.s_floor * flat * math.log(n))
+    s = max(_C_S * flat * big * math.log(big), _S_FLOOR * flat * math.log(n))
     if not s <= SAMPLE_CAP:
         raise ValueError(f"solver round needs {s:.0f} samples, above the cap "
                          f"{SAMPLE_CAP}; raise eps")
     return int(max(8.0, math.ceil(s)))
 
 
-def estimate_norm(plan, read: Callable[[np.ndarray], np.ndarray], eps: float, rng,
-                  cfg: OneSparseConfig = DEFAULT_CONFIG) -> float:
+def estimate_norm(plan, read: Callable[[np.ndarray], np.ndarray], eps: float,
+                  rng) -> float:
     """Estimate of ||y|| from one estimator round of uniform samples of y.
 
     ``read(js)`` returns y at the indices js; the round draws as many
     samples as one round of ``prune`` at this eps.
     """
-    s = _sample_size(plan, eps, cfg)
+    s = _sample_size(plan, eps)
     js = rng.integers(0, plan.n, size=s)
     y = read(js)
     return math.sqrt((plan.n / s) * float(y @ y))
 
 
-def _round_count(mu: float, cfg: OneSparseConfig) -> int:
-    r = max(cfg.r_min, math.ceil(cfg.c_r * math.log(1.0 / min(mu, 0.5))))
+def _round_count(mu: float) -> int:
+    r = max(_R_MIN, math.ceil(_C_R * math.log(1.0 / min(mu, 0.5))))
     return int(r) | 1
 
 
@@ -134,7 +126,7 @@ def _correlate(plan, cand, sums: list[np.ndarray], s: int) -> np.ndarray:
     return (n / s) * full
 
 
-def _estimate(plan, oracle, cand, mu_each, eps, rng, cfg, floor=0.0):
+def _estimate(plan, oracle, cand, mu_each, eps, rng, floor=0.0):
     """Medians of the norm and correlation estimators over shared samples.
 
     Every round is drawn and queried in turn; correlations are computed once
@@ -145,8 +137,8 @@ def _estimate(plan, oracle, cand, mu_each, eps, rng, cfg, floor=0.0):
     when round 0's norm estimate is below ``floor``: the signal holds too
     little energy for a spike worth finding.
     """
-    s = _sample_size(plan, eps, cfg)
-    rounds = _round_count(mu_each, cfg)
+    s = _sample_size(plan, eps)
+    rounds = _round_count(mu_each)
     n = plan.n
     u_rounds = np.empty(rounds)
     segments = []  # (rounds in segment, candidates) correlations
@@ -172,13 +164,13 @@ def _estimate(plan, oracle, cand, mu_each, eps, rng, cfg, floor=0.0):
     return float(np.median(u_rounds)), np.median(np.concatenate(segments), axis=0)
 
 
-def _prune_over(plan, oracle, cand, mu, eps, rng, cfg,
+def _prune_over(plan, oracle, cand, mu, eps, rng,
                 floor) -> Optional[tuple[int, float]]:
     """Shared-sample check over ``cand``, a slice or an index array of roots."""
     roots = np.arange(plan.n)[cand]
     if len(roots) == 0:
         return None
-    got = _estimate(plan, oracle, cand, mu / len(roots), eps, rng, cfg, floor)
+    got = _estimate(plan, oracle, cand, mu / len(roots), eps, rng, floor)
     if got is None:
         return None
     u, v = got
@@ -191,8 +183,7 @@ def _prune_over(plan, oracle, cand, mu, eps, rng, cfg,
     return int(roots[first]), float(v[first])
 
 
-def prune(plan, oracle, lo: float, hi: float, mu: float, eps: float, rng,
-          cfg: OneSparseConfig = DEFAULT_CONFIG, *,
+def prune(plan, oracle, lo: float, hi: float, mu: float, eps: float, rng, *,
           floor: float = 0.0) -> Optional[tuple[int, float]]:
     """Run the shared-sample check over every root with angle in [lo, hi].
 
@@ -203,11 +194,10 @@ def prune(plan, oracle, lo: float, hi: float, mu: float, eps: float, rng,
     lo, hi = max(0.0, lo), min(math.pi, hi)
     i0 = int(np.searchsorted(plan.theta, lo, side="left"))
     i1 = int(np.searchsorted(plan.theta, hi, side="right"))
-    return _prune_over(plan, oracle, slice(i0, i1), mu, eps, rng, cfg, floor)
+    return _prune_over(plan, oracle, slice(i0, i1), mu, eps, rng, floor)
 
 
-def prune_non_spread(plan, oracle, delta0: float, mu: float, eps: float, rng,
-                     cfg: OneSparseConfig = DEFAULT_CONFIG, *,
+def prune_non_spread(plan, oracle, delta0: float, mu: float, eps: float, rng, *,
                      window: tuple[float, float] = (0.0, math.pi),
                      floor: float = 0.0) -> Optional[tuple[int, float]]:
     """Prune over the roots in ``window`` whose angle may defeat the cosine
@@ -223,7 +213,7 @@ def prune_non_spread(plan, oracle, delta0: float, mu: float, eps: float, rng,
     theta = plan.theta
     inside = (theta >= window[0]) & (theta <= window[1])
     cand = np.nonzero(cover.contains(theta / math.pi) & inside)[0]
-    return _prune_over(plan, oracle, cand, mu, eps, rng, cfg, floor)
+    return _prune_over(plan, oracle, cand, mu, eps, rng, floor)
 
 
 def _side_weight(params, j: np.ndarray) -> np.ndarray:
@@ -332,8 +322,7 @@ def approx_arccos(cos_query: Callable[[int], float], tau: int,
     return lo, hi
 
 
-def solve_one_sparse(plan, oracle, eps: float, mu: float, rng,
-                     cfg: OneSparseConfig = DEFAULT_CONFIG, *,
+def solve_one_sparse(plan, oracle, eps: float, mu: float, rng, *,
                      window: tuple[float, float] = (0.0, math.pi),
                      floor: float = 0.0) -> OneSparseResult:
     """Full staged recovery of the spike index and value.
@@ -363,29 +352,29 @@ def solve_one_sparse(plan, oracle, eps: float, mu: float, rng,
 
     def prune_in(lo, hi, mu_stage):
         return prune(plan, oracle, max(lo, wlo), min(hi, whi), mu_stage, eps,
-                     rng, cfg, floor=floor)
+                     rng, floor=floor)
 
-    c_prime = max(cfg.c_theta, 4.0 * nu * root_eps * d0)
+    c_prime = max(_C_THETA, 4.0 * nu * root_eps * d0)
     near_zero = min(c_prime / (nu * root_eps * d0 * n), math.pi)
     got = prune_in(0.0, near_zero, mu / 6.0)
     if got is not None:
         return OneSparseResult(*got)
     if near_zero < math.pi:
-        got = prune_in(math.pi - cfg.c_theta / (nu * n), math.pi, mu / 6.0)
+        got = prune_in(math.pi - _C_THETA / (nu * n), math.pi, mu / 6.0)
         if got is not None:
             return OneSparseResult(*got)
         rho0 = spread_rho(d0)
-        got = prune_non_spread(plan, oracle, d0, rho0 * rho0 * mu, eps, rng, cfg,
+        got = prune_non_spread(plan, oracle, d0, rho0 * rho0 * mu, eps, rng,
                                window=window, floor=floor)
         if got is not None:
             return OneSparseResult(*got)
         tau = min(max(int(math.log2(nu * n)) - 1, 1), int(math.log2(2 * n / 3)))
         nprime = math.ceil(2.0 * nu * n)
-        r_cos = math.ceil(cfg.c_r_cos
+        r_cos = math.ceil(_C_R_COS
                           * (math.log(max(math.log(n), math.e)) + math.log(1.0 / mu)))
         # the earlier stages check the floor only if the window holds some of
         # their roots, so check it here before paying for the search
-        if floor > 0.0 and estimate_norm(plan, oracle.query_many, eps, rng, cfg) < floor:
+        if floor > 0.0 and estimate_norm(plan, oracle.query_many, eps, rng) < floor:
             raise RecoveryError(f"filtered norm below the energy floor {floor:.3g}")
         try:
             lo, hi = approx_arccos(

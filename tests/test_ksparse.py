@@ -21,7 +21,6 @@ from opsparse import (
 )
 from opsparse.ksparse import ENERGY_TAU, _verify_samples, large, peeler, verify
 from opsparse.onesparse import (
-    DEFAULT_CONFIG,
     SAMPLE_CAP,
     OneSparseResult,
     RecoveryError,
@@ -390,8 +389,8 @@ def test_recover_two_spikes(peel_plan):
     assert err <= 3.0 * cfg.delta * np.linalg.norm(truth.to_dense(256))
     # generous deterministic bound: every draw of every pass at full cost
     probe = build_boxcar(math.pi / 2.0, cfg.boxcar_width(), cfg.boxcar_eps())
-    s = _sample_size(plan, 6.0 * cfg.eps(), DEFAULT_CONFIG)
-    rounds = _round_count(cfg.mu0() / 2.0 / 6.0 / plan.n, DEFAULT_CONFIG)
+    s = _sample_size(plan, 6.0 * cfg.eps())
+    rounds = _round_count(cfg.mu0() / 2.0 / 6.0 / plan.n)
     t1 = _verify_samples(plan, cfg.mu0() / 2.0, cfg.eps(), cfg.c_t1)
     per_draw = (rounds * s + t1) * (2 * probe.degree + 1)
     assert oracle.count <= 4 * cfg.k * cfg.t2() * cfg.t0() * per_draw
@@ -431,7 +430,7 @@ def test_empty_bin_draw_ends_after_one_round(peel_plan):
         solve_one_sparse(plan, access, eps, cfg.mu0() / 2.0, np.random.default_rng(4),
                          window=window, floor=floor)
     # exactly the first round's s filtered samples, each a clipped window
-    s = _sample_size(plan, eps, DEFAULT_CONFIG)
+    s = _sample_size(plan, eps)
     js = np.random.default_rng(4).integers(0, plan.n, size=s)
     d = filt.degree
     assert oracle.count == int((np.minimum(plan.n, js + d + 1) - np.maximum(0, js - d)).sum())
@@ -479,7 +478,7 @@ def test_peeler_counts_the_residual_estimate_and_passes_band_and_floor(peel_plan
     oracle = QueryOracle(y)
     zhat, stop = peeler(plan, oracle, SparseApprox(), cfg, miss, np.random.default_rng(8))
     assert stop and len(zhat) == 0
-    s = _sample_size(plan, 6.0 * cfg.eps(), DEFAULT_CONFIG)
+    s = _sample_size(plan, 6.0 * cfg.eps())
     assert oracle.count == s  # one residual estimate, every read counted
     assert len(calls) == cfg.t0()
     floors = {floor for _, floor in calls}

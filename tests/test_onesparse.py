@@ -15,7 +15,6 @@ from opsparse.ksparse import QueryOracle
 from opsparse.numtheory import bad_intervals
 from opsparse.onesparse import (
     ArcCosError,
-    OneSparseConfig,
     RecoveryError,
     SAMPLE_CAP,
     approx_arccos,
@@ -83,10 +82,10 @@ def plan_above_dense_limit():
     return build_plan(JacobiParams(0.0, 0.0), DENSE_CACHE_LIMIT + 1)
 
 
-def per_round_estimate(plan, oracle, cand, mu_each, eps, rng, cfg):
+def per_round_estimate(plan, oracle, cand, mu_each, eps, rng):
     """The estimator as one forward transform per round, indexed at cand."""
-    s = _sample_size(plan, eps, cfg)
-    rounds = _round_count(mu_each, cfg)
+    s = _sample_size(plan, eps)
+    rounds = _round_count(mu_each)
     n = plan.n
     u_rounds = np.empty(rounds)
     v_rounds = np.empty((rounds, len(cand)))
@@ -105,26 +104,24 @@ def per_round_estimate(plan, oracle, cand, mu_each, eps, rng, cfg):
 
 def test_estimate_segments_match_per_round_forward(plan_above_dense_limit):
     plan = plan_above_dense_limit
-    cfg = OneSparseConfig()
     mu_each = 1e-9
-    assert _round_count(mu_each, cfg) == 7  # segments {0, 1}, {2, 3}, {4, 5, 6}
+    assert _round_count(mu_each) == 7  # segments {0, 1}, {2, 3}, {4, 5, 6}
     y = spike_signal(plan, 1234, 0.9, noise=0.01, rng=np.random.default_rng(2))
     cand = np.arange(1200, 1300)
     want_oracle, got_oracle = QueryOracle(y), QueryOracle(y)
     want = per_round_estimate(plan, want_oracle, cand, mu_each, 0.01,
-                              np.random.default_rng(5), cfg)
-    got = _estimate(plan, got_oracle, cand, mu_each, 0.01, np.random.default_rng(5), cfg)
+                              np.random.default_rng(5))
+    got = _estimate(plan, got_oracle, cand, mu_each, 0.01, np.random.default_rng(5))
     assert got[0] == want[0]
     np.testing.assert_array_equal(got[1], want[1])
-    assert got_oracle.count == want_oracle.count == 7 * _sample_size(plan, 0.01, cfg)
+    assert got_oracle.count == want_oracle.count == 7 * _sample_size(plan, 0.01)
 
 
 def test_estimate_zero_signal_stops_after_round_one(plan_above_dense_limit, rng):
     plan = plan_above_dense_limit
-    cfg = OneSparseConfig()
     oracle = QueryOracle(np.zeros(plan.n))
-    assert _estimate(plan, oracle, np.arange(plan.n), 1e-9, 0.01, rng, cfg) is None
-    assert oracle.count == 2 * _sample_size(plan, 0.01, cfg)
+    assert _estimate(plan, oracle, np.arange(plan.n), 1e-9, 0.01, rng) is None
+    assert oracle.count == 2 * _sample_size(plan, 0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +311,10 @@ def test_solver_rejects_eps_and_mu_outside_unit_interval(legendre_plan_256, rng)
 
 @pytest.fixture
 def arccos_reach(monkeypatch):
-    """A Legendre N=2048 plan and a config under which most solves go on to
-    the angle search: c_theta=1e-3 and delta_0 = sqrt(eps)/50 shrink the
-    boundary and Farey prunes.  Calls to approx_arccos are recorded."""
+    """A Legendre N=2048 plan and solver constants under which most solves go
+    on to the angle search: c_theta=1e-3 and delta_0 = sqrt(eps)/50 shrink
+    the boundary and Farey prunes.  Calls to approx_arccos are recorded."""
+    monkeypatch.setattr(onesparse, "_C_THETA", 1e-3)
     monkeypatch.setattr(onesparse, "_D0_DIV", 50.0)
     searches = []
     real = onesparse.approx_arccos
@@ -326,11 +324,11 @@ def arccos_reach(monkeypatch):
         return real(cos_query, tau, eps0)
 
     monkeypatch.setattr(onesparse, "approx_arccos", spy)
-    return build_plan(JacobiParams(0.0, 0.0), 2048), OneSparseConfig(c_theta=1e-3), searches
+    return build_plan(JacobiParams(0.0, 0.0), 2048), searches
 
 
 def test_solver_reaches_the_arccos_stage(arccos_reach):
-    plan, cfg, searches = arccos_reach
+    plan, searches = arccos_reach
     hits = reached = 0
     for i, seq in enumerate(np.random.SeedSequence(2048).spawn(20)):
         gen = np.random.default_rng(seq)
@@ -339,7 +337,7 @@ def test_solver_reaches_the_arccos_stage(arccos_reach):
         oracle = QueryOracle(spike_signal(plan, ell, v, noise=0.01 * (i % 2), rng=gen))
         before = len(searches)
         try:
-            res = solve_one_sparse(plan, oracle, 0.01, 0.02, gen, cfg)
+            res = solve_one_sparse(plan, oracle, 0.01, 0.02, gen)
         except RecoveryError:
             continue
         finally:
@@ -357,7 +355,7 @@ def test_arccos_accuracy_keeps_rho_under_pi_over_22():
 def test_angle_search_checks_the_floor_and_the_window(arccos_reach):
     # a window holding one root that no stage before the angle search covers,
     # so only the search and the final prune can look at it
-    plan, cfg, searches = arccos_reach
+    plan, searches = arccos_reach
     eps, mu = 0.01, 0.02
     d0 = math.sqrt(eps) / onesparse._D0_DIV
     cover = bad_intervals(plan.n, min(1.0, 2.0 * spread_rho(d0) / math.pi))
@@ -368,18 +366,18 @@ def test_angle_search_checks_the_floor_and_the_window(arccos_reach):
     # energy below the floor: one round of reads, no search
     oracle = QueryOracle(far)
     with pytest.raises(RecoveryError, match="energy floor"):
-        solve_one_sparse(plan, oracle, eps, mu, np.random.default_rng(0), cfg,
+        solve_one_sparse(plan, oracle, eps, mu, np.random.default_rng(0),
                          window=window, floor=2.0)
     assert searches == []
-    assert oracle.count == _sample_size(plan, eps, cfg)
+    assert oracle.count == _sample_size(plan, eps)
     # a search that ends outside the window is a miss
     with pytest.raises(RecoveryError):
         solve_one_sparse(plan, QueryOracle(far), eps, mu, np.random.default_rng(0),
-                         cfg, window=window, floor=0.5)
+                         window=window, floor=0.5)
     assert len(searches) == 1
     # the spike inside the window clears the floor and is found
     got = solve_one_sparse(plan, QueryOracle(spike_signal(plan, ell, 1.0)), eps, mu,
-                           np.random.default_rng(0), cfg, window=window, floor=0.5)
+                           np.random.default_rng(0), window=window, floor=0.5)
     assert len(searches) == 2
     assert got.index == ell
 
@@ -411,13 +409,11 @@ def test_solver_rejects_bad_window_and_floor(legendre_plan_256, rng):
 
 
 def test_sample_size_refuses_the_cap(legendre_plan_256):
-    cfg = OneSparseConfig()
-    assert _sample_size(legendre_plan_256, 0.01, cfg) < SAMPLE_CAP
+    assert _sample_size(legendre_plan_256, 0.01) < SAMPLE_CAP
     with pytest.raises(ValueError, match=f"above the cap {SAMPLE_CAP}"):
-        _sample_size(legendre_plan_256, 1e-4, cfg)
+        _sample_size(legendre_plan_256, 1e-4)
 
 
 def test_config_round_count_is_odd():
-    cfg = OneSparseConfig()
     for mu in (0.5, 0.1, 1e-3, 1e-9, 1e-15):
-        assert _round_count(mu, cfg) % 2 == 1
+        assert _round_count(mu) % 2 == 1
