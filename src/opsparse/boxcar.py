@@ -58,27 +58,18 @@ def _indicator_coeffs(center: float, half: float, degree: int) -> np.ndarray:
     """Cosine coefficients a_0..a_d of the symmetrized box indicator.
 
     The target is the indicator of ([c-h, c+h] union [-c-h, -c+h]) mod 2pi,
-    restricted to even functions; overlaps across theta = 0 or theta = pi
-    merge into a single symmetric interval, so the target never exceeds 1.
+    restricted to even functions.  On [0, pi] that is the single interval
+    [max(0, c-h), min(pi, c+h)]: overlaps across theta = 0 or theta = pi
+    merge, so the target never exceeds 1.
     """
-    m = np.arange(1, degree + 1, dtype=np.float64)
-    lo, hi = center - half, center + half
-    if lo <= 0.0 and hi >= math.pi:
+    lo, hi = max(0.0, center - half), min(math.pi, center + half)
+    if lo == 0.0 and hi == math.pi:
         out = np.zeros(degree + 1)
         out[0] = 1.0
         return out
-    if lo <= 0.0:
-        # merged across 0: single interval [-hi, hi]
-        a0 = hi / math.pi
-        am = 2.0 * np.sin(m * hi) / (math.pi * m)
-    elif hi >= math.pi:
-        # merged across pi: single interval of half-width pi - lo around pi
-        e = math.pi - lo
-        a0 = e / math.pi
-        am = np.where(m % 2 == 0, 1.0, -1.0) * 2.0 * np.sin(m * e) / (math.pi * m)
-    else:
-        a0 = 2.0 * half / math.pi
-        am = (2.0 / (math.pi * m)) * (np.sin(m * hi) - np.sin(m * lo))
+    m = np.arange(1, degree + 1, dtype=np.float64)
+    a0 = (hi - lo) / math.pi
+    am = (2.0 / (math.pi * m)) * (np.sin(m * hi) - np.sin(m * lo))
     return np.concatenate(([a0], am))
 
 

@@ -156,8 +156,11 @@ class ReductionConfig:
         if self.k < 1:
             raise ValueError("k must be >= 1")
         for name in ("delta", "mu", "gamma", "c_t0", "c_t1", "c_t2", "c_d", "c_big"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not self.mu < 1.0:
+            raise ValueError(f"mu must lie in (0, 1), got {self.mu!r}")
         if self.delta > DELTA_CAP:
             raise ValueError(f"delta={self.delta} exceeds the supported cap {DELTA_CAP}")
         if self.gamma > math.pi:

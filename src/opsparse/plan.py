@@ -229,6 +229,8 @@ def build_plan(params: JacobiParams, n: int, degree: int = 0) -> TransformPlan:
 
 
 _HEAD = "<ddQd"
+# Relative rounding allowed on the bounds of the stored flatness constant U.
+_U_SLACK = 1e-9
 
 
 def save_plan(plan: TransformPlan, path) -> None:
@@ -280,6 +282,15 @@ def load_plan(path) -> TransformPlan:
     off = 8 + head_size
     theta = np.frombuffer(blob, dtype="<f8", count=n, offset=off).copy()
     weights = np.frombuffer(blob, dtype="<f8", count=n, offset=off + 8 * n).copy()
+    # the CRC vouches for the bytes, not for the values they hold
+    if not (np.all(np.diff(theta) > 0.0) and 0.0 < theta[0] and theta[-1] < np.pi):
+        raise PlanFormatError("plan theta must be finite and increase strictly "
+                              "inside (0, pi)")
+    if not np.all((weights > 0.0) & np.isfinite(weights)):
+        raise PlanFormatError("plan weights must be finite and > 0")
+    # F is orthogonal, so its largest entry U lies in [N^-1/2, 1]
+    if not n**-0.5 * (1.0 - _U_SLACK) <= u <= 1.0 + _U_SLACK:
+        raise PlanFormatError(f"plan header has U={u!r}; need N^-1/2 <= U <= 1")
     try:
         return TransformPlan(params, n, theta, weights, u)
     except ValueError as exc:

@@ -298,6 +298,19 @@ def test_recover1_reports_failure_on_empty_signal(tmp_path, capsys):
     (("recover", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "1",
       "--delta", "0.05", "--gamma", "1", "--trials", "1", "--sigma", "-3"),
      "sigma must be finite and >= 0"),
+    (("recover", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "1",
+      "--delta", "0.05", "--gamma", "1", "--c-big", "inf"),
+     "c_big must be positive and finite"),
+    (("recover", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "1",
+      "--delta", "0.05", "--gamma", "1", "--c-t0", "inf"),
+     "c_t0 must be positive and finite"),
+    (("recover", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "1",
+      "--delta", "nan", "--gamma", "1"), "delta must be positive and finite"),
+    (("recover", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "1",
+      "--delta", "0.05", "--mu", "nan", "--gamma", "1"),
+     "mu must be positive and finite"),
+    (("recover", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "1",
+      "--delta", "0.05", "--mu", "1", "--gamma", "1"), "mu must lie in (0, 1)"),
 ])
 def test_bad_arguments_are_reported(tmp_path, capsys, argv, match):
     sig = tmp_path / "sig.json"

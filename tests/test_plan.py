@@ -22,6 +22,7 @@ from opsparse.plan import (
     PlanVersionError,
     _chebyshev_stacks,
 )
+from test_jacobi import PARAM_GRID
 
 
 @pytest.fixture(scope="module")
@@ -296,9 +297,9 @@ def test_load_rejects_corruption(tmp_path, small_plan):
         load_plan(path)
 
 
-def _plan_blob(alpha, beta, n, payload=b""):
+def _plan_blob(alpha, beta, n, payload=b"", u=1.0):
     """A v2 plan file around a given header and payload, with a valid CRC."""
-    body = struct.pack("<ddQd", alpha, beta, n, 1.0) + payload
+    body = struct.pack("<ddQd", alpha, beta, n, u) + payload
     crc = zlib.crc32(body) & 0xFFFFFFFF
     return b"OPSP" + struct.pack("<I", 2) + body + struct.pack("<I", crc)
 
@@ -321,6 +322,58 @@ def test_load_rejects_huge_params(tmp_path, tiny_plan_blob):
         path.write_bytes(_plan_blob(alpha, beta, 6, tiny_plan_blob[40:-4]))
         with pytest.raises(PlanFormatError, match="outside the float range"):
             load_plan(path)
+
+
+def _forged(plan, i=None, theta=None, weight=None):
+    """plan's theta and weights with entry i of one of them replaced."""
+    t, w = plan.theta.copy(), plan.weights.copy()
+    if theta is not None:
+        t[i] = theta
+    if weight is not None:
+        w[i] = weight
+    return t, w
+
+
+# name -> (theta, weights, U) from the plan, and the error message to expect
+FORGERIES = {
+    "theta-reversed": (lambda p: (p.theta[::-1], p.weights, p.U), "theta"),
+    "theta-nan": (lambda p: (*_forged(p, 3, theta=np.nan), p.U), "theta"),
+    "theta-zero": (lambda p: (*_forged(p, 0, theta=0.0), p.U), "theta"),
+    "theta-pi": (lambda p: (*_forged(p, -1, theta=np.pi), p.U), "theta"),
+    "theta-inf": (lambda p: (*_forged(p, -1, theta=np.inf), p.U), "theta"),
+    "weight-zero": (lambda p: (*_forged(p, 5, weight=0.0), p.U), "weights"),
+    "weight-negative": (lambda p: (*_forged(p, 5, weight=-1e-3), p.U), "weights"),
+    "weight-nan": (lambda p: (*_forged(p, 5, weight=np.nan), p.U), "weights"),
+    "weight-inf": (lambda p: (*_forged(p, 5, weight=np.inf), p.U), "weights"),
+    "u-zero": (lambda p: (p.theta, p.weights, 0.0), "U="),
+    "u-negative": (lambda p: (p.theta, p.weights, -1.0), "U="),
+    "u-below-flat": (lambda p: (p.theta, p.weights, 0.9 / math.sqrt(p.n)), "U="),
+    "u-above-one": (lambda p: (p.theta, p.weights, 1.0 + 1e-6), "U="),
+    "u-nan": (lambda p: (p.theta, p.weights, np.nan), "U="),
+    "u-inf": (lambda p: (p.theta, p.weights, np.inf), "U="),
+}
+
+
+@pytest.mark.parametrize("name", FORGERIES)
+def test_load_rejects_impossible_values(tmp_path, small_plan, name):
+    """A file with a valid CRC whose theta, weights or U no plan can have."""
+    forge, match = FORGERIES[name]
+    theta, weights, u = forge(small_plan)
+    payload = theta.astype("<f8").tobytes() + weights.astype("<f8").tobytes()
+    path = tmp_path / "p.plan"
+    p = small_plan.params
+    path.write_bytes(_plan_blob(p.alpha, p.beta, small_plan.n, payload, u))
+    with pytest.raises(PlanFormatError, match=match):
+        load_plan(path)
+
+
+@pytest.mark.parametrize("alpha,beta", PARAM_GRID)
+@pytest.mark.parametrize("n", [1, 2, 257, 2048])
+def test_load_accepts_every_built_plan(tmp_path, alpha, beta, n):
+    path = tmp_path / "p.plan"
+    plan = build_plan(JacobiParams(alpha, beta), n)
+    save_plan(plan, path)
+    assert load_plan(path).U == plan.U
 
 
 @pytest.fixture(scope="module")
