@@ -127,16 +127,11 @@ def test_reduction_config_validation():
     for mu in (1.0, 1.5):
         with pytest.raises(ValueError, match="mu must lie in"):
             ReductionConfig(2, 0.05, mu, 1.0)
-
-
-@pytest.mark.parametrize("name", ["delta", "mu", "gamma", "c_t0", "c_t1", "c_t2",
-                                  "c_d", "c_big"])
-@pytest.mark.parametrize("value", [math.nan, math.inf])
-def test_reduction_config_refuses_non_finite_values(name, value):
-    args = dict(k=2, delta=0.05, mu=0.1, gamma=1.0)
-    args[name] = value
-    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
-        ReductionConfig(**args)
+    for name in ("delta", "mu", "gamma", "c_t0", "c_t1", "c_t2", "c_d", "c_big"):
+        for value in (math.nan, math.inf):
+            args = {"k": 2, "delta": 0.05, "mu": 0.1, "gamma": 1.0, name: value}
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                ReductionConfig(**args)
 
 
 def test_reduction_config_derived_quantities():
