@@ -261,9 +261,6 @@ def _worker_count(trials: int) -> int:
 def cmd_recover(args) -> int:
     if args.trials < 1:
         raise ValueError(f"trials must be >= 1, got {args.trials}")
-    overrides = {name: getattr(args, name) for name in
-                 ("c_t0", "c_t1", "c_t2", "c_d", "c_big")
-                 if getattr(args, name) is not None}
     sigma = args.sigma
     gamma = args.gamma
     if gamma is None:
@@ -273,8 +270,7 @@ def cmd_recover(args) -> int:
     elif sigma is None:
         # separation that backs the angular gap: 3*gamma/(2*pi) of the indices
         sigma = 3.0 * gamma / (2.0 * math.pi)
-    make = ReductionConfig if args.profile == "stock" else ReductionConfig.calibrated
-    cfg = make(args.k, args.delta, args.mu, gamma, **overrides)
+    cfg = ReductionConfig(args.k, args.delta, args.mu, gamma, args.c_d)
     plan = _plan_from_args(args)
     seqs = np.random.SeedSequence(args.seed).spawn(args.trials)
 
@@ -300,7 +296,7 @@ def cmd_recover(args) -> int:
                 "alpha": args.alpha, "beta": args.beta, "n": args.n, "k": args.k,
                 "delta": args.delta, "mu": args.mu, "gamma": gamma,
                 "sigma": sigma, "noise": args.noise, "seed": args.seed,
-                "profile": args.profile, "overrides": overrides,
+                "c_d": args.c_d,
             },
             "trials": [asdict(r) for r in records],
             "success_rate": rate,
@@ -396,11 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--profile", choices=("calibrated", "stock"),
-                   default="calibrated")
-    for name in ("c-t0", "c-t1", "c-t2", "c-d", "c-big"):
-        p.add_argument(f"--{name}", dest=name.replace("-", "_"), type=float,
-                       default=None, help=f"override multiplier {name}")
+    p.add_argument("--c-d", type=float, default=1.0,
+                   help="filter-degree budget multiplier; k=1 at --delta 0.05 "
+                        "--gamma 1 needs >= 1.075, some (k, delta, gamma) up to 2.2")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_recover)

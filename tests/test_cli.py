@@ -299,11 +299,11 @@ def test_recover1_reports_failure_on_empty_signal(tmp_path, capsys):
       "--delta", "0.05", "--gamma", "1", "--trials", "1", "--sigma", "-3"),
      "sigma must be finite and >= 0"),
     (("recover", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "1",
-      "--delta", "0.05", "--gamma", "1", "--c-big", "inf"),
-     "c_big must be positive and finite"),
+      "--delta", "0.05", "--gamma", "1", "--c-d", "inf"),
+     "c_d must be positive and finite"),
     (("recover", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "1",
-      "--delta", "0.05", "--gamma", "1", "--c-t0", "inf"),
-     "c_t0 must be positive and finite"),
+      "--delta", "0.05", "--gamma", "1", "--c-d", "nan"),
+     "c_d must be positive and finite"),
     (("recover", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "1",
       "--delta", "nan", "--gamma", "1"), "delta must be positive and finite"),
     (("recover", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "1",
@@ -370,12 +370,33 @@ def test_recover_json_report(tmp_path, capsys, monkeypatch):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["config"]["gamma"] == 1.0
-    assert payload["config"]["profile"] == "calibrated"
+    assert payload["config"]["c_d"] == 1.0
     assert len(payload["trials"]) == 2
     for rec in payload["trials"]:
         assert rec["wall_time"] >= 0.0  # timing lives only in the JSON report
         assert set(rec["support"]) == set(rec["rec_support"]) or not rec["success"]
     assert 0.0 <= payload["success_rate"] <= 1.0
+
+
+def test_recover_c_d_flag_widens_degree_budget(capsys, monkeypatch):
+    # at --c-d 1 this setting's boxcars outgrow the budget (degree 43 > 40)
+    monkeypatch.setenv("OPSPARSE_THREADS", "1")
+    code, stdout, _ = run_cli(capsys, "recover", "--alpha", "0", "--beta", "0",
+                              "--n", "256", "--k", "1", "--delta", "0.05",
+                              "--gamma", "1", "--c-d", "2", "--trials", "1",
+                              "--format", "json")
+    assert code == 0
+    assert json.loads(stdout)["config"]["c_d"] == 2.0
+
+
+@pytest.mark.parametrize("flag", [("--profile", "stock"), ("--c-t0", "1"),
+                                  ("--c-big", "2")])
+def test_recover_refuses_removed_multiplier_flags(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["recover", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "1",
+              "--delta", "0.05", "--gamma", "1", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

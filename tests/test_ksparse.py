@@ -127,7 +127,11 @@ def test_reduction_config_validation():
     for mu in (1.0, 1.5):
         with pytest.raises(ValueError, match="mu must lie in"):
             ReductionConfig(2, 0.05, mu, 1.0)
-    for name in ("delta", "mu", "gamma", "c_t0", "c_t1", "c_t2", "c_d", "c_big"):
+    for k in (2.5, np.float64(2.0), True, "2"):
+        with pytest.raises(ValueError, match="k must be >= 1 and an integer"):
+            ReductionConfig(k, 0.05, 0.1, 1.0)
+    assert ReductionConfig(np.int64(2), 0.05, 0.1, 1.0).t2() == 3
+    for name in ("delta", "mu", "gamma", "c_d"):
         for value in (math.nan, math.inf):
             args = {"k": 2, "delta": 0.05, "mu": 0.1, "gamma": 1.0, name: value}
             with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
@@ -136,10 +140,10 @@ def test_reduction_config_validation():
 
 def test_reduction_config_derived_quantities():
     cfg = ReductionConfig(4, 0.05, 0.1, 0.6)
-    assert cfg.eps() == 0.05 / 20.0
+    assert cfg.eps() == 0.05 / 2.0
     assert cfg.boxcar_width() == 0.15
     assert cfg.boxcar_eps() == cfg.eps() / 2.0
-    assert cfg.degree_budget() == math.ceil(2.0 * 2.0 / (cfg.eps() * 0.6))
+    assert cfg.degree_budget() == math.ceil(1.0 * 2.0 / (cfg.eps() * 0.6))
     assert cfg.batch() == min(cfg.t0(), math.ceil(2.0 * math.pi / 0.6))
     assert cfg.t2() >= cfg.k
 
@@ -153,9 +157,10 @@ def test_reduction_config_calibrated_profile():
     assert cfg.t2() == 3
     assert cfg.batch() == 7
     assert cfg.degree_budget() == 57
-    tweaked = ReductionConfig.calibrated(2, 0.05, 0.1, 1.0, c_d=4.0)
+    assert cfg == ReductionConfig(2, 0.05, 0.1, 1.0)
+    tweaked = ReductionConfig(2, 0.05, 0.1, 1.0, c_d=4.0)
     assert tweaked.c_d == 4.0
-    assert tweaked.c_t1 == 0.008  # untouched overrides keep the profile
+    assert tweaked.c_t1 == 0.008  # c_d leaves the other multipliers alone
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +342,7 @@ def test_verify_rejects_zero_value(legendre_plan_64, rng):
 
 def test_peeler_commits_fresh_spike(peel_plan):
     plan = peel_plan
-    cfg = ReductionConfig.calibrated(1, 0.05, 0.1, 1.0, c_d=2.0)
+    cfg = ReductionConfig(1, 0.05, 0.1, 1.0, c_d=2.0)
     y = QueryOracle(1.3 * plan.row(100))
     rng = np.random.default_rng(3)
     zhat, stop = peeler(plan, y, SparseApprox(), cfg, solve_one_sparse, rng)
@@ -349,7 +354,7 @@ def test_peeler_commits_fresh_spike(peel_plan):
 def test_peeler_stops_on_exhausted_residual(peel_plan):
     # with the spike peeled exactly, a full pass verifies nothing
     plan = peel_plan
-    cfg = ReductionConfig.calibrated(1, 0.05, 0.1, 1.0, c_d=2.0)
+    cfg = ReductionConfig(1, 0.05, 0.1, 1.0, c_d=2.0)
     y = QueryOracle(1.3 * plan.row(100))
     rng = np.random.default_rng(3)
     zhat, stop = peeler(plan, y, SparseApprox({100: 1.3}), cfg,
@@ -360,7 +365,7 @@ def test_peeler_stops_on_exhausted_residual(peel_plan):
 
 
 def test_peeler_degree_budget_guard(legendre_plan_256):
-    cfg = ReductionConfig.calibrated(1, 0.05, 0.1, 1.0, c_d=1e-6)
+    cfg = ReductionConfig(1, 0.05, 0.1, 1.0, c_d=1e-6)
     y = QueryOracle(np.zeros(256))
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="exceeds budget"):
@@ -499,7 +504,7 @@ def test_peeler_counts_the_residual_estimate_and_passes_band_and_floor(peel_plan
 
 def test_peeler_drives_a_stub_solver_with_the_new_keywords(peel_plan):
     plan = peel_plan
-    cfg = ReductionConfig.calibrated(1, 0.05, 0.1, 1.0, c_d=2.0)
+    cfg = ReductionConfig(1, 0.05, 0.1, 1.0, c_d=2.0)
     spike, value = 100, 1.3
 
     def oracle_solver(plan, access, eps, mu, rng, *, window, floor):

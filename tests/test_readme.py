@@ -1,10 +1,11 @@
-"""README's quick-start and command-line examples run as written."""
+"""README's quick-start and command-line examples run as written and name real flags."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
 
-from opsparse.cli import main
+from opsparse.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -36,3 +37,15 @@ def test_command_line_examples_run(tmp_path, monkeypatch):
     monkeypatch.setenv("OPSPARSE_THREADS", "1")
     for argv in commands:
         assert main(argv) == 0, argv
+
+
+def test_command_line_flags_exist():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    options = {opt for sub in subparsers.choices.values()
+               for action in sub._actions for opt in action.option_strings}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*",
+                           readme_section("Command line")))
+    assert named, "no flags found in README's Command line section"
+    assert named <= options, sorted(named - options)
