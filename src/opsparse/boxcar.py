@@ -111,7 +111,8 @@ def build_boxcar(center: float, width: float, eps: float) -> BoxcarFilter:
         if _verify(coeffs, center, width, eps):
             return BoxcarFilter(center, width, eps, d, coeffs)
         # the first guess falls a few percent short (its tail bound is loose);
-        # a quarter more keeps the degree inside ReductionConfig.degree_budget
+        # a quarter more keeps the degree inside ReductionConfig.degree_budget,
+        # which grows like the first guess, as log(1/eps) / width
         d += d // 4
     raise BoxcarConstructionError(
         f"boxcar verification failed for center={center!r} width={width!r} "

@@ -253,9 +253,13 @@ def _run_trial(plan, cfg: ReductionConfig, sigma: float, noise: float,
 
 
 def _worker_count(trials: int) -> int:
+    """Worker processes: OPSPARSE_THREADS if set, else the CPU count, at most trials."""
     cap = os.environ.get("OPSPARSE_THREADS")
-    workers = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(workers, trials))
+    if not cap:
+        return min(os.cpu_count() or 1, trials)
+    if not (cap.strip().isdecimal() and int(cap) >= 1):
+        raise ValueError(f"OPSPARSE_THREADS must be an integer >= 1, got {cap!r}")
+    return min(int(cap), trials)
 
 
 def cmd_recover(args) -> int:
@@ -270,11 +274,11 @@ def cmd_recover(args) -> int:
     elif sigma is None:
         # separation that backs the angular gap: 3*gamma/(2*pi) of the indices
         sigma = 3.0 * gamma / (2.0 * math.pi)
-    cfg = ReductionConfig(args.k, args.delta, args.mu, gamma, args.c_d)
+    cfg = ReductionConfig(args.k, args.delta, args.mu, gamma)
+    workers = _worker_count(args.trials)
     plan = _plan_from_args(args)
     seqs = np.random.SeedSequence(args.seed).spawn(args.trials)
 
-    workers = _worker_count(args.trials)
     records: list[TrialRecord] = []
     if workers == 1:
         for t in range(args.trials):
@@ -296,7 +300,6 @@ def cmd_recover(args) -> int:
                 "alpha": args.alpha, "beta": args.beta, "n": args.n, "k": args.k,
                 "delta": args.delta, "mu": args.mu, "gamma": gamma,
                 "sigma": sigma, "noise": args.noise, "seed": args.seed,
-                "c_d": args.c_d,
             },
             "trials": [asdict(r) for r in records],
             "success_rate": rate,
@@ -392,9 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--c-d", type=float, default=1.0,
-                   help="filter-degree budget multiplier; k=1 at --delta 0.05 "
-                        "--gamma 1 needs >= 1.075, some (k, delta, gamma) up to 2.2")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_recover)

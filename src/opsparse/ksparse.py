@@ -33,9 +33,7 @@ __all__ = [
 
 # Fraction of dense-root angular spacing entering the failure budget.
 _C0 = 1.0 / (2.0 * math.pi)
-# The noise-parameter cap.  At the default c_d the degree budget refuses part
-# of the range below it (N=2048, k=2, gamma=1: every delta above 0.06), and
-# such settings need a larger c_d.
+# The noise-parameter cap.
 DELTA_CAP = 0.1
 # A draw's energy floor is ENERGY_TAU * delta * R / sqrt(k), R = ||x - F^T zhat||.
 # Spikes below delta R / sqrt(k) hold at most delta R in norm together, within
@@ -139,19 +137,18 @@ class SparseApprox:
 
 @dataclass(frozen=True)
 class ReductionConfig:
-    """The recovery problem (k, delta, mu, gamma) and the filter-degree budget.
+    """The recovery problem (k, delta, mu, gamma).
 
     The Theta(.) multipliers of the draw count, the verifier samples, the
     refinement passes and eps = delta / c_big are class constants, tuned
-    against the acceptance suite; c_d, which scales the degree budget, stays
-    a field because some (k, delta, gamma) need more than its default.
+    against the acceptance suite; C_D, which sets the filter-degree budget,
+    against the boxcar degrees over a grid of (k, delta, gamma).
     """
 
     k: int
     delta: float
     mu: float
     gamma: float
-    c_d: float = 1.0
 
     # draws per pass: t0 = c_t0 log(1/mu0) / (C0 gamma)
     c_t0: ClassVar[float] = 1.0
@@ -161,12 +158,14 @@ class ReductionConfig:
     c_t2: ClassVar[float] = 1.0
     # noise-to-accuracy ratio: eps = delta / c_big
     c_big: ClassVar[float] = 2.0
+    # filter-degree budget: C_D log(1/eps_box) / gamma, the boxcar's own shape
+    C_D: ClassVar[float] = 16.0
 
     def __post_init__(self):
         if (isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral)
                 or self.k < 1):
             raise ValueError(f"k must be >= 1 and an integer, got {self.k!r}")
-        for name in ("delta", "mu", "gamma", "c_d"):
+        for name in ("delta", "mu", "gamma"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
@@ -209,7 +208,7 @@ class ReductionConfig:
         return self.eps() / math.sqrt(self.k)
 
     def degree_budget(self) -> int:
-        return math.ceil(self.c_d * math.sqrt(self.k) / (self.eps() * self.gamma))
+        return math.ceil(self.C_D * math.log(1.0 / self.boxcar_eps()) / self.gamma)
 
 
 def large(s: int, x: np.ndarray) -> float:
@@ -340,8 +339,8 @@ def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
                 filt = build_boxcar(theta, width, box_eps)
                 if filt.degree > budget:
                     raise ValueError(
-                        f"boxcar degree {filt.degree} exceeds budget {budget}; "
-                        "raise c_d or gamma")
+                        f"boxcar degree {filt.degree} exceeds budget {budget} "
+                        f"at gamma={cfg.gamma}, eps_box={box_eps:.3g}")
                 access = SimulatedAccess(plan, oracle, zhat, filt)
                 try:
                     got = one_sparse_solver(plan, access, solver_eps, mu0 / 2.0, rng,

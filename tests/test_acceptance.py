@@ -284,7 +284,7 @@ def test_criterion_8_k_sparse_recovery():
     report(8, "k-sparse recovery", ok,
            f"{blocks} (>= 45 clean, >= 40 noisy); calibrated profile "
            f"c_t0={profile.c_t0} c_t1={profile.c_t1} c_t2={profile.c_t2} "
-           f"c_d={profile.c_d} c_big={profile.c_big}; "
+           f"c_big={profile.c_big} C_D={profile.C_D}; "
            f"{elapsed:.0f}s")
 
 

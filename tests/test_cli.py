@@ -298,12 +298,10 @@ def test_recover1_reports_failure_on_empty_signal(tmp_path, capsys):
     (("recover", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "1",
       "--delta", "0.05", "--gamma", "1", "--trials", "1", "--sigma", "-3"),
      "sigma must be finite and >= 0"),
-    (("recover", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "1",
-      "--delta", "0.05", "--gamma", "1", "--c-d", "inf"),
-     "c_d must be positive and finite"),
-    (("recover", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "1",
-      "--delta", "0.05", "--gamma", "1", "--c-d", "nan"),
-     "c_d must be positive and finite"),
+    (("OPSPARSE_THREADS=abc", "recover", "--alpha", "0", "--beta", "0", "--n", "64",
+      "--k", "1", "--delta", "0.05", "--gamma", "1"), "OPSPARSE_THREADS must be"),
+    (("OPSPARSE_THREADS=0", "recover", "--alpha", "0", "--beta", "0", "--n", "64",
+      "--k", "1", "--delta", "0.05", "--gamma", "1"), "OPSPARSE_THREADS must be"),
     (("recover", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "1",
       "--delta", "nan", "--gamma", "1"), "delta must be positive and finite"),
     (("recover", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "1",
@@ -311,11 +309,16 @@ def test_recover1_reports_failure_on_empty_signal(tmp_path, capsys):
      "mu must be positive and finite"),
     (("recover", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "1",
       "--delta", "0.05", "--mu", "1", "--gamma", "1"), "mu must lie in (0, 1)"),
+    (("OPSPARSE_THREADS=-3", "recover", "--alpha", "0", "--beta", "0", "--n", "64",
+      "--k", "1", "--delta", "0.05", "--gamma", "1"), "OPSPARSE_THREADS must be"),
 ])
-def test_bad_arguments_are_reported(tmp_path, capsys, argv, match):
+def test_bad_arguments_are_reported(tmp_path, capsys, monkeypatch, argv, match):
     sig = tmp_path / "sig.json"
     write_signal(sig, np.zeros(64), 0.0, 0.0)
     argv = [a.format(sig=sig, out=tmp_path / "out.json") for a in argv]
+    if "=" in argv[0]:  # a leading NAME=value sets the environment, as in a shell
+        name, value = argv.pop(0).split("=", 1)
+        monkeypatch.setenv(name, value)
     code, stdout, stderr = run_cli(capsys, *argv)
     assert code == 2
     assert stdout == ""
@@ -370,7 +373,7 @@ def test_recover_json_report(tmp_path, capsys, monkeypatch):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["config"]["gamma"] == 1.0
-    assert payload["config"]["c_d"] == 1.0
+    assert "c_d" not in payload["config"]
     assert len(payload["trials"]) == 2
     for rec in payload["trials"]:
         assert rec["wall_time"] >= 0.0  # timing lives only in the JSON report
@@ -378,19 +381,18 @@ def test_recover_json_report(tmp_path, capsys, monkeypatch):
     assert 0.0 <= payload["success_rate"] <= 1.0
 
 
-def test_recover_c_d_flag_widens_degree_budget(capsys, monkeypatch):
-    # at --c-d 1 this setting's boxcars outgrow the budget (degree 43 > 40)
+def test_recover_k1_runs_inside_the_degree_budget(capsys, monkeypatch):
+    # this setting's boxcars have degree 43 at every centre, budget 60
     monkeypatch.setenv("OPSPARSE_THREADS", "1")
     code, stdout, _ = run_cli(capsys, "recover", "--alpha", "0", "--beta", "0",
                               "--n", "256", "--k", "1", "--delta", "0.05",
-                              "--gamma", "1", "--c-d", "2", "--trials", "1",
-                              "--format", "json")
+                              "--gamma", "1", "--trials", "1", "--format", "json")
     assert code == 0
-    assert json.loads(stdout)["config"]["c_d"] == 2.0
+    assert len(json.loads(stdout)["trials"]) == 1
 
 
 @pytest.mark.parametrize("flag", [("--profile", "stock"), ("--c-t0", "1"),
-                                  ("--c-big", "2")])
+                                  ("--c-big", "2"), ("--c-d", "2")])
 def test_recover_refuses_removed_multiplier_flags(capsys, flag):
     with pytest.raises(SystemExit) as exc:
         main(["recover", "--alpha", "0", "--beta", "0", "--n", "64", "--k", "1",

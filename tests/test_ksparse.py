@@ -1,6 +1,7 @@
 """Tests for the k-sparse reduction layer: counted access, filtered queries,
 the sampled verifier, and the peeling loop."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -131,7 +132,7 @@ def test_reduction_config_validation():
         with pytest.raises(ValueError, match="k must be >= 1 and an integer"):
             ReductionConfig(k, 0.05, 0.1, 1.0)
     assert ReductionConfig(np.int64(2), 0.05, 0.1, 1.0).t2() == 3
-    for name in ("delta", "mu", "gamma", "c_d"):
+    for name in ("delta", "mu", "gamma"):
         for value in (math.nan, math.inf):
             args = {"k": 2, "delta": 0.05, "mu": 0.1, "gamma": 1.0, name: value}
             with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
@@ -143,24 +144,22 @@ def test_reduction_config_derived_quantities():
     assert cfg.eps() == 0.05 / 2.0
     assert cfg.boxcar_width() == 0.15
     assert cfg.boxcar_eps() == cfg.eps() / 2.0
-    assert cfg.degree_budget() == math.ceil(1.0 * 2.0 / (cfg.eps() * 0.6))
+    assert cfg.degree_budget() == math.ceil(16.0 * math.log(1.0 / cfg.boxcar_eps()) / 0.6)
     assert cfg.batch() == min(cfg.t0(), math.ceil(2.0 * math.pi / 0.6))
     assert cfg.t2() >= cfg.k
 
 
 def test_reduction_config_calibrated_profile():
     cfg = ReductionConfig.calibrated(2, 0.05, 0.1, 1.0)
-    assert (cfg.c_t0, cfg.c_t1, cfg.c_big) == (1.0, 0.008, 2.0)
+    assert (cfg.c_t0, cfg.c_t1, cfg.c_big, cfg.C_D) == (1.0, 0.008, 2.0, 16.0)
     # frozen values, worked out from the documented formulas by hand
     assert cfg.eps() == 0.025
     assert cfg.t0() == 61
     assert cfg.t2() == 3
     assert cfg.batch() == 7
-    assert cfg.degree_budget() == 57
+    assert cfg.degree_budget() == 65
     assert cfg == ReductionConfig(2, 0.05, 0.1, 1.0)
-    tweaked = ReductionConfig(2, 0.05, 0.1, 1.0, c_d=4.0)
-    assert tweaked.c_d == 4.0
-    assert tweaked.c_t1 == 0.008  # c_d leaves the other multipliers alone
+    assert [f.name for f in dataclasses.fields(cfg)] == ["k", "delta", "mu", "gamma"]
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +341,7 @@ def test_verify_rejects_zero_value(legendre_plan_64, rng):
 
 def test_peeler_commits_fresh_spike(peel_plan):
     plan = peel_plan
-    cfg = ReductionConfig(1, 0.05, 0.1, 1.0, c_d=2.0)
+    cfg = ReductionConfig(1, 0.05, 0.1, 1.0)
     y = QueryOracle(1.3 * plan.row(100))
     rng = np.random.default_rng(3)
     zhat, stop = peeler(plan, y, SparseApprox(), cfg, solve_one_sparse, rng)
@@ -354,7 +353,7 @@ def test_peeler_commits_fresh_spike(peel_plan):
 def test_peeler_stops_on_exhausted_residual(peel_plan):
     # with the spike peeled exactly, a full pass verifies nothing
     plan = peel_plan
-    cfg = ReductionConfig(1, 0.05, 0.1, 1.0, c_d=2.0)
+    cfg = ReductionConfig(1, 0.05, 0.1, 1.0)
     y = QueryOracle(1.3 * plan.row(100))
     rng = np.random.default_rng(3)
     zhat, stop = peeler(plan, y, SparseApprox({100: 1.3}), cfg,
@@ -364,23 +363,41 @@ def test_peeler_stops_on_exhausted_residual(peel_plan):
     assert zhat.get(100) == 1.3
 
 
-def test_peeler_degree_budget_guard(legendre_plan_256):
-    cfg = ReductionConfig(1, 0.05, 0.1, 1.0, c_d=1e-6)
+def test_peeler_degree_budget_guard(legendre_plan_256, monkeypatch):
+    monkeypatch.setattr(ReductionConfig, "C_D", 1e-6)
+    cfg = ReductionConfig(1, 0.05, 0.1, 1.0)
     y = QueryOracle(np.zeros(256))
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="exceeds budget"):
         peeler(legendre_plan_256, y, SparseApprox(), cfg, solve_one_sparse, rng)
 
 
-def test_default_gamma_boxcars_fit_degree_budget():
-    # README's `recover` example: N=2048, k=2, sigma=1/(4k^2) and the gamma it
-    # implies; stride 16 includes roots 48 and 2000, whose boxcars take the
-    # most degree increases
-    plan = build_plan(JacobiParams(0.0, 0.0), 2048)
-    cfg = ReductionConfig.calibrated(2, 0.05, 0.1, 2.0 * math.pi / 16.0 / 3.0)
-    degrees = [build_boxcar(float(th), cfg.boxcar_width(), cfg.boxcar_eps()).degree
-               for th in plan.theta[::16]]
-    assert max(degrees) <= cfg.degree_budget()
+# README's `recover` example: N=2048, k=2, sigma=1/(4k^2) and the gamma it implies
+README_GAMMA = 2.0 * math.pi / 16.0 / 3.0
+BUDGET_GRID = [
+    pytest.param(k, delta, gamma, id=f"k{k}-delta{delta}-gamma{gamma:.3g}",
+                 marks=() if (k, delta, gamma) == (2, 0.05, README_GAMMA)
+                 else pytest.mark.slow)
+    for k in (1, 2, 4) for delta in (0.01, 0.02, 0.05, 0.1)
+    for gamma in (README_GAMMA, 0.6, 1.0, math.pi)]
+
+
+@pytest.fixture(scope="module")
+def legendre_theta_2048():
+    return build_plan(JacobiParams(0.0, 0.0), 2048).theta
+
+
+@pytest.mark.parametrize("k, delta, gamma", BUDGET_GRID)
+def test_default_gamma_boxcars_fit_degree_budget(legendre_theta_2048, k, delta, gamma):
+    # every 8th root: at README_GAMMA that includes roots 48 and 2000, whose
+    # boxcars take the most degree increases; the ends are not the worst centres
+    cfg = ReductionConfig(k, delta, 0.1, gamma)
+    degree = max(build_boxcar(float(th), cfg.boxcar_width(), cfg.boxcar_eps()).degree
+                 for th in legendre_theta_2048[::8])
+    assert degree <= cfg.degree_budget()
+    # the grid's largest degree is 7.8-14.7 log(1/eps_box) / gamma: the margin
+    # under C_D = 16 is pinned
+    assert degree * gamma / math.log(1.0 / cfg.boxcar_eps()) < cfg.C_D
 
 
 def test_verify_samples_refuse_the_cap(peel_plan):
@@ -504,7 +521,7 @@ def test_peeler_counts_the_residual_estimate_and_passes_band_and_floor(peel_plan
 
 def test_peeler_drives_a_stub_solver_with_the_new_keywords(peel_plan):
     plan = peel_plan
-    cfg = ReductionConfig(1, 0.05, 0.1, 1.0, c_d=2.0)
+    cfg = ReductionConfig(1, 0.05, 0.1, 1.0)
     spike, value = 100, 1.3
 
     def oracle_solver(plan, access, eps, mu, rng, *, window, floor):
