@@ -73,10 +73,19 @@ def _indicator_coeffs(center: float, half: float, degree: int) -> np.ndarray:
     return np.concatenate(([a0], am))
 
 
+def _grid_values(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """p(cos phi_k) at phi_k = k pi / m, k = 0..m, for m > degree.
+
+    sum_r c_r cos(pi k r / m) is the real part of the length-2m DFT of the
+    zero-padded coefficients: one real FFT, the DCT-I of the padded series.
+    """
+    return np.fft.rfft(coeffs, n=2 * m).real
+
+
 def _verify(coeffs: np.ndarray, center: float, width: float, eps: float) -> bool:
     degree = len(coeffs) - 1
     phi = np.linspace(0.0, math.pi, 64 * degree + 1)
-    vals = chebval(np.cos(phi), coeffs)
+    vals = _grid_values(coeffs, 64 * degree)
     tol = eps * (1.0 + SLACK)
     inside = np.abs(phi - center) <= width
     outside = np.abs(phi - center) >= 2.0 * width

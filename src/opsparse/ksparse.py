@@ -3,7 +3,9 @@
 The recovery loop repeatedly picks a random root, builds a boxcar filter
 around its angle, and hands the filtered signal to a 1-sparse solver.  The
 filter is applied implicitly: banded moment matrices turn one filtered-sample
-query into at most 2d+1 queries against the raw signal.  Candidate spikes
+query into at most 2d+1 queries against the raw signal, and the draws of one
+batch share their sample positions, so each raw window is read once per
+batch rather than once per draw.  Candidate spikes
 must land inside the filter pass band and survive a sampled residual check
 before being committed to the running sparse estimate.
 """
@@ -24,6 +26,7 @@ __all__ = [
     "QueryOracle",
     "SparseApprox",
     "ReductionConfig",
+    "SampleSchedule",
     "SimulatedAccess",
     "large",
     "verify",
@@ -80,6 +83,11 @@ class QueryOracle:
         idx = _indices(idx, len(self._values))
         self.count += idx.size
         return self._values[idx]
+
+    def sample(self, s: int, rng) -> tuple[np.ndarray, np.ndarray]:
+        """s uniform positions drawn from rng and the entries there."""
+        js = rng.integers(0, len(self), size=s)
+        return js, self.query_many(js)
 
 
 class SparseApprox:
@@ -220,52 +228,102 @@ def large(s: int, x: np.ndarray) -> float:
     return float(np.partition(mags, x.size - s)[x.size - s])
 
 
+def _windows(oracle, js: np.ndarray, d: int, n: int) -> np.ndarray:
+    """Raw windows x[j-d .. j+d] around each j in js, shape (len(js), 2d+1).
+
+    One oracle request reads the in-range part of every window; entries
+    outside [0, N) are zero and are not read.
+    """
+    offsets = np.arange(-d, d + 1)
+    valid = (offsets >= -js[:, None]) & (offsets < n - js[:, None])
+    # the index matrix is a temporary, freed before the read: a batch keeps
+    # several rounds of windows alive, so this round's transients add to its
+    # peak memory
+    raw = oracle.query_many((js[:, None] + offsets)[valid])
+    out = np.zeros(valid.shape)
+    out[valid] = raw
+    return out
+
+
+class SampleSchedule:
+    """Sample positions and raw windows shared by the draws of one batch.
+
+    The i-th ``SimulatedAccess.sample`` call of every draw built on this
+    schedule gets the batch's i-th position set: s uniform positions, drawn
+    from the caller's rng the first time any draw asks for set i.  The raw
+    windows around them are read once, at width 2*degree+1 (degree is the
+    largest filter degree in the batch), clipped at the ends, and kept for
+    the life of the schedule.  Each draw's samples stay uniform, so its own
+    failure bound holds; the union bound over draws needs no independence.
+    """
+
+    def __init__(self, oracle, n: int, degree: int):
+        self._oracle = oracle
+        self._n = n
+        self.degree = degree
+        self._rounds: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def round(self, i: int, s: int, rng) -> tuple[np.ndarray, np.ndarray]:
+        """Position set i and its raw windows; drawn and read on first use."""
+        if i == len(self._rounds):
+            js = rng.integers(0, self._n, size=s)
+            self._rounds.append((js, _windows(self._oracle, js, self.degree, self._n)))
+        js, win = self._rounds[i]
+        if js.size != s:
+            raise ValueError(f"sample set {i} holds {js.size} positions, asked for {s}")
+        return js, win
+
+
 class SimulatedAccess:
-    """Filtered query access: each sample costs at most 2d+1 raw queries.
+    """Filtered query access: each sample's window holds at most 2D+1 raw
+    entries, D the window degree of its schedule (its own d when alone).
 
     Serves entries of p(J)(x - F^T zhat) = F^T D_b (x_hat - zhat), where b is
     the boxcar evaluated at the roots, from the plan's filter band applied to
     raw windows of x.  F^T D_b F = p(J) exactly, so zhat's part is its
     filtered image F^T (b * zhat) = sum_h b(lambda_h) v_h F[h], built once per
     filter in O(kN) and subtracted per sample rather than per raw read.
+
+    ``sample`` takes its positions and raw windows from ``schedule``, shared
+    by the draws of one batch; without one, the access is a batch of one and
+    reads the windows of its own positions.  ``query_many`` always reads the
+    windows of the positions it is given.
     """
 
-    def __init__(self, plan, oracle, zhat: SparseApprox, filt: BoxcarFilter):
+    def __init__(self, plan, oracle, zhat: SparseApprox, filt: BoxcarFilter,
+                 schedule: SampleSchedule | None = None):
+        if schedule is None:
+            schedule = SampleSchedule(oracle, plan.n, filt.degree)
+        elif filt.degree > schedule.degree:
+            raise ValueError(f"filter degree {filt.degree} exceeds the schedule's "
+                             f"window degree {schedule.degree}")
         self._plan = plan
         self._oracle = oracle
+        self._schedule = schedule
+        self._rounds = 0
         self._band = plan.filter_band(filt)
         self._degree = filt.degree
         self._zf = np.zeros(plan.n)
         for h, v in zhat.items():
             self._zf += filt(plan.lam[h]) * v * plan.row(h)
 
-    def query_many(self, js: np.ndarray) -> np.ndarray:
-        """Filtered samples at indices js; each reads at most 2d+1 entries.
+    def sample(self, s: int, rng) -> tuple[np.ndarray, np.ndarray]:
+        """This draw's next s uniform positions and its filtered samples there."""
+        js, win = self._schedule.round(self._rounds, s, rng)
+        self._rounds += 1
+        return js, self._filtered(js, win)
 
-        All raw reads of a call go to the oracle in one request: the full
-        windows of interior rows (d <= j < N-d) first, then the in-range
-        part of the clipped windows of the edge rows.
-        """
-        n = self._plan.n
-        js = _indices(js, n)
+    def query_many(self, js: np.ndarray) -> np.ndarray:
+        """Filtered samples at indices js; each reads at most 2d+1 entries,
+        all in one oracle request."""
+        js = _indices(js, self._plan.n)
+        return self._filtered(js, _windows(self._oracle, js, self._degree, self._plan.n))
+
+    def _filtered(self, js: np.ndarray, win: np.ndarray) -> np.ndarray:
+        """Band rows at js against the centre 2d+1 columns of win, minus zhat."""
+        c = (win.shape[1] - 1) // 2
         d = self._degree
-        w = 2 * d + 1
-        offsets = np.arange(-d, d + 1)
-        inner = (js >= d) & (js < n - d)
-        rows_in, rows_edge = js[inner], js[~inner]
-        win_edge = rows_edge[:, None] + offsets
-        valid = (win_edge >= 0) & (win_edge < n)
-        split = rows_in.size * w
-        reads = np.empty(split + np.count_nonzero(valid), dtype=np.int64)
-        np.add(rows_in[:, None], offsets, out=reads[:split].reshape(rows_in.size, w))
-        reads[split:] = win_edge[valid]
-        raw = self._oracle.query_many(reads)
-        vals_edge = np.zeros(win_edge.shape)
-        vals_edge[valid] = raw[split:]
-        out = np.empty(js.size)
-        out[inner] = np.einsum("ij,ij->i", self._band[rows_in],
-                               raw[:split].reshape(rows_in.size, w))
-        out[~inner] = np.einsum("ij,ij->i", self._band[rows_edge], vals_edge)
+        out = np.einsum("ij,ij->i", self._band[js], win[:, c - d:c + d + 1])
         out -= self._zf[js]
         return out
 
@@ -309,7 +367,10 @@ def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
     ``one_sparse_solver(plan, access, eps, mu, rng, window=, floor=)`` is
     called once per draw with the draw's pass band theta_ell +- width as
     ``window`` and the energy floor ENERGY_TAU * delta * R / sqrt(k) as
-    ``floor``; it signals a miss with RecoveryError.
+    ``floor``; it signals a miss with RecoveryError.  Draws run in batches:
+    a batch's boxcars are built first, and its draws' ``SimulatedAccess``
+    share one ``SampleSchedule``, so each round's raw windows are read once
+    per batch.  ``verify`` draws fresh positions.
 
     The dense image F^T zhat is built once per pass, for the estimate of R
     alone; each draw's ``SimulatedAccess`` subtracts zhat's filtered image.
@@ -325,34 +386,50 @@ def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
     solver_eps = 6.0 * eps
     for _ in range(cfg.t2()):
         z = zhat.image(plan)
+
+        def residual(s, rng):
+            js, y = oracle.sample(s, rng)
+            return js, y - z[js]
+
         # R = ||x - F^T zhat||, estimated from counted raw reads
-        r_hat = estimate_norm(plan, lambda js: oracle.query_many(js) - z[js],
-                              solver_eps, rng)
+        r_hat = estimate_norm(plan, residual, solver_eps, rng)
         floor = ENERGY_TAU * cfg.delta * r_hat / math.sqrt(cfg.k)
+
+        def draw(theta, filt, schedule) -> tuple[int, float] | None:
+            """One filtered solve around theta and its check; None on a miss.
+            The draw's filter band is dropped when it returns."""
+            access = SimulatedAccess(plan, oracle, zhat, filt, schedule)
+            try:
+                got = one_sparse_solver(plan, access, solver_eps, mu0 / 2.0, rng,
+                                        window=(theta - width, theta + width),
+                                        floor=floor)
+            except RecoveryError:
+                return None
+            h, v = got.index, got.value
+            if abs(plan.theta[h] - theta) > width:
+                return None
+            if not verify(plan, access, v, h, mu0 / 2.0, eps, rng, cfg.c_t1):
+                return None
+            return h, v
+
         found: list[tuple[int, float]] = []
         draws = 0
         while draws < t0:
+            filters = []
             for _ in range(min(batch, t0 - draws)):
-                draws += 1
-                ell = int(rng.integers(0, n))
-                theta = float(plan.theta[ell])
+                theta = float(plan.theta[int(rng.integers(0, n))])
                 filt = build_boxcar(theta, width, box_eps)
                 if filt.degree > budget:
                     raise ValueError(
                         f"boxcar degree {filt.degree} exceeds budget {budget} "
                         f"at gamma={cfg.gamma}, eps_box={box_eps:.3g}")
-                access = SimulatedAccess(plan, oracle, zhat, filt)
-                try:
-                    got = one_sparse_solver(plan, access, solver_eps, mu0 / 2.0, rng,
-                                            window=(theta - width, theta + width),
-                                            floor=floor)
-                except RecoveryError:
-                    continue
-                h, v = got.index, got.value
-                if abs(plan.theta[h] - theta) > width:
-                    continue
-                if verify(plan, access, v, h, mu0 / 2.0, eps, rng, cfg.c_t1):
-                    found.append((h, v))
+                filters.append((theta, filt))
+            draws += len(filters)
+            schedule = SampleSchedule(oracle, n, max(f.degree for _, f in filters))
+            for theta, filt in filters:
+                got = draw(theta, filt, schedule)
+                if got is not None:
+                    found.append(got)
             if found:
                 break
         if not found:

@@ -89,17 +89,15 @@ def _sample_size(plan: plan_mod.TransformPlan, eps: float) -> int:
     return int(max(8.0, math.ceil(s)))
 
 
-def estimate_norm(plan, read: Callable[[np.ndarray], np.ndarray], eps: float,
-                  rng) -> float:
+def estimate_norm(plan, sample: Callable, eps: float, rng) -> float:
     """Estimate of ||y|| from one estimator round of uniform samples of y.
 
-    ``read(js)`` returns y at the indices js; the round draws as many
-    samples as one round of ``prune`` at this eps.
+    ``sample(s, rng)`` returns s uniform positions and y there, as an access
+    object's ``sample`` does; the round draws as many samples as one round
+    of ``prune`` at this eps.
     """
-    s = _sample_size(plan, eps)
-    js = rng.integers(0, plan.n, size=s)
-    y = read(js)
-    return math.sqrt((plan.n / s) * float(y @ y))
+    _, y = sample(_sample_size(plan, eps), rng)
+    return math.sqrt((plan.n / y.size) * float(y @ y))
 
 
 def _round_count(mu: float) -> int:
@@ -129,7 +127,8 @@ def _correlate(plan, cand, sums: list[np.ndarray], s: int) -> np.ndarray:
 def _estimate(plan, oracle, cand, mu_each, eps, rng, floor=0.0):
     """Medians of the norm and correlation estimators over shared samples.
 
-    Every round is drawn and queried in turn; correlations are computed once
+    Every round is drawn and read in turn through ``oracle.sample``, whose
+    positions a k-sparse batch's draws share; correlations are computed once
     per checkpoint segment, rounds {0, 1}, {2, 3} and the rest, since only
     the partial medians after rounds 1 and 3 can stop early.  Returns (u,
     per-candidate medians), or None if an early partial median showed
@@ -144,8 +143,7 @@ def _estimate(plan, oracle, cand, mu_each, eps, rng, floor=0.0):
     segments = []  # (rounds in segment, candidates) correlations
     sums = []
     for r in range(rounds):
-        js = rng.integers(0, n, size=s)
-        y = oracle.query_many(js)
+        js, y = oracle.sample(s, rng)
         u_rounds[r] = math.sqrt((n / s) * float(y @ y))
         if r == 0 and u_rounds[0] < floor:
             raise RecoveryError(f"filtered norm {u_rounds[0]:.3g} below the "
@@ -374,7 +372,7 @@ def solve_one_sparse(plan, oracle, eps: float, mu: float, rng, *,
                           * (math.log(max(math.log(n), math.e)) + math.log(1.0 / mu)))
         # the earlier stages check the floor only if the window holds some of
         # their roots, so check it here before paying for the search
-        if floor > 0.0 and estimate_norm(plan, oracle.query_many, eps, rng) < floor:
+        if floor > 0.0 and estimate_norm(plan, oracle.sample, eps, rng) < floor:
             raise RecoveryError(f"filtered norm below the energy floor {floor:.3g}")
         try:
             lo, hi = approx_arccos(

@@ -10,9 +10,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.chebyshev import chebval
 from scipy.integrate import trapezoid
 
+from opsparse import JacobiParams, ReductionConfig, build_plan
 from opsparse.boxcar import (
+    SLACK,
     BoxcarConstructionError,
+    _grid_values,
     _indicator_coeffs,
+    _verify,
     build_boxcar,
 )
 
@@ -67,6 +71,40 @@ def grid_check(filt, n_per_degree=64):
     ok_stop = not outside.any() or np.abs(vals[outside]).max() <= tol
     ok_bound = np.abs(vals).max() <= 1.0 + tol
     return ok_pass and ok_stop and ok_bound
+
+
+def chebval_verify(coeffs, center, width, eps):
+    """The grid check with the filter evaluated by chebval at cos(phi)."""
+    phi = np.linspace(0.0, math.pi, 64 * (len(coeffs) - 1) + 1)
+    vals = chebval(np.cos(phi), coeffs)
+    tol = eps * (1.0 + SLACK)
+    inside = np.abs(phi - center) <= width
+    outside = np.abs(phi - center) >= 2.0 * width
+    return bool(np.all(np.abs(vals[inside] - 1.0) <= tol)
+                and np.all(np.abs(vals[outside]) <= tol)
+                and np.all(np.abs(vals) <= 1.0 + tol))
+
+
+def test_verify_decides_as_chebval_at_every_root():
+    # the peeler's filters (k=2, delta=0.05, gamma=1) at every Legendre
+    # N=2048 centre, truncated to 3/4 and 1/2 of their degree to get rejections
+    cfg = ReductionConfig(2, 0.05, 0.1, 1.0)
+    width, eps = cfg.boxcar_width(), cfg.boxcar_eps()
+    decisions = []
+    for center in build_plan(JacobiParams(0.0, 0.0), 2048).theta:
+        filt = build_boxcar(float(center), width, eps)
+        if not decisions:
+            m = 64 * filt.degree
+            phi = np.linspace(0.0, math.pi, m + 1)
+            np.testing.assert_allclose(_grid_values(filt.coeffs, m),
+                                       chebval(np.cos(phi), filt.coeffs),
+                                       rtol=0, atol=1e-12)
+        for degree in (filt.degree, 3 * filt.degree // 4, filt.degree // 2):
+            coeffs = filt.coeffs[: degree + 1]
+            want = chebval_verify(coeffs, center, width, eps)
+            assert _verify(coeffs, center, width, eps) == want, (center, degree)
+            decisions.append(want)
+    assert 0 < sum(decisions) < len(decisions)
 
 
 def test_reference_filters_pass_grid_check():

@@ -20,7 +20,15 @@ from opsparse import (
     recover,
     solve_one_sparse,
 )
-from opsparse.ksparse import ENERGY_TAU, _verify_samples, large, peeler, verify
+from opsparse import ksparse
+from opsparse.ksparse import (
+    ENERGY_TAU,
+    SampleSchedule,
+    _verify_samples,
+    large,
+    peeler,
+    verify,
+)
 from opsparse.onesparse import (
     SAMPLE_CAP,
     OneSparseResult,
@@ -295,6 +303,164 @@ def test_simulate_query_cost_and_agreement(rng):
     with pytest.raises(IndexError, match="out of range"):
         SimulatedAccess(plan, oracle, zhat, filt).query_many(np.array([-1]))
     assert oracle.count == 0
+
+
+# ---------------------------------------------------------------------------
+# one sample schedule per batch of draws
+
+
+def window_reads(js, d, n):
+    """Sorted multiset of the clipped windows max(0, j-d) .. min(N-1, j+d)."""
+    if len(js) == 0:
+        return np.array([], dtype=np.int64)
+    return np.sort(np.concatenate([np.arange(max(0, j - d), min(n - 1, j + d) + 1)
+                                   for j in js]))
+
+
+@pytest.fixture(scope="module")
+def batch_filters():
+    """The peeler's filters at k=2, gamma=1: degree 43 at delta=0.07 and 47
+    at delta=0.05."""
+    narrow = build_boxcar(0.9, 0.25, ReductionConfig(2, 0.07, 0.1, 1.0).boxcar_eps())
+    wide = build_boxcar(2.1, 0.25, ReductionConfig(2, 0.05, 0.1, 1.0).boxcar_eps())
+    assert (narrow.degree, wide.degree) == (43, 47)
+    return narrow, wide
+
+
+def test_batch_draws_read_each_round_once_at_the_widest_window(peel_plan,
+                                                              batch_filters, rng):
+    plan, n, s = peel_plan, peel_plan.n, 300
+    narrow, wide = batch_filters
+    y = rng.standard_normal(n)
+    zhat = SparseApprox({40: 0.6, 200: -0.3})
+    oracle = RecordingOracle(y)
+    schedule = SampleSchedule(oracle, n, wide.degree)
+    a = SimulatedAccess(plan, oracle, zhat, narrow, schedule)
+    b = SimulatedAccess(plan, oracle, zhat, wide, schedule)
+    gen = np.random.default_rng(3)
+    got_a = [a.sample(s, gen) for _ in range(3)]
+    got_b = [b.sample(s, gen) for _ in range(4)]  # one round past a's
+    # round i's positions are the i-th draw from the rng of the first asker
+    replay = np.random.default_rng(3)
+    want_js = [replay.integers(0, n, size=s) for _ in range(4)]
+    assert len(oracle.calls) == 4
+    for i, js in enumerate(want_js):
+        np.testing.assert_array_equal(got_b[i][0], js)
+        if i < 3:
+            np.testing.assert_array_equal(got_a[i][0], js)
+        np.testing.assert_array_equal(np.sort(oracle.calls[i]), window_reads(js, 47, n))
+    assert oracle.count == sum(window_reads(js, 47, n).size for js in want_js)
+    # each draw applies its own filter to the shared windows
+    mat = plan.matrix()
+    resid = y - zhat.image(plan)
+    for filt, got in ((narrow, got_a), (wide, got_b)):
+        dense = mat.T @ (filt(plan.lam)[:, None] * mat) @ resid
+        for js, vals in got:
+            np.testing.assert_allclose(vals, dense[js], rtol=0, atol=1e-10)
+
+
+def test_sample_values_match_query_many(peel_plan, batch_filters, rng):
+    plan, n, s = peel_plan, peel_plan.n, 500
+    y = rng.standard_normal(n)
+    zhat = SparseApprox({77: 1.1})
+    oracle = QueryOracle(y)
+    schedule = SampleSchedule(oracle, n, 47)
+    for filt in batch_filters:
+        access = SimulatedAccess(plan, oracle, zhat, filt, schedule)
+        for _ in range(2):
+            js, vals = access.sample(s, rng)
+            np.testing.assert_allclose(vals, access.query_many(js), rtol=0, atol=1e-12)
+
+
+def test_verify_reads_fresh_windows_at_the_draws_own_width(peel_plan, batch_filters,
+                                                          rng):
+    plan, n, s = peel_plan, peel_plan.n, 300
+    narrow, _ = batch_filters
+    oracle = RecordingOracle(rng.standard_normal(n))
+    access = SimulatedAccess(plan, oracle, SparseApprox(), narrow,
+                             SampleSchedule(oracle, n, 47))
+    gen = np.random.default_rng(6)
+    access.sample(s, gen)
+    state = gen.bit_generator.state
+    verify(plan, access, 1.0, 30, 0.25, 0.1, gen, 2.0)
+    replay = np.random.default_rng()
+    replay.bit_generator.state = state
+    js = replay.integers(0, n, size=_verify_samples(plan, 0.25, 0.1, 2.0))
+    assert len(oracle.calls) == 2
+    np.testing.assert_array_equal(np.sort(oracle.calls[1]), window_reads(js, 43, n))
+
+
+def test_standalone_access_samples_as_a_batch_of_one(peel_plan, batch_filters, rng):
+    # each sample call reads the windows of its own fresh positions at the
+    # filter's own width, the reads query_many(rng.integers(0, N, s)) makes
+    plan, n, s = peel_plan, peel_plan.n, 400
+    _, wide = batch_filters
+    oracle = RecordingOracle(rng.standard_normal(n))
+    access = SimulatedAccess(plan, oracle, SparseApprox(), wide)
+    gen, replay = np.random.default_rng(5), np.random.default_rng(5)
+    for i in range(3):
+        js, _ = access.sample(s, gen)
+        want = replay.integers(0, n, size=s)
+        np.testing.assert_array_equal(js, want)
+        np.testing.assert_array_equal(np.sort(oracle.calls[i]), window_reads(want, 47, n))
+    assert len(oracle.calls) == 3
+
+
+def test_schedule_refuses_a_wider_filter_or_another_size(peel_plan, batch_filters):
+    narrow, wide = batch_filters
+    oracle = QueryOracle(np.zeros(peel_plan.n))
+    schedule = SampleSchedule(oracle, peel_plan.n, narrow.degree)
+    with pytest.raises(ValueError, match="exceeds the schedule's window degree"):
+        SimulatedAccess(peel_plan, oracle, SparseApprox(), wide, schedule)
+    a = SimulatedAccess(peel_plan, oracle, SparseApprox(), narrow, schedule)
+    b = SimulatedAccess(peel_plan, oracle, SparseApprox(), narrow, schedule)
+    a.sample(10, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="holds 10 positions, asked for 11"):
+        b.sample(11, np.random.default_rng(0))
+
+
+def test_peeler_reads_each_drawn_round_once_per_batch(peel_plan, monkeypatch):
+    plan, n = peel_plan, peel_plan.n
+    cfg = ReductionConfig(2, 0.05, 0.1, 1.0)
+    eps = 6.0 * cfg.eps()
+    s = _sample_size(plan, eps)
+    degrees = []
+    narrow_eps = ReductionConfig(2, 0.07, 0.1, 1.0).boxcar_eps()
+
+    def recording_boxcar(center, width, eps):
+        # every other filter at degree 43, so batches mix 43 and 47
+        filt = build_boxcar(center, width, narrow_eps if len(degrees) % 2 else eps)
+        degrees.append(filt.degree)
+        return filt
+
+    monkeypatch.setattr(ksparse, "build_boxcar", recording_boxcar)
+    drawn = []  # per draw, the positions of each round it sampled
+
+    def stub(plan, access, eps, mu, rng, *, window, floor):
+        drawn.append([access.sample(s, rng)[0] for _ in range(len(drawn) % 4)])
+        raise RecoveryError("stub")
+
+    oracle = RecordingOracle(plan.row(100))
+    zhat, stop = peeler(plan, oracle, SparseApprox(), cfg, stub,
+                        np.random.default_rng(8))
+    assert stop and len(drawn) == cfg.t0() == len(degrees)
+    assert set(degrees) == {43, 47}
+    want_calls, want_count = 1, s  # the residual estimate
+    for start in range(0, cfg.t0(), cfg.batch()):
+        batch = drawn[start:start + cfg.batch()]
+        width = max(degrees[start:start + cfg.batch()])
+        rounds = max(len(r) for r in batch)
+        for i in range(rounds):
+            js = next(r[i] for r in batch if len(r) > i)
+            for r in batch:
+                if len(r) > i:
+                    np.testing.assert_array_equal(r[i], js)
+            reads = window_reads(js, width, n)
+            np.testing.assert_array_equal(np.sort(oracle.calls[want_calls]), reads)
+            want_calls += 1
+            want_count += reads.size
+    assert len(oracle.calls) == want_calls
+    assert oracle.count == want_count
 
 
 # ---------------------------------------------------------------------------

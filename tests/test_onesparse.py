@@ -382,6 +382,47 @@ def test_angle_search_checks_the_floor_and_the_window(arccos_reach):
     assert got.index == ell
 
 
+class ReplayOracle:
+    """The solver's reads as it made them inline: positions by rng.integers,
+    entries by query_many on a plain QueryOracle."""
+
+    def __init__(self, values):
+        self.plain = QueryOracle(values)
+
+    def sample(self, s, rng):
+        js = rng.integers(0, len(self.plain), size=s)
+        return js, self.plain.query_many(js)
+
+    def query_many(self, js):
+        return self.plain.query_many(js)
+
+
+def test_plain_oracle_samples_replay_inline_reads(arccos_reach):
+    # prune rounds, the floor check before the angle search, query_cos and
+    # the final prune all read alike through QueryOracle.sample and the replay
+    plan, searches = arccos_reach
+    cases = [(ell, (0.0, math.pi), 0.0) for ell in (5, 700, 1500, 2040)]
+    d0 = math.sqrt(0.01) / onesparse._D0_DIV
+    cover = bad_intervals(plan.n, min(1.0, 2.0 * spread_rho(d0) / math.pi))
+    ell = next(i for i in range(1000, 1100)
+               if not cover.contains(plan.theta[i] / math.pi))
+    cases.append((ell, (plan.theta[ell] - 1e-4, plan.theta[ell] + 1e-4), 0.5))
+    for seed, (ell, window, floor) in enumerate(cases):
+        y = spike_signal(plan, ell, 1.3, noise=0.01, rng=np.random.default_rng(seed))
+        got = []
+        for oracle in (QueryOracle(y), ReplayOracle(y)):
+            try:
+                res = tuple(solve_one_sparse(plan, oracle, 0.01, 0.02,
+                                             np.random.default_rng(seed),
+                                             window=window, floor=floor))
+            except RecoveryError:
+                res = None
+            count = oracle.count if isinstance(oracle, QueryOracle) else oracle.plain.count
+            got.append((res, count))
+        assert got[0] == got[1], (ell, got)
+    assert searches  # the angle search ran
+
+
 def test_solver_never_returns_a_root_outside_its_window(legendre_plan_256):
     plan = legendre_plan_256
     ell = 130
