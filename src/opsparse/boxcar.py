@@ -18,11 +18,11 @@ quarter, with sigma held, a bounded number of times.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
-from scipy.special import erfcinv
 
 __all__ = ["BoxcarFilter", "BoxcarConstructionError", "build_boxcar"]
 
@@ -107,8 +107,9 @@ def build_boxcar(center: float, width: float, eps: float) -> BoxcarFilter:
     center, width, eps = float(center), float(width), float(eps)
     half = _BOX_FACTOR * width
     margin = half - width  # distance from the pass band edge to the box edge
-    # Gaussian tail at the margin <= eps/4.
-    q = math.sqrt(2.0) * float(erfcinv(eps / 2.0))
+    # q is the standard-normal quantile Phi^-1(1 - eps/4): with sigma = margin/q
+    # the Gaussian tail beyond the margin is <= eps/4.
+    q = -statistics.NormalDist().inv_cdf(eps / 4.0)
     sigma = margin / q
     # Truncate where the damped coefficient tail is below eps/8.
     d = 4

@@ -80,6 +80,9 @@ SAMPLE_CAP = 4_000_000
 
 def _sample_size(plan: plan_mod.TransformPlan, eps: float) -> int:
     n = plan.n
+    if n < 2:
+        # log(N) / eps^2 is the schedule's scale; at N = 1 it is 0
+        raise ValueError(f"the one-sparse solver needs N >= 2, got N = {n}")
     flat = plan.U * plan.U * n
     big = math.log(n) / (eps * eps)
     s = max(_C_S * flat * big * math.log(big), _S_FLOOR * flat * math.log(n))

@@ -158,6 +158,7 @@ class TransformPlan:
         if d >= self.n:
             raise ValueError(f"filter degree {d} must be < N = {self.n}")
         if self._stacks is None or len(self._stacks[1]) <= d:
+            self._stacks = None  # release the smaller cache before building the next
             self._stacks = _chebyshev_stacks(self.params, self.n, d)
         step, stacks = self._stacks
         coeffs = np.asarray(filt.coeffs, dtype=np.float64)

@@ -311,11 +311,15 @@ def test_recover1_reports_failure_on_empty_signal(tmp_path, capsys):
       "--delta", "0.05", "--mu", "1", "--gamma", "1"), "mu must lie in (0, 1)"),
     (("OPSPARSE_THREADS=-3", "recover", "--alpha", "0", "--beta", "0", "--n", "64",
       "--k", "1", "--delta", "0.05", "--gamma", "1"), "OPSPARSE_THREADS must be"),
+    (("recover1", "--input", "{sig1}"), "needs N >= 2, got N = 1"),
+    (("recover", "--alpha", "0", "--beta", "0", "--n", "1", "--k", "1",
+      "--delta", "0.05", "--gamma", "1", "--trials", "1"), "needs N >= 2, got N = 1"),
 ])
 def test_bad_arguments_are_reported(tmp_path, capsys, monkeypatch, argv, match):
-    sig = tmp_path / "sig.json"
+    sig, sig1 = tmp_path / "sig.json", tmp_path / "sig1.json"
     write_signal(sig, np.zeros(64), 0.0, 0.0)
-    argv = [a.format(sig=sig, out=tmp_path / "out.json") for a in argv]
+    write_signal(sig1, np.zeros(1), 0.0, 0.0)
+    argv = [a.format(sig=sig, sig1=sig1, out=tmp_path / "out.json") for a in argv]
     if "=" in argv[0]:  # a leading NAME=value sets the environment, as in a shell
         name, value = argv.pop(0).split("=", 1)
         monkeypatch.setenv(name, value)

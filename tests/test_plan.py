@@ -1,9 +1,11 @@
 """Transform plans: moment bands against the dense triple product, exact
 persistence, format-error taxonomy."""
 
+import gc
 import math
 import pickle
 import struct
+import weakref
 import zlib
 
 import numpy as np
@@ -184,6 +186,25 @@ def test_filter_band_grows_its_cache(rng):
             band = plan.filter_band(type("F", (), {"coeffs": coeffs, "degree": d})())
             dense = f.T @ (chebval(plan.lam, coeffs)[:, None] * f)
             np.testing.assert_allclose(band_to_dense(band), dense, atol=1e-12)
+
+
+def test_filter_band_rebuild_holds_one_cache(monkeypatch):
+    # the lower-degree moment cache must be released before the higher one
+    # is built, or both are alive at the peak (hundreds of MB at N = 2048)
+    plan = build_plan(JacobiParams(0.0, 0.0), 256)
+    plan.filter_band(one_hot_filter(20))
+    old = [weakref.ref(a) for a in plan._stacks[1]]
+    alive = []
+
+    def wrapped(*args):
+        gc.collect()
+        alive.append(sum(r() is not None for r in old))
+        return _chebyshev_stacks(*args)
+
+    monkeypatch.setattr("opsparse.plan._chebyshev_stacks", wrapped)
+    plan.filter_band(one_hot_filter(40))
+    assert alive == [0]
+    assert len(plan._stacks[1]) == 41
 
 
 @pytest.mark.parametrize("alpha, beta, step", [(0.0, 0.0, 2), (-0.5, -0.5, 2),
