@@ -5,6 +5,7 @@ from .jacobi import JacobiParams, compute_roots, compute_weights
 from .ksparse import (
     QueryOracle,
     ReductionConfig,
+    SampleSchedule,
     SimulatedAccess,
     SparseApprox,
     recover,
@@ -26,6 +27,7 @@ __all__ = [
     "build_boxcar",
     "QueryOracle",
     "ReductionConfig",
+    "SampleSchedule",
     "SimulatedAccess",
     "SparseApprox",
     "recover",

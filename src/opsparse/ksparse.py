@@ -2,10 +2,11 @@
 
 The recovery loop repeatedly picks a random root, builds a boxcar filter
 around its angle, and hands the filtered signal to a 1-sparse solver.  The
-filter is applied implicitly: banded moment matrices turn one filtered-sample
-query into at most 2d+1 queries against the raw signal, and the draws of one
-batch share their sample positions, so each raw window is read once per
-batch rather than once per draw.  Candidate spikes
+filter p = sum_r b_r T_r is applied implicitly: p(J) is d-banded, so a
+filtered sample at j needs only the Chebyshev moments (T_r(J) y)_j, r <= d,
+of the residual y = x - F^T zhat, and those read y only within d of j.  The
+draws of one batch share their sample positions, so each raw window is read
+once per batch rather than once per draw.  Candidate spikes
 must land inside the filter pass band and survive a sampled residual check
 before being committed to the running sparse estimate.
 """
@@ -228,104 +229,90 @@ def large(s: int, x: np.ndarray) -> float:
     return float(np.partition(mags, x.size - s)[x.size - s])
 
 
-def _windows(oracle, js: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Raw windows x[j-d .. j+d] around each j in js, shape (len(js), 2d+1).
-
-    One oracle request reads the in-range part of every window; entries
-    outside [0, N) are zero and are not read.
-    """
-    offsets = np.arange(-d, d + 1)
-    valid = (offsets >= -js[:, None]) & (offsets < n - js[:, None])
-    # the index matrix is a temporary, freed before the read: a batch keeps
-    # several rounds of windows alive, so this round's transients add to its
-    # peak memory
-    raw = oracle.query_many((js[:, None] + offsets)[valid])
-    out = np.zeros(valid.shape)
-    out[valid] = raw
-    return out
-
-
 class SampleSchedule:
-    """Sample positions and raw windows shared by the draws of one batch.
+    """Sample positions and residual moments shared by the draws of one batch.
 
     The i-th ``SimulatedAccess.sample`` call of every draw built on this
     schedule gets the batch's i-th position set: s uniform positions, drawn
     from the caller's rng the first time any draw asks for set i.  The raw
-    windows around them are read once, at width 2*degree+1 (degree is the
-    largest filter degree in the batch), clipped at the ends, and kept for
-    the life of the schedule.  Each draw's samples stay uniform, so its own
-    failure bound holds; the union bound over draws needs no independence.
+    windows around them are read once, at radius ``degree`` (the largest
+    filter degree in the batch), clipped at the ends, and their moments
+    (T_r(J) y)_j, r <= degree, are kept for the life of the schedule.  Each
+    draw's samples stay uniform, so its own failure bound holds; the union
+    bound over draws needs no independence.
+
+    ``z`` is the dense image F^T zhat of the running estimate.  y is x - z
+    on the windows read and zero elsewhere; the zero fill is exact because a
+    moment of degree r at j reads y only within r of j (``plan.moments``).
     """
 
-    def __init__(self, oracle, n: int, degree: int):
-        self._oracle = oracle
-        self._n = n
+    def __init__(self, plan, oracle, z: np.ndarray, degree: int):
+        if degree >= plan.n:
+            # a window that wide reads the whole signal for every sample
+            raise ValueError(f"filter degree {degree} must be < N = {plan.n}")
+        self.plan = plan
         self.degree = degree
+        self._oracle = oracle
+        self._z = z
         self._rounds: list[tuple[np.ndarray, np.ndarray]] = []
 
+    def moments(self, js: np.ndarray, d: int) -> np.ndarray:
+        """(T_r(J)(x - z))[js], r = 0..d, from one oracle request for the
+        in-range part of every window js-d .. js+d."""
+        n = self.plan.n
+        idx = js[:, None] + np.arange(-d, d + 1)
+        idx = idx[(idx >= 0) & (idx < n)]
+        y = np.zeros(n)
+        y[idx] = self._oracle.query_many(idx) - self._z[idx]
+        return self.plan.moments(y, js, d)
+
     def round(self, i: int, s: int, rng) -> tuple[np.ndarray, np.ndarray]:
-        """Position set i and its raw windows; drawn and read on first use."""
+        """Position set i and its moments; drawn and read on first use."""
         if i == len(self._rounds):
-            js = rng.integers(0, self._n, size=s)
-            self._rounds.append((js, _windows(self._oracle, js, self.degree, self._n)))
-        js, win = self._rounds[i]
+            js = rng.integers(0, self.plan.n, size=s)
+            self._rounds.append((js, self.moments(js, self.degree)))
+        js, mom = self._rounds[i]
         if js.size != s:
             raise ValueError(f"sample set {i} holds {js.size} positions, asked for {s}")
-        return js, win
+        return js, mom
 
 
 class SimulatedAccess:
-    """Filtered query access: each sample's window holds at most 2D+1 raw
-    entries, D the window degree of its schedule (its own d when alone).
+    """Filtered query access: entries of p(J)(x - F^T zhat) = F^T D_b (x_hat
+    - zhat), b the boxcar at the roots, each from a window of at most 2D+1
+    raw entries, D the window degree of its schedule.
 
-    Serves entries of p(J)(x - F^T zhat) = F^T D_b (x_hat - zhat), where b is
-    the boxcar evaluated at the roots, from the plan's filter band applied to
-    raw windows of x.  F^T D_b F = p(J) exactly, so zhat's part is its
-    filtered image F^T (b * zhat) = sum_h b(lambda_h) v_h F[h], built once per
-    filter in O(kN) and subtracted per sample rather than per raw read.
-
-    ``sample`` takes its positions and raw windows from ``schedule``, shared
-    by the draws of one batch; without one, the access is a batch of one and
-    reads the windows of its own positions.  ``query_many`` always reads the
-    windows of the positions it is given.
+    A filtered sample is the filter's Chebyshev coefficients against the
+    residual moments at its position.  ``sample`` takes positions and moments
+    from ``schedule``, shared by the draws of one batch; a standalone access
+    is a schedule of one, at the filter's own degree.  ``query_many`` always
+    reads the windows of the positions it is given, at the filter's degree.
     """
 
-    def __init__(self, plan, oracle, zhat: SparseApprox, filt: BoxcarFilter,
-                 schedule: SampleSchedule | None = None):
-        if schedule is None:
-            schedule = SampleSchedule(oracle, plan.n, filt.degree)
-        elif filt.degree > schedule.degree:
+    def __init__(self, schedule: SampleSchedule, filt: BoxcarFilter):
+        if filt.degree > schedule.degree:
             raise ValueError(f"filter degree {filt.degree} exceeds the schedule's "
                              f"window degree {schedule.degree}")
-        self._plan = plan
-        self._oracle = oracle
         self._schedule = schedule
+        self._coeffs = np.asarray(filt.coeffs, dtype=np.float64)
         self._rounds = 0
-        self._band = plan.filter_band(filt)
-        self._degree = filt.degree
-        self._zf = np.zeros(plan.n)
-        for h, v in zhat.items():
-            self._zf += filt(plan.lam[h]) * v * plan.row(h)
 
     def sample(self, s: int, rng) -> tuple[np.ndarray, np.ndarray]:
         """This draw's next s uniform positions and its filtered samples there."""
-        js, win = self._schedule.round(self._rounds, s, rng)
+        js, mom = self._schedule.round(self._rounds, s, rng)
         self._rounds += 1
-        return js, self._filtered(js, win)
+        return js, self._filtered(mom)
 
     def query_many(self, js: np.ndarray) -> np.ndarray:
         """Filtered samples at indices js; each reads at most 2d+1 entries,
         all in one oracle request."""
-        js = _indices(js, self._plan.n)
-        return self._filtered(js, _windows(self._oracle, js, self._degree, self._plan.n))
+        js = _indices(js, self._schedule.plan.n)
+        return self._filtered(self._schedule.moments(js, self._coeffs.size - 1))
 
-    def _filtered(self, js: np.ndarray, win: np.ndarray) -> np.ndarray:
-        """Band rows at js against the centre 2d+1 columns of win, minus zhat."""
-        c = (win.shape[1] - 1) // 2
-        d = self._degree
-        out = np.einsum("ij,ij->i", self._band[js], win[:, c - d:c + d + 1])
-        out -= self._zf[js]
-        return out
+    def _filtered(self, mom: np.ndarray) -> np.ndarray:
+        # row by row: a BLAS product may sum a row in an order that depends
+        # on how many rows there are
+        return np.einsum("ij,j->i", mom[:, :self._coeffs.size], self._coeffs)
 
 
 def _verify_samples(plan, mu: float, eps: float, c_t1: float) -> int:
@@ -372,8 +359,8 @@ def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
     share one ``SampleSchedule``, so each round's raw windows are read once
     per batch.  ``verify`` draws fresh positions.
 
-    The dense image F^T zhat is built once per pass, for the estimate of R
-    alone; each draw's ``SimulatedAccess`` subtracts zhat's filtered image.
+    The dense image F^T zhat is built once per pass; it feeds the estimate of
+    R and every schedule of the pass.
     """
     n = plan.n
     eps = cfg.eps()
@@ -396,9 +383,8 @@ def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
         floor = ENERGY_TAU * cfg.delta * r_hat / math.sqrt(cfg.k)
 
         def draw(theta, filt, schedule) -> tuple[int, float] | None:
-            """One filtered solve around theta and its check; None on a miss.
-            The draw's filter band is dropped when it returns."""
-            access = SimulatedAccess(plan, oracle, zhat, filt, schedule)
+            """One filtered solve around theta and its check; None on a miss."""
+            access = SimulatedAccess(schedule, filt)
             try:
                 got = one_sparse_solver(plan, access, solver_eps, mu0 / 2.0, rng,
                                         window=(theta - width, theta + width),
@@ -425,7 +411,8 @@ def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
                         f"at gamma={cfg.gamma}, eps_box={box_eps:.3g}")
                 filters.append((theta, filt))
             draws += len(filters)
-            schedule = SampleSchedule(oracle, n, max(f.degree for _, f in filters))
+            schedule = SampleSchedule(plan, oracle, z,
+                                      max(f.degree for _, f in filters))
             for theta, filt in filters:
                 got = draw(theta, filt, schedule)
                 if got is not None:

@@ -1,15 +1,13 @@
-"""Transform plans: roots, quadrature weights, banded moment matrices, I/O.
+"""Transform plans: roots, quadrature weights, Chebyshev moments, I/O.
 
 A plan packages everything the sublinear recovery pipeline needs about a fixed
 (alpha, beta, N) transform: the root angles, the Gauss weights and the
-flatness constant U = max |F|.  The banded matrices M_r = F^T T_r(D_lambda) F
-that filtered queries read are derived, not stored: F is square and
-orthogonal with F^T D_lambda F = J, the tridiagonal Jacobi matrix, so
-M_r = T_r(J) exactly, which is r-banded.  ``filter_band`` builds the diagonals
-of M_0..M_d from J on first use and caches them.  At alpha = beta J's diagonal
-is exactly zero, so T_r(J) has the parity of r: superdiagonal o of M_r is
-exactly zero unless r - o is even, and the cache keeps only the rows
-r = o, o+2, ... of each diagonal's stack, half of them.
+flatness constant U = max |F|.  Filtered samples need F^T T_r(D_lambda) F for
+r <= d, and none of it is stored: F is square and orthogonal with
+F^T D_lambda F = J, the tridiagonal Jacobi matrix, so F^T T_r(D_lambda) F =
+T_r(J) exactly, which is r-banded.  ``moments`` applies T_0(J)..T_d(J) to one
+vector by the three-term recurrence and keeps the entries at the sampled
+positions; ``filter_band`` probes it for the dense band of a filter.
 
 The on-disk format (v2) is a little-endian binary blob: magic ``OPSP``, a u32
 version, f64 alpha/beta, u64 N, f64 U, the theta and weight arrays (N f64
@@ -90,7 +88,7 @@ class TransformPlan:
         self.sqw = np.sqrt(self.weights)
         self._coeffs = orthonormal_coeffs(self.params, self.n - 1)
         self._dense = None
-        self._stacks: tuple[int, list[np.ndarray]] | None = None
+        self._jacobi = None
 
     def __getstate__(self):
         # the caches are derived data; workers rebuild what they use
@@ -142,87 +140,77 @@ class TransformPlan:
             raise ValueError(f"expected shape ({self.n},)")
         return _kernels.apply_adjoint(*self._coeffs, self.lam, self.sqw, y)
 
-    # -- moment combination -------------------------------------------------
+    # -- Chebyshev moments ----------------------------------------------------
+
+    def moments(self, y: np.ndarray, js: np.ndarray, d: int) -> np.ndarray:
+        """(T_r(J) y)[js] for r = 0..d, shape (len(js), d+1).
+
+        One three-term recurrence T_{r+1}(J) y = 2 J T_r(J) y - T_{r-1}(J) y
+        on whole N-vectors, with J the tridiagonal Jacobi matrix (derived on
+        first use).  Entry j of step r is computed from entries j-1..j+1 of
+        step r-1 alone, so (T_r(J) y)_j reads y only within r of j, in its
+        floating-point operations as well as its algebra: entries of y
+        farther than d from every j in js change no bit of the result.
+        """
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape != (self.n,):
+            raise ValueError(f"expected shape ({self.n},), got {y.shape}")
+        if d < 0:
+            raise ValueError(f"moment degree must be >= 0, got {d}")
+        if self._jacobi is None:
+            self._jacobi = jacobi_matrix(self.params, self.n)
+        diag, off = self._jacobi
+        out = np.empty((len(js), d + 1))
+        out[:, 0] = y[js]
+        prev, cur = None, y
+        for r in range(d):
+            nxt = diag * cur
+            nxt[:-1] += off * cur[1:]
+            nxt[1:] += off * cur[:-1]
+            if r:
+                nxt *= 2.0
+                nxt -= prev
+            prev, cur = cur, nxt
+            out[:, r + 1] = cur[js]
+        return out
 
     def filter_band(self, filt) -> np.ndarray:
-        """Banded sum_r b_r M_r for a Chebyshev-coefficient filter.
+        """Banded p(J) = sum_r b_r T_r(J) for a Chebyshev-coefficient filter.
 
         Returns shape (N, 2d+1) with row j holding columns j-d..j+d (zeros
-        outside the matrix).  ``filt`` needs ``coeffs`` and ``degree``.  The
-        moment diagonals are built from J on first use and rebuilt only for
-        a higher degree.  Diagonal o contracts only the coefficients
-        b_o, b_{o+step}, ... against the stored rows of its stack
-        (``_chebyshev_stacks``): with step 2 the skipped M_r hold zeros there.
+        outside the matrix).  ``filt`` needs ``coeffs`` and ``degree``.  A
+        probe of ``moments``, not used by the solver: p(J) is d-banded, so
+        applied to the comb with ones at i = c mod 2d+1 its row j meets one
+        tooth, column i = j + o with o = (c - j + d) mod (2d+1) - d.
         """
         d = filt.degree
         if d >= self.n:
             raise ValueError(f"filter degree {d} must be < N = {self.n}")
-        if self._stacks is None or len(self._stacks[1]) <= d:
-            self._stacks = None  # release the smaller cache before building the next
-            self._stacks = _chebyshev_stacks(self.params, self.n, d)
-        step, stacks = self._stacks
         coeffs = np.asarray(filt.coeffs, dtype=np.float64)
-        n = self.n
-        out = np.zeros((n, 2 * d + 1))
-        for o in range(0, d + 1):
-            c = coeffs[o::step]
-            vals = c @ stacks[o][: c.size]
-            out[: n - o, d + o] = vals
-            if o:
-                out[o:, d - o] = vals
+        n, w = self.n, 2 * d + 1
+        rows = np.arange(n)
+        out = np.zeros((n, w))
+        for c in range(min(w, n)):
+            comb = np.zeros(n)
+            comb[c::w] = 1.0
+            vals = np.einsum("ij,j->i", self.moments(comb, rows, d), coeffs)
+            col = (c - rows + d) % w  # o + d
+            inside = (rows + col >= d) & (rows + col - d < n)
+            out[rows[inside], col[inside]] = vals[inside]
         return out
 
 
-def _chebyshev_stacks(params: JacobiParams, n: int, d: int) -> tuple[int, list[np.ndarray]]:
-    """(step, stacks): the nonzero diagonals of M_r = T_r(J) for r = 0..d.
-
-    ``step`` is 2 when J's diagonal is exactly zero (alpha = beta), else 1.
-    With a zero diagonal T_r(J) is even or odd with r, so its o-th
-    superdiagonal is exactly zero unless r - o is even.  ``stacks[o]`` has
-    shape (len(range(o, d+1, step)), N-o) and its row i is the o-th
-    superdiagonal of M_{o + i*step}; subdiagonals follow by symmetry.
-    T_r(J) is r-banded, so T_{r+1} = 2 J T_r - T_{r-1} runs on (r+2) x N
-    arrays whose row o holds superdiagonal o, zero-padded at the end.
-    M_0 = I exactly.
-    """
-    diag, off = jacobi_matrix(params, n)
-    step = 2 if not diag.any() else 1
-    stacks = [np.empty((len(range(o, d + 1, step)), n - o)) for o in range(d + 1)]
-    prev = np.zeros((d + 2, n))
-    cur = np.zeros((d + 2, n))
-    cur[0] = 1.0
-    for r in range(d + 1):
-        for o in range(r % step, r + 1, step):
-            stacks[o][(r - o) // step] = cur[o, : n - o]
-        if r == d:
-            break
-        rows = r + 2  # T_{r+1} has superdiagonals 0..r+1
-        nxt = diag * cur[:rows]
-        nxt[:-1, 1:] += off * cur[1:rows, : n - 1]  # J[i, i-1] X[i-1, i+o]
-        nxt[1:, : n - 1] += off * cur[: rows - 1, 1:]  # J[i, i+1] X[i+1, i+o]
-        nxt[0, : n - 1] += off * cur[1, : n - 1]  # o = 0: X[i+1, i] = X[i, i+1]
-        if r:
-            nxt *= 2.0
-            nxt -= prev[:rows]
-        prev, cur = cur, prev
-        cur[:rows] = nxt
-    return step, stacks
-
-
 def build_plan(params: JacobiParams, n: int, degree: int = 0) -> TransformPlan:
-    """Compute roots, weights and flatness; ``degree`` > 0 also fills the
-    moment cache up to that Chebyshev degree."""
+    """Compute roots, weights and flatness.  ``degree``, the highest filter
+    degree a caller means to use, is range-checked and fills nothing."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= degree < n:
-        # M_{n-1} is already dense: a higher degree would add no band
+        # T_{n-1}(J) is already dense: a higher degree would add no band
         raise ValueError(f"moment degree must be in [0, n) = [0, {n}), got {degree}")
     theta = compute_roots(params, n)
     weights, u = compute_weights(params, theta, n)
-    plan = TransformPlan(params, n, theta, weights, u)
-    if degree:
-        plan._stacks = _chebyshev_stacks(params, n, degree)
-    return plan
+    return TransformPlan(params, n, theta, weights, u)
 
 
 # ---------------------------------------------------------------------------

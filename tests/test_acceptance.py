@@ -20,6 +20,7 @@ from opsparse import (
     QueryOracle,
     RecoveryError,
     ReductionConfig,
+    SampleSchedule,
     SimulatedAccess,
     SparseApprox,
     build_boxcar,
@@ -173,7 +174,8 @@ def test_criterion_5_filtered_query_equivalence():
                     np.zeros(64))
         expected = float((dense_filter @ (y - zvals))[j])
         oracle = QueryOracle(y)
-        got = SimulatedAccess(plan, oracle, zhat, filt).query_many(np.array([j]))[0]
+        schedule = SampleSchedule(plan, oracle, zhat.image(plan), filt.degree)
+        got = SimulatedAccess(schedule, filt).query_many(np.array([j]))[0]
         worst = max(worst, abs(got - expected))
         if oracle.count > 2 * filt.degree + 1:
             over_budget += 1

@@ -314,6 +314,9 @@ def test_recover1_reports_failure_on_empty_signal(tmp_path, capsys):
     (("recover1", "--input", "{sig1}"), "needs N >= 2, got N = 1"),
     (("recover", "--alpha", "0", "--beta", "0", "--n", "1", "--k", "1",
       "--delta", "0.05", "--gamma", "1", "--trials", "1"), "needs N >= 2, got N = 1"),
+    (("recover", "--alpha", "0", "--beta", "0", "--n", "32", "--k", "1",
+      "--delta", "0.05", "--gamma", "1", "--trials", "1"),
+     "filter degree 43 must be < N = 32"),
 ])
 def test_bad_arguments_are_reported(tmp_path, capsys, monkeypatch, argv, match):
     sig, sig1 = tmp_path / "sig.json", tmp_path / "sig1.json"

@@ -3,6 +3,7 @@ the sampled verifier, and the peeling loop."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,11 @@ from opsparse.onesparse import (
 @pytest.fixture(scope="module")
 def peel_plan():
     return build_plan(JacobiParams(0.0, 0.0), 256)
+
+
+def standalone(plan, oracle, zhat, filt):
+    """A draw's access on a schedule of its own, at the filter's degree."""
+    return SimulatedAccess(SampleSchedule(plan, oracle, zhat.image(plan), filt.degree), filt)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +90,7 @@ def test_query_oracle_refuses_non_integer_indices_uncounted():
 def test_simulated_access_refuses_non_integer_indices_uncounted():
     plan = build_plan(JacobiParams(0.0, 0.0), 64)
     oracle = QueryOracle(np.arange(64.0))
-    access = SimulatedAccess(plan, oracle, SparseApprox(), build_boxcar(1.2, 0.5, 0.05))
+    access = standalone(plan, oracle, SparseApprox(), build_boxcar(1.2, 0.5, 0.05))
     for js in ([1.7], [True, False]):
         with pytest.raises(IndexError, match="must be integers"):
             access.query_many(js)
@@ -211,7 +217,7 @@ def test_simulated_access_matches_dense_application(rng):
     zvals = 0.7 * plan.row(5) - 1.1 * plan.row(20)
     expected = dense_filter @ (y - zvals)
 
-    access = SimulatedAccess(plan, QueryOracle(y), zhat, filt)
+    access = standalone(plan, QueryOracle(y), zhat, filt)
     got = access.query_many(np.arange(64))
     np.testing.assert_allclose(got, expected, atol=1e-10)
     assert access.query_many(np.array([13]))[0] == got[13]
@@ -220,7 +226,7 @@ def test_simulated_access_matches_dense_application(rng):
     d = filt.degree
     js = np.concatenate([[0, 63, 0], rng.integers(0, 64, size=900), [63, 31, 31]])
     oracle = QueryOracle(y)
-    got = SimulatedAccess(plan, oracle, zhat, filt).query_many(js)
+    got = standalone(plan, oracle, zhat, filt).query_many(js)
     np.testing.assert_allclose(got, expected[js], atol=1e-10)
     windows = np.minimum(64, js + d + 1) - np.maximum(0, js - d)
     assert oracle.count == int(windows.sum())
@@ -264,7 +270,7 @@ def test_simulated_access_reads_exactly_the_windows_once_per_call(rng):
     }
     for name, js in cases.items():
         oracle = RecordingOracle(y)
-        got = SimulatedAccess(plan, oracle, zhat, filt).query_many(js)
+        got = standalone(plan, oracle, zhat, filt).query_many(js)
         assert len(oracle.calls) == 1, name
         windows = [np.arange(max(0, j - d), min(n - 1, j + d) + 1) for j in js]
         want = np.sort(np.concatenate(windows)) if windows else np.array([], dtype=np.int64)
@@ -286,7 +292,7 @@ def test_simulate_query_cost_and_agreement(rng):
 
     for j in (0, 11, 32, 63):
         oracle = QueryOracle(y)
-        val = SimulatedAccess(plan, oracle, zhat, filt).query_many(np.array([j]))[0]
+        val = standalone(plan, oracle, zhat, filt).query_many(np.array([j]))[0]
         window = min(64, j + d + 1) - max(0, j - d)
         assert oracle.count == window
         assert oracle.count <= 2 * d + 1
@@ -295,13 +301,13 @@ def test_simulate_query_cost_and_agreement(rng):
     # out-of-range indices raise before any raw entry is read
     for js in ([64], [-1], [3, 64, 5]):
         oracle = QueryOracle(y)
-        access = SimulatedAccess(plan, oracle, zhat, filt)
+        access = standalone(plan, oracle, zhat, filt)
         with pytest.raises(IndexError, match="out of range"):
             access.query_many(np.array(js))
         assert oracle.count == 0
     oracle = QueryOracle(y)
     with pytest.raises(IndexError, match="out of range"):
-        SimulatedAccess(plan, oracle, zhat, filt).query_many(np.array([-1]))
+        standalone(plan, oracle, zhat, filt).query_many(np.array([-1]))
     assert oracle.count == 0
 
 
@@ -334,9 +340,9 @@ def test_batch_draws_read_each_round_once_at_the_widest_window(peel_plan,
     y = rng.standard_normal(n)
     zhat = SparseApprox({40: 0.6, 200: -0.3})
     oracle = RecordingOracle(y)
-    schedule = SampleSchedule(oracle, n, wide.degree)
-    a = SimulatedAccess(plan, oracle, zhat, narrow, schedule)
-    b = SimulatedAccess(plan, oracle, zhat, wide, schedule)
+    schedule = SampleSchedule(plan, oracle, zhat.image(plan), wide.degree)
+    a = SimulatedAccess(schedule, narrow)
+    b = SimulatedAccess(schedule, wide)
     gen = np.random.default_rng(3)
     got_a = [a.sample(s, gen) for _ in range(3)]
     got_b = [b.sample(s, gen) for _ in range(4)]  # one round past a's
@@ -364,9 +370,9 @@ def test_sample_values_match_query_many(peel_plan, batch_filters, rng):
     y = rng.standard_normal(n)
     zhat = SparseApprox({77: 1.1})
     oracle = QueryOracle(y)
-    schedule = SampleSchedule(oracle, n, 47)
+    schedule = SampleSchedule(plan, oracle, zhat.image(plan), 47)
     for filt in batch_filters:
-        access = SimulatedAccess(plan, oracle, zhat, filt, schedule)
+        access = SimulatedAccess(schedule, filt)
         for _ in range(2):
             js, vals = access.sample(s, rng)
             np.testing.assert_allclose(vals, access.query_many(js), rtol=0, atol=1e-12)
@@ -377,8 +383,7 @@ def test_verify_reads_fresh_windows_at_the_draws_own_width(peel_plan, batch_filt
     plan, n, s = peel_plan, peel_plan.n, 300
     narrow, _ = batch_filters
     oracle = RecordingOracle(rng.standard_normal(n))
-    access = SimulatedAccess(plan, oracle, SparseApprox(), narrow,
-                             SampleSchedule(oracle, n, 47))
+    access = SimulatedAccess(SampleSchedule(plan, oracle, np.zeros(n), 47), narrow)
     gen = np.random.default_rng(6)
     access.sample(s, gen)
     state = gen.bit_generator.state
@@ -396,7 +401,7 @@ def test_standalone_access_samples_as_a_batch_of_one(peel_plan, batch_filters, r
     plan, n, s = peel_plan, peel_plan.n, 400
     _, wide = batch_filters
     oracle = RecordingOracle(rng.standard_normal(n))
-    access = SimulatedAccess(plan, oracle, SparseApprox(), wide)
+    access = SimulatedAccess(SampleSchedule(plan, oracle, np.zeros(n), wide.degree), wide)
     gen, replay = np.random.default_rng(5), np.random.default_rng(5)
     for i in range(3):
         js, _ = access.sample(s, gen)
@@ -409,14 +414,50 @@ def test_standalone_access_samples_as_a_batch_of_one(peel_plan, batch_filters, r
 def test_schedule_refuses_a_wider_filter_or_another_size(peel_plan, batch_filters):
     narrow, wide = batch_filters
     oracle = QueryOracle(np.zeros(peel_plan.n))
-    schedule = SampleSchedule(oracle, peel_plan.n, narrow.degree)
+    schedule = SampleSchedule(peel_plan, oracle, np.zeros(peel_plan.n), narrow.degree)
     with pytest.raises(ValueError, match="exceeds the schedule's window degree"):
-        SimulatedAccess(peel_plan, oracle, SparseApprox(), wide, schedule)
-    a = SimulatedAccess(peel_plan, oracle, SparseApprox(), narrow, schedule)
-    b = SimulatedAccess(peel_plan, oracle, SparseApprox(), narrow, schedule)
+        SimulatedAccess(schedule, wide)
+    a = SimulatedAccess(schedule, narrow)
+    b = SimulatedAccess(schedule, narrow)
     a.sample(10, np.random.default_rng(0))
     with pytest.raises(ValueError, match="holds 10 positions, asked for 11"):
         b.sample(11, np.random.default_rng(0))
+
+
+def test_schedule_refuses_a_window_as_wide_as_the_signal(batch_filters):
+    # a window of radius N or more would read the whole signal per sample
+    n = 40
+    plan = build_plan(JacobiParams(0.0, 0.0), n)
+    oracle = QueryOracle(np.ones(n))
+    _, wide = batch_filters
+    for degree in (n, wide.degree):
+        with pytest.raises(ValueError, match=f"filter degree {degree} must be < N = {n}"):
+            SampleSchedule(plan, oracle, np.zeros(n), degree)
+    assert oracle.count == 0
+    SampleSchedule(plan, oracle, np.zeros(n), n - 1)
+
+
+def test_high_degree_draw_stores_no_moment_matrices(rng):
+    # README's default gamma at k=2, delta=0.05 on Legendre N=2048: the
+    # boxcar at root 48 has degree 346.  One schedule round and one sample
+    # keep s x (d+1) moments and a few N-vectors; a cache of the diagonals of
+    # T_0(J)..T_d(J) would hold (d+1)(d+3)/4 N floats, about 496 MB
+    plan = build_plan(JacobiParams(0.0, 0.0), 2048)
+    cfg = ReductionConfig(2, 0.05, 0.1, 2.0 * math.pi / 48.0)
+    filt = build_boxcar(float(plan.theta[48]), cfg.boxcar_width(), cfg.boxcar_eps())
+    assert filt.degree == 346
+    s = _sample_size(plan, 6.0 * cfg.eps())
+    oracle = QueryOracle(rng.standard_normal(plan.n))
+    z = SparseApprox({300: 0.5, 1500: -0.7}).image(plan)
+    tracemalloc.start()
+    try:
+        access = SimulatedAccess(SampleSchedule(plan, oracle, z, filt.degree), filt)
+        js, vals = access.sample(s, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == js.shape == (s,)
+    assert peak < 50e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_peeler_reads_each_drawn_round_once_per_batch(peel_plan, monkeypatch):
@@ -621,7 +662,7 @@ def test_empty_bin_draw_ends_after_one_round(peel_plan):
     filt = build_boxcar(theta, width, cfg.boxcar_eps())
     eps = 6.0 * cfg.eps()
     oracle = QueryOracle(y)
-    access = SimulatedAccess(plan, oracle, SparseApprox(), filt)
+    access = standalone(plan, oracle, SparseApprox(), filt)
     with pytest.raises(RecoveryError, match="energy floor"):
         solve_one_sparse(plan, access, eps, cfg.mu0() / 2.0, np.random.default_rng(4),
                          window=window, floor=floor)
@@ -645,7 +686,7 @@ def test_floor_keeps_a_spike_at_the_threshold(peel_plan):
     window, floor = band_and_floor(plan, cfg, small, y)
     filt = build_boxcar(float(plan.theta[small]), cfg.boxcar_width(), cfg.boxcar_eps())
     for seed in range(5):
-        access = SimulatedAccess(plan, QueryOracle(y), SparseApprox(), filt)
+        access = standalone(plan, QueryOracle(y), SparseApprox(), filt)
         got = solve_one_sparse(plan, access, 6.0 * cfg.eps(), cfg.mu0() / 2.0,
                                np.random.default_rng(seed), window=window, floor=floor)
         assert got.index == small

@@ -1,11 +1,9 @@
 """Transform plans: moment bands against the dense triple product, exact
 persistence, format-error taxonomy."""
 
-import gc
 import math
 import pickle
 import struct
-import weakref
 import zlib
 
 import numpy as np
@@ -22,7 +20,6 @@ from opsparse.plan import (
     PlanMagicError,
     PlanTruncatedError,
     PlanVersionError,
-    _chebyshev_stacks,
 )
 from test_jacobi import PARAM_GRID
 
@@ -174,71 +171,56 @@ def test_m0_is_exact_identity(degree):
     np.testing.assert_array_equal(band, np.ones((24, 1)))
 
 
-def test_filter_band_grows_its_cache(rng):
-    # a higher degree than any earlier call rebuilds the moments; a lower
-    # one reads the cached diagonals.  At alpha = beta only every other
-    # moment row is stored
-    for alpha, beta in ((1.5, -0.3), (0.0, 0.0), (-0.5, -0.5)):
-        plan = build_plan(JacobiParams(alpha, beta), 40)
-        f = plan.matrix()
-        for d in (2, 9, 5):
-            coeffs = rng.standard_normal(d + 1)
-            band = plan.filter_band(type("F", (), {"coeffs": coeffs, "degree": d})())
-            dense = f.T @ (chebval(plan.lam, coeffs)[:, None] * f)
-            np.testing.assert_allclose(band_to_dense(band), dense, atol=1e-12)
-
-
-def test_filter_band_rebuild_holds_one_cache(monkeypatch):
-    # the lower-degree moment cache must be released before the higher one
-    # is built, or both are alive at the peak (hundreds of MB at N = 2048)
-    plan = build_plan(JacobiParams(0.0, 0.0), 256)
-    plan.filter_band(one_hot_filter(20))
-    old = [weakref.ref(a) for a in plan._stacks[1]]
-    alive = []
-
-    def wrapped(*args):
-        gc.collect()
-        alive.append(sum(r() is not None for r in old))
-        return _chebyshev_stacks(*args)
-
-    monkeypatch.setattr("opsparse.plan._chebyshev_stacks", wrapped)
-    plan.filter_band(one_hot_filter(40))
-    assert alive == [0]
-    assert len(plan._stacks[1]) == 41
-
-
-@pytest.mark.parametrize("alpha, beta, step", [(0.0, 0.0, 2), (-0.5, -0.5, 2),
-                                               (0.5, -0.25, 1), (1.5, -0.3, 1)])
-def test_stacks_keep_one_row_per_nonzero_moment_diagonal(alpha, beta, step):
-    d = 9
-    got_step, stacks = _chebyshev_stacks(JacobiParams(alpha, beta), 24, d)
-    assert got_step == step
-    assert len(stacks) == d + 1
-    for o, stack in enumerate(stacks):
-        rows = (d - o) // 2 + 1 if step == 2 else d + 1 - o
-        assert stack.shape == (rows, 24 - o)
+def dense_chebyshev_moments(params, n, d):
+    """T_0(J)..T_d(J) as dense matrices, by the recurrence on J itself."""
+    diag, off = jacobi_matrix(params, n)
+    jmat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    out = [np.eye(n), jmat.copy()]
+    for _ in range(2, d + 1):
+        out.append(2.0 * jmat @ out[-1] - out[-2])
+    return out[: d + 1]
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (-0.5, -0.5), (1.5, -0.3)])
-def test_stacks_hold_the_diagonals_of_dense_chebyshev_moments(alpha, beta):
-    # T_r(J) by the dense recurrence: at alpha = beta J's diagonal is exactly
-    # zero and superdiagonal o of T_r(J) is exactly 0.0 whenever r - o is odd
+def test_moments_match_dense_chebyshev_recurrence(alpha, beta, rng):
+    # (T_r(J) y)[js] against dense T_r(J) @ y, degrees up to N-1, where
+    # T_r(J) is dense; repeats and both ends among the positions
     params = JacobiParams(alpha, beta)
-    n, d = 24, 11
-    diag, off = jacobi_matrix(params, n)
-    jmat = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    moments = [np.eye(n), jmat.copy()]
-    for _ in range(2, d + 1):
-        moments.append(2.0 * jmat @ moments[-1] - moments[-2])
-    step, stacks = _chebyshev_stacks(params, n, d)
-    for r, t in enumerate(moments):
-        for o in range(r + 1):
-            if alpha == beta and (r - o) % 2:
-                assert np.all(np.diagonal(t, o) == 0.0)
-                assert np.all(np.diagonal(t, -o) == 0.0)
-            else:
-                np.testing.assert_allclose(stacks[o][(r - o) // step],
-                                           np.diagonal(t, o), rtol=0, atol=1e-12)
+    n = 24
+    plan = build_plan(params, n)
+    y = rng.standard_normal(n)
+    js = np.array([0, n - 1, 7, 7, 12, 3])
+    dense = dense_chebyshev_moments(params, n, n - 1)
+    for d in (0, 1, 5, n - 1):
+        got = plan.moments(y, js, d)
+        assert got.shape == (js.size, d + 1)
+        for r in range(d + 1):
+            np.testing.assert_allclose(got[:, r], (dense[r] @ y)[js], rtol=0,
+                                       atol=1e-12 * max(1.0, np.abs(dense[r]).max()))
+    assert np.all(plan.moments(y, js, 0)[:, 0] == y[js])  # T_0 = I exactly
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (1.5, -0.3)])
+def test_moments_read_only_the_windows(alpha, beta, rng):
+    # a y that holds x only on the windows js-d..js+d gives the moments of
+    # the full x at js bit for bit: the zero fill outside them is exact
+    n, d = 400, 17
+    plan = build_plan(JacobiParams(alpha, beta), n)
+    x = rng.standard_normal(n)
+    js = np.concatenate([[0, n - 1, d, n - d - 1], rng.integers(0, n, size=6)])
+    idx = (js[:, None] + np.arange(-d, d + 1)).ravel()
+    idx = idx[(idx >= 0) & (idx < n)]
+    y = np.zeros(n)
+    y[idx] = x[idx]
+    assert np.count_nonzero(y) < n
+    np.testing.assert_array_equal(plan.moments(y, js, d), plan.moments(x, js, d))
+
+
+def test_moments_input_validation(small_plan):
+    with pytest.raises(ValueError, match="expected shape"):
+        small_plan.moments(np.zeros(31), np.array([0]), 2)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        small_plan.moments(np.zeros(32), np.array([0]), -1)
 
 
 def test_filter_band_degree_check(small_plan):
@@ -442,6 +424,6 @@ def test_pickle_roundtrip(small_plan, rng):
     np.testing.assert_array_equal(back.forward(x), small_plan.forward(x))
     np.testing.assert_array_equal(back.filter_band(one_hot_filter(4)),
                                   small_plan.filter_band(one_hot_filter(4)))
-    # the moment cache is derived data and does not travel
+    # the derived caches (dense F, the Jacobi matrix) do not travel
     bare = build_plan(JacobiParams(0.5, -0.25), 32)
     assert len(pickle.dumps(small_plan)) == len(pickle.dumps(bare))
