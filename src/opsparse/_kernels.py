@@ -18,11 +18,24 @@ that.  ``value_and_slope`` and ``refine_roots``, the Newton step that finds
 the plan's roots, are built on it.
 ``recurrence_table`` is point-major, the layout of the transform matrix F.
 
+Parity fold.  When every b[j] is 0 (alpha = beta) the family has
+p_j(-x) = (-1)^j p_j(x) (Szego, Orthogonal Polynomials, 4.1), and it holds
+bit for bit in the sweep: IEEE negation commutes with multiplication and
+subtraction, and the zero additions are skipped, so the sweep at -x yields
+p_j(x) with its sign flipped at odd j, up to the sign of a zero.  Every
+kernel therefore sweeps each distinct |x| once, at the first point that has
+it, and unfolds the other points by parity (``_Fold``); a plan's roots come
+in exact +- pairs, so its sweeps run over half of them.  Any other b is the
+identity fold: every point is swept.
+``recurrence_table``, ``recurrence_last`` and ``sumsq_maxabs`` return what
+the unfolded sweep returns, bit for bit.
+
 ``apply_forward`` maps a (B, jmax+1) stack of coefficient rows to
 (B, len(lam)) in one sweep, adding v p_j into row r only where row r's
-coefficient v at degree j is nonzero.  Each row gets the sum it would get
-alone, so evaluating at a subset of the points, or stacking rows, changes no
-bit of any output.
+coefficient v at degree j is nonzero; under the fold it sums the even and the
+odd degrees apart and gives each point E + O or, at a mirror point, E - O.
+Each row gets the sum it would get alone at each point alone, so evaluating
+at a subset of the points, or stacking rows, changes no bit of any output.
 """
 
 from __future__ import annotations
@@ -69,22 +82,88 @@ def _sweep(p0, a, b, c, x):
         yield pc
 
 
+class _Fold:
+    """The points a sweep evaluates, and the way back to every point.
+
+    Under the parity fold (every b[j] is 0) ``u`` holds each distinct |x|
+    once, signed as at ``first``, the first point that has it, in the order
+    of those points; point i takes the values at u[inv[i]], with odd degrees
+    negated where ``flip[i]``.  ``rows`` indexes the representatives in a
+    point-major table: a slice when they are the leading points, as a plan's
+    left half is.  Otherwise the fold is the identity and u is x.
+    """
+
+    def __init__(self, b, x):
+        x = np.asarray(x, dtype=np.float64)
+        self.n = x.shape[0]
+        self.parity = int(not np.any(b[1:]))
+        if not self.parity:
+            self.u, self.rows = x, slice(None)
+            return
+        # group the points by |x|; a stable sort puts each group's first point
+        # at its head (np.unique would do, but its first call imports numpy.ma,
+        # about 1 MB of resident memory)
+        ax = np.abs(x)
+        order = np.argsort(ax, kind="stable")
+        s = ax[order]
+        head = np.empty(self.n, dtype=bool)
+        head[:1] = True
+        head[1:] = s[1:] != s[:-1]
+        first = order[head]
+        is_first = np.zeros(self.n, dtype=bool)
+        is_first[first] = True
+        self.first = np.flatnonzero(is_first)
+        # each point's group, by ascending |x|, then that group's place in first
+        self.inv = np.searchsorted(self.first, first)[np.searchsorted(s[head], ax)]
+        self.u = x[self.first]
+        self.flip = (x < 0.0) != (self.u[self.inv] < 0.0)
+        m = self.first.shape[0]
+        self.rows = slice(0, m) if m == 0 or self.first[-1] == m - 1 else self.first
+
+    def unfold(self, v, j):
+        """Values of degree parity j at every point from v, the values at u
+        along v's last axis."""
+        if not self.parity:
+            return v
+        out = v[..., self.inv]
+        if j % 2:
+            np.negative(out, out=out, where=self.flip)
+        return out
+
+    def unfold_rows(self, table):
+        """Fill, in place, the rows of a point-major table that are not
+        representatives from theirs, one row at a time."""
+        if not self.parity:
+            return
+        src = self.first[self.inv]
+        sign = np.where(np.arange(table.shape[1]) % 2, -1.0, 1.0)
+        for i in np.flatnonzero(src != np.arange(self.n)):
+            if self.flip[i]:
+                np.multiply(table[src[i]], sign, out=table[i])
+            else:
+                table[i] = table[src[i]]
+
+
 def recurrence_table(p0, a, b, c, x):
     """Table of p_j(x_i), shape (len(x), jmax+1): row i is one point, column
-    j one degree, written as the sweep reaches it."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty((x.shape[0], a.shape[0]))
-    for j, p in enumerate(_sweep(p0, a, b, c, x)):
-        out[:, j] = p
+    j one degree, written as the sweep reaches it; under the fold the mirror
+    rows are filled from the swept ones in place."""
+    fold = _Fold(b, x)
+    out = np.empty((fold.n, a.shape[0]))
+    for j, p in enumerate(_sweep(p0, a, b, c, fold.u)):
+        out[fold.rows, j] = p
+    fold.unfold_rows(out)
     return out
 
 
 def recurrence_last(p0, a, b, c, x):
     """(p_{jmax-1}(x), p_jmax(x)) without materializing the table; p_{-1} = 0."""
-    prev = last = 0.0
-    for p in _sweep(p0, a, b, c, x):
+    fold = _Fold(b, x)
+    jmax = a.shape[0] - 1
+    prev = last = np.zeros(fold.u.shape[0])
+    for p in _sweep(p0, a, b, c, fold.u):
         prev, last = last, p
-    return prev, last
+    return fold.unfold(prev, jmax - 1), fold.unfold(last, jmax)
 
 
 def value_and_slope(p0, a, b, c, u, kappa, theta):
@@ -97,34 +176,50 @@ def value_and_slope(p0, a, b, c, u, kappa, theta):
 
 def sumsq_maxabs(p0, a, b, c, x):
     """(sum_j p_j(x)^2, max_j |p_j(x)|) accumulated over j = 0..jmax."""
-    sweep = _sweep(p0, a, b, c, x)
+    fold = _Fold(b, x)
+    sweep = _sweep(p0, a, b, c, fold.u)
     p = next(sweep)
     ss = p * p
     mx = np.abs(p)
     for p in sweep:
         ss += p * p
         np.maximum(mx, np.abs(p), out=mx)
-    return ss, mx
+    return fold.unfold(ss, 0), fold.unfold(mx, 0)
 
 
 def apply_forward(p0, a, b, c, lam, sqw, x):
     """y[r, l] = sqw[l] * sum_j x[r, j] p_j(lam[l]) for a (B, jmax+1) stack x,
     from one sweep and without building the table."""
+    fold = _Fold(b, lam)
     degs, rows = np.nonzero(x.T)  # ordered by degree
     vals = x[rows, degs]
-    acc = np.zeros((x.shape[0], len(lam)))
+    # acc[0] sums the even degrees and acc[1] the odd ones under the fold;
+    # without it acc[0] sums them all
+    acc = np.zeros((1 + fold.parity, x.shape[0], fold.u.shape[0]))
     k = 0
-    for j, p in enumerate(_sweep(p0, a, b, c, lam)):
+    for j, p in enumerate(_sweep(p0, a, b, c, fold.u)):
         while k < len(degs) and degs[k] == j:
-            acc[rows[k]] += vals[k] * p
+            acc[j & fold.parity, rows[k]] += vals[k] * p
             k += 1
-    return sqw * acc
+    y = fold.unfold(acc[0], 0)
+    if fold.parity:
+        y += fold.unfold(acc[1], 1)
+    return sqw * y
 
 
 def apply_adjoint(p0, a, b, c, lam, sqw, yvec):
-    """out[j] = sum_l sqw[l] p_j(lam[l]) yvec[l]."""
+    """out[j] = sum_l sqw[l] p_j(lam[l]) yvec[l]; under the fold the points
+    of one |lambda| are summed first, signed by parity at odd degrees."""
+    fold = _Fold(b, lam)
     z = sqw * yvec
-    return np.array([z @ p for p in _sweep(p0, a, b, c, lam)])
+    if fold.parity:
+        m = fold.u.shape[0]
+        z = np.stack([np.bincount(fold.inv, z, m),
+                      np.bincount(fold.inv, np.where(fold.flip, -z, z), m)])
+    else:
+        z = z[None]
+    return np.array([z[j & fold.parity] @ p
+                     for j, p in enumerate(_sweep(p0, a, b, c, fold.u))])
 
 
 def refine_roots(p0, a, b, c, u, kappa, alpha, beta, theta):

@@ -6,7 +6,12 @@ coefficients stay O(1) in the degree.  Roots start from Gatteschi &
 Pittaluga's asymptotic angles and are polished by Newton's method in theta,
 with every step a sweep of that recurrence (Hale & Townsend, SISC 2013).
 They are indexed by *ascending angle* theta = arccos(lambda), i.e.
-descending lambda.
+descending lambda.  At alpha = beta the family has p_j(-x) = (-1)^j p_j(x) and
+the roots come in +- pairs (Szego, Orthogonal Polynomials, 4.1): Newton runs
+on the half with theta < pi/2, the other half is its mirror pi - theta, and
+``root_cosines`` makes the pairs' cosines exact negations, so every sweep of
+the kernels' parity fold, and with it the weights, F, forward and inverse,
+runs over half the roots.
 
 Measured range: the root residual gate passes up to N = 16384 at (0, -0.999),
 (-0.999, 0) and (-0.5, -0.5), but rejects (-0.99, -0.99) from N = 4096, and
@@ -35,6 +40,7 @@ __all__ = [
     "eval_derivative",
     "orthonormal_table",
     "jacobi_matrix",
+    "root_cosines",
     "compute_roots",
     "compute_weights",
 ]
@@ -240,25 +246,43 @@ def _root_guess(params: JacobiParams, n: int) -> np.ndarray:
     return phi + ((0.25 - al * al) / tan_half - (0.25 - be * be) * tan_half) / (4.0 * rho * rho)
 
 
+def root_cosines(params: JacobiParams, theta: np.ndarray) -> np.ndarray:
+    """lambda = cos(theta) for a plan's ascending root angles.  At alpha = beta
+    the roots are +- pairs: the right half is the exact negation of the left,
+    lambda_{n-1-l} = -lambda_l bit for bit, and a middle root is 0, so the
+    kernels' parity fold sweeps the left half alone."""
+    lam = np.cos(theta)
+    if params.alpha == params.beta:
+        n = lam.shape[0]
+        half = n // 2
+        lam[n - half:] = -lam[:half][::-1]
+        if n % 2:
+            lam[half] = 0.0
+    return lam
+
+
 def compute_roots(params: JacobiParams, n: int) -> np.ndarray:
     """All n roots of the degree-n Jacobi polynomial as ascending angles.
 
     Newton's method in theta from ``_root_guess``: ``_FULL_SWEEPS`` steps of
     ``_kernels.refine_roots`` on every root, then up to ``_EXTRA_SWEEPS``
     more on the roots whose last step exceeded ``_STEP_TOL``.  Each step is
-    one sweep of the orthonormal recurrence, O(n) per root.  Raises
-    ValueError if the angles are not strictly increasing inside (0, pi) or
-    the residuals exceed ``RESIDUAL_TOL`` times the per-root scale
-    max(1, |p_n(1)|, |p_n(-1)|, |d/dtheta p_n|).
+    one sweep of the orthonormal recurrence, O(n) per root.  At alpha = beta
+    the roots are symmetric about pi/2: Newton and the residual gate run on
+    the roots with theta < pi/2, theta_{n-1-l} = pi - theta_l, and a middle
+    root is pi/2.  Raises ValueError if the angles are not strictly
+    increasing inside (0, pi) or the residuals exceed ``RESIDUAL_TOL`` times
+    the per-root scale max(1, |p_n(1)|, |p_n(-1)|, |d/dtheta p_n|).
     """
     if n < 1:
         raise ValueError("need n >= 1")
     p0, a, b, c = orthonormal_coeffs(params, n)
     u, kappa = _slope_coeffs(params, n)
     where = f"alpha={params.alpha}, beta={params.beta}, N={n}"
+    symmetric = params.alpha == params.beta
 
     newton = (p0, a, b, c, u, kappa, params.alpha, params.beta)
-    theta = _root_guess(params, n)
+    theta = _root_guess(params, n)[: n // 2 if symmetric else n]
     for _ in range(_FULL_SWEEPS):
         prev, theta = theta, _kernels.refine_roots(*newton, theta)
     moving = np.flatnonzero(np.abs(theta - prev) > _STEP_TOL)
@@ -268,9 +292,12 @@ def compute_roots(params: JacobiParams, n: int) -> np.ndarray:
         prev = theta[moving]
         theta[moving] = _kernels.refine_roots(*newton, prev)
         moving = moving[np.abs(theta[moving] - prev) > _STEP_TOL]
+    if symmetric:
+        theta = np.concatenate((theta, [0.5 * math.pi] * (n % 2), math.pi - theta[::-1]))
     if np.any(np.diff(theta, prepend=0.0, append=math.pi) <= 0.0):
         raise ValueError(f"root angles are not strictly increasing inside (0, pi) at {where}")
-    resid, slope = _kernels.value_and_slope(p0, a, b, c, u, kappa, theta)
+    gated = theta[: n - n // 2] if symmetric else theta
+    resid, slope = _kernels.value_and_slope(p0, a, b, c, u, kappa, gated)
     # Scale per root: the endpoint magnitude or the local d/dtheta slope,
     # whichever is larger.  Near the edges the raw residual floor grows with
     # the recurrence length, but the backward error |p_N|/|p_N'| stays at
@@ -284,13 +311,15 @@ def compute_roots(params: JacobiParams, n: int) -> np.ndarray:
 
 
 def compute_weights(params: JacobiParams, theta: np.ndarray, n: int):
-    """Gauss quadrature weights at cos(theta) plus the flatness constant.
+    """Gauss quadrature weights at ``root_cosines(params, theta)`` plus the
+    flatness constant.
 
-    w_l = 1 / sum_{j<n} p_j(cos theta_l)^2; U = max_{l,j} sqrt(w_l)|p_j|.
+    w_l = 1 / sum_{j<n} p_j(lambda_l)^2; U = max_{l,j} sqrt(w_l)|p_j|.  At
+    alpha = beta the sweep runs over half the roots and w_{n-1-l} = w_l.
     Returns (weights, U).
     """
     p0, a, b, c = orthonormal_coeffs(params, n - 1)
-    ss, mx = _kernels.sumsq_maxabs(p0, a, b, c, np.cos(theta))
+    ss, mx = _kernels.sumsq_maxabs(p0, a, b, c, root_cosines(params, theta))
     w = 1.0 / ss
     u = float(np.max(np.sqrt(w) * mx))
     return w, u

@@ -29,6 +29,7 @@ from .jacobi import (
     compute_weights,
     jacobi_matrix,
     orthonormal_coeffs,
+    root_cosines,
 )
 
 __all__ = [
@@ -84,7 +85,7 @@ class TransformPlan:
     sqw: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.lam = np.cos(self.theta)
+        self.lam = root_cosines(self.params, self.theta)
         self.sqw = np.sqrt(self.weights)
         self._coeffs = orthonormal_coeffs(self.params, self.n - 1)
         self._dense = None
@@ -101,7 +102,10 @@ class TransformPlan:
     # -- dense access -------------------------------------------------------
 
     def matrix(self) -> np.ndarray:
-        """Dense F, the root-by-degree recurrence table times sqrt(w) in place; cached."""
+        """Dense F, the root-by-degree recurrence table times sqrt(w) in place; cached.
+
+        One N x N buffer: at alpha = beta the sweep fills the left half's
+        rows and the mirror rows are copied from them, signed by parity."""
         if self._dense is None:
             table = _kernels.recurrence_table(*self._coeffs, self.lam)
             self._dense = np.multiply(table, self.sqw[:, None], out=table)
@@ -220,6 +224,9 @@ def build_plan(params: JacobiParams, n: int, degree: int = 0) -> TransformPlan:
 _HEAD = "<ddQd"
 # Relative rounding allowed on the bounds of the stored flatness constant U.
 _U_SLACK = 1e-9
+# Largest |theta_l + theta_{N-1-l} - pi| accepted at alpha = beta, where half
+# of the plan's cosines are the negated mirror of the other half.
+_MIRROR_TOL = 1e-12
 
 
 def save_plan(plan: TransformPlan, path) -> None:
@@ -281,6 +288,10 @@ def load_plan(path) -> TransformPlan:
     if not n**-0.5 * (1.0 - _U_SLACK) <= u <= 1.0 + _U_SLACK:
         raise PlanFormatError(f"plan header has U={u!r}; need N^-1/2 <= U <= 1")
     try:
-        return TransformPlan(params, n, theta, weights, u)
+        plan = TransformPlan(params, n, theta, weights, u)
     except ValueError as exc:
         raise PlanFormatError(f"plan header: {exc}") from None
+    if alpha == beta and not np.all(np.abs(theta + theta[::-1] - np.pi) <= _MIRROR_TOL):
+        raise PlanFormatError(f"plan theta at alpha = beta must be symmetric about "
+                              f"pi/2 within {_MIRROR_TOL:g}")
+    return plan

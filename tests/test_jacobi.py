@@ -14,7 +14,7 @@ import scipy.special
 from scipy.linalg import eigvalsh_tridiagonal
 from hypothesis import given, settings, strategies as st
 
-from opsparse import _kernels
+from opsparse import _kernels, build_plan
 from opsparse.jacobi import (
     JacobiParams,
     compute_roots,
@@ -28,6 +28,7 @@ from opsparse.jacobi import (
     orthonormal_coeffs,
     orthonormal_table,
     recurrence_coeffs,
+    root_cosines,
     _norm_ratio_sq,
     _root_guess,
     _slope_coeffs,
@@ -292,6 +293,23 @@ def test_roots_match_golub_welsch(alpha, beta, n, request):
         request.applymarker(_EDGE_FLOOR)
     p = JacobiParams(alpha, beta)
     np.testing.assert_allclose(compute_roots(p, n), _golub_welsch_roots(p, n), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("ab", [-0.5, 0.0, 0.5, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 41, 1024])
+def test_symmetric_roots_are_mirror_exact(ab, n):
+    # at alpha = beta half the roots are the other half's mirror, and the
+    # cosines and weights match bit for bit; a middle root is pi/2, lambda 0
+    p = JacobiParams(ab, ab)
+    plan = build_plan(p, n)
+    theta, half = plan.theta, n // 2
+    np.testing.assert_array_equal(theta[::-1][:half], math.pi - theta[:half])
+    np.testing.assert_array_equal(plan.lam[::-1], -plan.lam)
+    np.testing.assert_array_equal(plan.weights[::-1], plan.weights)
+    np.testing.assert_array_equal(root_cosines(p, theta), plan.lam)
+    if n % 2:
+        assert theta[half] == 0.5 * math.pi and plan.lam[half] == 0.0
+    assert np.all(theta[:half] < 0.5 * math.pi)
 
 
 def test_root_guess_is_within_a_quarter_spacing():

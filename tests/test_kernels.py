@@ -1,7 +1,8 @@
 """Recurrence kernels at their edges: the Newton root polish against
 closed-form roots, the degree-0 paths, the rotation of the sweep's in-place
-buffers, and the stacked forward map.  The table values, ``sumsq_maxabs`` and
-the adjoint map are checked through their callers in ``test_jacobi.py`` and
+buffers, the parity fold against the unfolded sweep, and the stacked forward
+map.  The table values, ``sumsq_maxabs`` and the adjoint map are checked
+against references through their callers in ``test_jacobi.py`` and
 ``test_plan.py``."""
 
 import numpy as np
@@ -45,21 +46,55 @@ def test_recurrence_last_matches_table(jmax):
     np.testing.assert_array_equal(last, tab[:, -1])
 
 
-@pytest.mark.parametrize("alpha, beta, n", [(0.0, 0.0, 40), (1.5, -0.3, 33), (0.5, 0.5, 1)])
+@pytest.mark.parametrize("ab", [-0.9, -0.5, 0.0, 0.5, 2.0])
+def test_fold_is_bit_exact(ab, rng):
+    # at alpha = beta the table-valued kernels sweep each |x| once and unfold
+    # by parity; they must return what the unfolded sweep returns
+    jmax = 57
+    coeffs = orthonormal_coeffs(JacobiParams(ab, ab), jmax)
+    pos = rng.uniform(0.0, 1.0, 9)
+    x = np.concatenate((pos, -pos[:6], rng.uniform(-1.0, 0.0, 3), [0.0, 1.0, -1.0]))
+    rng.shuffle(x)
+    sweep = np.array([p.copy() for p in _kernels._sweep(*coeffs, x)]).T
+    parity = np.where(np.arange(jmax + 1) % 2, -1.0, 1.0)
+    table = _kernels.recurrence_table(*coeffs, x)
+    np.testing.assert_array_equal(table, sweep)
+    np.testing.assert_array_equal(_kernels.recurrence_table(*coeffs, -x), table * parity)
+    for xs, sign in ((x, 1.0), (-x, -1.0)):
+        prev, last = _kernels.recurrence_last(*coeffs, xs)
+        np.testing.assert_array_equal(prev, sweep[:, -2] * sign ** (jmax - 1))
+        np.testing.assert_array_equal(last, sweep[:, -1] * sign ** jmax)
+        ss, mx = _kernels.sumsq_maxabs(*coeffs, xs)
+        np.testing.assert_array_equal(ss, sumsq_unfolded(sweep))
+        np.testing.assert_array_equal(mx, np.abs(sweep).max(axis=1))
+
+
+def sumsq_unfolded(table):
+    """sum_j p_j^2 in the kernel's order: degree by degree."""
+    ss = table[:, 0] * table[:, 0]
+    for j in range(1, table.shape[1]):
+        ss += table[:, j] * table[:, j]
+    return ss
+
+
+@pytest.mark.parametrize("alpha, beta, n", [(0.0, 0.0, 40), (1.5, -0.3, 33), (0.5, 0.5, 1),
+                                            (0.5, 0.5, 41)])
 def test_apply_forward_stack_equals_rows(alpha, beta, n, rng):
     plan = build_plan(JacobiParams(alpha, beta), n)
     x = rng.standard_normal((4, n))
     x[1] = 0.0  # an all-zero row
     x[2, ::3] = 0.0  # skipped coefficients inside a row
     coeffs = orthonormal_coeffs(plan.params, n - 1)
-    cand = np.arange(0, n, 2)
-    for lam, sqw in ((plan.lam, plan.sqw), (plan.lam[cand], plan.sqw[cand])):
-        got = _kernels.apply_forward(*coeffs, lam, sqw, x)
-        assert got.shape == (4, len(lam))
-        for r in range(4):
-            one = _kernels.apply_forward(*coeffs, lam, sqw, x[r : r + 1])
-            np.testing.assert_array_equal(got[r], one[0])
-        np.testing.assert_array_equal(got[1], 0.0)
     full = _kernels.apply_forward(*coeffs, plan.lam, plan.sqw, x)
-    np.testing.assert_array_equal(full[:, cand], got)
+    # even roots hold no mirror pair; the second subset holds mirror pairs,
+    # a root without its mirror, and straddles pi/2
+    for cand in (np.arange(0, n, 2), np.unique(np.r_[1, n // 2 - 3 : n // 2 + 3] % n)):
+        for lam, sqw in ((plan.lam, plan.sqw), (plan.lam[cand], plan.sqw[cand])):
+            got = _kernels.apply_forward(*coeffs, lam, sqw, x)
+            assert got.shape == (4, len(lam))
+            for r in range(4):
+                one = _kernels.apply_forward(*coeffs, lam, sqw, x[r : r + 1])
+                np.testing.assert_array_equal(got[r], one[0])
+            np.testing.assert_array_equal(got[1], 0.0)
+        np.testing.assert_array_equal(full[:, cand], got)
     np.testing.assert_allclose(full, x @ plan.matrix().T, rtol=0, atol=1e-12)

@@ -4,6 +4,7 @@ persistence, format-error taxonomy."""
 import math
 import pickle
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -94,6 +95,19 @@ def test_forward_inverse_roundtrip(small_plan, rng):
                                atol=1e-12)
 
 
+def test_matrix_fills_one_buffer():
+    # the mirror rows are filled in place: no second half- or full-size table
+    n = 1024
+    plan = build_plan(JacobiParams(0.0, 0.0), n)
+    tracemalloc.start()
+    try:
+        plan.matrix()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * n * n * 8
+
+
 def test_row_matches_matrix():
     # rows come from one recurrence until matrix() is cached, then from it
     plan = build_plan(JacobiParams(0.5, -0.25), 32)
@@ -133,17 +147,20 @@ def test_matrix_is_the_scaled_table():
     np.testing.assert_array_equal(f, (table * plan.sqw).T.copy())
 
 
-@pytest.mark.parametrize("alpha, beta, n", [(0.0, 0.0, 40), (1.5, -0.3, 33), (0.5, 0.5, 1)])
+@pytest.mark.parametrize("alpha, beta, n", [(0.0, 0.0, 40), (1.5, -0.3, 33), (0.5, 0.5, 1),
+                                            (0.5, 0.5, 41)])
 def test_forward_stack_at_root_subset(alpha, beta, n, rng):
     plan = build_plan(JacobiParams(alpha, beta), n)
     x = rng.standard_normal((4, n))
     x[1] = 0.0
-    roots = np.arange(0, n, 2)
-    got = plan.forward(x, roots)
-    assert got.shape == (4, len(roots))
-    for r in range(4):
-        np.testing.assert_array_equal(got[r], plan.forward(x[r])[roots])
-    np.testing.assert_allclose(got, (plan.matrix()[roots] @ x.T).T, rtol=0, atol=1e-12)
+    # even roots hold no mirror pair; the second subset holds mirror pairs,
+    # a root without its mirror, and straddles pi/2
+    for roots in (np.arange(0, n, 2), np.unique(np.r_[1, n // 2 - 3 : n // 2 + 3] % n)):
+        got = plan.forward(x, roots)
+        assert got.shape == (4, len(roots))
+        for r in range(4):
+            np.testing.assert_array_equal(got[r], plan.forward(x[r])[roots])
+        np.testing.assert_allclose(got, (plan.matrix()[roots] @ x.T).T, rtol=0, atol=1e-12)
     with pytest.raises(ValueError):
         plan.forward(x[None])
     with pytest.raises(ValueError):
@@ -368,6 +385,28 @@ def test_load_rejects_impossible_values(tmp_path, small_plan, name):
     path.write_bytes(_plan_blob(p.alpha, p.beta, small_plan.n, payload, u))
     with pytest.raises(PlanFormatError, match=match):
         load_plan(path)
+
+
+def test_load_checks_the_mirror(tmp_path):
+    """At alpha = beta half of the cosines come from the mirror, so a file
+    whose angles are not symmetric about pi/2 is refused, while one off by
+    rounding, as a plan whose roots were all polished separately is, loads."""
+    plan = build_plan(JacobiParams(0.0, 0.0), 32)
+    path = tmp_path / "p.plan"
+    for shift, ok in ((1e-9, False), (3e-12, False), (4e-16, True)):
+        theta = plan.theta.copy()
+        theta[-4] += shift
+        payload = theta.astype("<f8").tobytes() + plan.weights.astype("<f8").tobytes()
+        path.write_bytes(_plan_blob(0.0, 0.0, 32, payload, plan.U))
+        if ok:
+            back = load_plan(path)
+            np.testing.assert_array_equal(back.lam[::-1], -back.lam)
+        else:
+            with pytest.raises(PlanFormatError, match="symmetric about pi/2"):
+                load_plan(path)
+    # the same angles at alpha != beta are not checked for symmetry
+    path.write_bytes(_plan_blob(0.0, 0.5, 32, payload, plan.U))
+    assert load_plan(path).n == 32
 
 
 @pytest.mark.parametrize("alpha,beta", PARAM_GRID)
