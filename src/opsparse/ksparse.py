@@ -5,10 +5,10 @@ around its angle, and hands the filtered signal to a 1-sparse solver.  The
 filter p = sum_r b_r T_r is applied implicitly: p(J) is d-banded, so a
 filtered sample at j needs only the Chebyshev moments (T_r(J) y)_j, r <= d,
 of the residual y = x - F^T zhat, and those read y only within d of j.  The
-draws of one batch share their sample positions, so each raw window is read
-once per batch rather than once per draw.  Candidate spikes
-must land inside the filter pass band and survive a sampled residual check
-before being committed to the running sparse estimate.
+draws of one batch share their sample positions and read, once per batch
+rather than once per draw, each entry of a round's window union, once.
+Candidate spikes must land inside the filter pass band and survive a sampled
+residual check before being committed to the running sparse estimate.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 
 from .boxcar import BoxcarFilter, build_boxcar
 from .onesparse import SAMPLE_CAP, RecoveryError, estimate_norm, solve_one_sparse
+from .plan import _indices
 
 __all__ = [
     "QueryOracle",
@@ -46,18 +47,6 @@ DELTA_CAP = 0.1
 # u >= (1 - eps_box)|v|: about twice the floor at 1/2, a margin for the
 # sampling error of one round's u and of the estimate of R.
 ENERGY_TAU = 0.5
-
-
-def _indices(idx, n: int) -> np.ndarray:
-    """idx as int64; IndexError unless all are integers in [0, n) (or none are)."""
-    idx = np.asarray(idx)
-    if idx.size:
-        if not np.issubdtype(idx.dtype, np.integer):
-            raise IndexError(f"indices must be integers, got dtype {idx.dtype}")
-        lo, hi = idx.min(), idx.max()
-        if lo < 0 or hi >= n:
-            raise IndexError(f"indices {lo}..{hi} out of range for N={n}")
-    return idx.astype(np.int64, copy=False)
 
 
 class QueryOracle:
@@ -235,11 +224,12 @@ class SampleSchedule:
     The i-th ``SimulatedAccess.sample`` call of every draw built on this
     schedule gets the batch's i-th position set: s uniform positions, drawn
     from the caller's rng the first time any draw asks for set i.  The raw
-    windows around them are read once, at radius ``degree`` (the largest
-    filter degree in the batch), clipped at the ends, and their moments
-    (T_r(J) y)_j, r <= degree, are kept for the life of the schedule.  Each
-    draw's samples stay uniform, so its own failure bound holds; the union
-    bound over draws needs no independence.
+    windows around them have radius ``degree`` (the largest filter degree in
+    the batch) and are clipped at the ends; each entry of a round's window
+    union is read once, and the moments (T_r(J) y)_j, r <= degree, are kept
+    for the life of the schedule.  Each draw's samples stay uniform, so its
+    own failure bound holds; the union bound over draws needs no
+    independence.
 
     ``z`` is the dense image F^T zhat of the running estimate.  y is x - z
     on the windows read and zero elsewhere; the zero fill is exact because a
@@ -258,10 +248,14 @@ class SampleSchedule:
 
     def moments(self, js: np.ndarray, d: int) -> np.ndarray:
         """(T_r(J)(x - z))[js], r = 0..d, from one oracle request for the
-        in-range part of every window js-d .. js+d."""
+        union of the clipped windows max(0, j-d) .. min(N-1, j+d), j in js,
+        each entry once and in ascending order."""
         n = self.plan.n
-        idx = js[:, None] + np.arange(-d, d + 1)
-        idx = idx[(idx >= 0) & (idx < n)]
+        # +1 where a window opens, -1 past where it closes: the running sum
+        # counts the windows covering each entry
+        edges = (np.bincount(np.maximum(js - d, 0), minlength=n + 1)
+                 - np.bincount(np.minimum(js + d + 1, n), minlength=n + 1))
+        idx = np.flatnonzero(np.cumsum(edges[:n]))
         y = np.zeros(n)
         y[idx] = self._oracle.query_many(idx) - self._z[idx]
         return self.plan.moments(y, js, d)
@@ -304,8 +298,8 @@ class SimulatedAccess:
         return js, self._filtered(mom)
 
     def query_many(self, js: np.ndarray) -> np.ndarray:
-        """Filtered samples at indices js; each reads at most 2d+1 entries,
-        all in one oracle request."""
+        """Filtered samples at indices js; each needs at most 2d+1 entries,
+        and one oracle request reads their union, each entry once."""
         js = _indices(js, self._schedule.plan.n)
         return self._filtered(self._schedule.moments(js, self._coeffs.size - 1))
 
@@ -356,8 +350,8 @@ def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
     ``window`` and the energy floor ENERGY_TAU * delta * R / sqrt(k) as
     ``floor``; it signals a miss with RecoveryError.  Draws run in batches:
     a batch's boxcars are built first, and its draws' ``SimulatedAccess``
-    share one ``SampleSchedule``, so each round's raw windows are read once
-    per batch.  ``verify`` draws fresh positions.
+    share one ``SampleSchedule``, so each entry of a round's window union is
+    read once per batch.  ``verify`` draws fresh positions.
 
     The dense image F^T zhat is built once per pass; it feeds the estimate of
     R and every schedule of the pass.

@@ -52,6 +52,18 @@ VERSION = 2
 DENSE_CACHE_LIMIT = 4096
 
 
+def _indices(idx, n: int) -> np.ndarray:
+    """idx as int64; IndexError unless all are integers in [0, n) (or none are)."""
+    idx = np.asarray(idx)
+    if idx.size:
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise IndexError(f"indices must be integers, got dtype {idx.dtype}")
+        lo, hi = idx.min(), idx.max()
+        if lo < 0 or hi >= n:
+            raise IndexError(f"indices {lo}..{hi} out of range for N={n}")
+    return idx.astype(np.int64, copy=False)
+
+
 class PlanFormatError(Exception):
     """Base class for malformed plan files."""
 
@@ -155,27 +167,39 @@ class TransformPlan:
         step r-1 alone, so (T_r(J) y)_j reads y only within r of j, in its
         floating-point operations as well as its algebra: entries of y
         farther than d from every j in js change no bit of the result.
+        Steps r >= 1 use J's entries pre-doubled, and at alpha = beta, where
+        J's diagonal is zero, skip it: both give the textbook step's bits, an
+        exact zero's sign aside.
+        A position outside [0, N) raises IndexError.
         """
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.n,):
             raise ValueError(f"expected shape ({self.n},), got {y.shape}")
         if d < 0:
             raise ValueError(f"moment degree must be >= 0, got {d}")
+        js = _indices(js, self.n)
         if self._jacobi is None:
-            self._jacobi = jacobi_matrix(self.params, self.n)
-        diag, off = self._jacobi
+            diag, off = jacobi_matrix(self.params, self.n)
+            self._jacobi = (diag, off, 2.0 * diag, 2.0 * off, bool(diag.any()))
+        diag, off, diag2, off2, has_diag = self._jacobi
         out = np.empty((len(js), d + 1))
         out[:, 0] = y[js]
-        prev, cur = None, y
+        prev, cur, nxt = None, y, np.empty(self.n)
+        tmp = np.empty(self.n - 1)
         for r in range(d):
-            nxt = diag * cur
-            nxt[:-1] += off * cur[1:]
-            nxt[1:] += off * cur[:-1]
+            a, b = (diag2, off2) if r else (diag, off)
+            if has_diag:
+                np.multiply(a, cur, out=nxt)
+                nxt[:-1] += np.multiply(b, cur[1:], out=tmp)
+            else:
+                np.multiply(b, cur[1:], out=nxt[:-1])
+                nxt[-1] = 0.0
+            nxt[1:] += np.multiply(b, cur[:-1], out=tmp)
             if r:
-                nxt *= 2.0
                 nxt -= prev
-            prev, cur = cur, nxt
-            out[:, r + 1] = cur[js]
+            out[:, r + 1] = nxt[js]
+            # prev's buffer is scratch from step 2 on; before that it is y
+            prev, cur, nxt = cur, nxt, prev if r >= 2 else np.empty(self.n)
         return out
 
     def filter_band(self, filt) -> np.ndarray:

@@ -49,6 +49,28 @@ def standalone(plan, oracle, zhat, filt):
     return SimulatedAccess(SampleSchedule(plan, oracle, zhat.image(plan), filt.degree), filt)
 
 
+def window_reads(js, d, n):
+    """Sorted union of the clipped windows max(0, j-d) .. min(N-1, j+d), j in js:
+    the one request a sampling round makes, each entry once, ascending."""
+    union = set()
+    for j in js:
+        union.update(range(max(0, j - d), min(n - 1, j + d) + 1))
+    return np.array(sorted(union), dtype=np.int64)
+
+
+class RecordingOracle(QueryOracle):
+    """A QueryOracle that keeps every index it is asked for, call by call."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.calls = []
+
+    def query_many(self, idx):
+        out = super().query_many(idx)
+        self.calls.append(np.asarray(idx).copy())
+        return out
+
+
 # ---------------------------------------------------------------------------
 # counted access
 
@@ -222,32 +244,21 @@ def test_simulated_access_matches_dense_application(rng):
     np.testing.assert_allclose(got, expected, atol=1e-10)
     assert access.query_many(np.array([13]))[0] == got[13]
 
-    # many indices, with both ends and repeats
+    # many indices, with both ends and repeats: one request for the union
+    # of their windows, which here is the whole signal
     d = filt.degree
     js = np.concatenate([[0, 63, 0], rng.integers(0, 64, size=900), [63, 31, 31]])
-    oracle = QueryOracle(y)
+    oracle = RecordingOracle(y)
     got = standalone(plan, oracle, zhat, filt).query_many(js)
     np.testing.assert_allclose(got, expected[js], atol=1e-10)
-    windows = np.minimum(64, js + d + 1) - np.maximum(0, js - d)
-    assert oracle.count == int(windows.sum())
-
-
-class RecordingOracle(QueryOracle):
-    """A QueryOracle that keeps every index it is asked for, call by call."""
-
-    def __init__(self, values):
-        super().__init__(values)
-        self.calls = []
-
-    def query_many(self, idx):
-        out = super().query_many(idx)
-        self.calls.append(np.asarray(idx).copy())
-        return out
+    assert len(oracle.calls) == 1
+    np.testing.assert_array_equal(oracle.calls[0], window_reads(js, d, 64))
+    assert oracle.count == window_reads(js, d, 64).size == 64
 
 
 def test_simulated_access_reads_exactly_the_windows_once_per_call(rng):
-    # one raw request per call, on the multiset of the clipped windows
-    # max(0, j-d) .. min(N-1, j+d), and the values of the dense
+    # one raw request per call, on the union of the clipped windows
+    # max(0, j-d) .. min(N-1, j+d) in ascending order, and the values of the dense
     # F^T D_b F (x - F^T zhat) for a two-spike zhat
     n = 64
     filt = build_boxcar(1.2, 0.5, 0.05)
@@ -272,9 +283,8 @@ def test_simulated_access_reads_exactly_the_windows_once_per_call(rng):
         oracle = RecordingOracle(y)
         got = standalone(plan, oracle, zhat, filt).query_many(js)
         assert len(oracle.calls) == 1, name
-        windows = [np.arange(max(0, j - d), min(n - 1, j + d) + 1) for j in js]
-        want = np.sort(np.concatenate(windows)) if windows else np.array([], dtype=np.int64)
-        np.testing.assert_array_equal(np.sort(oracle.calls[0]), want, err_msg=name)
+        want = window_reads(js, d, n)
+        np.testing.assert_array_equal(oracle.calls[0], want, err_msg=name)
         assert oracle.count == want.size, name
         assert got.shape == js.shape, name
         np.testing.assert_allclose(got, expected[js], rtol=0, atol=1e-10, err_msg=name)
@@ -315,14 +325,6 @@ def test_simulate_query_cost_and_agreement(rng):
 # one sample schedule per batch of draws
 
 
-def window_reads(js, d, n):
-    """Sorted multiset of the clipped windows max(0, j-d) .. min(N-1, j+d)."""
-    if len(js) == 0:
-        return np.array([], dtype=np.int64)
-    return np.sort(np.concatenate([np.arange(max(0, j - d), min(n - 1, j + d) + 1)
-                                   for j in js]))
-
-
 @pytest.fixture(scope="module")
 def batch_filters():
     """The peeler's filters at k=2, gamma=1: degree 43 at delta=0.07 and 47
@@ -354,7 +356,7 @@ def test_batch_draws_read_each_round_once_at_the_widest_window(peel_plan,
         np.testing.assert_array_equal(got_b[i][0], js)
         if i < 3:
             np.testing.assert_array_equal(got_a[i][0], js)
-        np.testing.assert_array_equal(np.sort(oracle.calls[i]), window_reads(js, 47, n))
+        np.testing.assert_array_equal(oracle.calls[i], window_reads(js, 47, n))
     assert oracle.count == sum(window_reads(js, 47, n).size for js in want_js)
     # each draw applies its own filter to the shared windows
     mat = plan.matrix()
@@ -378,6 +380,26 @@ def test_sample_values_match_query_many(peel_plan, batch_filters, rng):
             np.testing.assert_allclose(vals, access.query_many(js), rtol=0, atol=1e-12)
 
 
+def test_schedule_moments_match_the_repeated_scatter(peel_plan, rng):
+    # the union request fills y with the values the scatter of every window,
+    # repeats included, put there: the moments agree bit for bit
+    plan, n = peel_plan, peel_plan.n
+    x = rng.standard_normal(n)
+    z = SparseApprox({40: 0.6, 200: -0.3}).image(plan)
+    for d, js in ((47, rng.integers(0, n, size=300)),
+                  (5, np.array([0, 0, n - 1, 100, 103, 103])),
+                  (0, rng.integers(0, n, size=20)),
+                  (12, np.array([], dtype=np.int64))):
+        idx = js[:, None] + np.arange(-d, d + 1)
+        idx = idx[(idx >= 0) & (idx < n)]
+        assert idx.size == 0 or idx.size > np.unique(idx).size
+        y = np.zeros(n)
+        y[idx] = x[idx] - z[idx]
+        want = plan.moments(y, js, d)
+        got = SampleSchedule(plan, QueryOracle(x), z, d).moments(js, d)
+        assert got.tobytes() == want.tobytes(), d
+
+
 def test_verify_reads_fresh_windows_at_the_draws_own_width(peel_plan, batch_filters,
                                                           rng):
     plan, n, s = peel_plan, peel_plan.n, 300
@@ -392,7 +414,7 @@ def test_verify_reads_fresh_windows_at_the_draws_own_width(peel_plan, batch_filt
     replay.bit_generator.state = state
     js = replay.integers(0, n, size=_verify_samples(plan, 0.25, 0.1, 2.0))
     assert len(oracle.calls) == 2
-    np.testing.assert_array_equal(np.sort(oracle.calls[1]), window_reads(js, 43, n))
+    np.testing.assert_array_equal(oracle.calls[1], window_reads(js, 43, n))
 
 
 def test_standalone_access_samples_as_a_batch_of_one(peel_plan, batch_filters, rng):
@@ -407,7 +429,7 @@ def test_standalone_access_samples_as_a_batch_of_one(peel_plan, batch_filters, r
         js, _ = access.sample(s, gen)
         want = replay.integers(0, n, size=s)
         np.testing.assert_array_equal(js, want)
-        np.testing.assert_array_equal(np.sort(oracle.calls[i]), window_reads(want, 47, n))
+        np.testing.assert_array_equal(oracle.calls[i], window_reads(want, 47, n))
     assert len(oracle.calls) == 3
 
 
@@ -497,7 +519,7 @@ def test_peeler_reads_each_drawn_round_once_per_batch(peel_plan, monkeypatch):
                 if len(r) > i:
                     np.testing.assert_array_equal(r[i], js)
             reads = window_reads(js, width, n)
-            np.testing.assert_array_equal(np.sort(oracle.calls[want_calls]), reads)
+            np.testing.assert_array_equal(oracle.calls[want_calls], reads)
             want_calls += 1
             want_count += reads.size
     assert len(oracle.calls) == want_calls
@@ -633,6 +655,35 @@ def test_recover_two_spikes(peel_plan):
     assert oracle.count <= 4 * cfg.k * cfg.t2() * cfg.t0() * per_draw
 
 
+def test_recover_trial_requests_no_entry_twice(peel_plan):
+    # every window request of a whole trial, solver rounds and verify alike,
+    # is ascending with no repeated index, so none exceeds N entries; the
+    # residual estimate's request is its uniform draws, with repeats, each
+    # billed as the estimator reads it
+    plan, n = peel_plan, peel_plan.n
+    cfg = ReductionConfig.calibrated(2, 0.05, 0.1, 1.0)
+    estimate_calls = []
+
+    class Oracle(RecordingOracle):
+        def sample(self, s, rng):
+            estimate_calls.append(len(self.calls))
+            return super().sample(s, rng)
+
+    oracle = Oracle(plan.row(60) - 0.8 * plan.row(200))
+    zhat = recover(plan, oracle, cfg, seed=11)
+    assert zhat.support() == [60, 200]
+    s = _sample_size(plan, 6.0 * cfg.eps())
+    assert estimate_calls
+    for i in estimate_calls:
+        assert oracle.calls[i].size == s
+    windows = [c for i, c in enumerate(oracle.calls) if i not in estimate_calls]
+    assert len(windows) > len(estimate_calls)
+    for c in windows:
+        assert 0 < c.size <= n
+        assert np.all(np.diff(c) > 0)
+    assert oracle.count == sum(c.size for c in oracle.calls)
+
+
 def test_recover_zero_signal_returns_empty(peel_plan):
     cfg = ReductionConfig.calibrated(2, 0.05, 0.1, 1.0)
     zhat = recover(peel_plan, QueryOracle(np.zeros(256)), cfg, seed=5)
@@ -661,16 +712,19 @@ def test_empty_bin_draw_ends_after_one_round(peel_plan):
     window, floor = band_and_floor(plan, cfg, ell, y)
     filt = build_boxcar(theta, width, cfg.boxcar_eps())
     eps = 6.0 * cfg.eps()
-    oracle = QueryOracle(y)
+    oracle = RecordingOracle(y)
     access = standalone(plan, oracle, SparseApprox(), filt)
     with pytest.raises(RecoveryError, match="energy floor"):
         solve_one_sparse(plan, access, eps, cfg.mu0() / 2.0, np.random.default_rng(4),
                          window=window, floor=floor)
-    # exactly the first round's s filtered samples, each a clipped window
+    # exactly the first round's s filtered samples: one request for the
+    # union of their clipped windows
     s = _sample_size(plan, eps)
     js = np.random.default_rng(4).integers(0, plan.n, size=s)
-    d = filt.degree
-    assert oracle.count == int((np.minimum(plan.n, js + d + 1) - np.maximum(0, js - d)).sum())
+    reads = window_reads(js, filt.degree, plan.n)
+    assert len(oracle.calls) == 1
+    np.testing.assert_array_equal(oracle.calls[0], reads)
+    assert oracle.count == reads.size
 
 
 def test_floor_keeps_a_spike_at_the_threshold(peel_plan):

@@ -233,6 +233,64 @@ def test_moments_read_only_the_windows(alpha, beta, rng):
     np.testing.assert_array_equal(plan.moments(y, js, d), plan.moments(x, js, d))
 
 
+def textbook_moments(params, n, y, js, d):
+    """(T_r(J) y)[js], r = 0..d, one entry at a time: T_0 y = y, T_1 y = J y,
+    T_{r+1} y = 2 J T_r y - T_{r-1} y, with (J v)_i summed as
+    (diag_i v_i + off_i v_{i+1}) + off_{i-1} v_{i-1}."""
+    diag, off = jacobi_matrix(params, n)
+
+    def jv(v):
+        out = []
+        for i in range(n):
+            acc = diag[i] * v[i]
+            if i + 1 < n:
+                acc = acc + off[i] * v[i + 1]
+            if i > 0:
+                acc = acc + off[i - 1] * v[i - 1]
+            out.append(acc)
+        return np.array(out)
+
+    steps = [np.array(y, dtype=np.float64)]
+    if d >= 1:
+        steps.append(jv(steps[0]))
+    while len(steps) <= d:
+        steps.append(2.0 * jv(steps[-1]) - steps[-2])
+    return np.stack([t[js] for t in steps], axis=1)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (-0.5, -0.5), (1.5, -0.3)])
+@pytest.mark.parametrize("n", [1, 2, 24])
+def test_moments_match_the_textbook_recurrence_bit_for_bit(alpha, beta, n, rng):
+    # the pre-doubled J of steps r >= 1 and the skipped zero diagonal at
+    # alpha = beta change no bit of a moment.  Adding +0.0 maps -0 to +0:
+    # the skipped product diag_i * v_i = -0 * v_i only ever signs an exact
+    # zero, as at N = 1 where T_1(J) y = -0 * y
+    params = JacobiParams(alpha, beta)
+    plan = build_plan(params, n)
+    y = rng.standard_normal(n)
+    js = np.concatenate([np.arange(n), [0, n - 1], rng.integers(0, n, size=5)])
+    for d in sorted({0, 1, 2, n - 1, 3 * n}):
+        got = plan.moments(y, js, d)
+        want = textbook_moments(params, n, y, js, d)
+        assert got.shape == want.shape == (js.size, d + 1)
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes(), d
+    # and a y that is zero away from a few windows, as a sampling round's is
+    y[rng.random(n) < 0.5] = 0.0
+    got = plan.moments(y, js, n + 2)
+    assert (got + 0.0).tobytes() == (textbook_moments(params, n, y, js, n + 2) + 0.0).tobytes()
+
+
+def test_moments_refuse_positions_outside_the_plan(small_plan):
+    # numpy would read position -1 as row N-1 and return its moments
+    y = np.arange(32.0)
+    for js in ([-1], [32], [0, 5, 32], [3, -2]):
+        with pytest.raises(IndexError, match="out of range for N=32"):
+            small_plan.moments(y, np.array(js), 2)
+    with pytest.raises(IndexError, match="must be integers"):
+        small_plan.moments(y, np.array([1.0]), 2)
+    assert small_plan.moments(y, np.array([], dtype=np.int64), 2).shape == (0, 3)
+
+
 def test_moments_input_validation(small_plan):
     with pytest.raises(ValueError, match="expected shape"):
         small_plan.moments(np.zeros(31), np.array([0]), 2)
