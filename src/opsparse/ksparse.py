@@ -1,14 +1,16 @@
 """Reduction from k-sparse to 1-sparse recovery by filtered peeling.
 
-The recovery loop repeatedly picks a random root, builds a boxcar filter
-around its angle, and hands the filtered signal to a 1-sparse solver.  The
-filter p = sum_r b_r T_r is applied implicitly: p(J) is d-banded, so a
-filtered sample at j needs only the Chebyshev moments (T_r(J) y)_j, r <= d,
-of the residual y = x - F^T zhat, and those read y only within d of j.  The
-draws of one batch share their sample positions and read, once per batch
-rather than once per draw, each entry of a round's window union, once.
-Candidate spikes must land inside the filter pass band and survive a sampled
-residual check before being committed to the running sparse estimate.
+The recovery loop filters the residual with banks of boxcars whose pass
+bands tile [0, pi] at a random shift, and hands each filtered signal to a
+1-sparse solver; a pass makes t0 draws, rounded up to whole banks, unless a
+bank finds a spike first.  The filter p = sum_r b_r T_r is applied
+implicitly: p(J) is d-banded, so a filtered sample at j needs only the
+Chebyshev moments (T_r(J) y)_j, r <= d, of the residual y = x - F^T zhat,
+and those read y only within d of j.  The draws of one bank share their
+sample positions and read, once per bank rather than once per draw, each
+entry of a round's window union, once.  Candidate spikes must land inside
+the filter pass band and survive a sampled residual check; every one that
+does is committed to the running sparse estimate.
 """
 
 from __future__ import annotations
@@ -137,10 +139,11 @@ class SparseApprox:
 class ReductionConfig:
     """The recovery problem (k, delta, mu, gamma).
 
-    The Theta(.) multipliers of the draw count, the verifier samples, the
-    refinement passes and eps = delta / c_big are class constants, tuned
-    against the acceptance suite; C_D, which sets the filter-degree budget,
-    against the boxcar degrees over a grid of (k, delta, gamma).
+    The Theta(.) multipliers of the draw count (draws per pass, rounded up
+    to whole banks), the verifier samples, the refinement passes and
+    eps = delta / c_big are class constants, tuned against the acceptance
+    suite; C_D, which sets the filter-degree budget, against the boxcar
+    degrees over a grid of (k, delta, gamma).
     """
 
     k: int
@@ -148,7 +151,7 @@ class ReductionConfig:
     mu: float
     gamma: float
 
-    # draws per pass: t0 = c_t0 log(1/mu0) / (C0 gamma)
+    # draws per pass, rounded up to whole banks: t0 = c_t0 log(1/mu0) / (C0 gamma)
     c_t0: ClassVar[float] = 1.0
     # verifier samples: T1 = c_t1 N U^2 log(1/mu) / eps^2
     c_t1: ClassVar[float] = 0.008
@@ -195,10 +198,6 @@ class ReductionConfig:
         e = self.eps()
         return math.ceil(self.c_t2 * self.k * math.log(self.k / e) / math.log(1.0 / e))
 
-    def batch(self) -> int:
-        """Draws between empty-list checks; a few expected pass-band hits."""
-        return min(self.t0(), math.ceil(2.0 * math.pi / self.gamma))
-
     def boxcar_width(self) -> float:
         return self.gamma / 4.0
 
@@ -219,13 +218,13 @@ def large(s: int, x: np.ndarray) -> float:
 
 
 class SampleSchedule:
-    """Sample positions and residual moments shared by the draws of one batch.
+    """Sample positions and residual moments shared by the draws of one bank.
 
     The i-th ``SimulatedAccess.sample`` call of every draw built on this
-    schedule gets the batch's i-th position set: s uniform positions, drawn
+    schedule gets the bank's i-th position set: s uniform positions, drawn
     from the caller's rng the first time any draw asks for set i.  The raw
     windows around them have radius ``degree`` (the largest filter degree in
-    the batch) and are clipped at the ends; each entry of a round's window
+    the bank) and are clipped at the ends; each entry of a round's window
     union is read once, and the moments (T_r(J) y)_j, r <= degree, are kept
     for the life of the schedule.  Each draw's samples stay uniform, so its
     own failure bound holds; the union bound over draws needs no
@@ -278,7 +277,7 @@ class SimulatedAccess:
 
     A filtered sample is the filter's Chebyshev coefficients against the
     residual moments at its position.  ``sample`` takes positions and moments
-    from ``schedule``, shared by the draws of one batch; a standalone access
+    from ``schedule``, shared by the draws of one bank; a standalone access
     is a schedule of one, at the filter's own degree.  ``query_many`` always
     reads the windows of the positions it is given, at the filter's degree.
     """
@@ -338,30 +337,35 @@ def verify(plan, y_access, v: float, h: int, mu: float, eps: float, rng,
 
 def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
            one_sparse_solver, rng) -> tuple[SparseApprox, bool]:
-    """One peeling pass: try to locate and commit a single new spike.
+    """One peeling pass: commit the verified hits of the first bank with any.
 
     Returns (zhat, stop).  stop=True means a full pass produced no verified
-    candidate anywhere, i.e. every residual entry is already small.  When the
-    best candidate is an already-known index its value is folded in place and
-    the pass repeats, up to the configured number of refinement rounds.
+    candidate anywhere, i.e. every residual entry is already small.  A pass
+    commits every verified hit, keeping the largest |v| per index.  When every
+    hit is an already-known index the values are folded in place and the pass
+    repeats, up to the configured number of refinement rounds.
 
     ``one_sparse_solver(plan, access, eps, mu, rng, window=, floor=)`` is
-    called once per draw with the draw's pass band theta_ell +- width as
+    called once per draw with the draw's pass band theta +- width as
     ``window`` and the energy floor ENERGY_TAU * delta * R / sqrt(k) as
-    ``floor``; it signals a miss with RecoveryError.  Draws run in batches:
-    a batch's boxcars are built first, and its draws' ``SimulatedAccess``
+    ``floor``; it signals a miss with RecoveryError.  Draws run in filter
+    banks of m = ceil(pi / (2 width)) + 1 centres
+    clip(o - width + 2 width i, 0, pi), one uniform offset o in [0, 2 width)
+    per bank, so the pass bands of every bank tile [0, pi], ends included.
+    A bank's boxcars are built first, and its draws' ``SimulatedAccess``
     share one ``SampleSchedule``, so each entry of a round's window union is
-    read once per batch.  ``verify`` draws fresh positions.
+    read once per bank.  A pass runs whole banks until one verifies a hit or
+    t0 draws, rounded up to whole banks, are spent.  ``verify`` draws fresh
+    positions.
 
     The dense image F^T zhat is built once per pass; it feeds the estimate of
     R and every schedule of the pass.
     """
-    n = plan.n
     eps = cfg.eps()
     mu0 = cfg.mu0()
-    t0 = cfg.t0()
-    batch = cfg.batch()
     width = cfg.boxcar_width()
+    m = math.ceil(math.pi / (2.0 * width)) + 1
+    banks = math.ceil(cfg.t0() / m)
     box_eps = cfg.boxcar_eps()
     budget = cfg.degree_budget()
     solver_eps = 6.0 * eps
@@ -392,32 +396,33 @@ def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
                 return None
             return h, v
 
-        found: list[tuple[int, float]] = []
-        draws = 0
-        while draws < t0:
+        found: dict[int, float] = {}
+        for _ in range(banks):
+            offset = rng.uniform(0.0, 2.0 * width)
             filters = []
-            for _ in range(min(batch, t0 - draws)):
-                theta = float(plan.theta[int(rng.integers(0, n))])
+            for i in range(m):
+                theta = min(max(offset - width + 2.0 * width * i, 0.0), math.pi)
                 filt = build_boxcar(theta, width, box_eps)
                 if filt.degree > budget:
                     raise ValueError(
                         f"boxcar degree {filt.degree} exceeds budget {budget} "
                         f"at gamma={cfg.gamma}, eps_box={box_eps:.3g}")
                 filters.append((theta, filt))
-            draws += len(filters)
             schedule = SampleSchedule(plan, oracle, z,
                                       max(f.degree for _, f in filters))
             for theta, filt in filters:
                 got = draw(theta, filt, schedule)
-                if got is not None:
-                    found.append(got)
+                # bands overlap where centres are clipped at 0 or pi, so two
+                # draws can report one index
+                if got is not None and abs(got[1]) > abs(found.get(got[0], 0.0)):
+                    found[got[0]] = got[1]
             if found:
                 break
         if not found:
             return zhat, True
-        h_bar, v_bar = max(found, key=lambda hv: abs(hv[1]))
-        fresh = h_bar not in zhat
-        zhat.add(h_bar, v_bar)
+        fresh = any(h not in zhat for h in found)
+        for h, v in found.items():
+            zhat.add(h, v)
         if fresh:
             return zhat, False
     return zhat, False
@@ -425,7 +430,7 @@ def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
 
 def recover(plan, oracle, cfg: ReductionConfig, one_sparse_solver=None,
             rng=None, seed=None) -> SparseApprox:
-    """Peel up to k spikes; stop early once a pass finds nothing."""
+    """Peel up to k spikes; stop once zhat holds k or a pass finds nothing."""
     if one_sparse_solver is None:
         one_sparse_solver = solve_one_sparse
     if rng is None:
@@ -433,6 +438,6 @@ def recover(plan, oracle, cfg: ReductionConfig, one_sparse_solver=None,
     zhat = SparseApprox()
     for _ in range(cfg.k):
         zhat, stop = peeler(plan, oracle, zhat, cfg, one_sparse_solver, rng)
-        if stop:
+        if stop or len(zhat) >= cfg.k:
             break
     return zhat

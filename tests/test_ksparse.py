@@ -22,6 +22,7 @@ from opsparse import (
     solve_one_sparse,
 )
 from opsparse import ksparse
+from opsparse.boxcar import BoxcarFilter
 from opsparse.ksparse import (
     ENERGY_TAU,
     SampleSchedule,
@@ -56,6 +57,11 @@ def window_reads(js, d, n):
     for j in js:
         union.update(range(max(0, j - d), min(n - 1, j + d) + 1))
     return np.array(sorted(union), dtype=np.int64)
+
+
+def bank_size(cfg):
+    """Draws per filter bank: m = ceil(pi / (2w)) + 1 pass bands of half-width w."""
+    return math.ceil(math.pi / (2.0 * cfg.boxcar_width())) + 1
 
 
 class RecordingOracle(QueryOracle):
@@ -181,7 +187,6 @@ def test_reduction_config_derived_quantities():
     assert cfg.boxcar_width() == 0.15
     assert cfg.boxcar_eps() == cfg.eps() / 2.0
     assert cfg.degree_budget() == math.ceil(16.0 * math.log(1.0 / cfg.boxcar_eps()) / 0.6)
-    assert cfg.batch() == min(cfg.t0(), math.ceil(2.0 * math.pi / 0.6))
     assert cfg.t2() >= cfg.k
 
 
@@ -192,7 +197,6 @@ def test_reduction_config_calibrated_profile():
     assert cfg.eps() == 0.025
     assert cfg.t0() == 61
     assert cfg.t2() == 3
-    assert cfg.batch() == 7
     assert cfg.degree_budget() == 65
     assert cfg == ReductionConfig(2, 0.05, 0.1, 1.0)
     assert [f.name for f in dataclasses.fields(cfg)] == ["k", "delta", "mu", "gamma"]
@@ -491,7 +495,7 @@ def test_peeler_reads_each_drawn_round_once_per_batch(peel_plan, monkeypatch):
     narrow_eps = ReductionConfig(2, 0.07, 0.1, 1.0).boxcar_eps()
 
     def recording_boxcar(center, width, eps):
-        # every other filter at degree 43, so batches mix 43 and 47
+        # every other filter at degree 43, so banks mix 43 and 47
         filt = build_boxcar(center, width, narrow_eps if len(degrees) % 2 else eps)
         degrees.append(filt.degree)
         return filt
@@ -506,16 +510,17 @@ def test_peeler_reads_each_drawn_round_once_per_batch(peel_plan, monkeypatch):
     oracle = RecordingOracle(plan.row(100))
     zhat, stop = peeler(plan, oracle, SparseApprox(), cfg, stub,
                         np.random.default_rng(8))
-    assert stop and len(drawn) == cfg.t0() == len(degrees)
+    m = bank_size(cfg)
+    assert stop and len(drawn) == math.ceil(cfg.t0() / m) * m == len(degrees)
     assert set(degrees) == {43, 47}
     want_calls, want_count = 1, s  # the residual estimate
-    for start in range(0, cfg.t0(), cfg.batch()):
-        batch = drawn[start:start + cfg.batch()]
-        width = max(degrees[start:start + cfg.batch()])
-        rounds = max(len(r) for r in batch)
+    for start in range(0, len(drawn), m):
+        bank = drawn[start:start + m]
+        width = max(degrees[start:start + m])
+        rounds = max(len(r) for r in bank)
         for i in range(rounds):
-            js = next(r[i] for r in batch if len(r) > i)
-            for r in batch:
+            js = next(r[i] for r in bank if len(r) > i)
+            for r in bank:
                 if len(r) > i:
                     np.testing.assert_array_equal(r[i], js)
             reads = window_reads(js, width, n)
@@ -612,17 +617,19 @@ BUDGET_GRID = [
 
 
 @pytest.fixture(scope="module")
-def legendre_theta_2048():
-    return build_plan(JacobiParams(0.0, 0.0), 2048).theta
+def legendre_plan_2048():
+    return build_plan(JacobiParams(0.0, 0.0), 2048)
 
 
 @pytest.mark.parametrize("k, delta, gamma", BUDGET_GRID)
-def test_default_gamma_boxcars_fit_degree_budget(legendre_theta_2048, k, delta, gamma):
+def test_default_gamma_boxcars_fit_degree_budget(legendre_plan_2048, k, delta, gamma):
     # every 8th root: at README_GAMMA that includes roots 48 and 2000, whose
-    # boxcars take the most degree increases; the ends are not the worst centres
+    # boxcars take the most degree increases; the ends are not the worst
+    # centres, but a filter bank clips centres to exactly 0 and pi
     cfg = ReductionConfig(k, delta, 0.1, gamma)
+    centres = [0.0, *legendre_plan_2048.theta[::8], math.pi]
     degree = max(build_boxcar(float(th), cfg.boxcar_width(), cfg.boxcar_eps()).degree
-                 for th in legendre_theta_2048[::8])
+                 for th in centres)
     assert degree <= cfg.degree_budget()
     # the grid's largest degree is 7.8-14.7 log(1/eps_box) / gamma: the margin
     # under C_D = 16 is pinned
@@ -771,7 +778,8 @@ def test_peeler_counts_the_residual_estimate_and_passes_band_and_floor(peel_plan
     assert stop and len(zhat) == 0
     s = _sample_size(plan, 6.0 * cfg.eps())
     assert oracle.count == s  # one residual estimate, every read counted
-    assert len(calls) == cfg.t0()
+    m = bank_size(cfg)
+    assert len(calls) == math.ceil(cfg.t0() / m) * m
     floors = {floor for _, floor in calls}
     assert len(floors) == 1  # estimated once per pass
     r_hat = floors.pop() * math.sqrt(cfg.k) / (ENERGY_TAU * cfg.delta)
@@ -794,3 +802,98 @@ def test_peeler_drives_a_stub_solver_with_the_new_keywords(peel_plan):
                         cfg, oracle_solver, np.random.default_rng(3))
     assert not stop
     assert dict(zhat.items()) == {spike: value}
+
+
+# ---------------------------------------------------------------------------
+# filter banks and committing every verified hit
+
+
+@pytest.mark.parametrize("gamma", [0.6, 1.0, math.pi, README_GAMMA])
+def test_every_bank_tiles_the_angle_range_ends_included(legendre_plan_2048, gamma,
+                                                        monkeypatch):
+    plan = legendre_plan_2048
+    cfg = ReductionConfig(2, 0.05, 0.1, gamma)
+    m = bank_size(cfg)
+    # the centres are the subject, not the filters (the degree-budget grid
+    # builds them at the ends): a degree-0 stand-in keeps 20 seeds fast
+    monkeypatch.setattr(ksparse, "build_boxcar", lambda center, width, eps:
+                        BoxcarFilter(center, width, eps, 0, np.ones(1)))
+    oracle = QueryOracle(plan.row(0) + plan.row(plan.n - 1))
+    # neighbouring bands meet at o + 2wi, reached from two centres by
+    # different float sums, so they may miss each other by an ulp or two
+    slack = 4.0 * math.ulp(math.pi)
+    for seed in range(20):
+        windows = []
+
+        def miss(plan, access, eps, mu, rng, *, window, floor):
+            windows.append(window)
+            raise RecoveryError("stub records the window")
+
+        zhat, stop = peeler(plan, oracle, SparseApprox(), cfg, miss,
+                            np.random.default_rng(seed))
+        assert stop and len(windows) == math.ceil(cfg.t0() / m) * m
+        for start in range(0, len(windows), m):
+            bank = sorted(windows[start:start + m])
+            assert bank[0][0] <= 0.0
+            reach = bank[0][1]
+            for lo, hi in bank[1:]:
+                assert lo <= reach + slack
+                reach = max(reach, hi)
+            assert reach >= math.pi
+            for theta in plan.theta[[0, plan.n - 1]]:
+                assert any(lo <= theta <= hi for lo, hi in bank)
+
+
+@pytest.mark.parametrize("values", [(-2.0, 1.5, 1.0), (1.0, 1.5, -2.0)],
+                         ids=["largest-first", "largest-last"])
+def test_draws_reporting_one_index_keep_the_largest_value(peel_plan, monkeypatch,
+                                                          values):
+    # at gamma = 1 an offset o > 0.39 clips the last two centres to pi, so two
+    # draws of one bank can report the root nearest pi
+    plan = peel_plan
+    cfg = ReductionConfig(1, 0.05, 0.1, 1.0)
+    spike = plan.n - 1
+    hits = []
+
+    def solver(plan, access, eps, mu, rng, *, window, floor):
+        if not window[0] <= plan.theta[spike] <= window[1]:
+            raise RecoveryError("spike outside the window")
+        hits.append(values[len(hits) % len(values)])
+        return OneSparseResult(spike, hits[-1])
+
+    monkeypatch.setattr(ksparse, "verify", lambda *args: True)
+    zhat, stop = peeler(plan, QueryOracle(plan.row(spike)), SparseApprox(), cfg,
+                        solver, np.random.default_rng(1))
+    assert not stop
+    assert 2 <= len(hits) <= len(values)
+    assert dict(zhat.items()) == {spike: max(hits, key=abs)}
+
+
+@pytest.mark.parametrize("truth", [{300: 1.0, 1500: -0.8}, {700: 1.3}],
+                         ids=["k2", "k1"])
+def test_one_bank_commits_every_spike_and_recover_stops(legendre_plan_2048,
+                                                        monkeypatch, truth):
+    # spikes more than a pass band's width 2w apart share no band
+    plan = legendre_plan_2048
+    cfg = ReductionConfig(len(truth), 0.05, 0.1, 1.0)
+    assert np.all(np.diff(plan.theta[sorted(truth)]) > 2.0 * cfg.boxcar_width())
+    y = sum(v * plan.row(h) for h, v in truth.items())
+    passes, draws = [], []
+
+    def counted_peeler(*args):
+        zhat, stop = peeler(*args)
+        passes.append(stop)
+        return zhat, stop
+
+    def solver(*args, **kwargs):
+        draws.append(kwargs["window"])
+        return solve_one_sparse(*args, **kwargs)
+
+    monkeypatch.setattr(ksparse, "peeler", counted_peeler)
+    zhat = recover(plan, QueryOracle(y), cfg, solver, seed=1)
+    assert zhat.support() == sorted(truth)
+    for h, v in truth.items():
+        assert zhat.get(h) == pytest.approx(v, rel=cfg.delta)
+    # one pass of one bank commits every spike; no empty pass to stop on
+    assert passes == [False]
+    assert len(draws) == bank_size(cfg)
