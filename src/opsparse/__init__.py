@@ -5,6 +5,7 @@ from .jacobi import JacobiParams, compute_roots, compute_weights
 from .ksparse import (
     QueryOracle,
     ReductionConfig,
+    ResidualReads,
     SampleSchedule,
     SimulatedAccess,
     SparseApprox,
@@ -27,6 +28,7 @@ __all__ = [
     "build_boxcar",
     "QueryOracle",
     "ReductionConfig",
+    "ResidualReads",
     "SampleSchedule",
     "SimulatedAccess",
     "SparseApprox",

@@ -7,10 +7,14 @@ bank finds a spike first.  The filter p = sum_r b_r T_r is applied
 implicitly: p(J) is d-banded, so a filtered sample at j needs only the
 Chebyshev moments (T_r(J) y)_j, r <= d, of the residual y = x - F^T zhat,
 and those read y only within d of j.  The draws of one bank share their
-sample positions and read, once per bank rather than once per draw, each
-entry of a round's window union, once.  Candidate spikes must land inside
-the filter pass band and survive a sampled residual check; every one that
-does is committed to the running sparse estimate.
+sample positions, and one pass reads each residual entry at most once: the
+residual estimate and every round of every bank request only the entries
+of their windows that the pass has not read yet.  Each bank keeps the
+moments at every position, an N x (D+1) table of doubles (D the bank's
+widest degree, 0.8 MB at N = 2048, D = 47), rebuilt only after a round
+reads new entries.  Candidate spikes must land inside the filter pass band
+and survive a sampled residual check; every one that does is committed to
+the running sparse estimate.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ __all__ = [
     "QueryOracle",
     "SparseApprox",
     "ReductionConfig",
+    "ResidualReads",
     "SampleSchedule",
     "SimulatedAccess",
     "large",
@@ -217,6 +222,48 @@ def large(s: int, x: np.ndarray) -> float:
     return float(np.partition(mags, x.size - s)[x.size - s])
 
 
+def _window_union(js: np.ndarray, d: int, n: int) -> np.ndarray:
+    """The union of the clipped windows max(0, j-d) .. min(N-1, j+d), j in
+    js, ascending and without repeats."""
+    # +1 where a window opens, -1 past where it closes: the running sum
+    # counts the windows covering each entry
+    edges = (np.bincount(np.maximum(js - d, 0), minlength=n + 1)
+             - np.bincount(np.minimum(js + d + 1, n), minlength=n + 1))
+    return np.flatnonzero(np.cumsum(edges[:n]))
+
+
+class ResidualReads:
+    """The residual x - z of one peeling pass, each entry read at most once.
+
+    ``z`` is the dense image F^T zhat of the running estimate.  ``y`` holds
+    x - z at every entry read so far and zero elsewhere, and ``count`` is
+    how many entries that is.
+    """
+
+    def __init__(self, oracle, z: np.ndarray):
+        self.oracle = oracle
+        self.z = z
+        self.y = np.zeros(z.size)
+        self._seen = np.zeros(z.size, dtype=bool)
+        self.count = 0
+
+    def read(self, idx: np.ndarray) -> None:
+        """One oracle request for the entries of idx (ascending, no repeats)
+        not read yet; none when every one has been."""
+        new = idx[~self._seen[idx]]
+        if new.size:
+            self.y[new] = self.oracle.query_many(new) - self.z[new]
+            self._seen[new] = True
+            self.count += new.size
+
+    def sample(self, s: int, rng) -> tuple[np.ndarray, np.ndarray]:
+        """s uniform positions drawn from rng and the residual there; a
+        position drawn twice is read once."""
+        js = rng.integers(0, self.y.size, size=s)
+        self.read(_window_union(js, 0, self.y.size))
+        return js, self.y[js]
+
+
 class SampleSchedule:
     """Sample positions and residual moments shared by the draws of one bank.
 
@@ -224,50 +271,57 @@ class SampleSchedule:
     schedule gets the bank's i-th position set: s uniform positions, drawn
     from the caller's rng the first time any draw asks for set i.  The raw
     windows around them have radius ``degree`` (the largest filter degree in
-    the bank) and are clipped at the ends; each entry of a round's window
-    union is read once, and the moments (T_r(J) y)_j, r <= degree, are kept
-    for the life of the schedule.  Each draw's samples stay uniform, so its
-    own failure bound holds; the union bound over draws needs no
+    the bank) and are clipped at the ends; a round reads, through
+    ``residual``, the entries of its window union that the pass has not read
+    yet.  The schedule keeps the moments (T_r(J) y)_j, r <= degree, at every
+    position j in one N x (degree+1) table of doubles, rebuilt only when the
+    pass has read new entries since it was last built, and serves round i as
+    the table's rows at its positions.  Each draw's samples stay uniform, so
+    its own failure bound holds; the union bound over draws needs no
     independence.
 
-    ``z`` is the dense image F^T zhat of the running estimate.  y is x - z
-    on the windows read and zero elsewhere; the zero fill is exact because a
-    moment of degree r at j reads y only within r of j (``plan.moments``).
+    y is ``residual.y``: x - z on the entries read and zero elsewhere.  A
+    round's moments equal those of x - z on its own window union, zero
+    elsewhere, bit for bit, because a moment of degree r at j reads y only
+    within r of j (``plan.moments``).
     """
 
-    def __init__(self, plan, oracle, z: np.ndarray, degree: int):
+    def __init__(self, plan, residual: ResidualReads, degree: int):
         if degree >= plan.n:
             # a window that wide reads the whole signal for every sample
             raise ValueError(f"filter degree {degree} must be < N = {plan.n}")
         self.plan = plan
         self.degree = degree
-        self._oracle = oracle
-        self._z = z
-        self._rounds: list[tuple[np.ndarray, np.ndarray]] = []
+        self._residual = residual
+        self._rounds: list[np.ndarray] = []
+        self._table: np.ndarray | None = None
+        self._table_count = -1  # residual.count when the table was built
 
     def moments(self, js: np.ndarray, d: int) -> np.ndarray:
-        """(T_r(J)(x - z))[js], r = 0..d, from one oracle request for the
-        union of the clipped windows max(0, j-d) .. min(N-1, j+d), j in js,
-        each entry once and in ascending order."""
+        """(T_r(J)(x - z))[js], r = 0..d, from one fresh oracle request for
+        the union of the clipped windows around js, each entry once and in
+        ascending order; the pass's earlier reads are neither used nor kept."""
         n = self.plan.n
-        # +1 where a window opens, -1 past where it closes: the running sum
-        # counts the windows covering each entry
-        edges = (np.bincount(np.maximum(js - d, 0), minlength=n + 1)
-                 - np.bincount(np.minimum(js + d + 1, n), minlength=n + 1))
-        idx = np.flatnonzero(np.cumsum(edges[:n]))
+        idx = _window_union(js, d, n)
         y = np.zeros(n)
-        y[idx] = self._oracle.query_many(idx) - self._z[idx]
+        y[idx] = self._residual.oracle.query_many(idx) - self._residual.z[idx]
         return self.plan.moments(y, js, d)
 
     def round(self, i: int, s: int, rng) -> tuple[np.ndarray, np.ndarray]:
         """Position set i and its moments; drawn and read on first use."""
+        n = self.plan.n
         if i == len(self._rounds):
-            js = rng.integers(0, self.plan.n, size=s)
-            self._rounds.append((js, self.moments(js, self.degree)))
-        js, mom = self._rounds[i]
+            js = rng.integers(0, n, size=s)
+            self._residual.read(_window_union(js, self.degree, n))
+            if self._table_count != self._residual.count:
+                self._table = self.plan.moments(self._residual.y, np.arange(n),
+                                                self.degree)
+                self._table_count = self._residual.count
+            self._rounds.append(js)
+        js = self._rounds[i]
         if js.size != s:
             raise ValueError(f"sample set {i} holds {js.size} positions, asked for {s}")
-        return js, mom
+        return js, self._table[js]
 
 
 class SimulatedAccess:
@@ -279,7 +333,8 @@ class SimulatedAccess:
     residual moments at its position.  ``sample`` takes positions and moments
     from ``schedule``, shared by the draws of one bank; a standalone access
     is a schedule of one, at the filter's own degree.  ``query_many`` always
-    reads the windows of the positions it is given, at the filter's degree.
+    reads afresh the windows of the positions it is given, at the filter's
+    degree.
     """
 
     def __init__(self, schedule: SampleSchedule, filt: BoxcarFilter):
@@ -346,20 +401,24 @@ def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
     repeats, up to the configured number of refinement rounds.
 
     ``one_sparse_solver(plan, access, eps, mu, rng, window=, floor=)`` is
-    called once per draw with the draw's pass band theta +- width as
-    ``window`` and the energy floor ENERGY_TAU * delta * R / sqrt(k) as
-    ``floor``; it signals a miss with RecoveryError.  Draws run in filter
-    banks of m = ceil(pi / (2 width)) + 1 centres
-    clip(o - width + 2 width i, 0, pi), one uniform offset o in [0, 2 width)
-    per bank, so the pass bands of every bank tile [0, pi], ends included.
-    A bank's boxcars are built first, and its draws' ``SimulatedAccess``
-    share one ``SampleSchedule``, so each entry of a round's window union is
-    read once per bank.  A pass runs whole banks until one verifies a hit or
-    t0 draws, rounded up to whole banks, are spent.  ``verify`` draws fresh
-    positions.
+    called once per draw with the draw's pass band as ``window`` and the
+    energy floor ENERGY_TAU * delta * R / sqrt(k) as ``floor``; it signals a
+    miss with RecoveryError.  Draws run in filter banks of
+    m = ceil(pi / (2 width)) + 1 boxcars centred at
+    c_i = clip(o - width + 2 width i, 0, pi), one uniform offset o in
+    [0, 2 width) per bank.  Tile i is [e_i, e_{i+1}], e_i = o - 2 width
+    + 2 width i, and draw i's pass band is the hull of its tile and
+    c_i +- width, so neighbouring bands share one float edge and every
+    bank's bands tile [0, pi], ends included.  A hit outside its draw's
+    pass band is discarded.  A bank's boxcars are built first, and its
+    draws' ``SimulatedAccess`` share one ``SampleSchedule``.  A pass runs
+    whole banks until one verifies a hit or t0 draws, rounded up to whole
+    banks, are spent.  ``verify`` draws fresh positions and reads their
+    windows afresh.
 
-    The dense image F^T zhat is built once per pass; it feeds the estimate of
-    R and every schedule of the pass.
+    The dense image F^T zhat is built once per pass, with one
+    ``ResidualReads`` over x - F^T zhat: the estimate of R and every
+    sampling round of the pass request only entries the pass has not read.
     """
     eps = cfg.eps()
     mu0 = cfg.mu0()
@@ -370,27 +429,21 @@ def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
     budget = cfg.degree_budget()
     solver_eps = 6.0 * eps
     for _ in range(cfg.t2()):
-        z = zhat.image(plan)
-
-        def residual(s, rng):
-            js, y = oracle.sample(s, rng)
-            return js, y - z[js]
-
+        residual = ResidualReads(oracle, zhat.image(plan))
         # R = ||x - F^T zhat||, estimated from counted raw reads
-        r_hat = estimate_norm(plan, residual, solver_eps, rng)
+        r_hat = estimate_norm(plan, residual.sample, solver_eps, rng)
         floor = ENERGY_TAU * cfg.delta * r_hat / math.sqrt(cfg.k)
 
-        def draw(theta, filt, schedule) -> tuple[int, float] | None:
-            """One filtered solve around theta and its check; None on a miss."""
+        def draw(band, filt, schedule) -> tuple[int, float] | None:
+            """One filtered solve in its pass band and its check; None on a miss."""
             access = SimulatedAccess(schedule, filt)
             try:
                 got = one_sparse_solver(plan, access, solver_eps, mu0 / 2.0, rng,
-                                        window=(theta - width, theta + width),
-                                        floor=floor)
+                                        window=band, floor=floor)
             except RecoveryError:
                 return None
             h, v = got.index, got.value
-            if abs(plan.theta[h] - theta) > width:
+            if not band[0] <= plan.theta[h] <= band[1]:
                 return None
             if not verify(plan, access, v, h, mu0 / 2.0, eps, rng, cfg.c_t1):
                 return None
@@ -399,19 +452,21 @@ def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
         found: dict[int, float] = {}
         for _ in range(banks):
             offset = rng.uniform(0.0, 2.0 * width)
+            edges = [offset - 2.0 * width + 2.0 * width * i for i in range(m + 1)]
             filters = []
             for i in range(m):
                 theta = min(max(offset - width + 2.0 * width * i, 0.0), math.pi)
+                band = (min(edges[i], theta - width), max(edges[i + 1], theta + width))
                 filt = build_boxcar(theta, width, box_eps)
                 if filt.degree > budget:
                     raise ValueError(
                         f"boxcar degree {filt.degree} exceeds budget {budget} "
                         f"at gamma={cfg.gamma}, eps_box={box_eps:.3g}")
-                filters.append((theta, filt))
-            schedule = SampleSchedule(plan, oracle, z,
+                filters.append((band, filt))
+            schedule = SampleSchedule(plan, residual,
                                       max(f.degree for _, f in filters))
-            for theta, filt in filters:
-                got = draw(theta, filt, schedule)
+            for band, filt in filters:
+                got = draw(band, filt, schedule)
                 # bands overlap where centres are clipped at 0 or pi, so two
                 # draws can report one index
                 if got is not None and abs(got[1]) > abs(found.get(got[0], 0.0)):

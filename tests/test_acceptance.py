@@ -20,6 +20,7 @@ from opsparse import (
     QueryOracle,
     RecoveryError,
     ReductionConfig,
+    ResidualReads,
     SampleSchedule,
     SimulatedAccess,
     SparseApprox,
@@ -174,7 +175,8 @@ def test_criterion_5_filtered_query_equivalence():
                     np.zeros(64))
         expected = float((dense_filter @ (y - zvals))[j])
         oracle = QueryOracle(y)
-        schedule = SampleSchedule(plan, oracle, zhat.image(plan), filt.degree)
+        schedule = SampleSchedule(plan, ResidualReads(oracle, zhat.image(plan)),
+                                  filt.degree)
         got = SimulatedAccess(schedule, filt).query_many(np.array([j]))[0]
         worst = max(worst, abs(got - expected))
         if oracle.count > 2 * filt.degree + 1:

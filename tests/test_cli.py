@@ -361,6 +361,21 @@ def test_recover_csv_is_seed_deterministic(tmp_path, capsys, monkeypatch):
         assert int(fields[-2]) > 0
 
 
+def test_readme_default_gamma_trial_row_is_pinned(capsys, monkeypatch):
+    # README's default-gamma trial: support, values and error are fixed by
+    # the seed; the reads are one pass memo per peeling pass plus verify's
+    monkeypatch.setenv("OPSPARSE_THREADS", "1")
+    code, stdout, _ = run_cli(capsys, "recover", "--alpha", "0", "--beta", "0",
+                              "--n", "2048", "--k", "2", "--delta", "0.05",
+                              "--trials", "1", "--seed", "7")
+    assert code == 0
+    assert stdout.splitlines() == [
+        "trial,support,values,rec_support,rec_values,rel_l2_error,queries,success",
+        "0,625;1634,-1.387026676144845;1.8032377150253531,625;1634,"
+        "-1.3699086128826292;1.8044092871172397,0.007542109838496894,6144,1",
+    ]
+
+
 def test_recover_csv_identical_under_worker_pool(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("OPSPARSE_THREADS", "1")
     serial = tmp_path / "serial.csv"

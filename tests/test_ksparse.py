@@ -25,6 +25,7 @@ from opsparse import ksparse
 from opsparse.boxcar import BoxcarFilter
 from opsparse.ksparse import (
     ENERGY_TAU,
+    ResidualReads,
     SampleSchedule,
     _verify_samples,
     large,
@@ -47,7 +48,12 @@ def peel_plan():
 
 def standalone(plan, oracle, zhat, filt):
     """A draw's access on a schedule of its own, at the filter's degree."""
-    return SimulatedAccess(SampleSchedule(plan, oracle, zhat.image(plan), filt.degree), filt)
+    return SimulatedAccess(schedule_of(plan, oracle, zhat.image(plan), filt.degree), filt)
+
+
+def schedule_of(plan, oracle, z, degree):
+    """A schedule reading x - z through a pass memo of its own."""
+    return SampleSchedule(plan, ResidualReads(oracle, z), degree)
 
 
 def window_reads(js, d, n):
@@ -57,6 +63,21 @@ def window_reads(js, d, n):
     for j in js:
         union.update(range(max(0, j - d), min(n - 1, j + d) + 1))
     return np.array(sorted(union), dtype=np.int64)
+
+
+def pass_requests(index_sets, n):
+    """The oracle requests one pass makes for these index sets, in order: the
+    entries of each set that no earlier set held, ascending; a set with none
+    makes no request."""
+    seen = np.zeros(n, dtype=bool)
+    out = []
+    for idx in index_sets:
+        idx = np.unique(idx)
+        new = idx[~seen[idx]]
+        seen[idx] = True
+        if new.size:
+            out.append(new)
+    return out
 
 
 def bank_size(cfg):
@@ -346,7 +367,7 @@ def test_batch_draws_read_each_round_once_at_the_widest_window(peel_plan,
     y = rng.standard_normal(n)
     zhat = SparseApprox({40: 0.6, 200: -0.3})
     oracle = RecordingOracle(y)
-    schedule = SampleSchedule(plan, oracle, zhat.image(plan), wide.degree)
+    schedule = schedule_of(plan, oracle, zhat.image(plan), wide.degree)
     a = SimulatedAccess(schedule, narrow)
     b = SimulatedAccess(schedule, wide)
     gen = np.random.default_rng(3)
@@ -355,13 +376,17 @@ def test_batch_draws_read_each_round_once_at_the_widest_window(peel_plan,
     # round i's positions are the i-th draw from the rng of the first asker
     replay = np.random.default_rng(3)
     want_js = [replay.integers(0, n, size=s) for _ in range(4)]
-    assert len(oracle.calls) == 4
     for i, js in enumerate(want_js):
         np.testing.assert_array_equal(got_b[i][0], js)
         if i < 3:
             np.testing.assert_array_equal(got_a[i][0], js)
-        np.testing.assert_array_equal(oracle.calls[i], window_reads(js, 47, n))
-    assert oracle.count == sum(window_reads(js, 47, n).size for js in want_js)
+    # each round requests the entries of its widest windows not read yet:
+    # here the first round's union is the whole signal
+    want = pass_requests([window_reads(js, 47, n) for js in want_js], n)
+    assert len(oracle.calls) == len(want) == 1
+    for call, reads in zip(oracle.calls, want):
+        np.testing.assert_array_equal(call, reads)
+    assert oracle.count == n
     # each draw applies its own filter to the shared windows
     mat = plan.matrix()
     resid = y - zhat.image(plan)
@@ -376,7 +401,7 @@ def test_sample_values_match_query_many(peel_plan, batch_filters, rng):
     y = rng.standard_normal(n)
     zhat = SparseApprox({77: 1.1})
     oracle = QueryOracle(y)
-    schedule = SampleSchedule(plan, oracle, zhat.image(plan), 47)
+    schedule = schedule_of(plan, oracle, zhat.image(plan), 47)
     for filt in batch_filters:
         access = SimulatedAccess(schedule, filt)
         for _ in range(2):
@@ -400,8 +425,52 @@ def test_schedule_moments_match_the_repeated_scatter(peel_plan, rng):
         y = np.zeros(n)
         y[idx] = x[idx] - z[idx]
         want = plan.moments(y, js, d)
-        got = SampleSchedule(plan, QueryOracle(x), z, d).moments(js, d)
+        got = schedule_of(plan, QueryOracle(x), z, d).moments(js, d)
         assert got.tobytes() == want.tobytes(), d
+
+
+@pytest.mark.parametrize("alpha, beta, n, d, s", [
+    (0.0, 0.0, 256, 47, 300),  # the first round reads every entry
+    (0.0, 0.0, 256, 5, 3),  # later rounds read new entries
+    (1.5, -0.3, 128, 9, 4),  # J has a nonzero diagonal
+], ids=["full", "partial", "alpha-ne-beta"])
+def test_schedule_rounds_match_their_own_zero_filled_windows(alpha, beta, n, d, s,
+                                                             monkeypatch):
+    # a round's moments come from the bank's table over every entry the pass
+    # has read; they equal plan.moments on x - z over the round's own window
+    # union, zero elsewhere, bit for bit, before and after the table is rebuilt
+    plan = build_plan(JacobiParams(alpha, beta), n)
+    gen = np.random.default_rng(9)
+    x = gen.standard_normal(n)
+    z = SparseApprox({7: 0.6, n // 2: -0.3}).image(plan)
+    builds = []
+
+    def counted(y, js, deg):
+        builds.append(deg)
+        return type(plan).moments(plan, y, js, deg)
+
+    monkeypatch.setattr(plan, "moments", counted)
+    oracle = RecordingOracle(x)
+    schedule = schedule_of(plan, oracle, z, d)
+    rounds = [schedule.round(i, s, gen) for i in range(5)]
+    # one table build per round that requested entries, none for the others
+    want = pass_requests([window_reads(js, d, n) for js, _ in rounds], n)
+    assert len(oracle.calls) == len(builds) == len(want)
+    assert builds == [d] * len(want)
+    if s == 300:
+        assert len(want) == 1
+    else:
+        assert len(want) > 1
+    for i, (js, mom) in enumerate(rounds):
+        idx = window_reads(js, d, n)
+        y = np.zeros(n)
+        y[idx] = x[idx] - z[idx]
+        expected = type(plan).moments(plan, y, js, d)
+        assert mom.tobytes() == expected.tobytes(), i
+        again_js, again = schedule.round(i, s, gen)
+        np.testing.assert_array_equal(again_js, js)
+        assert again.tobytes() == expected.tobytes(), i
+    assert len(builds) == len(want)
 
 
 def test_verify_reads_fresh_windows_at_the_draws_own_width(peel_plan, batch_filters,
@@ -409,7 +478,7 @@ def test_verify_reads_fresh_windows_at_the_draws_own_width(peel_plan, batch_filt
     plan, n, s = peel_plan, peel_plan.n, 300
     narrow, _ = batch_filters
     oracle = RecordingOracle(rng.standard_normal(n))
-    access = SimulatedAccess(SampleSchedule(plan, oracle, np.zeros(n), 47), narrow)
+    access = SimulatedAccess(schedule_of(plan, oracle, np.zeros(n), 47), narrow)
     gen = np.random.default_rng(6)
     access.sample(s, gen)
     state = gen.bit_generator.state
@@ -422,25 +491,32 @@ def test_verify_reads_fresh_windows_at_the_draws_own_width(peel_plan, batch_filt
 
 
 def test_standalone_access_samples_as_a_batch_of_one(peel_plan, batch_filters, rng):
-    # each sample call reads the windows of its own fresh positions at the
-    # filter's own width, the reads query_many(rng.integers(0, N, s)) makes
-    plan, n, s = peel_plan, peel_plan.n, 400
+    # each sample call draws fresh positions and requests the entries of
+    # their windows, at the filter's own width, that no earlier call read
+    plan, n = peel_plan, peel_plan.n
     _, wide = batch_filters
-    oracle = RecordingOracle(rng.standard_normal(n))
-    access = SimulatedAccess(SampleSchedule(plan, oracle, np.zeros(n), wide.degree), wide)
-    gen, replay = np.random.default_rng(5), np.random.default_rng(5)
-    for i in range(3):
-        js, _ = access.sample(s, gen)
-        want = replay.integers(0, n, size=s)
-        np.testing.assert_array_equal(js, want)
-        np.testing.assert_array_equal(oracle.calls[i], window_reads(want, 47, n))
-    assert len(oracle.calls) == 3
+    for s in (400, 1):
+        oracle = RecordingOracle(rng.standard_normal(n))
+        access = SimulatedAccess(schedule_of(plan, oracle, np.zeros(n), wide.degree),
+                                 wide)
+        gen, replay = np.random.default_rng(5), np.random.default_rng(5)
+        windows = []
+        for _ in range(3):
+            js, _ = access.sample(s, gen)
+            want = replay.integers(0, n, size=s)
+            np.testing.assert_array_equal(js, want)
+            windows.append(window_reads(want, 47, n))
+        want = pass_requests(windows, n)
+        assert len(oracle.calls) == len(want)
+        for call, reads in zip(oracle.calls, want):
+            np.testing.assert_array_equal(call, reads)
+        assert len(want) == (1 if s == 400 else 3)
 
 
 def test_schedule_refuses_a_wider_filter_or_another_size(peel_plan, batch_filters):
     narrow, wide = batch_filters
     oracle = QueryOracle(np.zeros(peel_plan.n))
-    schedule = SampleSchedule(peel_plan, oracle, np.zeros(peel_plan.n), narrow.degree)
+    schedule = schedule_of(peel_plan, oracle, np.zeros(peel_plan.n), narrow.degree)
     with pytest.raises(ValueError, match="exceeds the schedule's window degree"):
         SimulatedAccess(schedule, wide)
     a = SimulatedAccess(schedule, narrow)
@@ -458,9 +534,9 @@ def test_schedule_refuses_a_window_as_wide_as_the_signal(batch_filters):
     _, wide = batch_filters
     for degree in (n, wide.degree):
         with pytest.raises(ValueError, match=f"filter degree {degree} must be < N = {n}"):
-            SampleSchedule(plan, oracle, np.zeros(n), degree)
+            schedule_of(plan, oracle, np.zeros(n), degree)
     assert oracle.count == 0
-    SampleSchedule(plan, oracle, np.zeros(n), n - 1)
+    schedule_of(plan, oracle, np.zeros(n), n - 1)
 
 
 def test_high_degree_draw_stores_no_moment_matrices(rng):
@@ -477,7 +553,7 @@ def test_high_degree_draw_stores_no_moment_matrices(rng):
     z = SparseApprox({300: 0.5, 1500: -0.7}).image(plan)
     tracemalloc.start()
     try:
-        access = SimulatedAccess(SampleSchedule(plan, oracle, z, filt.degree), filt)
+        access = SimulatedAccess(schedule_of(plan, oracle, z, filt.degree), filt)
         js, vals = access.sample(s, rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -502,9 +578,11 @@ def test_peeler_reads_each_drawn_round_once_per_batch(peel_plan, monkeypatch):
 
     monkeypatch.setattr(ksparse, "build_boxcar", recording_boxcar)
     drawn = []  # per draw, the positions of each round it sampled
+    # rounds of 3 positions leave most of the signal unread, so later
+    # rounds and banks still request entries
 
     def stub(plan, access, eps, mu, rng, *, window, floor):
-        drawn.append([access.sample(s, rng)[0] for _ in range(len(drawn) % 4)])
+        drawn.append([access.sample(3, rng)[0] for _ in range(len(drawn) % 4)])
         raise RecoveryError("stub")
 
     oracle = RecordingOracle(plan.row(100))
@@ -513,7 +591,8 @@ def test_peeler_reads_each_drawn_round_once_per_batch(peel_plan, monkeypatch):
     m = bank_size(cfg)
     assert stop and len(drawn) == math.ceil(cfg.t0() / m) * m == len(degrees)
     assert set(degrees) == {43, 47}
-    want_calls, want_count = 1, s  # the residual estimate
+    # the residual estimate's positions come first from the pass's rng
+    index_sets = [np.random.default_rng(8).integers(0, n, size=s)]
     for start in range(0, len(drawn), m):
         bank = drawn[start:start + m]
         width = max(degrees[start:start + m])
@@ -523,12 +602,14 @@ def test_peeler_reads_each_drawn_round_once_per_batch(peel_plan, monkeypatch):
             for r in bank:
                 if len(r) > i:
                     np.testing.assert_array_equal(r[i], js)
-            reads = window_reads(js, width, n)
-            np.testing.assert_array_equal(oracle.calls[want_calls], reads)
-            want_calls += 1
-            want_count += reads.size
-    assert len(oracle.calls) == want_calls
-    assert oracle.count == want_count
+            index_sets.append(window_reads(js, width, n))
+    # each request holds the entries of its set that the pass has not read
+    want = pass_requests(index_sets, n)
+    assert len(oracle.calls) == len(want) > 2
+    for call, reads in zip(oracle.calls, want):
+        np.testing.assert_array_equal(call, reads)
+    assert oracle.count == sum(reads.size for reads in want)
+    assert np.unique(np.concatenate(oracle.calls)).size == oracle.count
 
 
 # ---------------------------------------------------------------------------
@@ -662,32 +743,49 @@ def test_recover_two_spikes(peel_plan):
     assert oracle.count <= 4 * cfg.k * cfg.t2() * cfg.t0() * per_draw
 
 
-def test_recover_trial_requests_no_entry_twice(peel_plan):
-    # every window request of a whole trial, solver rounds and verify alike,
-    # is ascending with no repeated index, so none exceeds N entries; the
-    # residual estimate's request is its uniform draws, with repeats, each
-    # billed as the estimator reads it
+def test_recover_trial_requests_no_entry_twice(peel_plan, monkeypatch):
+    # every request of a whole trial is ascending with no repeated index, so
+    # none exceeds N entries; on the solver side (the residual estimate and
+    # the sampling rounds) no index is requested twice in one pass, while
+    # verify reads the windows of its own fresh positions
     plan, n = peel_plan, peel_plan.n
     cfg = ReductionConfig.calibrated(2, 0.05, 0.1, 1.0)
-    estimate_calls = []
+    passes = []  # per pass, its solver-side requests
+    verify_calls = []
+    in_verify = [False]
 
     class Oracle(RecordingOracle):
-        def sample(self, s, rng):
-            estimate_calls.append(len(self.calls))
-            return super().sample(s, rng)
+        def query_many(self, idx):
+            out = super().query_many(idx)
+            (verify_calls if in_verify[0] else passes[-1]).append(self.calls[-1])
+            return out
 
+    class PassReads(ResidualReads):
+        def __init__(self, oracle, z):
+            passes.append([])
+            super().__init__(oracle, z)
+
+    def counted_verify(*args):
+        in_verify[0] = True
+        try:
+            return verify(*args)
+        finally:
+            in_verify[0] = False
+
+    monkeypatch.setattr(ksparse, "ResidualReads", PassReads)
+    monkeypatch.setattr(ksparse, "verify", counted_verify)
     oracle = Oracle(plan.row(60) - 0.8 * plan.row(200))
     zhat = recover(plan, oracle, cfg, seed=11)
     assert zhat.support() == [60, 200]
-    s = _sample_size(plan, 6.0 * cfg.eps())
-    assert estimate_calls
-    for i in estimate_calls:
-        assert oracle.calls[i].size == s
-    windows = [c for i, c in enumerate(oracle.calls) if i not in estimate_calls]
-    assert len(windows) > len(estimate_calls)
-    for c in windows:
+    assert passes and verify_calls
+    for c in oracle.calls:
         assert 0 < c.size <= n
         assert np.all(np.diff(c) > 0)
+    for calls in passes:
+        assert calls
+        read = np.concatenate(calls)
+        assert np.unique(read).size == read.size
+    assert sum(len(calls) for calls in passes) + len(verify_calls) == len(oracle.calls)
     assert oracle.count == sum(c.size for c in oracle.calls)
 
 
@@ -776,16 +874,25 @@ def test_peeler_counts_the_residual_estimate_and_passes_band_and_floor(peel_plan
     oracle = QueryOracle(y)
     zhat, stop = peeler(plan, oracle, SparseApprox(), cfg, miss, np.random.default_rng(8))
     assert stop and len(zhat) == 0
+    # one residual estimate, each of its distinct positions read once
     s = _sample_size(plan, 6.0 * cfg.eps())
-    assert oracle.count == s  # one residual estimate, every read counted
+    replay = np.random.default_rng(8)
+    assert oracle.count == np.unique(replay.integers(0, plan.n, size=s)).size
     m = bank_size(cfg)
     assert len(calls) == math.ceil(cfg.t0() / m) * m
     floors = {floor for _, floor in calls}
     assert len(floors) == 1  # estimated once per pass
     r_hat = floors.pop() * math.sqrt(cfg.k) / (ENERGY_TAU * cfg.delta)
     assert r_hat == pytest.approx(1.3, rel=0.2)
-    for lo, hi in (w for w, _ in calls):
-        assert hi - lo == pytest.approx(2.0 * cfg.boxcar_width())
+    # draw i's band is the hull of its tile [e_i, e_i+1], e_i = o - 2w + 2wi,
+    # and its clipped centre +- w; the stub leaves the rng to the offsets
+    w = cfg.boxcar_width()
+    for start in range(0, len(calls), m):
+        o = replay.uniform(0.0, 2.0 * w)
+        edges = [o - 2.0 * w + 2.0 * w * i for i in range(m + 1)]
+        for i, (window, _) in enumerate(calls[start:start + m]):
+            c = min(max(o - w + 2.0 * w * i, 0.0), math.pi)
+            assert window == (min(edges[i], c - w), max(edges[i + 1], c + w))
 
 
 def test_peeler_drives_a_stub_solver_with_the_new_keywords(peel_plan):
@@ -819,9 +926,7 @@ def test_every_bank_tiles_the_angle_range_ends_included(legendre_plan_2048, gamm
     monkeypatch.setattr(ksparse, "build_boxcar", lambda center, width, eps:
                         BoxcarFilter(center, width, eps, 0, np.ones(1)))
     oracle = QueryOracle(plan.row(0) + plan.row(plan.n - 1))
-    # neighbouring bands meet at o + 2wi, reached from two centres by
-    # different float sums, so they may miss each other by an ulp or two
-    slack = 4.0 * math.ulp(math.pi)
+    # neighbouring bands share the float edge o - 2w + 2wi, so no gap opens
     for seed in range(20):
         windows = []
 
@@ -837,7 +942,7 @@ def test_every_bank_tiles_the_angle_range_ends_included(legendre_plan_2048, gamm
             assert bank[0][0] <= 0.0
             reach = bank[0][1]
             for lo, hi in bank[1:]:
-                assert lo <= reach + slack
+                assert lo <= reach
                 reach = max(reach, hi)
             assert reach >= math.pi
             for theta in plan.theta[[0, plan.n - 1]]:
