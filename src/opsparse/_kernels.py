@@ -17,6 +17,12 @@ them in time, and ``recurrence_last``, which keeps the last two, relies on
 that.  ``value_and_slope`` and ``refine_roots``, the Newton step that finds
 the plan's roots, are built on it.
 ``recurrence_table`` is point-major, the layout of the transform matrix F.
+It fills the table in blocks of ``_TABLE_BLOCK`` degrees: the sweep's values
+go, one contiguous row per degree, into a small degree-major buffer, and each
+full block (and the short last one) goes into the table's columns in one
+strided copy, which writes a block's degrees of a point side by side.  A
+per-degree column write touches one cache line per point for every degree
+instead.  Copies change no bit.
 
 Parity fold.  When every b[j] is 0 (alpha = beta) the family has
 p_j(-x) = (-1)^j p_j(x) (Szego, Orthogonal Polynomials, 4.1), and it holds
@@ -54,6 +60,9 @@ __all__ = [
 ]
 
 BACKEND = "numpy"
+# Degrees per block of ``recurrence_table``'s fill (64 measured faster than 16
+# and 256 at N = 2048 and 4096).
+_TABLE_BLOCK = 64
 
 
 def _sweep(p0, a, b, c, x):
@@ -146,12 +155,17 @@ class _Fold:
 
 def recurrence_table(p0, a, b, c, x):
     """Table of p_j(x_i), shape (len(x), jmax+1): row i is one point, column
-    j one degree, written as the sweep reaches it; under the fold the mirror
-    rows are filled from the swept ones in place."""
+    j one degree, filled ``_TABLE_BLOCK`` degrees at a time; under the fold
+    the mirror rows are filled from the swept ones in place."""
     fold = _Fold(b, x)
-    out = np.empty((fold.n, a.shape[0]))
+    ncol = a.shape[0]
+    out = np.empty((fold.n, ncol))
+    buf = np.empty((min(_TABLE_BLOCK, ncol), fold.u.shape[0]))
     for j, p in enumerate(_sweep(p0, a, b, c, fold.u)):
-        out[fold.rows, j] = p
+        k = j % _TABLE_BLOCK
+        buf[k] = p
+        if k == _TABLE_BLOCK - 1 or j == ncol - 1:
+            out[fold.rows, j - k : j + 1] = buf[: k + 1].T
     fold.unfold_rows(out)
     return out
 

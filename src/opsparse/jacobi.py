@@ -272,7 +272,12 @@ def compute_roots(params: JacobiParams, n: int) -> np.ndarray:
     the roots with theta < pi/2, theta_{n-1-l} = pi - theta_l, and a middle
     root is pi/2.  Raises ValueError if the angles are not strictly
     increasing inside (0, pi) or the residuals exceed ``RESIDUAL_TOL`` times
-    the per-root scale max(1, |p_n(1)|, |p_n(-1)|, |d/dtheta p_n|).
+    the per-root scale max(1, |p_n(1)|, |p_n(-1)|, |d/dtheta p_n|); the gate's
+    one sweep gives p_n and its slope at the roots and p_n(+-1) at theta = 0
+    and pi.  The gate bounds the residual of the polynomial with the float64
+    recurrence coefficients, not the distance to the exact root: the extreme
+    root next to an exponent near -1 can lie about 1e-11 rad off (1.4e-11 at
+    (alpha, beta) = (-0.999, 0), N = 4096, against a 50-digit root).
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -297,12 +302,16 @@ def compute_roots(params: JacobiParams, n: int) -> np.ndarray:
     if np.any(np.diff(theta, prepend=0.0, append=math.pi) <= 0.0):
         raise ValueError(f"root angles are not strictly increasing inside (0, pi) at {where}")
     gated = theta[: n - n // 2] if symmetric else theta
-    resid, slope = _kernels.value_and_slope(p0, a, b, c, u, kappa, gated)
+    # the same sweep gives p_n(1) and p_n(-1) at theta = 0 and pi, where cos
+    # is exactly +-1; their slopes (a division by sin 0 at theta = 0) are dropped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        resid, slope = _kernels.value_and_slope(p0, a, b, c, u, kappa,
+                                                np.append(gated, (0.0, math.pi)))
+    resid, ends, slope = resid[:-2], resid[-2:], slope[:-2]
     # Scale per root: the endpoint magnitude or the local d/dtheta slope,
     # whichever is larger.  Near the edges the raw residual floor grows with
     # the recurrence length, but the backward error |p_N|/|p_N'| stays at
     # machine level.
-    _, ends = _kernels.recurrence_last(p0, a, b, c, np.array([1.0, -1.0]))
     scale = np.maximum(max(1.0, float(np.max(np.abs(ends)))), np.abs(slope))
     worst = float(np.max(np.abs(resid) / scale))
     if not worst <= RESIDUAL_TOL:  # NaN fails too

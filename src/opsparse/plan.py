@@ -114,19 +114,25 @@ class TransformPlan:
     # -- dense access -------------------------------------------------------
 
     def matrix(self) -> np.ndarray:
-        """Dense F, the root-by-degree recurrence table times sqrt(w) in place; cached.
+        """Dense F, the root-by-degree recurrence table times sqrt(w) in place;
+        cached and read-only.
 
         One N x N buffer: at alpha = beta the sweep fills the left half's
-        rows and the mirror rows are copied from them, signed by parity."""
+        rows and the mirror rows are copied from them, signed by parity.
+        ``row`` hands out views of it, so a write through any of them would
+        change every later correlation; numpy refuses it."""
         if self._dense is None:
             table = _kernels.recurrence_table(*self._coeffs, self.lam)
-            self._dense = np.multiply(table, self.sqw[:, None], out=table)
+            np.multiply(table, self.sqw[:, None], out=table)
+            table.flags.writeable = False
+            self._dense = table
         return self._dense
 
     def row(self, ell: int) -> np.ndarray:
         """Row F[ell, :] = sqrt(w_ell) * (p_0..p_{N-1})(lambda_ell).
 
-        Read from ``matrix()`` when it is cached, else one recurrence.
+        A read-only view of ``matrix()`` when it is cached, else one
+        recurrence.
         """
         if not 0 <= ell < self.n:
             raise IndexError(f"row {ell} out of range for N={self.n}")

@@ -5,6 +5,7 @@ with scipy.integrate.quad (weight='alg' handles the endpoint singularities)
 before being compared to the closed forms.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -355,6 +356,41 @@ def test_roots_residual_gate_runs(monkeypatch):
     monkeypatch.setattr(_kernels, "refine_roots", lambda *args: refine(*args) + 1e-9)
     with pytest.raises(ValueError, match="root residual"):
         compute_roots(JacobiParams(0.5, -0.25), 64)
+
+
+@pytest.mark.parametrize("alpha, beta, n", [(0.0, 0.0, 64), (0.0, 0.0, 65), (1.5, -0.3, 64)])
+def test_root_gate_sweeps_the_endpoints_with_the_roots(alpha, beta, n, monkeypatch):
+    # p_n(+-1), the gate's endpoint scale, comes from the gate's own sweep
+    # over the roots: no recurrence sweeps the two endpoints alone
+    swept = []
+    last = _kernels.recurrence_last
+
+    def spy(p0, a, b, c, x):
+        swept.append(np.array(x, dtype=np.float64))
+        return last(p0, a, b, c, x)
+
+    monkeypatch.setattr(_kernels, "recurrence_last", spy)
+    compute_roots(JacobiParams(alpha, beta), n)
+    assert not any(np.all(np.abs(x) == 1.0) for x in swept)
+    assert any(x.size > 2 and 1.0 in x and -1.0 in x for x in swept)
+
+
+# sha256 prefixes of theta, weights and U as float64 bytes; they pin set-up
+# bit for bit, as numpy's cos, tan and arccos compute on x86-64 (numpy 2.4)
+_PLAN_DIGESTS = [
+    (0.0, 0.0, 2048, ["6e72978b83b8d636", "6101be068df5e4b3", "7ec3f639dd54472e"]),
+    (1.5, -0.3, 1024, ["e575f06ba90aaa4e", "45872b770e6a8395", "7f952c5ea4557dfc"]),
+    (0.5, 0.5, 65, ["d4fd0c8802f6d470", "02cb436ba78546bc", "c6ea726ccfabd514"]),
+    (-0.999, 0.0, 1024, ["e2a76695882db5b1", "6d022a3d08ae1329", "73c03b13e6d3b4a9"]),
+]
+
+
+@pytest.mark.parametrize("alpha, beta, n, digests", _PLAN_DIGESTS)
+def test_plan_bits_are_pinned(alpha, beta, n, digests):
+    plan = build_plan(JacobiParams(alpha, beta), n)
+    got = [hashlib.sha256(np.asarray(v, "<f8").tobytes()).hexdigest()[:16]
+           for v in (plan.theta, plan.weights, plan.U)]
+    assert got == digests
 
 
 def test_roots_must_lie_inside_zero_pi(monkeypatch):

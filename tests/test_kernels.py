@@ -69,6 +69,23 @@ def test_fold_is_bit_exact(ab, rng):
         np.testing.assert_array_equal(mx, np.abs(sweep).max(axis=1))
 
 
+@pytest.mark.parametrize("jmax", [0, 1, 63, 64, 65, 127, 128, 129])
+def test_recurrence_table_blocks_match_the_sweep(jmax, rng):
+    # the table is filled _kernels._TABLE_BLOCK = 64 degrees at a time: full
+    # blocks and a short last one give the per-degree sweep bit for bit, at
+    # folded points (swept ones leading, or not), unfolded ones and one point
+    assert _kernels._TABLE_BLOCK == 64  # the jmax values straddle its edges
+    pos = np.sort(rng.uniform(0.0, 1.0, 7))
+    mirrored = np.concatenate((pos, [0.0, 1.0], -pos[:4], [-1.0]))
+    shuffled = rng.permutation(mirrored)
+    for (alpha, beta), x in (((0.5, 0.5), mirrored), ((0.5, 0.5), shuffled),
+                             ((1.5, -0.3), shuffled), ((1.5, -0.3), pos[3:4]),
+                             ((0.0, 0.0), pos[3:4])):
+        coeffs = orthonormal_coeffs(JacobiParams(alpha, beta), jmax)
+        sweep = np.array([p.copy() for p in _kernels._sweep(*coeffs, x)]).T
+        np.testing.assert_array_equal(_kernels.recurrence_table(*coeffs, x), sweep)
+
+
 def sumsq_unfolded(table):
     """sum_j p_j^2 in the kernel's order: degree by degree."""
     ss = table[:, 0] * table[:, 0]

@@ -139,12 +139,28 @@ def test_row_matches_orthonormal_table():
 
 def test_matrix_is_the_scaled_table():
     # one C-ordered N x N array, bit for bit the degree-major table weighted
-    # and transposed
-    plan = build_plan(JacobiParams(1.5, -0.3), 33)
-    table = orthonormal_table(plan.params, plan.n - 1, plan.lam)
+    # and transposed; N = 130 spans two full 64-degree blocks of the table
+    # fill and a short one, at folded and unfolded roots
+    for alpha, beta, n in ((1.5, -0.3, 33), (1.5, -0.3, 130), (0.0, 0.0, 130)):
+        plan = build_plan(JacobiParams(alpha, beta), n)
+        table = orthonormal_table(plan.params, plan.n - 1, plan.lam)
+        f = plan.matrix()
+        assert f.flags.c_contiguous
+        np.testing.assert_array_equal(f, (table * plan.sqw).T.copy())
+
+
+def test_cached_matrix_is_read_only():
+    # row() hands out views of the cached F: a write through one would change
+    # every later correlation, so the cache refuses it
+    plan = build_plan(JacobiParams(0.0, 0.0), 32)
     f = plan.matrix()
-    assert f.flags.c_contiguous
-    np.testing.assert_array_equal(f, (table * plan.sqw).T.copy())
+    before = f.copy()
+    row = plan.row(5)
+    with pytest.raises(ValueError, match="read-only"):
+        f[5, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        row *= 2.0
+    np.testing.assert_array_equal(plan.matrix(), before)
 
 
 @pytest.mark.parametrize("alpha, beta, n", [(0.0, 0.0, 40), (1.5, -0.3, 33), (0.5, 0.5, 1),
