@@ -38,19 +38,18 @@ def embed(c: np.ndarray) -> np.ndarray:
 
     x places c symmetrically on a length-4N circle (index 0 doubled), y
     rotates by N, z modulates by powers of omega = exp(-2 pi i / 4N), and f
-    keeps the first 2N entries.
+    keeps the first 2N entries.  The kept half of y is
+    [0, c[N-1..1], 2 c[0], c[1..N-1]], built here directly.
     """
     c = np.asarray(c, dtype=np.float64)
     n = len(c)
-    x = np.zeros(4 * n)
-    x[0] = 2.0 * c[0]
-    if n > 1:
-        x[1:n] = c[1:]
-        x[4 * n - n + 1 :] = c[1:][::-1]
-    y = np.roll(x, n)  # y[j] = x[(j - N) mod 4N]
+    y = np.zeros(2 * n)
+    y[1:n] = c[:0:-1]
+    y[n] = 2.0 * c[0]
+    y[n + 1 :] = c[1:]
     j = np.arange(2 * n)
     omega_pow = np.exp((-2j * np.pi / (4 * n)) * j)
-    return omega_pow * y[: 2 * n]
+    return omega_pow * y
 
 
 def extract(fhat: np.ndarray) -> np.ndarray:

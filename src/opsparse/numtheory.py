@@ -49,19 +49,15 @@ class BadIntervalSet:
     hi: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        # centres ascend and every interval has the same width, so hi never
+        # decreases: a merged run ends at its last interval's hi
         half = 1.0 / self.n
         lo = self.centers - half
         hi = self.centers + half
-        keep_lo = [lo[0]]
-        keep_hi = [hi[0]]
-        for a, b in zip(lo[1:], hi[1:]):
-            if a <= keep_hi[-1]:
-                keep_hi[-1] = max(keep_hi[-1], b)
-            else:
-                keep_lo.append(a)
-                keep_hi.append(b)
-        self.lo = np.asarray(keep_lo)
-        self.hi = np.asarray(keep_hi)
+        start = np.concatenate(([True], lo[1:] > hi[:-1]))
+        end = np.append(start[1:], True)
+        self.lo = lo[start]
+        self.hi = hi[end]
 
     def __len__(self) -> int:
         return len(self.lo)

@@ -109,13 +109,13 @@ def _round_count(mu: float) -> int:
 
 
 def _correlate(plan, cand, sums: list[np.ndarray], s: int) -> np.ndarray:
-    """(N/s)-scaled correlations of a segment of sampling rounds against
-    candidate rows, shape (len(sums), number of candidates).
+    """(N/s)-scaled correlations of sampling rounds against candidate rows,
+    shape (len(sums), number of candidates).
 
     ``cand`` is a slice (a view of F's rows) or an index array; ``sums``
     holds each round's s samples summed into a length-N vector.  Up to
     ``DENSE_CACHE_LIMIT`` every round is one product with the candidates'
-    rows of the cached dense F.  Above it the whole segment is one
+    rows of the cached dense F.  Above it all rounds are one
     ``plan.forward`` sweep at the candidate roots only.
     """
     n = plan.n
@@ -131,19 +131,16 @@ def _estimate(plan, oracle, cand, mu_each, eps, rng, floor=0.0):
     """Medians of the norm and correlation estimators over shared samples.
 
     Every round is drawn and read in turn through ``oracle.sample``, whose
-    positions a k-sparse batch's draws share; correlations are computed once
-    per checkpoint segment, rounds {0, 1}, {2, 3} and the rest, since only
-    the partial medians after rounds 1 and 3 can stop early.  Returns (u,
-    per-candidate medians), or None if an early partial median showed
-    nothing anywhere near the acceptance threshold.  Raises RecoveryError
-    when round 0's norm estimate is below ``floor``: the signal holds too
-    little energy for a spike worth finding.
+    positions a k-sparse batch's draws share; once all rounds are read, one
+    ``_correlate`` call correlates them against the candidates.  Returns (u,
+    per-candidate medians).  Raises RecoveryError when round 0's norm
+    estimate is below ``floor``: the signal holds too little energy for a
+    spike worth finding.
     """
     s = _sample_size(plan, eps)
     rounds = _round_count(mu_each)
     n = plan.n
     u_rounds = np.empty(rounds)
-    segments = []  # (rounds in segment, candidates) correlations
     sums = []
     for r in range(rounds):
         js, y = oracle.sample(s, rng)
@@ -152,17 +149,8 @@ def _estimate(plan, oracle, cand, mu_each, eps, rng, floor=0.0):
             raise RecoveryError(f"filtered norm {u_rounds[0]:.3g} below the "
                                 f"energy floor {floor:.3g}")
         sums.append(np.bincount(js, weights=y, minlength=n))
-        last = r == rounds - 1
-        if not last and r not in (1, 3):
-            continue
-        segments.append(_correlate(plan, cand, sums, s))
-        sums = []
-        if not last:
-            u_part = float(np.median(u_rounds[: r + 1]))
-            v_part = np.abs(np.median(np.concatenate(segments), axis=0))
-            if np.all(v_part <= u_part / 20.0):
-                return None
-    return float(np.median(u_rounds)), np.median(np.concatenate(segments), axis=0)
+    return (float(np.median(u_rounds)),
+            np.median(_correlate(plan, cand, sums, s), axis=0))
 
 
 def _prune_over(plan, oracle, cand, mu, eps, rng,
@@ -171,10 +159,7 @@ def _prune_over(plan, oracle, cand, mu, eps, rng,
     roots = np.arange(plan.n)[cand]
     if len(roots) == 0:
         return None
-    got = _estimate(plan, oracle, cand, mu / len(roots), eps, rng, floor)
-    if got is None:
-        return None
-    u, v = got
+    u, v = _estimate(plan, oracle, cand, mu / len(roots), eps, rng, floor)
     if u == 0.0:
         return None
     hits = np.nonzero(np.abs(v) > u / 10.0)[0]
@@ -188,6 +173,9 @@ def prune(plan, oracle, lo: float, hi: float, mu: float, eps: float, rng, *,
           floor: float = 0.0) -> Optional[tuple[int, float]]:
     """Run the shared-sample check over every root with angle in [lo, hi].
 
+    Every estimator round is read before any candidate is correlated, so a
+    prune over a nonempty interval reads all ``_round_count`` rounds unless
+    round 0 falls below the energy floor.
     Returns (index, value estimate) for the first passing root in ascending
     angle order, or None when no candidate passes (zero queries if the
     interval holds no roots).  ``floor`` is the energy floor of ``_estimate``.

@@ -64,6 +64,24 @@ def test_embedding_shape_and_sparsity(rng):
         assert len(nonzero) == 2 * k - (1 if 0 in support else 0)
 
 
+def embed_on_circle(c):
+    """The docstring's construction: c on a length-4N circle, rotated by N,
+    modulated, first 2N entries kept."""
+    n = len(c)
+    x = np.zeros(4 * n)
+    x[0] = 2.0 * c[0]
+    x[1:n] = c[1:]
+    x[3 * n + 1 :] = c[1:][::-1]
+    y = np.roll(x, n)  # y[j] = x[(j - N) mod 4N]
+    return np.exp((-2j * np.pi / (4 * n)) * np.arange(2 * n)) * y[: 2 * n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 4095, 4096])
+def test_embed_is_the_4n_circle_construction(n):
+    c = np.random.default_rng(n).standard_normal(n)
+    np.testing.assert_array_equal(embed(c), embed_on_circle(c))
+
+
 def test_extract_checks_bin_consistency(rng):
     c = rng.standard_normal(32)
     fhat = np.fft.fft(embed(c))

@@ -70,6 +70,36 @@ def test_intervals_merge_when_n_small():
     assert cover.contains(0.5)
 
 
+def merge_by_loop(centers, n):
+    """Sweep the width-2/N intervals around ascending centres, merging each
+    into the last kept one when it starts at or before that one's end."""
+    half = 1.0 / n
+    keep_lo, keep_hi = [centers[0] - half], [centers[0] + half]
+    for c in centers[1:]:
+        a, b = c - half, c + half
+        if a <= keep_hi[-1]:
+            keep_hi[-1] = max(keep_hi[-1], b)
+        else:
+            keep_lo.append(a)
+            keep_hi.append(b)
+    return np.array(keep_lo), np.array(keep_hi)
+
+
+def _sorted_centres(seed):
+    rng = np.random.default_rng(seed)
+    return np.sort(rng.random(int(rng.integers(1, 400))))
+
+
+@pytest.mark.parametrize("centers", [farey(o) for o in (1, 2, 3, 8, 40, 315)]
+                         + [_sorted_centres(seed) for seed in range(20)])
+def test_merge_matches_the_sequential_loop(centers):
+    for n in (2, 3, 4, 7, 64, 1000, 4097, 2**20):
+        cover = BadIntervalSet(n, centers)
+        want_lo, want_hi = merge_by_loop(centers, n)
+        np.testing.assert_array_equal(cover.lo, want_lo)
+        np.testing.assert_array_equal(cover.hi, want_hi)
+
+
 def test_contains_scalar_and_array():
     cover = bad_intervals(100, 0.5)
     assert cover.contains(0.5)          # 1/2 is as bad as it gets

@@ -68,13 +68,16 @@ def test_prune_misses_spike_outside_window(legendre_plan_256, rng):
     assert got is None
 
 
-def test_prune_early_fail_saves_queries(legendre_plan_256, rng):
+def test_prune_reads_every_round_with_or_without_a_spike(legendre_plan_256):
     plan = legendre_plan_256
     empty = QueryOracle(np.zeros(plan.n))
-    prune(plan, empty, 0.0, math.pi, 1e-6, 0.01, rng)
+    assert prune(plan, empty, 0.0, math.pi, 1e-6, 0.01,
+                 np.random.default_rng(1)) is None
     full = QueryOracle(spike_signal(plan, 130, 0.8))
-    prune(plan, full, 0.0, math.pi, 1e-6, 0.01, np.random.default_rng(1))
-    assert empty.count < full.count
+    assert prune(plan, full, 0.0, math.pi, 1e-6, 0.01,
+                 np.random.default_rng(1))[0] == 130
+    rounds = _round_count(1e-6 / plan.n)
+    assert empty.count == full.count == rounds * _sample_size(plan, 0.01)
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +86,9 @@ def plan_above_dense_limit():
 
 
 def per_round_estimate(plan, oracle, cand, mu_each, eps, rng):
-    """The estimator as one forward transform per round, indexed at cand."""
+    """The estimator with each round correlated alone: a product with the
+    cached F's candidate rows up to DENSE_CACHE_LIMIT, one forward transform
+    indexed at cand above it."""
     s = _sample_size(plan, eps)
     rounds = _round_count(mu_each)
     n = plan.n
@@ -93,19 +98,22 @@ def per_round_estimate(plan, oracle, cand, mu_each, eps, rng):
         js = rng.integers(0, n, size=s)
         y = oracle.query_many(js)
         u_rounds[r] = math.sqrt((n / s) * float(y @ y))
-        v_rounds[r] = (n / s) * plan.forward(np.bincount(js, weights=y, minlength=n))[cand]
-        if r in (1, 3) and r < rounds - 1:
-            u_part = float(np.median(u_rounds[: r + 1]))
-            v_part = np.abs(np.median(v_rounds[: r + 1], axis=0))
-            if np.all(v_part <= u_part / 20.0):
-                return None
+        acc = np.bincount(js, weights=y, minlength=n)
+        if n <= DENSE_CACHE_LIMIT:
+            corr = plan.matrix()[cand] @ acc
+        else:
+            corr = plan.forward(acc)[cand]
+        v_rounds[r] = (n / s) * corr
     return float(np.median(u_rounds)), np.median(v_rounds, axis=0)
 
 
-def test_estimate_segments_match_per_round_forward(plan_above_dense_limit):
-    plan = plan_above_dense_limit
+@pytest.mark.parametrize("plan_name", ["legendre_plan_4096", "plan_above_dense_limit"],
+                         ids=["dense", "forward"])
+def test_estimate_matches_per_round_correlation(plan_name, request):
+    plan = request.getfixturevalue(plan_name)
+    assert plan.n in (DENSE_CACHE_LIMIT, DENSE_CACHE_LIMIT + 1)
     mu_each = 1e-9
-    assert _round_count(mu_each) == 7  # segments {0, 1}, {2, 3}, {4, 5, 6}
+    assert _round_count(mu_each) == 7
     y = spike_signal(plan, 1234, 0.9, noise=0.01, rng=np.random.default_rng(2))
     cand = np.arange(1200, 1300)
     want_oracle, got_oracle = QueryOracle(y), QueryOracle(y)
@@ -117,11 +125,24 @@ def test_estimate_segments_match_per_round_forward(plan_above_dense_limit):
     assert got_oracle.count == want_oracle.count == 7 * _sample_size(plan, 0.01)
 
 
-def test_estimate_zero_signal_stops_after_round_one(plan_above_dense_limit, rng):
+@pytest.mark.parametrize("mu_each, rounds", [(1e-7, 5), (1e-10, 7)])
+def test_prune_above_dense_limit_is_one_forward_sweep(plan_above_dense_limit,
+                                                      monkeypatch, mu_each, rounds):
     plan = plan_above_dense_limit
-    oracle = QueryOracle(np.zeros(plan.n))
-    assert _estimate(plan, oracle, np.arange(plan.n), 1e-9, 0.01, rng) is None
-    assert oracle.count == 2 * _sample_size(plan, 0.01)
+    assert _round_count(mu_each) == rounds
+    shapes = []
+    forward = type(plan).forward
+
+    def counted(self, x, roots=slice(None)):
+        shapes.append(np.shape(x))
+        return forward(self, x, roots)
+
+    monkeypatch.setattr(type(plan), "forward", counted)
+    lo, hi = plan.theta[1200], plan.theta[1299]
+    oracle = QueryOracle(spike_signal(plan, 1234, 0.9))
+    got = prune(plan, oracle, lo, hi, 100 * mu_each, 0.01, np.random.default_rng(3))
+    assert got[0] == 1234
+    assert shapes == [(rounds, plan.n)]
 
 
 # ---------------------------------------------------------------------------
