@@ -28,17 +28,19 @@ Parity fold.  When every b[j] is 0 (alpha = beta) the family has
 p_j(-x) = (-1)^j p_j(x) (Szego, Orthogonal Polynomials, 4.1), and it holds
 bit for bit in the sweep: IEEE negation commutes with multiplication and
 subtraction, and the zero additions are skipped, so the sweep at -x yields
-p_j(x) with its sign flipped at odd j, up to the sign of a zero.  Every
-kernel therefore sweeps each distinct |x| once, at the first point that has
-it, and unfolds the other points by parity (``_Fold``); a plan's roots come
-in exact +- pairs, so its sweeps run over half of them.  Any other b is the
-identity fold: every point is swept.
+p_j(x) with its sign flipped at odd j, up to the sign of a zero.  A plan's
+roots are laid out for it: ``jacobi.root_cosines`` makes the last h = n // 2
+points the first h negated and reversed, exactly.  Every kernel checks that
+mirror (``_Fold``); where it holds it sweeps the leading n - h points, a
+middle one included, and fills point n-1-l from point l by parity, so a
+plan's sweeps run over half its roots.  Any other point set, a subset of a
+plan's roots too, and any other b are swept point by point.
 ``recurrence_table``, ``recurrence_last`` and ``sumsq_maxabs`` return what
 the unfolded sweep returns, bit for bit.
 
 ``apply_forward`` maps a (B, jmax+1) stack of coefficient rows to
 (B, len(lam)) in one sweep, adding v p_j into row r only where row r's
-coefficient v at degree j is nonzero; under the fold it sums the even and the
+coefficient v at degree j is nonzero; under parity it sums the even and the
 odd degrees apart and gives each point E + O or, at a mirror point, E - O.
 Each row gets the sum it would get alone at each point alone, so evaluating
 at a subset of the points, or stacking rows, changes no bit of any output.
@@ -94,63 +96,39 @@ def _sweep(p0, a, b, c, x):
 class _Fold:
     """The points a sweep evaluates, and the way back to every point.
 
-    Under the parity fold (every b[j] is 0) ``u`` holds each distinct |x|
-    once, signed as at ``first``, the first point that has it, in the order
-    of those points; point i takes the values at u[inv[i]], with odd degrees
-    negated where ``flip[i]``.  ``rows`` indexes the representatives in a
-    point-major table: a slice when they are the leading points, as a plan's
-    left half is.  Otherwise the fold is the identity and u is x.
+    ``mirror`` holds under parity (every b[j] is 0) when the last h = n // 2
+    points are the first h negated and reversed, x[n-1-l] = -x[l] bit for bit,
+    as ``jacobi.root_cosines`` makes a plan's roots.  Then ``u`` is the
+    leading m = n - h points, a middle point included, and point n-1-l takes
+    point l's values, negated at odd degrees.  Otherwise h is 0, u is x and
+    every point is swept.
     """
 
     def __init__(self, b, x):
         x = np.asarray(x, dtype=np.float64)
-        self.n = x.shape[0]
+        self.n = n = x.shape[0]
+        h = n // 2
         self.parity = int(not np.any(b[1:]))
-        if not self.parity:
-            self.u, self.rows = x, slice(None)
-            return
-        # group the points by |x|; a stable sort puts each group's first point
-        # at its head (np.unique would do, but its first call imports numpy.ma,
-        # about 1 MB of resident memory)
-        ax = np.abs(x)
-        order = np.argsort(ax, kind="stable")
-        s = ax[order]
-        head = np.empty(self.n, dtype=bool)
-        head[:1] = True
-        head[1:] = s[1:] != s[:-1]
-        first = order[head]
-        is_first = np.zeros(self.n, dtype=bool)
-        is_first[first] = True
-        self.first = np.flatnonzero(is_first)
-        # each point's group, by ascending |x|, then that group's place in first
-        self.inv = np.searchsorted(self.first, first)[np.searchsorted(s[head], ax)]
-        self.u = x[self.first]
-        self.flip = (x < 0.0) != (self.u[self.inv] < 0.0)
-        m = self.first.shape[0]
-        self.rows = slice(0, m) if m == 0 or self.first[-1] == m - 1 else self.first
+        self.mirror = bool(self.parity and h and np.array_equal(x[n - h:], -x[:h][::-1]))
+        self.h = h if self.mirror else 0
+        self.u = x[: n - self.h]
 
     def unfold(self, v, j):
         """Values of degree parity j at every point from v, the values at u
         along v's last axis."""
-        if not self.parity:
+        if not self.mirror:
             return v
-        out = v[..., self.inv]
-        if j % 2:
-            np.negative(out, out=out, where=self.flip)
-        return out
+        tail = v[..., self.h - 1 :: -1]
+        return np.concatenate((v, -tail if j % 2 else tail), axis=-1)
 
     def unfold_rows(self, table):
-        """Fill, in place, the rows of a point-major table that are not
-        representatives from theirs, one row at a time."""
-        if not self.parity:
+        """Fill, in place, the mirror rows of a point-major table from the
+        swept ones: one reversed-slice copy, odd degrees negated."""
+        if not self.mirror:
             return
-        src = self.first[self.inv]
-        sign = np.where(np.arange(table.shape[1]) % 2, -1.0, 1.0)
-        for i in np.flatnonzero(src != np.arange(self.n)):
-            if self.flip[i]:
-                np.multiply(table[src[i]], sign, out=table[i])
-            else:
-                table[i] = table[src[i]]
+        tail = table[self.n - self.h :]
+        tail[...] = table[self.h - 1 :: -1]
+        tail[:, 1::2] *= -1.0
 
 
 def recurrence_table(p0, a, b, c, x):
@@ -158,14 +136,15 @@ def recurrence_table(p0, a, b, c, x):
     j one degree, filled ``_TABLE_BLOCK`` degrees at a time; under the fold
     the mirror rows are filled from the swept ones in place."""
     fold = _Fold(b, x)
+    m = fold.u.shape[0]
     ncol = a.shape[0]
     out = np.empty((fold.n, ncol))
-    buf = np.empty((min(_TABLE_BLOCK, ncol), fold.u.shape[0]))
+    buf = np.empty((min(_TABLE_BLOCK, ncol), m))
     for j, p in enumerate(_sweep(p0, a, b, c, fold.u)):
         k = j % _TABLE_BLOCK
         buf[k] = p
         if k == _TABLE_BLOCK - 1 or j == ncol - 1:
-            out[fold.rows, j - k : j + 1] = buf[: k + 1].T
+            out[:m, j - k : j + 1] = buf[: k + 1].T
     fold.unfold_rows(out)
     return out
 
@@ -207,7 +186,7 @@ def apply_forward(p0, a, b, c, lam, sqw, x):
     fold = _Fold(b, lam)
     degs, rows = np.nonzero(x.T)  # ordered by degree
     vals = x[rows, degs]
-    # acc[0] sums the even degrees and acc[1] the odd ones under the fold;
+    # acc[0] sums the even degrees and acc[1] the odd ones under parity;
     # without it acc[0] sums them all
     acc = np.zeros((1 + fold.parity, x.shape[0], fold.u.shape[0]))
     k = 0
@@ -222,14 +201,18 @@ def apply_forward(p0, a, b, c, lam, sqw, x):
 
 
 def apply_adjoint(p0, a, b, c, lam, sqw, yvec):
-    """out[j] = sum_l sqw[l] p_j(lam[l]) yvec[l]; under the fold the points
-    of one |lambda| are summed first, signed by parity at odd degrees."""
+    """out[j] = sum_l sqw[l] p_j(lam[l]) yvec[l]; under parity the even and
+    the odd degrees take their own weights, and under the mirror point l < h
+    is weighted by its sum with point n-1-l at even degrees and by their
+    difference at odd ones."""
     fold = _Fold(b, lam)
     z = sqw * yvec
     if fold.parity:
         m = fold.u.shape[0]
-        z = np.stack([np.bincount(fold.inv, z, m),
-                      np.bincount(fold.inv, np.where(fold.flip, -z, z), m)])
+        tail = z[m:][::-1]  # the mirrors of points 0..h-1
+        z = np.stack((z[:m], z[:m]))
+        z[0, : fold.h] += tail
+        z[1, : fold.h] -= tail
     else:
         z = z[None]
     return np.array([z[j & fold.parity] @ p

@@ -132,7 +132,9 @@ def synth_spectrum(n: int, k: int, sigma: float, noise: float,
         if not 0.0 <= val < math.inf:
             raise ValueError(f"{name} must be finite and >= 0, got {val}")
     min_sep = int(math.ceil(sigma * n))
-    if (k - 1) * min_sep >= n:
+    # spikes lie more than min_sep apart, so k of them span at least
+    # (k - 1)(min_sep + 1) + 1 indices
+    if (k - 1) * (min_sep + 1) >= n:
         raise ValueError(f"cannot place {k} spikes {min_sep} indices apart in [0, {n})")
     while True:
         support = np.sort(rng.choice(n, size=k, replace=False))

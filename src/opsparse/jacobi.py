@@ -9,9 +9,11 @@ They are indexed by *ascending angle* theta = arccos(lambda), i.e.
 descending lambda.  At alpha = beta the family has p_j(-x) = (-1)^j p_j(x) and
 the roots come in +- pairs (Szego, Orthogonal Polynomials, 4.1): Newton runs
 on the half with theta < pi/2, the other half is its mirror pi - theta, and
-``root_cosines`` makes the pairs' cosines exact negations, so every sweep of
-the kernels' parity fold, and with it the weights, F, forward and inverse,
-runs over half the roots.
+``root_cosines`` stores the right half's cosines as the exact negation of
+the left's, lambda_{n-1-l} = -lambda_l bit for bit.  That negation is the
+condition the kernels' parity fold tests, so every sweep over a plan's
+roots, and with it the weights, F, forward and inverse, runs over half of
+them.
 
 Measured range: the root residual gate passes up to N = 16384 at (0, -0.999),
 (-0.999, 0) and (-0.5, -0.5), but rejects (-0.99, -0.99) from N = 4096, and
@@ -109,6 +111,18 @@ def norm_factor(params: JacobiParams, j) -> np.ndarray | float:
     return np.exp(log_norm_factor(params, j))
 
 
+def _terms(a, b, j):
+    """(A_j, B_j, C_j, h_{j-1}/h_j) for j >= 2, at a Python or numpy j: one
+    expression for the scalar and the array forms, so both have the same bits."""
+    t = 2.0 * j + a + b
+    den = 2.0 * j * (j + a + b)
+    A = t * (t - 1.0) / den
+    B = (t - 1.0) * (a * a - b * b) / (den * (t - 2.0))
+    C = (j + a - 1.0) * (j + b - 1.0) * t / (j * (j + a + b) * (t - 2.0))
+    ratio = (t + 1.0) / (t - 1.0) * (j * (j + a + b)) / ((j + a) * (j + b))
+    return A, B, C, ratio
+
+
 def recurrence_coeffs(params: JacobiParams, j: int) -> tuple[float, float, float]:
     """(A_j, B_j, C_j) with P_j = (A_j x + B_j) P_{j-1} - C_j P_{j-2}, j >= 1."""
     a, b = params.alpha, params.beta
@@ -116,12 +130,7 @@ def recurrence_coeffs(params: JacobiParams, j: int) -> tuple[float, float, float
         raise ValueError("recurrence coefficients start at j = 1")
     if j == 1:
         return (a + b + 2.0) / 2.0, (a - b) / 2.0, 0.0
-    t = 2.0 * j + a + b
-    den = 2.0 * j * (j + a + b)
-    A = t * (t - 1.0) / den
-    B = (t - 1.0) * (a * a - b * b) / (den * (t - 2.0))
-    C = (j + a - 1.0) * (j + b - 1.0) * t / (j * (j + a + b) * (t - 2.0))
-    return A, B, C
+    return _terms(a, b, j)[:3]
 
 
 def _norm_ratio_sq(params: JacobiParams, j: int) -> float:
@@ -129,8 +138,7 @@ def _norm_ratio_sq(params: JacobiParams, j: int) -> float:
     a, b = params.alpha, params.beta
     if j == 1:
         return (a + b + 3.0) / ((a + 1.0) * (b + 1.0))
-    t = 2.0 * j + a + b
-    return (t + 1.0) / (t - 1.0) * (j * (j + a + b)) / ((j + a) * (j + b))
+    return _terms(a, b, j)[3]
 
 
 def orthonormal_coeffs(params: JacobiParams, jmax: int):
@@ -141,7 +149,6 @@ def orthonormal_coeffs(params: JacobiParams, jmax: int):
     or p0 would leave the float range, as it can for huge alpha or beta,
     where the lgamma differences in h_0 are lost to round-off.
     """
-    al, be = params.alpha, params.beta
     try:
         log_h0 = log_norm_factor(params, 0)
     except OverflowError:  # lgamma of a parameter near the float maximum
@@ -155,21 +162,17 @@ def orthonormal_coeffs(params: JacobiParams, jmax: int):
     if jmax == 0:
         return p0, a, b, c
     # A_j r_j, B_j r_j and C_j r_j r_{j-1} with r_j = sqrt(h_{j-1}/h_j): for
-    # j >= 2 the expressions of recurrence_coeffs and _norm_ratio_sq over
-    # arrays, in the same IEEE operations and order, so every entry has the
-    # bits of the scalar forms; j = 1 takes their closed forms (c[1] = 0)
-    j = np.arange(2.0, jmax + 1.0)
-    t = 2.0 * j + al + be
-    den = 2.0 * j * (j + al + be)
+    # j >= 2 the terms of recurrence_coeffs and _norm_ratio_sq over an array
+    # of degrees, j = 1 their closed forms (c[1] = 0)
+    A, B, C, ratio = _terms(params.alpha, params.beta, np.arange(2.0, jmax + 1.0))
     r = np.empty(jmax + 1)
     r[1] = _norm_ratio_sq(params, 1)
-    r[2:] = (t + 1.0) / (t - 1.0) * (j * (j + al + be)) / ((j + al) * (j + be))
+    r[2:] = ratio
     np.sqrt(r[1:], out=r[1:])
     A1, B1, _ = recurrence_coeffs(params, 1)
     a[1], b[1] = A1 * r[1], B1 * r[1]
-    a[2:] = t * (t - 1.0) / den * r[2:]
-    b[2:] = (t - 1.0) * (al * al - be * be) / (den * (t - 2.0)) * r[2:]
-    C = (j + al - 1.0) * (j + be - 1.0) * t / (j * (j + al + be) * (t - 2.0))
+    a[2:] = A * r[2:]
+    b[2:] = B * r[2:]
     c[2:] = C * r[2:] * r[1:-1]
     return p0, a, b, c
 
@@ -249,8 +252,10 @@ def _root_guess(params: JacobiParams, n: int) -> np.ndarray:
 def root_cosines(params: JacobiParams, theta: np.ndarray) -> np.ndarray:
     """lambda = cos(theta) for a plan's ascending root angles.  At alpha = beta
     the roots are +- pairs: the right half is the exact negation of the left,
-    lambda_{n-1-l} = -lambda_l bit for bit, and a middle root is 0, so the
-    kernels' parity fold sweeps the left half alone."""
+    lambda_{n-1-l} = -lambda_l bit for bit, and a middle root is 0.  The
+    kernels' parity fold tests exactly that negation and then sweeps the left
+    half (and a middle root) alone; a cosine off by one bit would make every
+    sweep run over all n roots."""
     lam = np.cos(theta)
     if params.alpha == params.beta:
         n = lam.shape[0]

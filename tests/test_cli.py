@@ -118,9 +118,44 @@ def test_synth_spectrum_separation_and_noise(rng):
         0.02 * large(3, clean), rel=1e-12)
 
 
+class BoundedDraws:
+    """A generator whose ``choice`` fails after ``limit`` calls, so a
+    rejection loop that cannot end fails a test instead of hanging it."""
+
+    def __init__(self, rng, limit=1000):
+        self.rng, self.left = rng, limit
+
+    def choice(self, *args, **kwargs):
+        self.left -= 1
+        if self.left < 0:
+            raise AssertionError("the rejection loop did not end")
+        return self.rng.choice(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
 def test_synth_spectrum_rejects_impossible_packing(rng):
     with pytest.raises(ValueError, match="cannot place"):
         synth_spectrum(256, 5, 0.5, 0.0, rng)
+    # two spikes more than ceil(0.85 * 10) = 9 apart do not fit in [0, 10)
+    with pytest.raises(ValueError, match="cannot place"):
+        synth_spectrum(10, 2, 0.85, 0.0, BoundedDraws(rng))
+
+
+def test_synth_spectrum_places_the_tightest_feasible_packing(rng):
+    # more than ceil(0.8 * 11) = 9 apart in [0, 11): only {0, 10} fits
+    support, _, _ = synth_spectrum(11, 2, 0.8, 0.0, BoundedDraws(rng))
+    assert support.tolist() == [0, 10]
+
+
+def test_synth_refuses_infeasible_separation(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    code, _, stderr = run_cli(capsys, "synth", "--alpha", "0", "--beta", "0", "--n", "10",
+                              "--k", "2", "--sigma", "0.85", "--out", str(out))
+    assert code == 2
+    assert "cannot place 2 spikes 9 indices apart" in json.loads(stderr)["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sigma, noise", [(0.05, -1.0), (0.05, math.nan), (0.05, math.inf),

@@ -1,14 +1,14 @@
 """Recurrence kernels at their edges: the Newton root polish against
 closed-form roots, the degree-0 paths, the rotation of the sweep's in-place
-buffers, the parity fold against the unfolded sweep, and the stacked forward
-map.  The table values, ``sumsq_maxabs`` and the adjoint map are checked
-against references through their callers in ``test_jacobi.py`` and
-``test_plan.py``."""
+buffers, the parity fold against the unfolded sweep, the fold of a plan's
+roots, and the stacked forward map.  The table values, ``sumsq_maxabs`` and
+the adjoint map are checked against references through their callers in
+``test_jacobi.py`` and ``test_plan.py``."""
 
 import numpy as np
 import pytest
 
-from opsparse import _kernels, build_plan
+from opsparse import _kernels, build_plan, load_plan, save_plan
 from opsparse.jacobi import JacobiParams, _slope_coeffs, orthonormal_coeffs
 
 
@@ -48,32 +48,57 @@ def test_recurrence_last_matches_table(jmax):
 
 @pytest.mark.parametrize("ab", [-0.9, -0.5, 0.0, 0.5, 2.0])
 def test_fold_is_bit_exact(ab, rng):
-    # at alpha = beta the table-valued kernels sweep each |x| once and unfold
-    # by parity; they must return what the unfolded sweep returns
+    # at alpha = beta the table-valued kernels sweep the leading half of
+    # plan-shaped points (x, an optional 0, then -x reversed) and unfold the
+    # rest by parity; they must return what the unfolded sweep returns, and
+    # so must the same points shuffled, which are swept as they are
     jmax = 57
     coeffs = orthonormal_coeffs(JacobiParams(ab, ab), jmax)
-    pos = rng.uniform(0.0, 1.0, 9)
-    x = np.concatenate((pos, -pos[:6], rng.uniform(-1.0, 0.0, 3), [0.0, 1.0, -1.0]))
-    rng.shuffle(x)
-    sweep = np.array([p.copy() for p in _kernels._sweep(*coeffs, x)]).T
     parity = np.where(np.arange(jmax + 1) % 2, -1.0, 1.0)
-    table = _kernels.recurrence_table(*coeffs, x)
-    np.testing.assert_array_equal(table, sweep)
-    np.testing.assert_array_equal(_kernels.recurrence_table(*coeffs, -x), table * parity)
-    for xs, sign in ((x, 1.0), (-x, -1.0)):
-        prev, last = _kernels.recurrence_last(*coeffs, xs)
-        np.testing.assert_array_equal(prev, sweep[:, -2] * sign ** (jmax - 1))
-        np.testing.assert_array_equal(last, sweep[:, -1] * sign ** jmax)
-        ss, mx = _kernels.sumsq_maxabs(*coeffs, xs)
-        np.testing.assert_array_equal(ss, sumsq_unfolded(sweep))
-        np.testing.assert_array_equal(mx, np.abs(sweep).max(axis=1))
+    pos = np.append(rng.uniform(0.0, 1.0, 9), 1.0)
+    for middle in ([], [0.0]):
+        mirrored = np.concatenate((pos, middle, -pos[::-1]))
+        shuffled = rng.permutation(mirrored)
+        n = len(mirrored)
+        assert len(_kernels._Fold(coeffs[2], mirrored).u) == n - n // 2
+        assert len(_kernels._Fold(coeffs[2], shuffled).u) == n
+        for x in (mirrored, shuffled):
+            sweep = np.array([p.copy() for p in _kernels._sweep(*coeffs, x)]).T
+            table = _kernels.recurrence_table(*coeffs, x)
+            np.testing.assert_array_equal(table, sweep)
+            np.testing.assert_array_equal(_kernels.recurrence_table(*coeffs, -x),
+                                          table * parity)
+            for xs, sign in ((x, 1.0), (-x, -1.0)):
+                prev, last = _kernels.recurrence_last(*coeffs, xs)
+                np.testing.assert_array_equal(prev, sweep[:, -2] * sign ** (jmax - 1))
+                np.testing.assert_array_equal(last, sweep[:, -1] * sign ** jmax)
+                ss, mx = _kernels.sumsq_maxabs(*coeffs, xs)
+                np.testing.assert_array_equal(ss, sumsq_unfolded(sweep))
+                np.testing.assert_array_equal(mx, np.abs(sweep).max(axis=1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 65, 2048])
+def test_plan_roots_are_swept_once_per_mirror_pair(n, tmp_path):
+    # root_cosines negates a plan's right half exactly, so at alpha = beta
+    # every sweep over its roots, built or loaded, runs over ceil(N/2) of
+    # them; a negation off by a bit would double every sweep and change no
+    # result
+    path = tmp_path / "plan.bin"
+    for alpha, beta in ((0.0, 0.0), (0.5, 0.5), (1.5, -0.3)):
+        plan = build_plan(JacobiParams(alpha, beta), n)
+        save_plan(plan, path)
+        b = orthonormal_coeffs(plan.params, n - 1)[2]
+        swept = n - n // 2 if alpha == beta else n
+        for p in (plan, load_plan(path)):
+            assert len(_kernels._Fold(b, p.lam).u) == swept
 
 
 @pytest.mark.parametrize("jmax", [0, 1, 63, 64, 65, 127, 128, 129])
 def test_recurrence_table_blocks_match_the_sweep(jmax, rng):
     # the table is filled _kernels._TABLE_BLOCK = 64 degrees at a time: full
     # blocks and a short last one give the per-degree sweep bit for bit, at
-    # folded points (swept ones leading, or not), unfolded ones and one point
+    # mirrored points (the mirror rows filled from the swept ones), the same
+    # points shuffled (swept as they are), unfolded ones and one point
     assert _kernels._TABLE_BLOCK == 64  # the jmax values straddle its edges
     pos = np.sort(rng.uniform(0.0, 1.0, 7))
     mirrored = np.concatenate((pos, [0.0, 1.0], -pos[:4], [-1.0]))
