@@ -254,6 +254,21 @@ def _run_trial(plan, cfg: ReductionConfig, sigma: float, noise: float,
     )
 
 
+# A pool worker's plan, sent once by the pool's initializer, so its dense F
+# (dropped when pickled) is rebuilt once per worker, not once per trial.
+_WORKER_PLAN = None
+
+
+def _init_worker(plan) -> None:
+    global _WORKER_PLAN
+    _WORKER_PLAN = plan
+
+
+def _run_pooled_trial(cfg: ReductionConfig, sigma: float, noise: float,
+                      trial: int, seed_seq: np.random.SeedSequence) -> TrialRecord:
+    return _run_trial(_WORKER_PLAN, cfg, sigma, noise, trial, seed_seq)
+
+
 def _worker_count(trials: int) -> int:
     """Worker processes: OPSPARSE_THREADS if set, else the CPU count, at most trials."""
     cap = os.environ.get("OPSPARSE_THREADS")
@@ -289,8 +304,9 @@ def cmd_recover(args) -> int:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            futures = [pool.submit(_run_trial, plan, cfg, sigma, args.noise,
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
+                                 initializer=_init_worker, initargs=(plan,)) as pool:
+            futures = [pool.submit(_run_pooled_trial, cfg, sigma, args.noise,
                                    t, seqs[t]) for t in range(args.trials)]
             records = [f.result() for f in futures]
     records.sort(key=lambda r: r.trial)

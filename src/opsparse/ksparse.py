@@ -28,7 +28,6 @@ import numpy as np
 
 from .boxcar import BoxcarFilter, build_boxcar
 from .onesparse import SAMPLE_CAP, RecoveryError, estimate_norm, solve_one_sparse
-from .plan import _indices
 
 __all__ = [
     "QueryOracle",
@@ -54,6 +53,18 @@ DELTA_CAP = 0.1
 # u >= (1 - eps_box)|v|: about twice the floor at 1/2, a margin for the
 # sampling error of one round's u and of the estimate of R.
 ENERGY_TAU = 0.5
+
+
+def _indices(idx, n: int) -> np.ndarray:
+    """idx as int64; IndexError unless all are integers in [0, n) (or none are)."""
+    idx = np.asarray(idx)
+    if idx.size:
+        if not np.issubdtype(idx.dtype, np.integer):
+            raise IndexError(f"indices must be integers, got dtype {idx.dtype}")
+        lo, hi = idx.min(), idx.max()
+        if lo < 0 or hi >= n:
+            raise IndexError(f"indices {lo}..{hi} out of range for N={n}")
+    return idx.astype(np.int64, copy=False)
 
 
 class QueryOracle:
@@ -305,7 +316,7 @@ class SampleSchedule:
         idx = _window_union(js, d, n)
         y = np.zeros(n)
         y[idx] = self._residual.oracle.query_many(idx) - self._residual.z[idx]
-        return self.plan.moments(y, js, d)
+        return self.plan.moments(y, d).T[js]
 
     def round(self, i: int, s: int, rng) -> tuple[np.ndarray, np.ndarray]:
         """Position set i and its moments; drawn and read on first use."""
@@ -314,8 +325,10 @@ class SampleSchedule:
             js = rng.integers(0, n, size=s)
             self._residual.read(_window_union(js, self.degree, n))
             if self._table_count != self._residual.count:
-                self._table = self.plan.moments(self._residual.y, np.arange(n),
-                                                self.degree)
+                # point-major, so a round's rows are one gather; the old
+                # table goes first, so the stack and one table are live
+                self._table = np.empty((n, self.degree + 1))
+                self._table[:] = self.plan.moments(self._residual.y, self.degree).T
                 self._table_count = self._residual.count
             self._rounds.append(js)
         js = self._rounds[i]

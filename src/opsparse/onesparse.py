@@ -218,7 +218,8 @@ def _side_weight(params, j: np.ndarray) -> np.ndarray:
 
 def query_cos(plan, oracle, w: int, nprime: int, rounds: int, rng,
               eps: float) -> float:
-    """Median ratio estimate of cos(w * theta_ell) from 3 samples per round.
+    """Median ratio estimate of cos(w * theta_ell) from 3 samples per round,
+    all rounds' samples read in one ``query_many`` request.
 
     Uses the three-term identity cos(A+B) + cos(A-B) = 2 cos A cos B on the
     oscillatory bulk of the coefficient sequence; the denominator sample is
@@ -234,9 +235,8 @@ def query_cos(plan, oracle, w: int, nprime: int, rounds: int, rng,
     if hi < lo:
         raise ValueError("empty sampling window for the ratio estimator")
     deltas = rng.integers(lo, hi + 1, size=rounds)
-    mid = oracle.query_many(deltas)
-    upper = oracle.query_many(deltas + w)
-    lower = oracle.query_many(deltas - w)
+    mid, upper, lower = oracle.query_many(
+        np.concatenate([deltas, deltas + w, deltas - w])).reshape(3, rounds)
     floor = eps / n**1.5
     denom = np.where(mid < 0, -1.0, 1.0) * np.maximum(np.abs(mid), floor)
     params = plan.params

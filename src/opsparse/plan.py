@@ -6,8 +6,9 @@ flatness constant U = max |F|.  Filtered samples need F^T T_r(D_lambda) F for
 r <= d, and none of it is stored: F is square and orthogonal with
 F^T D_lambda F = J, the tridiagonal Jacobi matrix, so F^T T_r(D_lambda) F =
 T_r(J) exactly, which is r-banded.  ``moments`` applies T_0(J)..T_d(J) to one
-vector by the three-term recurrence and keeps the entries at the sampled
-positions; ``filter_band`` probes it for the dense band of a filter.
+vector by the three-term recurrence and returns the whole stack; callers
+pick the positions they sample.  ``filter_band`` probes it for the dense band
+of a filter.
 
 The on-disk format (v2) is a little-endian binary blob: magic ``OPSP``, a u32
 version, f64 alpha/beta, u64 N, f64 U, the theta and weight arrays (N f64
@@ -50,18 +51,6 @@ VERSION = 2
 # Up to this N the one-sparse solver correlates against the cached dense F
 # (128 MiB at f64), above it through ``forward``; ``matrix()`` caches at any N.
 DENSE_CACHE_LIMIT = 4096
-
-
-def _indices(idx, n: int) -> np.ndarray:
-    """idx as int64; IndexError unless all are integers in [0, n) (or none are)."""
-    idx = np.asarray(idx)
-    if idx.size:
-        if not np.issubdtype(idx.dtype, np.integer):
-            raise IndexError(f"indices must be integers, got dtype {idx.dtype}")
-        lo, hi = idx.min(), idx.max()
-        if lo < 0 or hi >= n:
-            raise IndexError(f"indices {lo}..{hi} out of range for N={n}")
-    return idx.astype(np.int64, copy=False)
 
 
 class PlanFormatError(Exception):
@@ -164,35 +153,33 @@ class TransformPlan:
 
     # -- Chebyshev moments ----------------------------------------------------
 
-    def moments(self, y: np.ndarray, js: np.ndarray, d: int) -> np.ndarray:
-        """(T_r(J) y)[js] for r = 0..d, shape (len(js), d+1).
+    def moments(self, y: np.ndarray, d: int) -> np.ndarray:
+        """T_r(J) y for r = 0..d, shape (d+1, N): row r is the r-th step.
 
         One three-term recurrence T_{r+1}(J) y = 2 J T_r(J) y - T_{r-1}(J) y
-        on whole N-vectors, with J the tridiagonal Jacobi matrix (derived on
-        first use).  Entry j of step r is computed from entries j-1..j+1 of
-        step r-1 alone, so (T_r(J) y)_j reads y only within r of j, in its
-        floating-point operations as well as its algebra: entries of y
-        farther than d from every j in js change no bit of the result.
-        Steps r >= 1 use J's entries pre-doubled, and at alpha = beta, where
-        J's diagonal is zero, skip it: both give the textbook step's bits, an
-        exact zero's sign aside.
-        A position outside [0, N) raises IndexError.
+        on whole N-vectors, each step written in place into its own row,
+        with J the tridiagonal Jacobi matrix (derived on first use).  Entry j
+        of step r is computed from entries j-1..j+1 of step r-1 alone, so
+        (T_r(J) y)_j reads y only within r of j, in its floating-point
+        operations as well as its algebra: entries of y farther than d from
+        j change no bit of column j.  Steps r >= 1 use J's entries
+        pre-doubled, and at alpha = beta, where J's diagonal is zero, skip
+        it: both give the textbook step's bits, an exact zero's sign aside.
         """
         y = np.asarray(y, dtype=np.float64)
         if y.shape != (self.n,):
             raise ValueError(f"expected shape ({self.n},), got {y.shape}")
         if d < 0:
             raise ValueError(f"moment degree must be >= 0, got {d}")
-        js = _indices(js, self.n)
         if self._jacobi is None:
             diag, off = jacobi_matrix(self.params, self.n)
             self._jacobi = (diag, off, 2.0 * diag, 2.0 * off, bool(diag.any()))
         diag, off, diag2, off2, has_diag = self._jacobi
-        out = np.empty((len(js), d + 1))
-        out[:, 0] = y[js]
-        prev, cur, nxt = None, y, np.empty(self.n)
+        out = np.empty((d + 1, self.n))
+        out[0] = y
         tmp = np.empty(self.n - 1)
         for r in range(d):
+            cur, nxt = out[r], out[r + 1]
             a, b = (diag2, off2) if r else (diag, off)
             if has_diag:
                 np.multiply(a, cur, out=nxt)
@@ -202,10 +189,7 @@ class TransformPlan:
                 nxt[-1] = 0.0
             nxt[1:] += np.multiply(b, cur[:-1], out=tmp)
             if r:
-                nxt -= prev
-            out[:, r + 1] = nxt[js]
-            # prev's buffer is scratch from step 2 on; before that it is y
-            prev, cur, nxt = cur, nxt, prev if r >= 2 else np.empty(self.n)
+                nxt -= out[r - 1]
         return out
 
     def filter_band(self, filt) -> np.ndarray:
@@ -227,7 +211,7 @@ class TransformPlan:
         for c in range(min(w, n)):
             comb = np.zeros(n)
             comb[c::w] = 1.0
-            vals = np.einsum("ij,j->i", self.moments(comb, rows, d), coeffs)
+            vals = np.einsum("ri,r->i", self.moments(comb, d), coeffs)
             col = (c - rows + d) % w  # o + d
             inside = (rows + col >= d) & (rows + col - d < n)
             out[rows[inside], col[inside]] = vals[inside]

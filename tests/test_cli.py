@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from opsparse import load_plan
+from opsparse import TransformPlan, load_plan
 from opsparse.cli import main, read_signal, synth_spectrum, write_signal
 from opsparse.ksparse import large
 
@@ -420,6 +420,25 @@ def test_recover_csv_identical_under_worker_pool(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, *RECOVER_ARGS, "--out", str(pooled))
     assert code == 0
     assert serial.read_bytes() == pooled.read_bytes()
+
+
+def test_pooled_recover_sends_the_plan_once_per_worker(capsys, monkeypatch):
+    # a pickled plan drops its dense F, so each plan sent is one F rebuilt:
+    # send it to each worker once, not with each trial
+    sent = []
+    getstate = TransformPlan.__getstate__
+
+    def counted(plan):
+        sent.append(plan.n)
+        return getstate(plan)
+
+    monkeypatch.setattr(TransformPlan, "__getstate__", counted)
+    monkeypatch.setenv("OPSPARSE_THREADS", "2")
+    args = list(RECOVER_ARGS)
+    args[args.index("--trials") + 1] = "4"
+    code, _, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert 1 <= len(sent) <= 2
 
 
 def test_recover_json_report(tmp_path, capsys, monkeypatch):

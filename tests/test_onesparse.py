@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from opsparse import JacobiParams, build_plan, onesparse
-from opsparse.ksparse import QueryOracle
+from opsparse.boxcar import build_boxcar
+from opsparse.ksparse import (
+    QueryOracle,
+    ResidualReads,
+    SampleSchedule,
+    SimulatedAccess,
+)
 from opsparse.numtheory import bad_intervals
 from opsparse.onesparse import (
     ArcCosError,
@@ -209,6 +215,57 @@ def test_query_cos_zero_blowup(legendre_plan_256, rng):
 def test_query_cos_finite_on_zero_signal(legendre_plan_256, rng):
     q = query_cos(legendre_plan_256, QueryOracle(np.zeros(256)), 3, 64, 9, rng, 0.01)
     assert math.isfinite(q)
+
+
+class RequestLog:
+    """Access that passes each query_many request on, keeping its indices
+    and the values it returned."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+        self.values = []
+
+    def query_many(self, idx):
+        self.calls.append(np.asarray(idx).copy())
+        self.values.append(self.inner.query_many(idx))
+        return self.values[-1]
+
+
+class ThirdsAccess:
+    """Access that reads a request as three separate requests, one per third:
+    query_cos's mid, upper and lower samples read apart."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def query_many(self, idx):
+        return np.concatenate([self.inner.query_many(part)
+                               for part in np.split(np.asarray(idx), 3)])
+
+
+def test_query_cos_reads_once_and_matches_three_requests(legendre_plan_256):
+    # one request per call, whose values equal, bit for bit, reading the mid,
+    # upper and lower samples apart: on a plain oracle, and on a filtered
+    # access, where one request reads the union of every sample's window
+    plan = legendre_plan_256
+    x = spike_signal(plan, 90, 1.3, noise=0.01, rng=np.random.default_rng(1))
+    filt = build_boxcar(1.2, 0.5, 0.05)
+
+    def accesses():
+        yield QueryOracle(x)
+        schedule = SampleSchedule(plan, ResidualReads(QueryOracle(x), np.zeros(plan.n)),
+                                  filt.degree)
+        yield SimulatedAccess(schedule, filt)
+
+    for seed, (w, rounds) in enumerate([(1, 9), (17, 41), (64, 5)]):
+        for once, apart in zip(accesses(), accesses()):
+            log, split = RequestLog(once), RequestLog(ThirdsAccess(apart))
+            got = query_cos(plan, log, w, 64, rounds, np.random.default_rng(seed), 0.01)
+            want = query_cos(plan, split, w, 64, rounds, np.random.default_rng(seed), 0.01)
+            assert len(log.calls) == 1 and log.calls[0].size == 3 * rounds
+            assert log.values[0].tobytes() == split.values[0].tobytes()
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_query_cos_validation(legendre_plan_256, rng):

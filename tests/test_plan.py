@@ -216,21 +216,20 @@ def dense_chebyshev_moments(params, n, d):
 
 @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (-0.5, -0.5), (1.5, -0.3)])
 def test_moments_match_dense_chebyshev_recurrence(alpha, beta, rng):
-    # (T_r(J) y)[js] against dense T_r(J) @ y, degrees up to N-1, where
-    # T_r(J) is dense; repeats and both ends among the positions
+    # row r of the stack against dense T_r(J) @ y, degrees up to N-1, where
+    # T_r(J) is dense
     params = JacobiParams(alpha, beta)
     n = 24
     plan = build_plan(params, n)
     y = rng.standard_normal(n)
-    js = np.array([0, n - 1, 7, 7, 12, 3])
     dense = dense_chebyshev_moments(params, n, n - 1)
     for d in (0, 1, 5, n - 1):
-        got = plan.moments(y, js, d)
-        assert got.shape == (js.size, d + 1)
+        got = plan.moments(y, d)
+        assert got.shape == (d + 1, n)
         for r in range(d + 1):
-            np.testing.assert_allclose(got[:, r], (dense[r] @ y)[js], rtol=0,
+            np.testing.assert_allclose(got[r], dense[r] @ y, rtol=0,
                                        atol=1e-12 * max(1.0, np.abs(dense[r]).max()))
-    assert np.all(plan.moments(y, js, 0)[:, 0] == y[js])  # T_0 = I exactly
+    assert np.all(plan.moments(y, 0)[0] == y)  # T_0 = I exactly
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (1.5, -0.3)])
@@ -246,12 +245,12 @@ def test_moments_read_only_the_windows(alpha, beta, rng):
     y = np.zeros(n)
     y[idx] = x[idx]
     assert np.count_nonzero(y) < n
-    np.testing.assert_array_equal(plan.moments(y, js, d), plan.moments(x, js, d))
+    np.testing.assert_array_equal(plan.moments(y, d)[:, js], plan.moments(x, d)[:, js])
 
 
-def textbook_moments(params, n, y, js, d):
-    """(T_r(J) y)[js], r = 0..d, one entry at a time: T_0 y = y, T_1 y = J y,
-    T_{r+1} y = 2 J T_r y - T_{r-1} y, with (J v)_i summed as
+def textbook_moments(params, n, y, d):
+    """T_r(J) y, r = 0..d, as rows, one entry at a time: T_0 y = y, T_1 y =
+    J y, T_{r+1} y = 2 J T_r y - T_{r-1} y, with (J v)_i summed as
     (diag_i v_i + off_i v_{i+1}) + off_{i-1} v_{i-1}."""
     diag, off = jacobi_matrix(params, n)
 
@@ -271,7 +270,7 @@ def textbook_moments(params, n, y, js, d):
         steps.append(jv(steps[0]))
     while len(steps) <= d:
         steps.append(2.0 * jv(steps[-1]) - steps[-2])
-    return np.stack([t[js] for t in steps], axis=1)
+    return np.stack(steps)
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (-0.5, -0.5), (1.5, -0.3)])
@@ -284,34 +283,22 @@ def test_moments_match_the_textbook_recurrence_bit_for_bit(alpha, beta, n, rng):
     params = JacobiParams(alpha, beta)
     plan = build_plan(params, n)
     y = rng.standard_normal(n)
-    js = np.concatenate([np.arange(n), [0, n - 1], rng.integers(0, n, size=5)])
     for d in sorted({0, 1, 2, n - 1, 3 * n}):
-        got = plan.moments(y, js, d)
-        want = textbook_moments(params, n, y, js, d)
-        assert got.shape == want.shape == (js.size, d + 1)
+        got = plan.moments(y, d)
+        want = textbook_moments(params, n, y, d)
+        assert got.shape == want.shape == (d + 1, n)
         assert (got + 0.0).tobytes() == (want + 0.0).tobytes(), d
     # and a y that is zero away from a few windows, as a sampling round's is
     y[rng.random(n) < 0.5] = 0.0
-    got = plan.moments(y, js, n + 2)
-    assert (got + 0.0).tobytes() == (textbook_moments(params, n, y, js, n + 2) + 0.0).tobytes()
-
-
-def test_moments_refuse_positions_outside_the_plan(small_plan):
-    # numpy would read position -1 as row N-1 and return its moments
-    y = np.arange(32.0)
-    for js in ([-1], [32], [0, 5, 32], [3, -2]):
-        with pytest.raises(IndexError, match="out of range for N=32"):
-            small_plan.moments(y, np.array(js), 2)
-    with pytest.raises(IndexError, match="must be integers"):
-        small_plan.moments(y, np.array([1.0]), 2)
-    assert small_plan.moments(y, np.array([], dtype=np.int64), 2).shape == (0, 3)
+    got = plan.moments(y, n + 2)
+    assert (got + 0.0).tobytes() == (textbook_moments(params, n, y, n + 2) + 0.0).tobytes()
 
 
 def test_moments_input_validation(small_plan):
     with pytest.raises(ValueError, match="expected shape"):
-        small_plan.moments(np.zeros(31), np.array([0]), 2)
+        small_plan.moments(np.zeros(31), 2)
     with pytest.raises(ValueError, match="must be >= 0"):
-        small_plan.moments(np.zeros(32), np.array([0]), -1)
+        small_plan.moments(np.zeros(32), -1)
 
 
 def test_filter_band_degree_check(small_plan):
