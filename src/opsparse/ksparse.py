@@ -8,13 +8,14 @@ implicitly: p(J) is d-banded, so a filtered sample at j needs only the
 Chebyshev moments (T_r(J) y)_j, r <= d, of the residual y = x - F^T zhat,
 and those read y only within d of j.  The draws of one bank share their
 sample positions, and one pass reads each residual entry at most once: the
-residual estimate and every round of every bank request only the entries
-of their windows that the pass has not read yet.  Each bank keeps the
-moments at every position, an N x (D+1) table of doubles (D the bank's
-widest degree, 0.8 MB at N = 2048, D = 47), rebuilt only after a round
-reads new entries.  Candidate spikes must land inside the filter pass band
-and survive a sampled residual check; every one that does is committed to
-the running sparse estimate.
+residual estimate, every round of every bank and the solver's one-shot
+queries request only the entries of their windows that the pass has not
+read yet.  Each bank keeps the moments at every position, an N x (D+1)
+table of doubles (D the bank's widest degree, 0.8 MB at N = 2048, D = 47),
+rebuilt only after a round reads new entries.  Candidate spikes must land
+inside the filter pass band and survive a sampled residual check, which
+reads afresh; every one that does is committed to the running sparse
+estimate.
 """
 
 from __future__ import annotations
@@ -248,7 +249,7 @@ class ResidualReads:
 
     ``z`` is the dense image F^T zhat of the running estimate.  ``y`` holds
     x - z at every entry read so far and zero elsewhere, and ``count`` is
-    how many entries that is.
+    how many entries that is.  ``read`` makes every raw request of the layer.
     """
 
     def __init__(self, oracle, z: np.ndarray):
@@ -258,9 +259,11 @@ class ResidualReads:
         self._seen = np.zeros(z.size, dtype=bool)
         self.count = 0
 
-    def read(self, idx: np.ndarray) -> None:
-        """One oracle request for the entries of idx (ascending, no repeats)
-        not read yet; none when every one has been."""
+    def read(self, js: np.ndarray, d: int) -> None:
+        """One oracle request for the entries of the clipped windows
+        max(0, j-d) .. min(N-1, j+d), j in js, that the pass has not read,
+        ascending and without repeats; none when every one has been."""
+        idx = _window_union(js, d, self.y.size)
         new = idx[~self._seen[idx]]
         if new.size:
             self.y[new] = self.oracle.query_many(new) - self.z[new]
@@ -271,7 +274,7 @@ class ResidualReads:
         """s uniform positions drawn from rng and the residual there; a
         position drawn twice is read once."""
         js = rng.integers(0, self.y.size, size=s)
-        self.read(_window_union(js, 0, self.y.size))
+        self.read(js, 0)
         return js, self.y[js]
 
 
@@ -284,10 +287,11 @@ class SampleSchedule:
     windows around them have radius ``degree`` (the largest filter degree in
     the bank) and are clipped at the ends; a round reads, through
     ``residual``, the entries of its window union that the pass has not read
-    yet.  The schedule keeps the moments (T_r(J) y)_j, r <= degree, at every
-    position j in one N x (degree+1) table of doubles, rebuilt only when the
-    pass has read new entries since it was last built, and serves round i as
-    the table's rows at its positions.  Each draw's samples stay uniform, so
+    yet, as do one-shot queries (``SimulatedAccess.query_many``).  The
+    schedule keeps the moments (T_r(J) y)_j, r <= degree, at every position
+    j in one N x (degree+1) table of doubles, rebuilt only when the pass has
+    read new entries since it was last built, and serves round i as the
+    table's rows at its positions.  Each draw's samples stay uniform, so
     its own failure bound holds; the union bound over draws needs no
     independence.
 
@@ -303,33 +307,23 @@ class SampleSchedule:
             raise ValueError(f"filter degree {degree} must be < N = {plan.n}")
         self.plan = plan
         self.degree = degree
-        self._residual = residual
+        self.residual = residual
         self._rounds: list[np.ndarray] = []
         self._table: np.ndarray | None = None
         self._table_count = -1  # residual.count when the table was built
-
-    def moments(self, js: np.ndarray, d: int) -> np.ndarray:
-        """(T_r(J)(x - z))[js], r = 0..d, from one fresh oracle request for
-        the union of the clipped windows around js, each entry once and in
-        ascending order; the pass's earlier reads are neither used nor kept."""
-        n = self.plan.n
-        idx = _window_union(js, d, n)
-        y = np.zeros(n)
-        y[idx] = self._residual.oracle.query_many(idx) - self._residual.z[idx]
-        return self.plan.moments(y, d).T[js]
 
     def round(self, i: int, s: int, rng) -> tuple[np.ndarray, np.ndarray]:
         """Position set i and its moments; drawn and read on first use."""
         n = self.plan.n
         if i == len(self._rounds):
             js = rng.integers(0, n, size=s)
-            self._residual.read(_window_union(js, self.degree, n))
-            if self._table_count != self._residual.count:
+            self.residual.read(js, self.degree)
+            if self._table_count != self.residual.count:
                 # point-major, so a round's rows are one gather; the old
                 # table goes first, so the stack and one table are live
                 self._table = np.empty((n, self.degree + 1))
-                self._table[:] = self.plan.moments(self._residual.y, self.degree).T
-                self._table_count = self._residual.count
+                self._table[:] = self.plan.moments(self.residual.y, self.degree).T
+                self._table_count = self.residual.count
             self._rounds.append(js)
         js = self._rounds[i]
         if js.size != s:
@@ -345,9 +339,10 @@ class SimulatedAccess:
     A filtered sample is the filter's Chebyshev coefficients against the
     residual moments at its position.  ``sample`` takes positions and moments
     from ``schedule``, shared by the draws of one bank; a standalone access
-    is a schedule of one, at the filter's own degree.  ``query_many`` always
-    reads afresh the windows of the positions it is given, at the filter's
-    degree.
+    is a schedule of one, at the filter's own degree.  ``query_many`` reads
+    the windows of its positions, at the filter's degree, through the
+    schedule's ``residual`` and takes the columns of ``plan.moments`` of its
+    ``y``: by their locality, the same bits as a fresh read of those windows.
     """
 
     def __init__(self, schedule: SampleSchedule, filt: BoxcarFilter):
@@ -366,9 +361,11 @@ class SimulatedAccess:
 
     def query_many(self, js: np.ndarray) -> np.ndarray:
         """Filtered samples at indices js; each needs at most 2d+1 entries,
-        and one oracle request reads their union, each entry once."""
-        js = _indices(js, self._schedule.plan.n)
-        return self._filtered(self._schedule.moments(js, self._coeffs.size - 1))
+        and one oracle request reads those of their union the pass has not."""
+        schedule, d = self._schedule, self._coeffs.size - 1
+        js = _indices(js, schedule.plan.n)
+        schedule.residual.read(js, d)
+        return self._filtered(schedule.plan.moments(schedule.residual.y, d).T[js])
 
     def _filtered(self, mom: np.ndarray) -> np.ndarray:
         # row by row: a BLAS product may sum a row in an order that depends
@@ -426,12 +423,13 @@ def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
     pass band is discarded.  A bank's boxcars are built first, and its
     draws' ``SimulatedAccess`` share one ``SampleSchedule``.  A pass runs
     whole banks until one verifies a hit or t0 draws, rounded up to whole
-    banks, are spent.  ``verify`` draws fresh positions and reads their
-    windows afresh.
+    banks, are spent.
 
     The dense image F^T zhat is built once per pass, with one
-    ``ResidualReads`` over x - F^T zhat: the estimate of R and every
-    sampling round of the pass request only entries the pass has not read.
+    ``ResidualReads`` over x - F^T zhat: the estimate of R, every sampling
+    round and every solver query of the pass request only entries the pass
+    has not read.  ``verify`` reads afresh, through a ``ResidualReads`` of
+    its own, the windows of its fresh positions at the draw's filter degree.
     """
     eps = cfg.eps()
     mu0 = cfg.mu0()
@@ -458,7 +456,9 @@ def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
             h, v = got.index, got.value
             if not band[0] <= plan.theta[h] <= band[1]:
                 return None
-            if not verify(plan, access, v, h, mu0 / 2.0, eps, rng, cfg.c_t1):
+            own = SampleSchedule(plan, ResidualReads(oracle, residual.z), filt.degree)
+            checker = SimulatedAccess(own, filt)
+            if not verify(plan, checker, v, h, mu0 / 2.0, eps, rng, cfg.c_t1):
                 return None
             return h, v
 

@@ -21,7 +21,7 @@ from opsparse import (
     recover,
     solve_one_sparse,
 )
-from opsparse import ksparse
+from opsparse import ksparse, onesparse
 from opsparse.boxcar import BoxcarFilter
 from opsparse.ksparse import (
     ENERGY_TAU,
@@ -288,8 +288,8 @@ def test_simulated_access_matches_dense_application(rng):
 
 def test_simulated_access_reads_exactly_the_windows_once_per_call(rng):
     # one raw request per call, on the union of the clipped windows
-    # max(0, j-d) .. min(N-1, j+d) in ascending order, and the values of the dense
-    # F^T D_b F (x - F^T zhat) for a two-spike zhat
+    # max(0, j-d) .. min(N-1, j+d) in ascending order (none for no positions),
+    # and the values of the dense F^T D_b F (x - F^T zhat) for a two-spike zhat
     n = 64
     filt = build_boxcar(1.2, 0.5, 0.05)
     d = filt.degree
@@ -312,9 +312,10 @@ def test_simulated_access_reads_exactly_the_windows_once_per_call(rng):
     for name, js in cases.items():
         oracle = RecordingOracle(y)
         got = standalone(plan, oracle, zhat, filt).query_many(js)
-        assert len(oracle.calls) == 1, name
         want = window_reads(js, d, n)
-        np.testing.assert_array_equal(oracle.calls[0], want, err_msg=name)
+        assert len(oracle.calls) == (1 if js.size else 0), name
+        if js.size:
+            np.testing.assert_array_equal(oracle.calls[0], want, err_msg=name)
         assert oracle.count == want.size, name
         assert got.shape == js.shape, name
         np.testing.assert_allclose(got, expected[js], rtol=0, atol=1e-10, err_msg=name)
@@ -414,9 +415,10 @@ def test_sample_values_match_query_many(peel_plan, batch_filters, rng):
             assert vals.tobytes() == access.query_many(js).tobytes()
 
 
-def test_schedule_moments_match_the_repeated_scatter(peel_plan, rng):
-    # the union request fills y with the values the scatter of every window,
-    # repeats included, put there: the moments agree bit for bit
+def test_residual_reads_match_the_repeated_scatter(peel_plan, rng):
+    # read(js, d) fills y with the values the scatter of every window,
+    # repeats included, puts there, in one request for the union: y and its
+    # moments agree bit for bit
     plan, n = peel_plan, peel_plan.n
     x = rng.standard_normal(n)
     z = SparseApprox({40: 0.6, 200: -0.3}).image(plan)
@@ -429,8 +431,14 @@ def test_schedule_moments_match_the_repeated_scatter(peel_plan, rng):
         assert idx.size == 0 or idx.size > np.unique(idx).size
         y = np.zeros(n)
         y[idx] = x[idx] - z[idx]
+        oracle = RecordingOracle(x)
+        reads = ResidualReads(oracle, z)
+        reads.read(js, d)
+        assert len(oracle.calls) == (1 if js.size else 0), d
+        assert reads.count == np.unique(idx).size, d
+        assert reads.y.tobytes() == y.tobytes(), d
         want = plan.moments(y, d)[:, js].T
-        got = schedule_of(plan, QueryOracle(x), z, d).moments(js, d)
+        got = plan.moments(reads.y, d)[:, js].T
         assert got.tobytes() == want.tobytes(), d
 
 
@@ -478,21 +486,87 @@ def test_schedule_rounds_match_their_own_zero_filled_windows(alpha, beta, n, d, 
     assert len(builds) == len(want)
 
 
-def test_verify_reads_fresh_windows_at_the_draws_own_width(peel_plan, batch_filters,
-                                                          rng):
-    plan, n, s = peel_plan, peel_plan.n, 300
-    narrow, _ = batch_filters
-    oracle = RecordingOracle(rng.standard_normal(n))
-    access = SimulatedAccess(schedule_of(plan, oracle, np.zeros(n), 47), narrow)
-    gen = np.random.default_rng(6)
-    access.sample(s, gen)
-    state = gen.bit_generator.state
-    verify(plan, access, 1.0, 30, 0.25, 0.1, gen, 2.0)
+def test_query_many_reads_through_the_pass_memo(peel_plan, batch_filters, rng):
+    # a draw's one-shot queries request only the entries of their windows the
+    # pass has not read, none when it has read them all, and return the bytes
+    # of a fresh standalone access
+    plan, n = peel_plan, peel_plan.n
+    narrow, wide = batch_filters
+    x = rng.standard_normal(n)
+    zhat = SparseApprox({40: 0.6, 200: -0.3})
+    oracle = RecordingOracle(x)
+    access = SimulatedAccess(schedule_of(plan, oracle, zhat.image(plan), wide.degree),
+                             narrow)
+    js, _ = access.sample(2, rng)
+    read = oracle.calls[0]
+    assert read.size < n
+    cases = [js, js[::-1], np.repeat(js, 3), np.array([], dtype=np.int64),
+             np.unique(np.concatenate([js, rng.integers(0, n, size=3)]))]
+    for i, q in enumerate(cases):
+        calls = len(oracle.calls)
+        got = access.query_many(q)
+        fresh = standalone(plan, QueryOracle(x), zhat, narrow).query_many(q)
+        assert got.tobytes() == fresh.tobytes(), i
+        new = np.setdiff1d(window_reads(q, narrow.degree, n), read)
+        if new.size:
+            assert len(oracle.calls) == calls + 1, i
+            np.testing.assert_array_equal(oracle.calls[-1], new)
+            read = np.union1d(read, new)
+        else:
+            assert len(oracle.calls) == calls, i
+    assert len(oracle.calls) == 2  # the last case reaches past the sampled windows
+    assert oracle.count == read.size
+
+
+def test_verify_reads_fresh_windows_at_the_draws_own_width(legendre_plan_2048,
+                                                          monkeypatch):
+    # the access the peeler hands verify has read nothing before the call,
+    # though the pass has read entries of verify's windows, and makes one
+    # request: the window union of verify's positions at the draw's own filter
+    # degree, 43, in a bank whose widest is 47
+    plan, n = legendre_plan_2048, legendre_plan_2048.n
+
+    class FewChecks(ReductionConfig):
+        c_t1 = 1e-6  # 16 verify samples, whose windows leave entries unread
+
+    cfg = FewChecks(2, 0.05, 0.1, 1.0)
+    narrow_eps = ReductionConfig(2, 0.07, 0.1, 1.0).boxcar_eps()
+    degrees, accesses, checks = [], [], []
+
+    def mixed_boxcar(center, width, eps):
+        filt = build_boxcar(center, width, narrow_eps if len(degrees) % 2 else eps)
+        degrees.append(filt.degree)
+        return filt
+
+    def stub(plan, access, eps, mu, rng, *, window, floor):
+        access.sample(3, rng)
+        accesses.append(access)
+        if degrees[len(accesses) - 1] != 43 or checks:
+            raise RecoveryError("stub")
+        return OneSparseResult(int(np.searchsorted(plan.theta, window[0])), 1.0)
+
+    def spy(plan, access, v, h, mu, eps, rng, c_t1):
+        before, state = len(oracle.calls), rng.bit_generator.state
+        ok = verify(plan, access, v, h, mu, eps, rng, c_t1)
+        checks.append((access, before, len(oracle.calls), state,
+                       _verify_samples(plan, mu, eps, c_t1)))
+        return ok
+
+    monkeypatch.setattr(ksparse, "build_boxcar", mixed_boxcar)
+    monkeypatch.setattr(ksparse, "verify", spy)
+    oracle = RecordingOracle(plan.row(100))
+    peeler(plan, oracle, SparseApprox(), cfg, stub, np.random.default_rng(4))
+    assert len(checks) == 1 and set(degrees) == {43, 47}
+    access, before, after, state, t1 = checks[0]
+    assert t1 == 16 and access not in accesses
     replay = np.random.default_rng()
     replay.bit_generator.state = state
-    js = replay.integers(0, n, size=_verify_samples(plan, 0.25, 0.1, 2.0))
-    assert len(oracle.calls) == 2
-    np.testing.assert_array_equal(oracle.calls[1], window_reads(js, 43, n))
+    js = replay.integers(0, n, size=t1)
+    want = window_reads(js, 43, n)
+    assert want.size < window_reads(js, 47, n).size
+    assert after == before + 1
+    np.testing.assert_array_equal(oracle.calls[before], want)
+    assert np.intersect1d(np.concatenate(oracle.calls[:before]), want).size > 0
 
 
 def test_standalone_access_samples_as_a_batch_of_one(peel_plan, batch_filters, rng):
@@ -748,27 +822,27 @@ def test_recover_two_spikes(peel_plan):
     assert oracle.count <= 4 * cfg.k * cfg.t2() * cfg.t0() * per_draw
 
 
-def test_recover_trial_requests_no_entry_twice(peel_plan, monkeypatch):
-    # every request of a whole trial is ascending with no repeated index, so
-    # none exceeds N entries; on the solver side (the residual estimate and
-    # the sampling rounds) no index is requested twice in one pass, while
-    # verify reads the windows of its own fresh positions
-    plan, n = peel_plan, peel_plan.n
-    cfg = ReductionConfig.calibrated(2, 0.05, 0.1, 1.0)
-    passes = []  # per pass, its solver-side requests
-    verify_calls = []
+def record_readers(monkeypatch):
+    """Patch ksparse so every ResidualReads keeps its oracle's requests made
+    through it, each with whether verify was running; returns them all.
+
+    A pass's reader is the first on its image z; verify's fresh readers
+    share that image.
+    """
+    readers = []
     in_verify = [False]
 
-    class Oracle(RecordingOracle):
-        def query_many(self, idx):
-            out = super().query_many(idx)
-            (verify_calls if in_verify[0] else passes[-1]).append(self.calls[-1])
-            return out
-
-    class PassReads(ResidualReads):
+    class Reads(ResidualReads):
         def __init__(self, oracle, z):
-            passes.append([])
             super().__init__(oracle, z)
+            self.calls, self.in_verify = [], []
+            readers.append(self)
+
+        def read(self, *args):
+            before = len(self.oracle.calls)
+            super().read(*args)
+            self.calls += self.oracle.calls[before:]
+            self.in_verify += [in_verify[0]] * (len(self.oracle.calls) - before)
 
     def counted_verify(*args):
         in_verify[0] = True
@@ -777,21 +851,72 @@ def test_recover_trial_requests_no_entry_twice(peel_plan, monkeypatch):
         finally:
             in_verify[0] = False
 
-    monkeypatch.setattr(ksparse, "ResidualReads", PassReads)
+    monkeypatch.setattr(ksparse, "ResidualReads", Reads)
     monkeypatch.setattr(ksparse, "verify", counted_verify)
-    oracle = Oracle(plan.row(60) - 0.8 * plan.row(200))
+    return readers
+
+
+def split_readers(readers):
+    """(pass readers, verify readers), told apart by their image z."""
+    passes, checks = [], []
+    for r in readers:
+        (checks if any(r.z is p.z for p in passes) else passes).append(r)
+    return passes, checks
+
+
+def test_recover_trial_requests_no_entry_twice(peel_plan, monkeypatch):
+    # every request of a whole trial is ascending with no repeated index, so
+    # none exceeds N entries; a pass's reader (the residual estimate, the
+    # sampling rounds and the solver's queries) requests no index twice and
+    # nothing while verify runs, while each verify gets a fresh reader on the
+    # pass's image and makes one request, for the windows of its own positions
+    plan, n = peel_plan, peel_plan.n
+    cfg = ReductionConfig.calibrated(2, 0.05, 0.1, 1.0)
+    readers = record_readers(monkeypatch)
+    oracle = RecordingOracle(plan.row(60) - 0.8 * plan.row(200))
     zhat = recover(plan, oracle, cfg, seed=11)
     assert zhat.support() == [60, 200]
-    assert passes and verify_calls
+    passes, checks = split_readers(readers)
+    assert passes and checks
     for c in oracle.calls:
         assert 0 < c.size <= n
         assert np.all(np.diff(c) > 0)
-    for calls in passes:
-        assert calls
-        read = np.concatenate(calls)
-        assert np.unique(read).size == read.size
-    assert sum(len(calls) for calls in passes) + len(verify_calls) == len(oracle.calls)
+    for r in passes:
+        assert r.calls and not any(r.in_verify)
+        read = np.concatenate(r.calls)
+        assert np.unique(read).size == read.size == r.count
+    for r in checks:
+        assert len(r.calls) == 1 and all(r.in_verify)
+    assert sum(len(r.calls) for r in readers) == len(oracle.calls)
     assert oracle.count == sum(c.size for c in oracle.calls)
+
+
+def test_arccos_queries_read_through_the_pass_memo(legendre_plan_2048, monkeypatch):
+    # with delta_0 = sqrt(eps) / 50 the near-zero window on Legendre N = 2048
+    # is 1.30 rad, so k-sparse draws go on to the angle search; its cosine
+    # queries read through the pass's reader, which requests no index twice
+    monkeypatch.setattr(onesparse, "_D0_DIV", 50.0)
+    cos_calls = []
+    real = onesparse.query_cos
+
+    def counted_cos(*args):
+        cos_calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(onesparse, "query_cos", counted_cos)
+    readers = record_readers(monkeypatch)
+    plan = legendre_plan_2048
+    cfg = ReductionConfig(2, 0.05, 0.1, 1.0)
+    oracle = RecordingOracle(1.3 * plan.row(300) - 0.8 * plan.row(1500))
+    zhat = recover(plan, oracle, cfg, seed=1)
+    assert cos_calls
+    passes, _ = split_readers(readers)
+    for r in passes:
+        assert not any(r.in_verify)
+        read = np.concatenate(r.calls)
+        assert np.unique(read).size == read.size == r.count
+    assert sum(len(r.calls) for r in readers) == len(oracle.calls)
+    assert zhat.support() == [300, 1500]
 
 
 def test_recover_zero_signal_returns_empty(peel_plan):
