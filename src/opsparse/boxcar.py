@@ -35,7 +35,7 @@ _MAX_GROWTHS = 6
 SLACK = 0.1
 
 
-class BoxcarConstructionError(Exception):
+class BoxcarConstructionError(ValueError):
     """Verification kept failing; eps is too small for float64 headroom."""
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dct import chebyshev_transform_direct, chebyshev_via_fourier
 from .jacobi import JacobiParams
-from .ksparse import QueryOracle, ReductionConfig, large, recover
+from .ksparse import QueryOracle, ReductionConfig, recover
 from .onesparse import RecoveryError, solve_one_sparse
 from .plan import PlanFormatError, TransformPlan, build_plan, load_plan, save_plan
 
@@ -146,7 +146,8 @@ def synth_spectrum(n: int, k: int, sigma: float, noise: float,
     noisy = spectrum
     if noise > 0.0:
         w = rng.standard_normal(n)
-        w *= noise * large(k, spectrum) / np.linalg.norm(w)
+        # the k-th largest |entry| of a spectrum whose nonzeros are its k values
+        w *= noise * np.abs(values).min() / np.linalg.norm(w)
         noisy = spectrum + w
     return support, values, noisy
 

@@ -10,11 +10,11 @@ and those read y only within d of j.  The draws of one bank share their
 sample positions, and one pass reads each residual entry at most once: the
 residual estimate, every round of every bank and the solver's one-shot
 queries request only the entries of their windows that the pass has not
-read yet.  Each bank keeps the moments at every position, an N x (D+1)
-table of doubles (D the bank's widest degree, 0.8 MB at N = 2048, D = 47),
-rebuilt only after a round reads new entries.  Candidate spikes must land
-inside the filter pass band and survive a sampled residual check, which
-reads afresh; every one that does is committed to the running sparse
+read yet.  Each bank keeps one (D+1) x N moment stack (D the bank's widest
+degree), rebuilt only after a read brings new entries, and each of its
+rounds keeps the stack's rows at its own positions.  Candidate spikes must
+land inside the filter pass band and survive a sampled residual check,
+which reads afresh; every one that does is committed to the running sparse
 estimate.
 """
 
@@ -37,7 +37,6 @@ __all__ = [
     "ResidualReads",
     "SampleSchedule",
     "SimulatedAccess",
-    "large",
     "verify",
     "peeler",
     "recover",
@@ -225,15 +224,6 @@ class ReductionConfig:
         return math.ceil(self.C_D * math.log(1.0 / self.boxcar_eps()) / self.gamma)
 
 
-def large(s: int, x: np.ndarray) -> float:
-    """Magnitude of the s-th largest entry of x by absolute value."""
-    x = np.asarray(x)
-    if not 1 <= s <= x.size:
-        raise ValueError(f"s={s} out of range for a vector of size {x.size}")
-    mags = np.abs(x.ravel())
-    return float(np.partition(mags, x.size - s)[x.size - s])
-
-
 def _window_union(js: np.ndarray, d: int, n: int) -> np.ndarray:
     """The union of the clipped windows max(0, j-d) .. min(N-1, j+d), j in
     js, ascending and without repeats."""
@@ -253,6 +243,9 @@ class ResidualReads:
     """
 
     def __init__(self, oracle, z: np.ndarray):
+        if len(oracle) != z.size:
+            raise ValueError(f"oracle holds {len(oracle)} entries, the residual "
+                             f"image {z.size}")
         self.oracle = oracle
         self.z = z
         self.y = np.zeros(z.size)
@@ -285,15 +278,16 @@ class SampleSchedule:
     schedule gets the bank's i-th position set: s uniform positions, drawn
     from the caller's rng the first time any draw asks for set i.  The raw
     windows around them have radius ``degree`` (the largest filter degree in
-    the bank) and are clipped at the ends; a round reads, through
-    ``residual``, the entries of its window union that the pass has not read
-    yet, as do one-shot queries (``SimulatedAccess.query_many``).  The
-    schedule keeps the moments (T_r(J) y)_j, r <= degree, at every position
-    j in one N x (degree+1) table of doubles, rebuilt only when the pass has
-    read new entries since it was last built, and serves round i as the
-    table's rows at its positions.  Each draw's samples stay uniform, so
-    its own failure bound holds; the union bound over draws needs no
-    independence.
+    the bank) and are clipped at the ends.  ``moments`` makes every read of
+    the schedule, for rounds and one-shot queries
+    (``SimulatedAccess.query_many``) alike: it requests, through
+    ``residual``, the entries of its window union that the pass has not
+    read yet, and returns rows of one cached stack, ``plan.moments`` of y
+    at ``degree``, rebuilt only when the pass has read new entries since it
+    was last built.  A round keeps its rows from first use, so every draw
+    of the bank gets them without another gather.  Each draw's samples stay
+    uniform, so its own failure bound holds; the union bound over draws
+    needs no independence.
 
     y is ``residual.y``: x - z on the entries read and zero elsewhere.  A
     round's moments equal those of x - z on its own window union, zero
@@ -308,27 +302,32 @@ class SampleSchedule:
         self.plan = plan
         self.degree = degree
         self.residual = residual
-        self._rounds: list[np.ndarray] = []
-        self._table: np.ndarray | None = None
-        self._table_count = -1  # residual.count when the table was built
+        self._rounds: list[tuple[np.ndarray, np.ndarray]] = []
+        self._stack: np.ndarray | None = None
+        self._stack_count = -1  # residual.count when the stack was built
+
+    def moments(self, js: np.ndarray, d: int) -> np.ndarray:
+        """The moments (T_r(J) y)_j, r <= d, one row per position j in js,
+        after reading the windows of js at radius d through ``residual``."""
+        if d > self.degree:
+            raise ValueError(f"moment degree {d} exceeds the schedule's "
+                             f"window degree {self.degree}")
+        self.residual.read(js, d)
+        if self._stack_count != self.residual.count:
+            self._stack = None  # the old stack goes before the new one is built
+            self._stack = self.plan.moments(self.residual.y, self.degree)
+            self._stack_count = self.residual.count
+        return self._stack[:d + 1].T[js]
 
     def round(self, i: int, s: int, rng) -> tuple[np.ndarray, np.ndarray]:
-        """Position set i and its moments; drawn and read on first use."""
-        n = self.plan.n
+        """Position set i and its moments; drawn, read and gathered on first use."""
         if i == len(self._rounds):
-            js = rng.integers(0, n, size=s)
-            self.residual.read(js, self.degree)
-            if self._table_count != self.residual.count:
-                # point-major, so a round's rows are one gather; the old
-                # table goes first, so the stack and one table are live
-                self._table = np.empty((n, self.degree + 1))
-                self._table[:] = self.plan.moments(self.residual.y, self.degree).T
-                self._table_count = self.residual.count
-            self._rounds.append(js)
-        js = self._rounds[i]
+            js = rng.integers(0, self.plan.n, size=s)
+            self._rounds.append((js, self.moments(js, self.degree)))
+        js, mom = self._rounds[i]
         if js.size != s:
             raise ValueError(f"sample set {i} holds {js.size} positions, asked for {s}")
-        return js, self._table[js]
+        return js, mom
 
 
 class SimulatedAccess:
@@ -339,10 +338,10 @@ class SimulatedAccess:
     A filtered sample is the filter's Chebyshev coefficients against the
     residual moments at its position.  ``sample`` takes positions and moments
     from ``schedule``, shared by the draws of one bank; a standalone access
-    is a schedule of one, at the filter's own degree.  ``query_many`` reads
-    the windows of its positions, at the filter's degree, through the
-    schedule's ``residual`` and takes the columns of ``plan.moments`` of its
-    ``y``: by their locality, the same bits as a fresh read of those windows.
+    is a schedule of one, at the filter's own degree.  ``query_many`` takes
+    the moments at its positions from ``schedule.moments`` at the filter's
+    degree, which reads their windows through the pass memo: by their
+    locality, the same bits as a fresh read of those windows.
     """
 
     def __init__(self, schedule: SampleSchedule, filt: BoxcarFilter):
@@ -362,10 +361,8 @@ class SimulatedAccess:
     def query_many(self, js: np.ndarray) -> np.ndarray:
         """Filtered samples at indices js; each needs at most 2d+1 entries,
         and one oracle request reads those of their union the pass has not."""
-        schedule, d = self._schedule, self._coeffs.size - 1
-        js = _indices(js, schedule.plan.n)
-        schedule.residual.read(js, d)
-        return self._filtered(schedule.plan.moments(schedule.residual.y, d).T[js])
+        js = _indices(js, self._schedule.plan.n)
+        return self._filtered(self._schedule.moments(js, self._coeffs.size - 1))
 
     def _filtered(self, mom: np.ndarray) -> np.ndarray:
         # row by row: a BLAS product may sum a row in an order that depends

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from opsparse import TransformPlan, load_plan
 from opsparse.cli import main, read_signal, synth_spectrum, write_signal
-from opsparse.ksparse import large
 
 
 def run_cli(capsys, *argv):
@@ -115,7 +114,7 @@ def test_synth_spectrum_separation_and_noise(rng):
     clean = np.zeros(256)
     clean[support] = values
     assert np.linalg.norm(noisy - clean) == pytest.approx(
-        0.02 * large(3, clean), rel=1e-12)
+        0.02 * np.abs(values).min(), rel=1e-12)
 
 
 class BoundedDraws:
@@ -368,6 +367,23 @@ def test_bad_arguments_are_reported(tmp_path, capsys, monkeypatch, argv, match):
     assert err["error"] == "ValueError"
     assert match in err["message"]
     assert not (tmp_path / "out.json").exists()
+
+
+def test_recover_reports_an_unbuildable_boxcar(tmp_path, capsys, monkeypatch):
+    # gamma = 0.01 at N = 256 asks for boxcars float64 cannot verify: a
+    # reported error with rc 2, not a traceback
+    monkeypatch.setenv("OPSPARSE_THREADS", "1")
+    out = tmp_path / "out.csv"
+    code, stdout, stderr = run_cli(capsys, "recover", "--alpha", "0", "--beta", "0",
+                                   "--n", "256", "--k", "2", "--delta", "0.05",
+                                   "--gamma", "0.01", "--sigma", "0.01",
+                                   "--trials", "1", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    err = json.loads(stderr)
+    assert err["error"] == "BoxcarConstructionError"
+    assert "boxcar verification failed" in err["message"]
+    assert not out.exists()
 
 
 RECOVER_ARGS = ("recover", "--alpha", "0", "--beta", "0", "--n", "256",

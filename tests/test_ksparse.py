@@ -7,8 +7,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from opsparse import (
     JacobiParams,
@@ -28,7 +26,6 @@ from opsparse.ksparse import (
     ResidualReads,
     SampleSchedule,
     _verify_samples,
-    large,
     peeler,
     verify,
 )
@@ -229,31 +226,6 @@ def test_reduction_config_calibrated_profile():
 
 
 # ---------------------------------------------------------------------------
-# order statistics
-
-
-def test_large_frozen_cases():
-    x = np.array([3.0, -7.0, 2.0])
-    assert large(1, x) == 7.0
-    assert large(2, x) == 3.0
-    assert large(3, x) == 2.0
-    with pytest.raises(ValueError, match="out of range"):
-        large(0, x)
-    with pytest.raises(ValueError, match="out of range"):
-        large(4, x)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=25),
-    st.data(),
-)
-def test_large_matches_sorted(xs, data):
-    s = data.draw(st.integers(1, len(xs)))
-    assert large(s, np.array(xs)) == sorted(abs(v) for v in xs)[-s]
-
-
-# ---------------------------------------------------------------------------
 # filtered access
 
 
@@ -442,6 +414,17 @@ def test_residual_reads_match_the_repeated_scatter(peel_plan, rng):
         assert got.tobytes() == want.tobytes(), d
 
 
+def test_residual_reads_refuse_an_oracle_of_another_size(peel_plan):
+    # a signal of 512 entries against a plan of 256 is refused before any
+    # read, not peeled into an empty estimate
+    oracle = QueryOracle(np.ones(512))
+    with pytest.raises(ValueError, match="oracle holds 512 entries, the residual image 256"):
+        ResidualReads(oracle, np.zeros(256))
+    with pytest.raises(ValueError, match="oracle holds 512 entries"):
+        recover(peel_plan, oracle, ReductionConfig(2, 0.05, 0.1, 1.0), seed=5)
+    assert oracle.count == 0
+
+
 @pytest.mark.parametrize("alpha, beta, n, d, s", [
     (0.0, 0.0, 256, 47, 300),  # the first round reads every entry
     (0.0, 0.0, 256, 5, 3),  # later rounds read new entries
@@ -449,9 +432,9 @@ def test_residual_reads_match_the_repeated_scatter(peel_plan, rng):
 ], ids=["full", "partial", "alpha-ne-beta"])
 def test_schedule_rounds_match_their_own_zero_filled_windows(alpha, beta, n, d, s,
                                                              monkeypatch):
-    # a round's moments come from the bank's table over every entry the pass
+    # a round's moments come from the bank's stack over every entry the pass
     # has read; they equal plan.moments on x - z over the round's own window
-    # union, zero elsewhere, bit for bit, before and after the table is rebuilt
+    # union, zero elsewhere, bit for bit, before and after the stack is rebuilt
     plan = build_plan(JacobiParams(alpha, beta), n)
     gen = np.random.default_rng(9)
     x = gen.standard_normal(n)
@@ -466,7 +449,7 @@ def test_schedule_rounds_match_their_own_zero_filled_windows(alpha, beta, n, d, 
     oracle = RecordingOracle(x)
     schedule = schedule_of(plan, oracle, z, d)
     rounds = [schedule.round(i, s, gen) for i in range(5)]
-    # one table build per round that requested entries, none for the others
+    # one stack build per round that requested entries, none for the others
     want = pass_requests([window_reads(js, d, n) for js, _ in rounds], n)
     assert len(oracle.calls) == len(builds) == len(want)
     assert builds == [d] * len(want)
@@ -516,6 +499,78 @@ def test_query_many_reads_through_the_pass_memo(peel_plan, batch_filters, rng):
             assert len(oracle.calls) == calls, i
     assert len(oracle.calls) == 2  # the last case reaches past the sampled windows
     assert oracle.count == read.size
+
+
+def counted_plan(n=256):
+    """A fresh Legendre plan whose ``moments`` calls are recorded by degree."""
+    plan = build_plan(JacobiParams(0.0, 0.0), n)
+    builds = []
+
+    def counted(y, deg):
+        builds.append(deg)
+        return type(plan).moments(plan, y, deg)
+
+    plan.moments = counted
+    return plan, builds
+
+
+def test_query_many_builds_no_stack_while_the_memo_has_not_grown(batch_filters, rng):
+    # one-shot queries take their rows from the bank's moment stack; it is
+    # rebuilt, at the bank's degree, only after a query reads new entries
+    plan, builds = counted_plan()
+    narrow, wide = batch_filters
+    x = rng.standard_normal(plan.n)
+    zhat = SparseApprox({40: 0.6, 200: -0.3})
+    oracle = RecordingOracle(x)
+    access = SimulatedAccess(schedule_of(plan, oracle, zhat.image(plan), wide.degree),
+                             narrow)
+    js, _ = access.sample(2, rng)
+    assert builds == [wide.degree]
+    far = np.unique(np.concatenate([js, rng.integers(0, plan.n, size=3)]))
+    for q, grows in ((js, False), (js[::-1], False), (np.repeat(js, 3), False),
+                     (far, True), (far, False), (js, False)):
+        fresh = standalone(plan, QueryOracle(x), zhat, narrow).query_many(q)
+        calls, built = len(oracle.calls), len(builds)
+        got = access.query_many(q)
+        assert got.tobytes() == fresh.tobytes()
+        assert len(oracle.calls) == calls + grows
+        assert builds[built:] == [wide.degree] * grows
+
+
+def test_bank_round_is_gathered_once_and_serves_every_draw(peel_plan, batch_filters,
+                                                           rng, monkeypatch):
+    # round i's rows are gathered when the first draw asks for it; every
+    # later draw of the bank gets the same positions and the same bytes
+    plan, n, s = peel_plan, peel_plan.n, 40
+    narrow, wide = batch_filters
+    schedule = schedule_of(plan, QueryOracle(rng.standard_normal(n)),
+                           SparseApprox({77: 1.1}).image(plan), wide.degree)
+    gathers, served = [], []
+    moments, round_ = schedule.moments, schedule.round
+
+    def counted_moments(js, d):
+        gathers.append(d)
+        return moments(js, d)
+
+    def spied_round(i, s, rng):
+        got = round_(i, s, rng)
+        served.append((i, got))
+        return got
+
+    monkeypatch.setattr(schedule, "moments", counted_moments)
+    monkeypatch.setattr(schedule, "round", spied_round)
+    gen = np.random.default_rng(4)
+    for filt in (narrow, wide, narrow):
+        access = SimulatedAccess(schedule, filt)
+        for _ in range(3):
+            access.sample(s, gen)
+    assert gathers == [wide.degree] * 3
+    for i in range(3):
+        (js, mom), *rest = [got for j, got in served if j == i]
+        assert len(rest) == 2
+        for again_js, again in rest:
+            assert again_js.tobytes() == js.tobytes()
+            assert again.tobytes() == mom.tobytes()
 
 
 def test_verify_reads_fresh_windows_at_the_draws_own_width(legendre_plan_2048,
