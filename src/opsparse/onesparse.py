@@ -21,7 +21,6 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import plan as plan_mod
-from .jacobi import log_norm_factor
 from .numtheory import bad_intervals
 
 __all__ = [
@@ -205,25 +204,15 @@ def prune_non_spread(plan, oracle, delta0: float, mu: float, eps: float, rng, *,
     return _prune_over(plan, oracle, cand, mu, eps, rng, floor)
 
 
-def _side_weight(params, j: np.ndarray) -> np.ndarray:
-    """sqrt(h_j * j) in log space; exactly zero at j = 0."""
-    j = np.asarray(j, dtype=np.float64)
-    out = np.zeros_like(j)
-    pos = j > 0
-    if np.any(pos):
-        jp = j[pos]
-        out[pos] = np.exp(0.5 * (log_norm_factor(params, jp) + np.log(jp)))
-    return out
-
-
 def query_cos(plan, oracle, w: int, nprime: int, rounds: int, rng,
               eps: float) -> float:
     """Median ratio estimate of cos(w * theta_ell) from 3 samples per round,
     all rounds' samples read in one ``query_many`` request.
 
     Uses the three-term identity cos(A+B) + cos(A-B) = 2 cos A cos B on the
-    oscillatory bulk of the coefficient sequence; the denominator sample is
-    clamped away from zero, so the output is always finite.
+    oscillatory bulk of the coefficient sequence, weighted by the plan's
+    ``side_weights``; the denominator sample is clamped away from zero, so
+    the output is always finite.
     """
     if w == 0:
         return 1.0
@@ -239,10 +228,9 @@ def query_cos(plan, oracle, w: int, nprime: int, rounds: int, rng,
         np.concatenate([deltas, deltas + w, deltas - w])).reshape(3, rounds)
     floor = eps / n**1.5
     denom = np.where(mid < 0, -1.0, 1.0) * np.maximum(np.abs(mid), floor)
-    params = plan.params
-    num = (_side_weight(params, deltas + w) * upper
-           + _side_weight(params, deltas - w) * lower)
-    vals = num / (2.0 * _side_weight(params, deltas) * denom)
+    side = plan.side_weights()
+    num = side[deltas + w] * upper + side[deltas - w] * lower
+    vals = num / (2.0 * side[deltas] * denom)
     return float(np.median(vals))
 
 
@@ -323,8 +311,9 @@ def solve_one_sparse(plan, oracle, eps: float, mu: float, rng, *,
     (0, pi) and 0, restrict nothing.
 
     Raises RecoveryError when every stage fails or the floor is not met (the
-    k-sparse peeler treats both as a miss and moves on), and ValueError
-    unless eps and mu lie in (0, 1), lo <= hi and floor is finite and >= 0.
+    k-sparse peeler treats both as a miss and moves on), and ValueError,
+    before any read, unless eps and mu lie in (0, 1), lo <= hi, floor is
+    finite and >= 0 and an ``oracle`` that has a length holds N entries.
     """
     for name, value in (("eps", eps), ("mu", mu)):
         if not 0.0 < value < 1.0:
@@ -335,6 +324,8 @@ def solve_one_sparse(plan, oracle, eps: float, mu: float, rng, *,
     if not (math.isfinite(floor) and floor >= 0.0):
         raise ValueError(f"floor must be finite and >= 0, got {floor!r}")
     n = plan.n
+    if hasattr(oracle, "__len__") and len(oracle) != n:
+        raise ValueError(f"oracle holds {len(oracle)} entries, the plan N = {n}")
     nu = _NU
     root_eps = math.sqrt(eps)
     d0 = root_eps / _D0_DIV

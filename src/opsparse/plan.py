@@ -29,6 +29,7 @@ from .jacobi import (
     compute_roots,
     compute_weights,
     jacobi_matrix,
+    log_norm_factor,
     orthonormal_coeffs,
     root_cosines,
 )
@@ -91,6 +92,7 @@ class TransformPlan:
         self._coeffs = orthonormal_coeffs(self.params, self.n - 1)
         self._dense = None
         self._jacobi = None
+        self._side = None
 
     def __getstate__(self):
         # the caches are derived data; workers rebuild what they use
@@ -129,6 +131,18 @@ class TransformPlan:
             return self._dense[ell]
         table = _kernels.recurrence_table(*self._coeffs, self.lam[ell : ell + 1])
         return self.sqw[ell] * table[0]
+
+    def side_weights(self) -> np.ndarray:
+        """sqrt(h_j * j) for j = 0..N-1, h_j the squared norm of the
+        classical P_j: exactly zero at j = 0.  ``query_cos``'s ratio
+        weights, derived on first use, cached and read-only."""
+        if self._side is None:
+            j = np.arange(1, self.n, dtype=np.float64)
+            side = np.zeros(self.n)
+            side[1:] = np.exp(0.5 * (log_norm_factor(self.params, j) + np.log(j)))
+            side.flags.writeable = False
+            self._side = side
+        return self._side
 
     # -- transforms ---------------------------------------------------------
 

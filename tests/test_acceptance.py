@@ -18,6 +18,7 @@ from test_boxcar import grid_check
 from opsparse import (
     JacobiParams,
     QueryOracle,
+    RawReads,
     RecoveryError,
     ReductionConfig,
     ResidualReads,
@@ -175,8 +176,8 @@ def test_criterion_5_filtered_query_equivalence():
                     np.zeros(64))
         expected = float((dense_filter @ (y - zvals))[j])
         oracle = QueryOracle(y)
-        schedule = SampleSchedule(plan, ResidualReads(oracle, zhat.image(plan)),
-                                  filt.degree)
+        reads = ResidualReads(RawReads(oracle), zhat.image(plan))
+        schedule = SampleSchedule(plan, reads, filt.degree)
         got = SimulatedAccess(schedule, filt).query_many(np.array([j]))[0]
         worst = max(worst, abs(got - expected))
         if oracle.count > 2 * filt.degree + 1:

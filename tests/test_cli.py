@@ -414,7 +414,7 @@ def test_recover_csv_is_seed_deterministic(tmp_path, capsys, monkeypatch):
 
 def test_readme_default_gamma_trial_row_is_pinned(capsys, monkeypatch):
     # README's default-gamma trial: support, values and error are fixed by
-    # the seed; the reads are one pass memo per peeling pass plus verify's
+    # the seed; the reads are the solver's memo and verify's, N entries each
     monkeypatch.setenv("OPSPARSE_THREADS", "1")
     code, stdout, _ = run_cli(capsys, "recover", "--alpha", "0", "--beta", "0",
                               "--n", "2048", "--k", "2", "--delta", "0.05",
@@ -423,7 +423,7 @@ def test_readme_default_gamma_trial_row_is_pinned(capsys, monkeypatch):
     assert stdout.splitlines() == [
         "trial,support,values,rec_support,rec_values,rel_l2_error,queries,success",
         "0,625;1634,-1.387026676144845;1.8032377150253531,625;1634,"
-        "-1.3699086128826292;1.8044092871172397,0.007542109838496894,6144,1",
+        "-1.3699086128826292;1.8044092871172397,0.007542109838496894,4096,1",
     ]
 
 

@@ -23,6 +23,7 @@ from opsparse import ksparse, onesparse
 from opsparse.boxcar import BoxcarFilter
 from opsparse.ksparse import (
     ENERGY_TAU,
+    RawReads,
     ResidualReads,
     SampleSchedule,
     _verify_samples,
@@ -50,7 +51,12 @@ def standalone(plan, oracle, zhat, filt):
 
 def schedule_of(plan, oracle, z, degree):
     """A schedule reading x - z through a pass memo of its own."""
-    return SampleSchedule(plan, ResidualReads(oracle, z), degree)
+    return SampleSchedule(plan, ResidualReads(RawReads(oracle), z), degree)
+
+
+def memos(oracle):
+    """The solver's and verify's memos of raw x, fresh, as a trial starts."""
+    return RawReads(oracle), RawReads(oracle)
 
 
 def window_reads(js, d, n):
@@ -404,7 +410,7 @@ def test_residual_reads_match_the_repeated_scatter(peel_plan, rng):
         y = np.zeros(n)
         y[idx] = x[idx] - z[idx]
         oracle = RecordingOracle(x)
-        reads = ResidualReads(oracle, z)
+        reads = ResidualReads(RawReads(oracle), z)
         reads.read(js, d)
         assert len(oracle.calls) == (1 if js.size else 0), d
         assert reads.count == np.unique(idx).size, d
@@ -419,7 +425,7 @@ def test_residual_reads_refuse_an_oracle_of_another_size(peel_plan):
     # read, not peeled into an empty estimate
     oracle = QueryOracle(np.ones(512))
     with pytest.raises(ValueError, match="oracle holds 512 entries, the residual image 256"):
-        ResidualReads(oracle, np.zeros(256))
+        ResidualReads(RawReads(oracle), np.zeros(256))
     with pytest.raises(ValueError, match="oracle holds 512 entries"):
         recover(peel_plan, oracle, ReductionConfig(2, 0.05, 0.1, 1.0), seed=5)
     assert oracle.count == 0
@@ -610,7 +616,7 @@ def test_verify_reads_fresh_windows_at_the_draws_own_width(legendre_plan_2048,
     monkeypatch.setattr(ksparse, "build_boxcar", mixed_boxcar)
     monkeypatch.setattr(ksparse, "verify", spy)
     oracle = RecordingOracle(plan.row(100))
-    peeler(plan, oracle, SparseApprox(), cfg, stub, np.random.default_rng(4))
+    peeler(plan, *memos(oracle), SparseApprox(), cfg, stub, np.random.default_rng(4))
     assert len(checks) == 1 and set(degrees) == {43, 47}
     access, before, after, state, t1 = checks[0]
     assert t1 == 16 and access not in accesses
@@ -720,7 +726,7 @@ def test_peeler_reads_each_drawn_round_once_per_batch(peel_plan, monkeypatch):
         raise RecoveryError("stub")
 
     oracle = RecordingOracle(plan.row(100))
-    zhat, stop = peeler(plan, oracle, SparseApprox(), cfg, stub,
+    zhat, stop = peeler(plan, *memos(oracle), SparseApprox(), cfg, stub,
                         np.random.default_rng(8))
     m = bank_size(cfg)
     assert stop and len(drawn) == math.ceil(cfg.t0() / m) * m == len(degrees)
@@ -793,7 +799,7 @@ def test_peeler_commits_fresh_spike(peel_plan):
     cfg = ReductionConfig(1, 0.05, 0.1, 1.0)
     y = QueryOracle(1.3 * plan.row(100))
     rng = np.random.default_rng(3)
-    zhat, stop = peeler(plan, y, SparseApprox(), cfg, solve_one_sparse, rng)
+    zhat, stop = peeler(plan, *memos(y), SparseApprox(), cfg, solve_one_sparse, rng)
     assert not stop
     assert zhat.support() == [100]
     assert zhat.get(100) == pytest.approx(1.3, abs=0.2)
@@ -805,7 +811,7 @@ def test_peeler_stops_on_exhausted_residual(peel_plan):
     cfg = ReductionConfig(1, 0.05, 0.1, 1.0)
     y = QueryOracle(1.3 * plan.row(100))
     rng = np.random.default_rng(3)
-    zhat, stop = peeler(plan, y, SparseApprox({100: 1.3}), cfg,
+    zhat, stop = peeler(plan, *memos(y), SparseApprox({100: 1.3}), cfg,
                         solve_one_sparse, rng)
     assert stop
     assert zhat.support() == [100]
@@ -818,7 +824,8 @@ def test_peeler_degree_budget_guard(legendre_plan_256, monkeypatch):
     y = QueryOracle(np.zeros(256))
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="exceeds budget"):
-        peeler(legendre_plan_256, y, SparseApprox(), cfg, solve_one_sparse, rng)
+        peeler(legendre_plan_256, *memos(y), SparseApprox(), cfg, solve_one_sparse,
+               rng)
 
 
 # README's `recover` example: N=2048, k=2, sigma=1/(4k^2) and the gamma it implies
@@ -878,26 +885,27 @@ def test_recover_two_spikes(peel_plan):
 
 
 def record_readers(monkeypatch):
-    """Patch ksparse so every ResidualReads keeps its oracle's requests made
+    """Patch ksparse so every ResidualReads keeps the oracle requests made
     through it, each with whether verify was running; returns them all.
 
-    A pass's reader is the first on its image z; verify's fresh readers
-    share that image.
+    A pass's reader is the first on its image z; verify's readers share
+    that image.
     """
     readers = []
     in_verify = [False]
 
     class Reads(ResidualReads):
-        def __init__(self, oracle, z):
-            super().__init__(oracle, z)
+        def __init__(self, raw, z):
+            super().__init__(raw, z)
             self.calls, self.in_verify = [], []
             readers.append(self)
 
         def read(self, *args):
-            before = len(self.oracle.calls)
+            calls = self.raw.oracle.calls
+            before = len(calls)
             super().read(*args)
-            self.calls += self.oracle.calls[before:]
-            self.in_verify += [in_verify[0]] * (len(self.oracle.calls) - before)
+            self.calls += calls[before:]
+            self.in_verify += [in_verify[0]] * (len(calls) - before)
 
     def counted_verify(*args):
         in_verify[0] = True
@@ -919,37 +927,52 @@ def split_readers(readers):
     return passes, checks
 
 
+def trial_requests(readers, in_verify):
+    """Every request the readers made, in order, and the memo they share:
+    the solver's for the passes' readers, verify's for the checks'."""
+    (raw,) = {r.raw for r in readers}
+    calls = [c for r in readers for c in r.calls]
+    assert all(v == in_verify for r in readers for v in r.in_verify)
+    return np.concatenate(calls), raw
+
+
 def test_recover_trial_requests_no_entry_twice(peel_plan, monkeypatch):
     # every request of a whole trial is ascending with no repeated index, so
-    # none exceeds N entries; a pass's reader (the residual estimate, the
-    # sampling rounds and the solver's queries) requests no index twice and
-    # nothing while verify runs, while each verify gets a fresh reader on the
-    # pass's image and makes one request, for the windows of its own positions
+    # none exceeds N entries.  The passes' readers (the residual estimate, the
+    # sampling rounds and the solver's queries) share the solver's memo and,
+    # across the trial, request no index twice and nothing while verify runs;
+    # each verify gets a fresh reader on verify's memo and makes at most one
+    # request, the first exactly one, and across the trial they request no
+    # index twice either.  At roots 60 and 80 the first pass commits one
+    # spike, so the trial makes two passes
     plan, n = peel_plan, peel_plan.n
     cfg = ReductionConfig.calibrated(2, 0.05, 0.1, 1.0)
-    readers = record_readers(monkeypatch)
-    oracle = RecordingOracle(plan.row(60) - 0.8 * plan.row(200))
-    zhat = recover(plan, oracle, cfg, seed=11)
-    assert zhat.support() == [60, 200]
-    passes, checks = split_readers(readers)
-    assert passes and checks
-    for c in oracle.calls:
-        assert 0 < c.size <= n
-        assert np.all(np.diff(c) > 0)
-    for r in passes:
-        assert r.calls and not any(r.in_verify)
-        read = np.concatenate(r.calls)
-        assert np.unique(read).size == read.size == r.count
-    for r in checks:
-        assert len(r.calls) == 1 and all(r.in_verify)
-    assert sum(len(r.calls) for r in readers) == len(oracle.calls)
-    assert oracle.count == sum(c.size for c in oracle.calls)
+    for second, passes_made in ((200, 1), (80, 2)):
+        readers = record_readers(monkeypatch)
+        oracle = RecordingOracle(plan.row(60) - 0.8 * plan.row(second))
+        zhat = recover(plan, oracle, cfg, seed=11)
+        assert zhat.support() == [60, second]
+        passes, checks = split_readers(readers)
+        assert len(passes) == passes_made and len(checks) > 1
+        for c in oracle.calls:
+            assert 0 < c.size <= n
+            assert np.all(np.diff(c) > 0)
+        assert passes[0].calls and len(checks[0].calls) == 1
+        assert all(len(r.calls) <= 1 for r in checks)
+        solver, reads = trial_requests(passes, False)
+        checked, checks_raw = trial_requests(checks, True)
+        assert reads is not checks_raw
+        for read, raw in ((solver, reads), (checked, checks_raw)):
+            assert np.unique(read).size == read.size == raw.count <= n
+        assert sum(len(r.calls) for r in readers) == len(oracle.calls)
+        assert oracle.count == sum(c.size for c in oracle.calls)
 
 
 def test_arccos_queries_read_through_the_pass_memo(legendre_plan_2048, monkeypatch):
     # with delta_0 = sqrt(eps) / 50 the near-zero window on Legendre N = 2048
     # is 1.30 rad, so k-sparse draws go on to the angle search; its cosine
-    # queries read through the pass's reader, which requests no index twice
+    # queries read through the pass's reader, on the solver's memo, which
+    # requests no index twice across the trial
     monkeypatch.setattr(onesparse, "_D0_DIV", 50.0)
     cos_calls = []
     real = onesparse.query_cos
@@ -965,13 +988,57 @@ def test_arccos_queries_read_through_the_pass_memo(legendre_plan_2048, monkeypat
     oracle = RecordingOracle(1.3 * plan.row(300) - 0.8 * plan.row(1500))
     zhat = recover(plan, oracle, cfg, seed=1)
     assert cos_calls
-    passes, _ = split_readers(readers)
-    for r in passes:
-        assert not any(r.in_verify)
-        read = np.concatenate(r.calls)
-        assert np.unique(read).size == read.size == r.count
+    passes, checks = split_readers(readers)
+    for group, in_verify in ((passes, False), (checks, True)):
+        read, raw = trial_requests(group, in_verify)
+        assert np.unique(read).size == read.size == raw.count <= plan.n
     assert sum(len(r.calls) for r in readers) == len(oracle.calls)
     assert zhat.support() == [300, 1500]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solver_and_verify_reads_equal_their_distinct_entries(legendre_plan_2048,
+                                                              monkeypatch, seed):
+    # the benchmark's k-sparse trials, clean and noisy, split by caller as
+    # the benchmark splits them: the requests made while verify runs and all
+    # the others each read every entry at most once, and together they are
+    # every entry the oracle counted
+    plan, n = legendre_plan_2048, legendre_plan_2048.n
+    cfg = ReductionConfig(2, 0.05, 0.1, 1.0)
+    in_verify = [False]
+    flags = []
+
+    def flagged_verify(*args):
+        in_verify[0] = True
+        try:
+            return verify(*args)
+        finally:
+            in_verify[0] = False
+
+    class FlaggedOracle(RecordingOracle):
+        def query_many(self, idx):
+            flags.append(in_verify[0])
+            return super().query_many(idx)
+
+    monkeypatch.setattr(ksparse, "verify", flagged_verify)
+    gen = np.random.default_rng(seed)
+    truth = {300 + 17 * seed: 1.2, 1500 - 23 * seed: -0.9}
+    spectrum = SparseApprox(truth).to_dense(n)
+    if seed % 2:
+        w = gen.standard_normal(n)
+        spectrum += w * (cfg.delta / (2.0 * cfg.c_big) * 0.9 / np.linalg.norm(w))
+    oracle = FlaggedOracle(plan.inverse(spectrum))
+    zhat = recover(plan, oracle, cfg, rng=gen)
+    assert zhat.support() == sorted(truth)
+    split = {flag: [c for c, f in zip(oracle.calls, flags) if f == flag]
+             for flag in (False, True)}
+    counts = []
+    for calls in split.values():
+        assert calls
+        read = np.concatenate(calls)
+        assert np.unique(read).size == read.size <= n
+        counts.append(read.size)
+    assert sum(counts) == oracle.count
 
 
 def test_recover_zero_signal_returns_empty(peel_plan):
@@ -1057,7 +1124,8 @@ def test_peeler_counts_the_residual_estimate_and_passes_band_and_floor(peel_plan
         raise RecoveryError("stub reads nothing")
 
     oracle = QueryOracle(y)
-    zhat, stop = peeler(plan, oracle, SparseApprox(), cfg, miss, np.random.default_rng(8))
+    zhat, stop = peeler(plan, *memos(oracle), SparseApprox(), cfg, miss,
+                        np.random.default_rng(8))
     assert stop and len(zhat) == 0
     # one residual estimate, each of its distinct positions read once
     s = _sample_size(plan, 6.0 * cfg.eps())
@@ -1090,8 +1158,8 @@ def test_peeler_drives_a_stub_solver_with_the_new_keywords(peel_plan):
             raise RecoveryError("spike outside the window")
         return OneSparseResult(spike, value)
 
-    zhat, stop = peeler(plan, QueryOracle(value * plan.row(spike)), SparseApprox(),
-                        cfg, oracle_solver, np.random.default_rng(3))
+    zhat, stop = peeler(plan, *memos(QueryOracle(value * plan.row(spike))),
+                        SparseApprox(), cfg, oracle_solver, np.random.default_rng(3))
     assert not stop
     assert dict(zhat.items()) == {spike: value}
 
@@ -1119,7 +1187,7 @@ def test_every_bank_tiles_the_angle_range_ends_included(legendre_plan_2048, gamm
             windows.append(window)
             raise RecoveryError("stub records the window")
 
-        zhat, stop = peeler(plan, oracle, SparseApprox(), cfg, miss,
+        zhat, stop = peeler(plan, *memos(oracle), SparseApprox(), cfg, miss,
                             np.random.default_rng(seed))
         assert stop and len(windows) == math.ceil(cfg.t0() / m) * m
         for start in range(0, len(windows), m):
@@ -1152,7 +1220,7 @@ def test_draws_reporting_one_index_keep_the_largest_value(peel_plan, monkeypatch
         return OneSparseResult(spike, hits[-1])
 
     monkeypatch.setattr(ksparse, "verify", lambda *args: True)
-    zhat, stop = peeler(plan, QueryOracle(plan.row(spike)), SparseApprox(), cfg,
+    zhat, stop = peeler(plan, *memos(QueryOracle(plan.row(spike))), SparseApprox(), cfg,
                         solver, np.random.default_rng(1))
     assert not stop
     assert 2 <= len(hits) <= len(values)

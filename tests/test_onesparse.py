@@ -14,6 +14,7 @@ from opsparse import JacobiParams, build_plan, onesparse
 from opsparse.boxcar import build_boxcar
 from opsparse.ksparse import (
     QueryOracle,
+    RawReads,
     ResidualReads,
     SampleSchedule,
     SimulatedAccess,
@@ -254,7 +255,8 @@ def test_query_cos_reads_once_and_matches_three_requests(legendre_plan_256):
 
     def accesses():
         yield QueryOracle(x)
-        schedule = SampleSchedule(plan, ResidualReads(QueryOracle(x), np.zeros(plan.n)),
+        schedule = SampleSchedule(plan, ResidualReads(RawReads(QueryOracle(x)),
+                                                       np.zeros(plan.n)),
                                   filt.degree)
         yield SimulatedAccess(schedule, filt)
 
@@ -524,6 +526,29 @@ def test_solver_rejects_bad_window_and_floor(legendre_plan_256, rng):
                    {"floor": -0.1}, {"floor": float("inf")}, {"floor": float("nan")}):
         with pytest.raises(ValueError, match="window|floor"):
             solve_one_sparse(legendre_plan_256, oracle, 0.01, 0.05, rng, **kwargs)
+    assert oracle.count == 0
+
+
+def test_solver_refuses_an_oracle_of_another_size(legendre_plan_256):
+    # a spike at 100 on N = 256, read through 128 or 512 entries, is refused
+    # before any read: not found at a wrong index, nor a numpy shape error
+    plan = legendre_plan_256
+    y = spike_signal(plan, 100, 1.0)
+    for size in (128, 512):
+        oracle = QueryOracle(np.resize(y, size))
+        with pytest.raises(ValueError,
+                           match=f"oracle holds {size} entries, the plan N = 256"):
+            solve_one_sparse(plan, oracle, 0.01, 0.05, np.random.default_rng(0))
+        assert oracle.count == 0
+    # a filtered access has a length too: its plan's N
+    other = build_plan(JacobiParams(0.0, 0.0), 128)
+    filt = build_boxcar(1.2, 0.5, 0.05)
+    oracle = QueryOracle(np.resize(y, 128))
+    schedule = SampleSchedule(other, ResidualReads(RawReads(oracle), np.zeros(128)),
+                              filt.degree)
+    with pytest.raises(ValueError, match="oracle holds 128 entries, the plan N = 256"):
+        solve_one_sparse(plan, SimulatedAccess(schedule, filt), 0.01, 0.05,
+                         np.random.default_rng(0))
     assert oracle.count == 0
 
 

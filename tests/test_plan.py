@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebval
 
 from opsparse import JacobiParams, build_plan, load_plan, save_plan
-from opsparse.jacobi import jacobi_matrix, orthonormal_table
+from opsparse.jacobi import jacobi_matrix, log_norm_factor, orthonormal_table
 from opsparse.plan import (
     PlanChecksumError,
     PlanFormatError,
@@ -527,3 +527,33 @@ def test_pickle_roundtrip(small_plan, rng):
     # the derived caches (dense F, the Jacobi matrix) do not travel
     bare = build_plan(JacobiParams(0.5, -0.25), 32)
     assert len(pickle.dumps(small_plan)) == len(pickle.dumps(bare))
+
+
+def per_call_side_weight(params, j):
+    """sqrt(h_j * j) in log space, exactly zero at j = 0, as query_cos
+    computed it for each call's indices: the reference for the plan's cache."""
+    j = np.asarray(j, dtype=np.float64)
+    out = np.zeros_like(j)
+    pos = j > 0
+    if np.any(pos):
+        jp = j[pos]
+        out[pos] = np.exp(0.5 * (log_norm_factor(params, jp) + np.log(jp)))
+    return out
+
+
+@pytest.mark.parametrize("n", [64, 1001])
+@pytest.mark.parametrize("alpha, beta", PARAM_GRID)
+def test_side_weights_match_the_per_call_weights(alpha, beta, n):
+    # bit for bit over the whole range and gathered at index sets of
+    # query_cos's sizes; cached, read-only and not pickled
+    plan = build_plan(JacobiParams(alpha, beta), n)
+    bare = len(pickle.dumps(plan))
+    side = plan.side_weights()
+    assert side.shape == (n,) and side[0] == 0.0 and not side.flags.writeable
+    assert plan.side_weights() is side
+    assert side.tobytes() == per_call_side_weight(plan.params, np.arange(n)).tobytes()
+    gen = np.random.default_rng(n)
+    for size in (1, 5, 41, 3 * 41):
+        js = gen.integers(0, n, size=size)
+        assert side[js].tobytes() == per_call_side_weight(plan.params, js).tobytes()
+    assert len(pickle.dumps(plan)) == bare
