@@ -15,14 +15,18 @@ A yielded p_j is overwritten while p_{j+2} is computed, so a consumer may
 hold the current and the previous value, no more; every kernel below uses
 them in time, and ``recurrence_last``, which keeps the last two, relies on
 that.  ``value_and_slope`` and ``refine_roots``, the Newton step that finds
-the plan's roots, are built on it.
+the plan's roots, are built on it.  ``sumsq_maxabs`` is the plan's last
+set-up sweep: over its roots and the ends +-1 it gives the weights' sums
+and the root gate's p_{n-1} and p_n together.
 ``recurrence_table`` is point-major, the layout of the transform matrix F.
 It fills the table in blocks of ``_TABLE_BLOCK`` degrees: the sweep's values
 go, one contiguous row per degree, into a small degree-major buffer, and each
 full block (and the short last one) goes into the table's columns in one
 strided copy, which writes a block's degrees of a point side by side.  A
 per-degree column write touches one cache line per point for every degree
-instead.  Copies change no bit.
+instead.  Copies change no bit.  A per-point scale, F's sqrt(w), is applied
+as each degree goes into the buffer, with the bits of scaling the finished
+table.
 
 Parity fold.  When every b[j] is 0 (alpha = beta) the family has
 p_j(-x) = (-1)^j p_j(x) (Szego, Orthogonal Polynomials, 4.1), and it holds
@@ -55,6 +59,7 @@ __all__ = [
     "recurrence_table",
     "recurrence_last",
     "value_and_slope",
+    "theta_slope",
     "sumsq_maxabs",
     "apply_forward",
     "apply_adjoint",
@@ -131,18 +136,27 @@ class _Fold:
         tail[:, 1::2] *= -1.0
 
 
-def recurrence_table(p0, a, b, c, x):
+def recurrence_table(p0, a, b, c, x, scale=None):
     """Table of p_j(x_i), shape (len(x), jmax+1): row i is one point, column
     j one degree, filled ``_TABLE_BLOCK`` degrees at a time; under the fold
-    the mirror rows are filled from the swept ones in place."""
+    the mirror rows are filled from the swept ones in place.  With ``scale``
+    row i is scale[i] p_j(x_i), multiplied as each degree goes into the
+    block buffer; under the fold the mirror rows copy scaled rows, so scale
+    must be its own mirror, scale[n-1-l] = scale[l] bit for bit, as a plan's
+    sqrt(w) is."""
     fold = _Fold(b, x)
     m = fold.u.shape[0]
     ncol = a.shape[0]
     out = np.empty((fold.n, ncol))
     buf = np.empty((min(_TABLE_BLOCK, ncol), m))
+    if scale is not None:
+        scale = np.asarray(scale, dtype=np.float64)[:m]
     for j, p in enumerate(_sweep(p0, a, b, c, fold.u)):
         k = j % _TABLE_BLOCK
-        buf[k] = p
+        if scale is None:
+            buf[k] = p
+        else:
+            np.multiply(p, scale, out=buf[k])
         if k == _TABLE_BLOCK - 1 or j == ncol - 1:
             out[:m, j - k : j + 1] = buf[: k + 1].T
     fold.unfold_rows(out)
@@ -159,25 +173,39 @@ def recurrence_last(p0, a, b, c, x):
     return fold.unfold(prev, jmax - 1), fold.unfold(last, jmax)
 
 
+def theta_slope(u, kappa, n, x, theta, pm, pn):
+    """d/dtheta p_n at x = cos theta from p_{n-1} and p_n, by the identity
+    (1 - x^2) p_n'(x) = (u - n x) p_n(x) + kappa p_{n-1}(x)."""
+    return -((u - n * x) * pn + kappa * pm) / np.sin(theta)
+
+
 def value_and_slope(p0, a, b, c, u, kappa, theta):
-    """(p_n, d/dtheta p_n) at cos theta, n = jmax, from one sweep, by the
-    identity (1 - x^2) p_n'(x) = (u - n x) p_n(x) + kappa p_{n-1}(x)."""
+    """(p_n, d/dtheta p_n) at cos theta, n = jmax, from one sweep."""
     x = np.cos(theta)
     pm, pn = recurrence_last(p0, a, b, c, x)
-    return pn, -((u - (a.shape[0] - 1) * x) * pn + kappa * pm) / np.sin(theta)
+    return pn, theta_slope(u, kappa, a.shape[0] - 1, x, theta, pm, pn)
 
 
 def sumsq_maxabs(p0, a, b, c, x):
-    """(sum_j p_j(x)^2, max_j |p_j(x)|) accumulated over j = 0..jmax."""
+    """One sweep to degree jmax over the points x and the ends 1 and -1:
+    (sum_{j<jmax} p_j(x)^2, max_{j<jmax} |p_j(x)|, p_{jmax-1}(x), p_jmax(x),
+    p_jmax at (1, -1)).  The sums run degree by degree and leave the ends
+    out: p_j(1) grows like j^(alpha+1/2), and its square would overflow at
+    large alpha or beta.  The ends are swept after the points a fold keeps,
+    so under the fold they cost two points and the mirror none."""
     fold = _Fold(b, x)
-    sweep = _sweep(p0, a, b, c, fold.u)
-    p = next(sweep)
-    ss = p * p
-    mx = np.abs(p)
-    for p in sweep:
-        ss += p * p
-        np.maximum(mx, np.abs(p), out=mx)
-    return fold.unfold(ss, 0), fold.unfold(mx, 0)
+    jmax = a.shape[0] - 1
+    m = fold.u.shape[0]
+    ss, mx, tmp = np.zeros(m), np.zeros(m), np.empty(m)
+    prev = last = np.zeros(m + 2)
+    for j, p in enumerate(_sweep(p0, a, b, c, np.concatenate((fold.u, (1.0, -1.0))))):
+        if j < jmax:
+            q = p[:m]
+            ss += np.multiply(q, q, out=tmp)
+            np.maximum(mx, np.abs(q, out=tmp), out=mx)
+        prev, last = last, p
+    return (fold.unfold(ss, 0), fold.unfold(mx, 0), fold.unfold(prev[:m], jmax - 1),
+            fold.unfold(last[:m], jmax), last[m:])
 
 
 def apply_forward(p0, a, b, c, lam, sqw, x):

@@ -15,6 +15,12 @@ condition the kernels' parity fold tests, so every sweep over a plan's
 roots, and with it the weights, F, forward and inverse, runs over half of
 them.
 
+``gauss_rule`` is a plan's set-up: the Newton sweeps, then one final sweep
+over the roots and +-1 to degree N, from which the root residual gate
+(p_N and p_{N-1} at the roots, p_N(+-1)), the weights and the flatness
+constant U all follow.  ``compute_roots`` is its theta, and
+``compute_weights`` the weights at any given angles, by the same sweep.
+
 Measured range: the root residual gate passes up to N = 16384 at (0, -0.999),
 (-0.999, 0) and (-0.5, -0.5), but rejects (-0.99, -0.99) from N = 4096, and
 (-0.9, -0.9) and (-0.95, -0.5) at N = 16384: near theta_1 ~ 5e-5 the float64
@@ -45,11 +51,12 @@ __all__ = [
     "root_cosines",
     "compute_roots",
     "compute_weights",
+    "gauss_rule",
 ]
 
-# Largest root residual compute_roots accepts, relative to the per-root scale.
+# Largest root residual gauss_rule accepts, relative to the per-root scale.
 RESIDUAL_TOL = 1e-12
-# compute_roots' Newton schedule: _FULL_SWEEPS steps on every root, then up
+# gauss_rule's Newton schedule: _FULL_SWEEPS steps on every root, then up
 # to _EXTRA_SWEEPS more on the roots whose last step exceeded _STEP_TOL rad
 # (the extreme roots as alpha or beta nears -1 need 5-6 steps).
 _FULL_SWEEPS = 3
@@ -267,31 +274,50 @@ def root_cosines(params: JacobiParams, theta: np.ndarray) -> np.ndarray:
 
 
 def compute_roots(params: JacobiParams, n: int) -> np.ndarray:
-    """All n roots of the degree-n Jacobi polynomial as ascending angles.
+    """All n roots of the degree-n Jacobi polynomial as ascending angles: the
+    theta of ``gauss_rule``, with its gate and its errors."""
+    return gauss_rule(params, n)[0]
+
+
+def _weights(ss: np.ndarray, mx: np.ndarray):
+    """(w, U) from sum_{j<n} p_j^2 and max_{j<n} |p_j| at each root."""
+    w = 1.0 / ss
+    return w, float(np.max(np.sqrt(w) * mx))
+
+
+def gauss_rule(params: JacobiParams, n: int):
+    """(theta, w, U): the n Gauss-Jacobi root angles, ascending, their
+    weights and the flatness constant, from ``_FULL_SWEEPS`` to
+    ``_FULL_SWEEPS + _EXTRA_SWEEPS`` Newton sweeps and one final sweep.
 
     Newton's method in theta from ``_root_guess``: ``_FULL_SWEEPS`` steps of
     ``_kernels.refine_roots`` on every root, then up to ``_EXTRA_SWEEPS``
     more on the roots whose last step exceeded ``_STEP_TOL``.  Each step is
     one sweep of the orthonormal recurrence, O(n) per root.  At alpha = beta
-    the roots are symmetric about pi/2: Newton and the residual gate run on
-    the roots with theta < pi/2, theta_{n-1-l} = pi - theta_l, and a middle
-    root is pi/2.  Raises ValueError if the angles are not strictly
-    increasing inside (0, pi) or the residuals exceed ``RESIDUAL_TOL`` times
-    the per-root scale max(1, |p_n(1)|, |p_n(-1)|, |d/dtheta p_n|); the gate's
-    one sweep gives p_n and its slope at the roots and p_n(+-1) at theta = 0
-    and pi.  The gate bounds the residual of the polynomial with the float64
-    recurrence coefficients, not the distance to the exact root: the extreme
-    root next to an exponent near -1 can lie about 1e-11 rad off (1.4e-11 at
-    (alpha, beta) = (-0.999, 0), N = 4096, against a 50-digit root).
+    the roots are symmetric about pi/2: Newton runs on the roots with
+    theta < pi/2, theta_{n-1-l} = pi - theta_l, and a middle root is pi/2.
+    The final sweep, ``_kernels.sumsq_maxabs`` over
+    ``root_cosines(params, theta)`` and +-1 up to degree n, gives the
+    residual gate's p_n and p_{n-1} at the roots and p_n(+-1), and the
+    weights' sums over j < n; at alpha = beta it runs over the roots with
+    theta <= pi/2, and a middle root is evaluated at lambda = 0.  Raises
+    ValueError if the angles are not strictly increasing inside (0, pi) or
+    the residuals exceed ``RESIDUAL_TOL`` times the per-root scale
+    max(1, |p_n(1)|, |p_n(-1)|, |d/dtheta p_n|).  The gate bounds the
+    residual of the polynomial with the float64 recurrence coefficients, not
+    the distance to the exact root: the extreme root next to an exponent
+    near -1 can lie about 1e-11 rad off (1.4e-11 at (alpha, beta) =
+    (-0.999, 0), N = 4096, against a 50-digit root).  Weights and U are
+    those of ``compute_weights``, bit for bit.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    p0, a, b, c = orthonormal_coeffs(params, n)
+    coeffs = orthonormal_coeffs(params, n)
     u, kappa = _slope_coeffs(params, n)
     where = f"alpha={params.alpha}, beta={params.beta}, N={n}"
     symmetric = params.alpha == params.beta
 
-    newton = (p0, a, b, c, u, kappa, params.alpha, params.beta)
+    newton = (*coeffs, u, kappa, params.alpha, params.beta)
     theta = _root_guess(params, n)[: n // 2 if symmetric else n]
     for _ in range(_FULL_SWEEPS):
         prev, theta = theta, _kernels.refine_roots(*newton, theta)
@@ -306,34 +332,30 @@ def compute_roots(params: JacobiParams, n: int) -> np.ndarray:
         theta = np.concatenate((theta, [0.5 * math.pi] * (n % 2), math.pi - theta[::-1]))
     if np.any(np.diff(theta, prepend=0.0, append=math.pi) <= 0.0):
         raise ValueError(f"root angles are not strictly increasing inside (0, pi) at {where}")
-    gated = theta[: n - n // 2] if symmetric else theta
-    # the same sweep gives p_n(1) and p_n(-1) at theta = 0 and pi, where cos
-    # is exactly +-1; their slopes (a division by sin 0 at theta = 0) are dropped
-    with np.errstate(divide="ignore", invalid="ignore"):
-        resid, slope = _kernels.value_and_slope(p0, a, b, c, u, kappa,
-                                                np.append(gated, (0.0, math.pi)))
-    resid, ends, slope = resid[:-2], resid[-2:], slope[:-2]
+    lam = root_cosines(params, theta)
+    ss, mx, pm, resid, ends = _kernels.sumsq_maxabs(*coeffs, lam)
+    # at alpha = beta the gate reads the roots with theta <= pi/2; the rest
+    # are their mirrors
+    g = n - n // 2 if symmetric else n
+    slope = _kernels.theta_slope(u, kappa, n, lam[:g], theta[:g], pm[:g], resid[:g])
     # Scale per root: the endpoint magnitude or the local d/dtheta slope,
     # whichever is larger.  Near the edges the raw residual floor grows with
     # the recurrence length, but the backward error |p_N|/|p_N'| stays at
     # machine level.
     scale = np.maximum(max(1.0, float(np.max(np.abs(ends)))), np.abs(slope))
-    worst = float(np.max(np.abs(resid) / scale))
+    worst = float(np.max(np.abs(resid[:g]) / scale))
     if not worst <= RESIDUAL_TOL:  # NaN fails too
         raise ValueError(f"root residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e} at {where}")
-    return theta
+    return (theta, *_weights(ss, mx))
 
 
 def compute_weights(params: JacobiParams, theta: np.ndarray, n: int):
     """Gauss quadrature weights at ``root_cosines(params, theta)`` plus the
-    flatness constant.
+    flatness constant, for any ascending angles theta.
 
     w_l = 1 / sum_{j<n} p_j(lambda_l)^2; U = max_{l,j} sqrt(w_l)|p_j|.  At
     alpha = beta the sweep runs over half the roots and w_{n-1-l} = w_l.
     Returns (weights, U).
     """
-    p0, a, b, c = orthonormal_coeffs(params, n - 1)
-    ss, mx = _kernels.sumsq_maxabs(p0, a, b, c, root_cosines(params, theta))
-    w = 1.0 / ss
-    u = float(np.max(np.sqrt(w) * mx))
-    return w, u
+    ss, mx, *_ = _kernels.sumsq_maxabs(*orthonormal_coeffs(params, n), root_cosines(params, theta))
+    return _weights(ss, mx)

@@ -162,6 +162,14 @@ class ReductionConfig:
     eps = delta / c_big are class constants, tuned against the acceptance
     suite; C_D, which sets the filter-degree budget, against the boxcar
     degrees over a grid of (k, delta, gamma).
+
+    Two contracts hold the guarantee; neither is checked.  Separation: the
+    spikes lie at least ceil(sigma N) indices apart with sigma =
+    3 gamma / (2 pi), about 1.5 gamma rad for near-uniform roots; at
+    Legendre N = 2048 and gamma = 1, spikes 1 to 100 indices apart gave an
+    empty estimate in every trial.  Flatness: the sample counts scale with
+    U^2 N, which stays flat, and the promise sublinear, only where
+    min(alpha, beta) >= -1/2.
     """
 
     k: int
@@ -547,7 +555,12 @@ def recover(plan, oracle, cfg: ReductionConfig, one_sparse_solver=None,
     """Peel up to k spikes; stop once zhat holds k or a pass finds nothing.
 
     The trial reads x through two memos, the solver's and verify's, so it
-    requests each entry at most twice.
+    requests each entry at most twice.  It assumes what ``ReductionConfig``
+    states and checks neither: spikes at least ceil(sigma N) indices apart,
+    sigma = 3 gamma / (2 pi) (about 1.5 gamma rad), and min(alpha, beta)
+    >= -1/2 for reads that stay sublinear.  Closer spikes are lost
+    together: at Legendre N = 2048 and gamma = 1, spikes 1 to 100 indices
+    apart gave an empty estimate in every trial.
     """
     if one_sparse_solver is None:
         one_sparse_solver = solve_one_sparse

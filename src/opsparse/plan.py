@@ -28,6 +28,7 @@ from .jacobi import (
     JacobiParams,
     compute_roots,
     compute_weights,
+    gauss_rule,
     jacobi_matrix,
     log_norm_factor,
     orthonormal_coeffs,
@@ -44,6 +45,9 @@ __all__ = [
     "PlanVersionError",
     "PlanTruncatedError",
     "PlanChecksumError",
+    # set-up's layers under their old names; build_plan calls gauss_rule
+    "compute_roots",
+    "compute_weights",
 ]
 
 MAGIC = b"OPSP"
@@ -105,16 +109,17 @@ class TransformPlan:
     # -- dense access -------------------------------------------------------
 
     def matrix(self) -> np.ndarray:
-        """Dense F, the root-by-degree recurrence table times sqrt(w) in place;
-        cached and read-only.
+        """Dense F, the root-by-degree recurrence table with each root's row
+        scaled by sqrt(w) as it is filled; cached and read-only.
 
         One N x N buffer: at alpha = beta the sweep fills the left half's
-        rows and the mirror rows are copied from them, signed by parity.
-        ``row`` hands out views of it, so a write through any of them would
-        change every later correlation; numpy refuses it."""
+        rows and the mirror rows are copied from them, signed by parity,
+        which holds because w_{N-1-l} = w_l bit for bit (``load_plan``
+        refuses other weights).  ``row`` hands out views of it, so a write
+        through any of them would change every later correlation; numpy
+        refuses it."""
         if self._dense is None:
-            table = _kernels.recurrence_table(*self._coeffs, self.lam)
-            np.multiply(table, self.sqw[:, None], out=table)
+            table = _kernels.recurrence_table(*self._coeffs, self.lam, self.sqw)
             table.flags.writeable = False
             self._dense = table
         return self._dense
@@ -233,16 +238,15 @@ class TransformPlan:
 
 
 def build_plan(params: JacobiParams, n: int, degree: int = 0) -> TransformPlan:
-    """Compute roots, weights and flatness.  ``degree``, the highest filter
-    degree a caller means to use, is range-checked and fills nothing."""
+    """Roots, weights and flatness from ``gauss_rule``.  ``degree``, the
+    highest filter degree a caller means to use, is range-checked and fills
+    nothing."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= degree < n:
         # T_{n-1}(J) is already dense: a higher degree would add no band
         raise ValueError(f"moment degree must be in [0, n) = [0, {n}), got {degree}")
-    theta = compute_roots(params, n)
-    weights, u = compute_weights(params, theta, n)
-    return TransformPlan(params, n, theta, weights, u)
+    return TransformPlan(params, n, *gauss_rule(params, n))
 
 
 # ---------------------------------------------------------------------------
@@ -322,4 +326,8 @@ def load_plan(path) -> TransformPlan:
     if alpha == beta and not np.all(np.abs(theta + theta[::-1] - np.pi) <= _MIRROR_TOL):
         raise PlanFormatError(f"plan theta at alpha = beta must be symmetric about "
                               f"pi/2 within {_MIRROR_TOL:g}")
+    # matrix() copies the mirror rows of F from rows already scaled by sqrt(w)
+    if alpha == beta and not np.array_equal(weights, weights[::-1]):
+        raise PlanFormatError("plan weights at alpha = beta must be their own mirror "
+                              "bit for bit")
     return plan

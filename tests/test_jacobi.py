@@ -7,6 +7,7 @@ before being compared to the closed forms.
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from opsparse.jacobi import (
     orthonormal_table,
     recurrence_coeffs,
     root_cosines,
+    _FULL_SWEEPS,
     _norm_ratio_sq,
     _root_guess,
     _slope_coeffs,
@@ -360,19 +362,73 @@ def test_roots_residual_gate_runs(monkeypatch):
 
 @pytest.mark.parametrize("alpha, beta, n", [(0.0, 0.0, 64), (0.0, 0.0, 65), (1.5, -0.3, 64)])
 def test_root_gate_sweeps_the_endpoints_with_the_roots(alpha, beta, n, monkeypatch):
-    # p_n(+-1), the gate's endpoint scale, comes from the gate's own sweep
-    # over the roots: no recurrence sweeps the two endpoints alone
-    swept = []
-    last = _kernels.recurrence_last
+    # p_n(+-1), the gate's endpoint scale, comes from the final sweep over
+    # the roots, _kernels.sumsq_maxabs: no recurrence sweeps the two
+    # endpoints alone
+    swept, final_sweeps, in_final = [], [], [False]
+    sweep, final = _kernels._sweep, _kernels.sumsq_maxabs
 
-    def spy(p0, a, b, c, x):
+    def spy_sweep(p0, a, b, c, x):
         swept.append(np.array(x, dtype=np.float64))
-        return last(p0, a, b, c, x)
+        if in_final[0]:
+            final_sweeps.append(swept[-1])
+        return sweep(p0, a, b, c, x)
 
-    monkeypatch.setattr(_kernels, "recurrence_last", spy)
+    def spy_final(*args):
+        in_final[0] = True
+        try:
+            return final(*args)
+        finally:
+            in_final[0] = False
+
+    monkeypatch.setattr(_kernels, "_sweep", spy_sweep)
+    monkeypatch.setattr(_kernels, "sumsq_maxabs", spy_final)
     compute_roots(JacobiParams(alpha, beta), n)
     assert not any(np.all(np.abs(x) == 1.0) for x in swept)
-    assert any(x.size > 2 and 1.0 in x and -1.0 in x for x in swept)
+    assert any(x.size > 2 and 1.0 in x and -1.0 in x for x in final_sweeps)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.5, 0.5), (1.5, -0.3), (-0.999, 0.0),
+                                         (3.0, -0.99)])
+@pytest.mark.parametrize("n", [1, 2, 3, 65, 1024])
+def test_plan_rule_is_roots_plus_weights(alpha, beta, n):
+    # build_plan takes theta, w and U from one final sweep; compute_weights
+    # at its theta, a sweep of its own, gives the same bits
+    p = JacobiParams(alpha, beta)
+    plan = build_plan(p, n)
+    theta = compute_roots(p, n)
+    w, u = compute_weights(p, theta, n)
+    np.testing.assert_array_equal(plan.theta, theta)
+    np.testing.assert_array_equal(plan.weights, w)
+    assert plan.U == u
+
+
+def test_plan_set_up_sweeps(monkeypatch):
+    # Legendre N = 2048: every Newton step is one sweep of the N/2 roots
+    # with theta < pi/2, and one final sweep gives the gate and the weights
+    n = 2048
+    widths = []
+    sweep = _kernels._sweep
+
+    def spy(p0, a, b, c, x):
+        widths.append(len(x))
+        return sweep(p0, a, b, c, x)
+
+    monkeypatch.setattr(_kernels, "_sweep", spy)
+    build_plan(JacobiParams(0.0, 0.0), n)
+    assert sum(w >= n // 2 for w in widths) == _FULL_SWEEPS + 1
+
+
+def test_weights_of_large_exponents_raise_no_overflow():
+    # p_j(+-1) grows like j^(alpha+1/2): at alpha = 150, N = 1024 it reaches
+    # 2e172, whose square overflows, so the final sweep leaves the ends out
+    # of its sums
+    p = JacobiParams(150.0, 0.0)
+    theta = np.linspace(0.5, 2.5, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, u = compute_weights(p, theta, 1024)
+    assert np.all(np.isfinite(w) & (w > 0.0)) and math.isfinite(u)
 
 
 # sha256 prefixes of theta, weights and U as float64 bytes; they pin set-up

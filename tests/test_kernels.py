@@ -72,9 +72,15 @@ def test_fold_is_bit_exact(ab, rng):
                 prev, last = _kernels.recurrence_last(*coeffs, xs)
                 np.testing.assert_array_equal(prev, sweep[:, -2] * sign ** (jmax - 1))
                 np.testing.assert_array_equal(last, sweep[:, -1] * sign ** jmax)
-                ss, mx = _kernels.sumsq_maxabs(*coeffs, xs)
-                np.testing.assert_array_equal(ss, sumsq_unfolded(sweep))
-                np.testing.assert_array_equal(mx, np.abs(sweep).max(axis=1))
+                # the final set-up sweep: sums below jmax, the last two
+                # degrees, and p_jmax at the ends 1 and -1
+                ss, mx, pm, pn, ends = _kernels.sumsq_maxabs(*coeffs, xs)
+                np.testing.assert_array_equal(ss, sumsq_unfolded(sweep[:, :-1]))
+                np.testing.assert_array_equal(mx, np.abs(sweep[:, :-1]).max(axis=1))
+                np.testing.assert_array_equal(pm, prev)
+                np.testing.assert_array_equal(pn, last)
+                np.testing.assert_array_equal(
+                    ends, _kernels.recurrence_last(*coeffs, np.array([1.0, -1.0]))[1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 65, 2048])

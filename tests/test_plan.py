@@ -470,6 +470,21 @@ def test_load_checks_the_mirror(tmp_path):
     assert load_plan(path).n == 32
 
 
+def test_load_checks_the_weights_mirror(tmp_path):
+    """matrix() copies F's mirror rows from rows already scaled by sqrt(w),
+    so at alpha = beta weights one ulp off their mirror are refused."""
+    plan = build_plan(JacobiParams(0.5, 0.5), 33)
+    weights = plan.weights.copy()
+    weights[-4] = np.nextafter(weights[-4], np.inf)
+    payload = plan.theta.astype("<f8").tobytes() + weights.astype("<f8").tobytes()
+    path = tmp_path / "p.plan"
+    path.write_bytes(_plan_blob(0.5, 0.5, 33, payload, plan.U))
+    with pytest.raises(PlanFormatError, match="own mirror"):
+        load_plan(path)
+    path.write_bytes(_plan_blob(0.5, 0.25, 33, payload, plan.U))
+    assert load_plan(path).n == 33
+
+
 @pytest.mark.parametrize("alpha,beta", PARAM_GRID)
 @pytest.mark.parametrize("n", [1, 2, 257, 2048])
 def test_load_accepts_every_built_plan(tmp_path, alpha, beta, n):
