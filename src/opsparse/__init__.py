@@ -6,7 +6,6 @@ from .ksparse import (
     QueryOracle,
     RawReads,
     ReductionConfig,
-    ResidualReads,
     SampleSchedule,
     SimulatedAccess,
     SparseApprox,
@@ -30,7 +29,6 @@ __all__ = [
     "QueryOracle",
     "RawReads",
     "ReductionConfig",
-    "ResidualReads",
     "SampleSchedule",
     "SimulatedAccess",
     "SparseApprox",

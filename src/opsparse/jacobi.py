@@ -25,7 +25,10 @@ Measured range: the root residual gate passes up to N = 16384 at (0, -0.999),
 (-0.999, 0) and (-0.5, -0.5), but rejects (-0.99, -0.99) from N = 4096, and
 (-0.9, -0.9) and (-0.95, -0.5) at N = 16384: near theta_1 ~ 5e-5 the float64
 spacing of cos(theta) holds |p_n| to about 1e-12 of the slope.  A slow test
-pins this map.
+pins this map.  Large exponents: ``JacobiParams`` takes any alpha, beta > -1,
+but at N = 4, 64 and 1024 a plan builds at (15, 0), (0, 15) and (15, 15)
+and is refused at (16, 0) and (0, 16), its root angles not strictly
+increasing (from about alpha = 15.7 at N = 4 and 64).
 """
 
 from __future__ import annotations

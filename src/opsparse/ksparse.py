@@ -10,13 +10,13 @@ and those read y only within d of j.  The draws of one bank share their
 sample positions.  A trial reads each entry of x at most once for the
 solver and at most once for the sampled residual check: ``recover`` keeps
 one memo of raw x for each, and every read requests from the oracle only
-the entries of its windows that its memo has not read yet.  Each pass
-forms x - F^T zhat from the solver's memo; each bank keeps one (D+1) x N
-moment stack (D the bank's widest degree), rebuilt only after a read brings
-new entries, and each of its rounds keeps the stack's rows at its own
-positions.  Candidate spikes must land inside the filter pass band and
-survive the residual check; every one that does is committed to the
-running sparse estimate.
+the entries of its windows that its memo has not read yet.  A pass's
+residual is its memo minus the pass's image F^T zhat; each bank keeps one
+(D+1) x N moment stack of it (D the bank's widest degree), rebuilt only
+after a read brings new entries, and each of its rounds keeps the stack's
+rows at its own positions.  Candidate spikes must land inside the filter
+pass band and survive the residual check; every one that does is committed
+to the running sparse estimate.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "SparseApprox",
     "ReductionConfig",
     "RawReads",
-    "ResidualReads",
     "SampleSchedule",
     "SimulatedAccess",
     "verify",
@@ -234,23 +233,16 @@ class ReductionConfig:
         return math.ceil(self.C_D * math.log(1.0 / self.boxcar_eps()) / self.gamma)
 
 
-def _window_union(js: np.ndarray, d: int, n: int) -> np.ndarray:
-    """The union of the clipped windows max(0, j-d) .. min(N-1, j+d), j in
-    js, ascending and without repeats."""
-    # +1 where a window opens, -1 past where it closes: the running sum
-    # counts the windows covering each entry
-    edges = (np.bincount(np.maximum(js - d, 0), minlength=n + 1)
-             - np.bincount(np.minimum(js + d + 1, n), minlength=n + 1))
-    return np.flatnonzero(np.cumsum(edges[:n]))
-
-
 class RawReads:
     """A memo of raw x: each entry is requested from the oracle at most once.
 
     ``x`` holds every entry read so far and zero elsewhere, and ``count`` is
-    how many entries that is.  ``recover`` keeps two per trial: one serves
-    the solver (the residual estimate, every round and every one-shot query
-    of every pass), the other every ``verify`` call.  Verify has a memo of
+    how many entries that is.  ``read`` reads the windows around sample
+    positions, and ``residual(z)`` is a pass's residual x - z on the entries
+    read, so a pass keeps nothing of its own but its image z = F^T zhat.
+    ``recover`` keeps two memos per trial: one serves the solver (the
+    residual estimate, every round and every one-shot query of every pass),
+    the other every ``verify`` call.  Verify has a memo of
     its own for one reason only: the benchmark (opsbench) splits a trial's
     reads by caller and requires verify's to be more than none.  One memo
     would serve both, and a trial would read each entry at most once.
@@ -265,58 +257,24 @@ class RawReads:
     def __len__(self) -> int:
         return self.x.size
 
-    def read(self, idx: np.ndarray) -> np.ndarray:
-        """x at idx, ascending and distinct, as ``ResidualReads`` asks for it.
-
-        One oracle request for the entries of idx not read yet, none when
-        every one has been; a subset of idx is ascending and distinct too,
-        so nothing is sorted or deduplicated again.
-        """
-        new = idx[~self._seen[idx]]
+    def read(self, js: np.ndarray, d: int) -> None:
+        """Read the clipped windows max(0, j-d) .. min(N-1, j+d), j in js: one
+        oracle request for the entries of their union not read yet, ascending
+        and without repeats, none when every one has been."""
+        n = self.x.size
+        # +1 where a window opens, -1 past where it closes: the running sum
+        # counts the windows covering each entry
+        edges = (np.bincount(np.maximum(js - d, 0), minlength=n + 1)
+                 - np.bincount(np.minimum(js + d + 1, n), minlength=n + 1))
+        new = np.flatnonzero((np.cumsum(edges[:n]) != 0) & ~self._seen)
         if new.size:
             self.x[new] = self.oracle.query_many(new)
             self._seen[new] = True
             self.count += new.size
-        return self.x[idx]
 
-
-class ResidualReads:
-    """The residual x - z of one peeling pass, read through a memo of raw x.
-
-    ``z`` is the dense image F^T zhat of the running estimate.  ``y`` holds
-    x - z at every entry the pass has read and zero elsewhere, and ``count``
-    is how many entries that is.  ``read`` asks ``raw`` for the entries the
-    pass has not read, and ``raw`` requests from the oracle only those its
-    trial has not read.
-    """
-
-    def __init__(self, raw: RawReads, z: np.ndarray):
-        if len(raw) != z.size:
-            raise ValueError(f"oracle holds {len(raw)} entries, the residual "
-                             f"image {z.size}")
-        self.raw = raw
-        self.z = z
-        self.y = np.zeros(z.size)
-        self._seen = np.zeros(z.size, dtype=bool)
-        self.count = 0
-
-    def read(self, js: np.ndarray, d: int) -> None:
-        """Read the entries of the clipped windows max(0, j-d) .. min(N-1,
-        j+d), j in js, that the pass has not read: ascending and without
-        repeats, in one ``raw.read``, none when every one has been."""
-        idx = _window_union(js, d, self.y.size)
-        new = idx[~self._seen[idx]]
-        if new.size:
-            self.y[new] = self.raw.read(new) - self.z[new]
-            self._seen[new] = True
-            self.count += new.size
-
-    def sample(self, s: int, rng) -> tuple[np.ndarray, np.ndarray]:
-        """s uniform positions drawn from rng and the residual there; a
-        position drawn twice is read once."""
-        js = rng.integers(0, self.y.size, size=s)
-        self.read(js, 0)
-        return js, self.y[js]
+    def residual(self, z: np.ndarray) -> np.ndarray:
+        """x - z on the entries read so far, zero elsewhere."""
+        return np.where(self._seen, self.x - z, 0.0)
 
 
 class SampleSchedule:
@@ -328,44 +286,48 @@ class SampleSchedule:
     windows around them have radius ``degree`` (the largest filter degree in
     the bank) and are clipped at the ends.  ``moments`` makes every read of
     the schedule, for rounds and one-shot queries
-    (``SimulatedAccess.query_many``) alike: it reads, through ``residual``,
-    the entries of its window union that the pass has not read yet (the
-    oracle is asked only for those the trial's memo has not read), and
-    returns rows of one cached stack, ``plan.moments`` of y at ``degree``,
-    rebuilt only when the pass has read new entries since it was last
-    built.  A round keeps its rows from first use, so every draw
-    of the bank gets them without another gather.  Each draw's samples stay
-    uniform, so its own failure bound holds; the union bound over draws
-    needs no independence.
+    (``SimulatedAccess.query_many``) alike: it reads its window union through
+    the memo ``raw`` (the oracle is asked only for the entries the memo has
+    not read), and returns rows of one cached stack, ``plan.moments`` of
+    y = ``raw.residual(z)`` at ``degree``, rebuilt only when the memo has
+    read new entries since it was last built.  A round keeps its rows from
+    first use, so every draw of the bank gets them without another gather.
+    Each draw's samples stay uniform, so its own failure bound holds; the
+    union bound over draws needs no independence.
 
-    y is ``residual.y``: x - z on the entries read and zero elsewhere.  A
-    round's moments equal those of x - z on its own window union, zero
-    elsewhere, bit for bit, because a moment of degree r at j reads y only
-    within r of j (``plan.moments``).
+    y is x - z on every entry the memo has read, in this pass or an earlier
+    one, and zero elsewhere.  A round's moments equal those of x - z on its
+    own window union, zero elsewhere, bit for bit, because a moment of
+    degree r at j reads y only within r of j (``plan.moments``), and every
+    entry there has just been read.
     """
 
-    def __init__(self, plan, residual: ResidualReads, degree: int):
+    def __init__(self, plan, raw: RawReads, z: np.ndarray, degree: int):
+        if len(raw) != z.size:
+            raise ValueError(f"oracle holds {len(raw)} entries, the residual "
+                             f"image {z.size}")
         if degree >= plan.n:
             # a window that wide reads the whole signal for every sample
             raise ValueError(f"filter degree {degree} must be < N = {plan.n}")
         self.plan = plan
         self.degree = degree
-        self.residual = residual
+        self.raw = raw
+        self.z = z
         self._rounds: list[tuple[np.ndarray, np.ndarray]] = []
         self._stack: np.ndarray | None = None
-        self._stack_count = -1  # residual.count when the stack was built
+        self._stack_count = -1  # raw.count when the stack was built
 
     def moments(self, js: np.ndarray, d: int) -> np.ndarray:
         """The moments (T_r(J) y)_j, r <= d, one row per position j in js,
-        after reading the windows of js at radius d through ``residual``."""
+        after reading the windows of js at radius d through ``raw``."""
         if d > self.degree:
             raise ValueError(f"moment degree {d} exceeds the schedule's "
                              f"window degree {self.degree}")
-        self.residual.read(js, d)
-        if self._stack_count != self.residual.count:
+        self.raw.read(js, d)
+        if self._stack_count != self.raw.count:
             self._stack = None  # the old stack goes before the new one is built
-            self._stack = self.plan.moments(self.residual.y, self.degree)
-            self._stack_count = self.residual.count
+            self._stack = self.plan.moments(self.raw.residual(self.z), self.degree)
+            self._stack_count = self.raw.count
         return self._stack[:d + 1].T[js]
 
     def round(self, i: int, s: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -389,7 +351,7 @@ class SimulatedAccess:
     from ``schedule``, shared by the draws of one bank; a standalone access
     is a schedule of one, at the filter's own degree.  ``query_many`` takes
     the moments at its positions from ``schedule.moments`` at the filter's
-    degree, which reads their windows through the pass's reader: by their
+    degree, which reads their windows through the schedule's memo: by their
     locality, the same bits as a fresh read of those windows.
     """
 
@@ -476,13 +438,12 @@ def peeler(plan, reads: RawReads, checks: RawReads, zhat: SparseApprox,
     whole banks until one verifies a hit or t0 draws, rounded up to whole
     banks, are spent.
 
-    The dense image F^T zhat is built once per pass, with one
-    ``ResidualReads`` over x - F^T zhat on the solver's memo ``reads``: the
-    estimate of R, every sampling round and every solver query of the pass
-    read only entries the pass has not read, and the oracle is asked only
-    for those no earlier pass read.  Each ``verify`` call reads the windows
-    of its fresh positions at the draw's filter degree through a
-    ``ResidualReads`` of its own on ``checks``, the memo of every check of
+    The dense image z = F^T zhat is formed once per pass.  The estimate of
+    R, every sampling round and every solver query of the pass read x - z
+    through the solver's memo ``reads``, so the oracle is asked only for
+    entries no earlier read of the trial asked for.  Each ``verify`` call
+    reads the windows of its fresh positions at the draw's filter degree
+    through a schedule of its own on ``checks``, the memo of every check of
     the trial.  ``recover`` passes one of each per trial.
     """
     eps = cfg.eps()
@@ -494,9 +455,16 @@ def peeler(plan, reads: RawReads, checks: RawReads, zhat: SparseApprox,
     budget = cfg.degree_budget()
     solver_eps = 6.0 * eps
     for _ in range(cfg.t2()):
-        residual = ResidualReads(reads, zhat.image(plan))
+        z = zhat.image(plan)
+
+        def residual_at(s, rng) -> tuple[np.ndarray, np.ndarray]:
+            """s uniform positions and x - z there, read through the memo."""
+            js = rng.integers(0, plan.n, size=s)
+            reads.read(js, 0)
+            return js, reads.x[js] - z[js]
+
         # R = ||x - F^T zhat||, estimated from counted raw reads
-        r_hat = estimate_norm(plan, residual.sample, solver_eps, rng)
+        r_hat = estimate_norm(plan, residual_at, solver_eps, rng)
         floor = ENERGY_TAU * cfg.delta * r_hat / math.sqrt(cfg.k)
 
         def draw(band, filt, schedule) -> tuple[int, float] | None:
@@ -510,8 +478,7 @@ def peeler(plan, reads: RawReads, checks: RawReads, zhat: SparseApprox,
             h, v = got.index, got.value
             if not band[0] <= plan.theta[h] <= band[1]:
                 return None
-            own = SampleSchedule(plan, ResidualReads(checks, residual.z), filt.degree)
-            checker = SimulatedAccess(own, filt)
+            checker = SimulatedAccess(SampleSchedule(plan, checks, z, filt.degree), filt)
             if not verify(plan, checker, v, h, mu0 / 2.0, eps, rng, cfg.c_t1):
                 return None
             return h, v
@@ -530,8 +497,7 @@ def peeler(plan, reads: RawReads, checks: RawReads, zhat: SparseApprox,
                         f"boxcar degree {filt.degree} exceeds budget {budget} "
                         f"at gamma={cfg.gamma}, eps_box={box_eps:.3g}")
                 filters.append((band, filt))
-            schedule = SampleSchedule(plan, residual,
-                                      max(f.degree for _, f in filters))
+            schedule = SampleSchedule(plan, reads, z, max(f.degree for _, f in filters))
             for band, filt in filters:
                 got = draw(band, filt, schedule)
                 # bands overlap where centres are clipped at 0 or pi, so two
@@ -564,6 +530,8 @@ def recover(plan, oracle, cfg: ReductionConfig, one_sparse_solver=None,
     """
     if one_sparse_solver is None:
         one_sparse_solver = solve_one_sparse
+    if len(oracle) != plan.n:
+        raise ValueError(f"oracle holds {len(oracle)} entries, the plan N = {plan.n}")
     if rng is None:
         rng = np.random.default_rng(seed)
     reads, checks = RawReads(oracle), RawReads(oracle)

@@ -21,7 +21,6 @@ from opsparse import (
     RawReads,
     RecoveryError,
     ReductionConfig,
-    ResidualReads,
     SampleSchedule,
     SimulatedAccess,
     SparseApprox,
@@ -176,8 +175,7 @@ def test_criterion_5_filtered_query_equivalence():
                     np.zeros(64))
         expected = float((dense_filter @ (y - zvals))[j])
         oracle = QueryOracle(y)
-        reads = ResidualReads(RawReads(oracle), zhat.image(plan))
-        schedule = SampleSchedule(plan, reads, filt.degree)
+        schedule = SampleSchedule(plan, RawReads(oracle), zhat.image(plan), filt.degree)
         got = SimulatedAccess(schedule, filt).query_many(np.array([j]))[0]
         worst = max(worst, abs(got - expected))
         if oracle.count > 2 * filt.degree + 1:

@@ -431,6 +431,15 @@ def test_weights_of_large_exponents_raise_no_overflow():
     assert np.all(np.isfinite(w) & (w > 0.0)) and math.isfinite(u)
 
 
+def test_plans_build_up_to_exponent_15_and_not_at_16():
+    # JacobiParams takes any exponent above -1, but set-up has a ceiling:
+    # at N = 64 a plan builds at 15 and its root angles fail at 16
+    build_plan(JacobiParams(15.0, 0.0), 64)
+    for alpha, beta in ((16.0, 0.0), (0.0, 16.0)):
+        with pytest.raises(ValueError, match="root angles are not strictly increasing"):
+            build_plan(JacobiParams(alpha, beta), 64)
+
+
 # sha256 prefixes of theta, weights and U as float64 bytes; they pin set-up
 # bit for bit, as numpy's cos, tan and arccos compute on x86-64 (numpy 2.4)
 _PLAN_DIGESTS = [

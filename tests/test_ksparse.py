@@ -24,7 +24,6 @@ from opsparse.boxcar import BoxcarFilter
 from opsparse.ksparse import (
     ENERGY_TAU,
     RawReads,
-    ResidualReads,
     SampleSchedule,
     _verify_samples,
     peeler,
@@ -50,8 +49,8 @@ def standalone(plan, oracle, zhat, filt):
 
 
 def schedule_of(plan, oracle, z, degree):
-    """A schedule reading x - z through a pass memo of its own."""
-    return SampleSchedule(plan, ResidualReads(RawReads(oracle), z), degree)
+    """A schedule reading x - z through a memo of its own."""
+    return SampleSchedule(plan, RawReads(oracle), z, degree)
 
 
 def memos(oracle):
@@ -394,9 +393,9 @@ def test_sample_values_match_query_many(peel_plan, batch_filters, rng):
 
 
 def test_residual_reads_match_the_repeated_scatter(peel_plan, rng):
-    # read(js, d) fills y with the values the scatter of every window,
-    # repeats included, puts there, in one request for the union: y and its
-    # moments agree bit for bit
+    # read(js, d) reads the union of the windows in one request, and the
+    # memo's residual holds the values the scatter of every window, repeats
+    # included, puts there: y and its moments agree bit for bit
     plan, n = peel_plan, peel_plan.n
     x = rng.standard_normal(n)
     z = SparseApprox({40: 0.6, 200: -0.3}).image(plan)
@@ -410,13 +409,14 @@ def test_residual_reads_match_the_repeated_scatter(peel_plan, rng):
         y = np.zeros(n)
         y[idx] = x[idx] - z[idx]
         oracle = RecordingOracle(x)
-        reads = ResidualReads(RawReads(oracle), z)
+        reads = RawReads(oracle)
         reads.read(js, d)
         assert len(oracle.calls) == (1 if js.size else 0), d
         assert reads.count == np.unique(idx).size, d
-        assert reads.y.tobytes() == y.tobytes(), d
+        got_y = reads.residual(z)
+        assert got_y.tobytes() == y.tobytes(), d
         want = plan.moments(y, d)[:, js].T
-        got = plan.moments(reads.y, d)[:, js].T
+        got = plan.moments(got_y, d)[:, js].T
         assert got.tobytes() == want.tobytes(), d
 
 
@@ -425,26 +425,34 @@ def test_residual_reads_refuse_an_oracle_of_another_size(peel_plan):
     # read, not peeled into an empty estimate
     oracle = QueryOracle(np.ones(512))
     with pytest.raises(ValueError, match="oracle holds 512 entries, the residual image 256"):
-        ResidualReads(RawReads(oracle), np.zeros(256))
+        schedule_of(peel_plan, oracle, np.zeros(256), 5)
     with pytest.raises(ValueError, match="oracle holds 512 entries"):
         recover(peel_plan, oracle, ReductionConfig(2, 0.05, 0.1, 1.0), seed=5)
     assert oracle.count == 0
 
 
-@pytest.mark.parametrize("alpha, beta, n, d, s", [
-    (0.0, 0.0, 256, 47, 300),  # the first round reads every entry
-    (0.0, 0.0, 256, 5, 3),  # later rounds read new entries
-    (1.5, -0.3, 128, 9, 4),  # J has a nonzero diagonal
-], ids=["full", "partial", "alpha-ne-beta"])
+@pytest.mark.parametrize("alpha, beta, n, d, s, earlier", [
+    (0.0, 0.0, 256, 47, 300, 0),  # the first round reads every entry
+    (0.0, 0.0, 256, 5, 3, 0),  # later rounds read new entries
+    (1.5, -0.3, 128, 9, 4, 0),  # J has a nonzero diagonal
+    (1.5, -0.3, 128, 9, 4, 2),  # the memo holds an earlier pass's reads
+], ids=["full", "partial", "alpha-ne-beta", "read-earlier"])
 def test_schedule_rounds_match_their_own_zero_filled_windows(alpha, beta, n, d, s,
-                                                             monkeypatch):
-    # a round's moments come from the bank's stack over every entry the pass
-    # has read; they equal plan.moments on x - z over the round's own window
-    # union, zero elsewhere, bit for bit, before and after the stack is rebuilt
+                                                             earlier, monkeypatch):
+    # a round's moments come from the bank's stack over every entry the memo
+    # has read, in this pass or an earlier one against another image; they
+    # equal plan.moments on x - z over the round's own window union, zero
+    # elsewhere, bit for bit, before and after the stack is rebuilt
     plan = build_plan(JacobiParams(alpha, beta), n)
     gen = np.random.default_rng(9)
     x = gen.standard_normal(n)
     z = SparseApprox({7: 0.6, n // 2: -0.3}).image(plan)
+    oracle = RecordingOracle(x)
+    raw = RawReads(oracle)
+    before = SampleSchedule(plan, raw, SparseApprox({n // 3: 2.0}).image(plan), d)
+    done = [window_reads(before.round(i, 2, gen)[0], d, n) for i in range(earlier)]
+    primed = len(oracle.calls)
+    assert primed == len(pass_requests(done, n)) >= min(earlier, 1)
     builds = []
 
     def counted(y, deg):
@@ -452,21 +460,25 @@ def test_schedule_rounds_match_their_own_zero_filled_windows(alpha, beta, n, d, 
         return type(plan).moments(plan, y, deg)
 
     monkeypatch.setattr(plan, "moments", counted)
-    oracle = RecordingOracle(x)
-    schedule = schedule_of(plan, oracle, z, d)
+    schedule = SampleSchedule(plan, raw, z, d)
     rounds = [schedule.round(i, s, gen) for i in range(5)]
+    sets = [window_reads(js, d, n) for js, _ in rounds]
     # one stack build per round that requested entries, none for the others
-    want = pass_requests([window_reads(js, d, n) for js, _ in rounds], n)
-    assert len(oracle.calls) == len(builds) == len(want)
+    want = pass_requests(done + sets, n)[primed:]
+    assert len(oracle.calls) - primed == len(builds) == len(want)
     assert builds == [d] * len(want)
     if s == 300:
         assert len(want) == 1
     else:
         assert len(want) > 1
+    if earlier:
+        # the earlier reads reach outside each round's windows, and the first
+        # round reads new entries, so it builds the stack as a fresh memo would
+        assert all(np.setdiff1d(np.concatenate(done), idx).size for idx in sets)
+        assert np.setdiff1d(sets[0], np.concatenate(done)).size
     for i, (js, mom) in enumerate(rounds):
-        idx = window_reads(js, d, n)
         y = np.zeros(n)
-        y[idx] = x[idx] - z[idx]
+        y[sets[i]] = x[sets[i]] - z[sets[i]]
         expected = type(plan).moments(plan, y, d)[:, js].T
         assert mom.tobytes() == expected.tobytes(), i
         again_js, again = schedule.round(i, s, gen)
@@ -477,7 +489,7 @@ def test_schedule_rounds_match_their_own_zero_filled_windows(alpha, beta, n, d, 
 
 def test_query_many_reads_through_the_pass_memo(peel_plan, batch_filters, rng):
     # a draw's one-shot queries request only the entries of their windows the
-    # pass has not read, none when it has read them all, and return the bytes
+    # memo has not read, none when it has read them all, and return the bytes
     # of a fresh standalone access
     plan, n = peel_plan, peel_plan.n
     narrow, wide = batch_filters
@@ -884,95 +896,144 @@ def test_recover_two_spikes(peel_plan):
     assert oracle.count <= 4 * cfg.k * cfg.t2() * cfg.t0() * per_draw
 
 
+# recover at (1.5, -0.3), N = 256, k = 2, gamma = 1 on F[60] - 0.8 F[second]:
+# (second, seed) -> passes, float.hex of the values at 60 and at second
+_TWO_SPIKES_AT_ALPHA_NE_BETA = {
+    (80, 1): (2, "0x1.026b70429d928p+0", "-0x1.952092bf15d15p-1"),
+    (80, 2): (2, "0x1.fde38ffc3e6edp-1", "-0x1.96451ded08264p-1"),
+    (80, 11): (2, "0x1.f4c445bc55b19p-1", "-0x1.9be93b3f442cbp-1"),
+    (200, 1): (1, "0x1.fa428c4c0837dp-1", "-0x1.99f4608de9d99p-1"),
+    (200, 2): (1, "0x1.001b76485c92dp+0", "-0x1.93b48225f7e62p-1"),
+    (200, 11): (1, "0x1.025f98bad5fa1p+0", "-0x1.95707da47f2d1p-1"),
+}
+
+
+def test_recover_keeps_its_bits_over_one_and_two_passes_at_alpha_ne_beta(
+        monkeypatch):
+    # J has a nonzero diagonal, and at roots 60 and 80 the second pass reads
+    # x - z through a memo the first pass filled against another image: the
+    # support, every value's bits and the reads (N per memo) stay as pinned
+    plan = build_plan(JacobiParams(1.5, -0.3), 256)
+    cfg = ReductionConfig(2, 0.05, 0.1, 1.0)
+    passes = []
+    real_estimate = ksparse.estimate_norm
+
+    def counted_estimate(*args):
+        passes.append(args)
+        return real_estimate(*args)
+
+    monkeypatch.setattr(ksparse, "estimate_norm", counted_estimate)
+    for (second, seed), (made, v60, v2) in _TWO_SPIKES_AT_ALPHA_NE_BETA.items():
+        passes.clear()
+        oracle = QueryOracle(plan.row(60) - 0.8 * plan.row(second))
+        zhat = recover(plan, oracle, cfg, seed=seed)
+        assert zhat.support() == [60, second], (second, seed)
+        assert [zhat.get(60).hex(), zhat.get(second).hex()] == [v60, v2], (second, seed)
+        assert oracle.count == 2 * plan.n, (second, seed)
+        assert len(passes) == made, (second, seed)
+
+
 def record_readers(monkeypatch):
-    """Patch ksparse so every ResidualReads keeps the oracle requests made
-    through it, each with whether verify was running; returns them all.
-
-    A pass's reader is the first on its image z; verify's readers share
-    that image.
+    """Patch ksparse so every RawReads memo keeps the oracle requests made
+    through it, each tagged with its pass and with the verify call running
+    then (None outside verify); returns the memos, in the order ``recover``
+    makes them (the solver's, then verify's), and the number of passes and
+    of verify calls so far.  The residual estimate opens every pass.
     """
-    readers = []
-    in_verify = [False]
+    memos = []
+    made = {"passes": 0, "verifies": 0}
+    now = {"verify": None}
 
-    class Reads(ResidualReads):
-        def __init__(self, raw, z):
-            super().__init__(raw, z)
-            self.calls, self.in_verify = [], []
-            readers.append(self)
+    class Reads(RawReads):
+        def __init__(self, oracle):
+            super().__init__(oracle)
+            self.calls, self.tags = [], []
+            memos.append(self)
 
         def read(self, *args):
-            calls = self.raw.oracle.calls
+            calls = self.oracle.calls
             before = len(calls)
             super().read(*args)
             self.calls += calls[before:]
-            self.in_verify += [in_verify[0]] * (len(calls) - before)
+            self.tags += [(made["passes"] - 1, now["verify"])] * (len(calls) - before)
+
+    real_estimate = ksparse.estimate_norm
+
+    def counted_estimate(*args):
+        made["passes"] += 1
+        return real_estimate(*args)
 
     def counted_verify(*args):
-        in_verify[0] = True
+        now["verify"] = made["verifies"]
+        made["verifies"] += 1
         try:
             return verify(*args)
         finally:
-            in_verify[0] = False
+            now["verify"] = None
 
-    monkeypatch.setattr(ksparse, "ResidualReads", Reads)
+    monkeypatch.setattr(ksparse, "RawReads", Reads)
+    monkeypatch.setattr(ksparse, "estimate_norm", counted_estimate)
     monkeypatch.setattr(ksparse, "verify", counted_verify)
-    return readers
+    return memos, made
 
 
-def split_readers(readers):
-    """(pass readers, verify readers), told apart by their image z."""
-    passes, checks = [], []
-    for r in readers:
-        (checks if any(r.z is p.z for p in passes) else passes).append(r)
-    return passes, checks
+def split_readers(memos, made):
+    """The solver memo's requests pass by pass, and verify's memo's requests
+    verify call by verify call."""
+    reads, checks = memos
+    passes = [[c for c, (p, _) in zip(reads.calls, reads.tags) if p == i]
+              for i in range(made["passes"])]
+    calls = [[c for c, (_, v) in zip(checks.calls, checks.tags) if v == i]
+             for i in range(made["verifies"])]
+    return passes, calls
 
 
-def trial_requests(readers, in_verify):
-    """Every request the readers made, in order, and the memo they share:
-    the solver's for the passes' readers, verify's for the checks'."""
-    (raw,) = {r.raw for r in readers}
-    calls = [c for r in readers for c in r.calls]
-    assert all(v == in_verify for r in readers for v in r.in_verify)
-    return np.concatenate(calls), raw
+def trial_requests(memos, in_verify):
+    """Every request one memo made, in order, and the memo: the solver's, or
+    verify's with in_verify; each was made inside verify exactly when the
+    memo is verify's."""
+    raw = memos[1] if in_verify else memos[0]
+    assert all((v is not None) == in_verify for _, v in raw.tags)
+    return np.concatenate(raw.calls), raw
 
 
 def test_recover_trial_requests_no_entry_twice(peel_plan, monkeypatch):
     # every request of a whole trial is ascending with no repeated index, so
-    # none exceeds N entries.  The passes' readers (the residual estimate, the
-    # sampling rounds and the solver's queries) share the solver's memo and,
-    # across the trial, request no index twice and nothing while verify runs;
-    # each verify gets a fresh reader on verify's memo and makes at most one
-    # request, the first exactly one, and across the trial they request no
-    # index twice either.  At roots 60 and 80 the first pass commits one
-    # spike, so the trial makes two passes
+    # none exceeds N entries.  The passes (the residual estimate, the
+    # sampling rounds and the solver's queries) read through the solver's
+    # memo and, across the trial, request no index twice and nothing while
+    # verify runs; each verify call reads through verify's memo and makes at
+    # most one request, the first exactly one, and across the trial they
+    # request no index twice either.  At roots 60 and 80 the first pass
+    # commits one spike, so the trial makes two passes
     plan, n = peel_plan, peel_plan.n
     cfg = ReductionConfig.calibrated(2, 0.05, 0.1, 1.0)
     for second, passes_made in ((200, 1), (80, 2)):
-        readers = record_readers(monkeypatch)
+        memos, made = record_readers(monkeypatch)
         oracle = RecordingOracle(plan.row(60) - 0.8 * plan.row(second))
         zhat = recover(plan, oracle, cfg, seed=11)
         assert zhat.support() == [60, second]
-        passes, checks = split_readers(readers)
+        passes, checks = split_readers(memos, made)
         assert len(passes) == passes_made and len(checks) > 1
         for c in oracle.calls:
             assert 0 < c.size <= n
             assert np.all(np.diff(c) > 0)
-        assert passes[0].calls and len(checks[0].calls) == 1
-        assert all(len(r.calls) <= 1 for r in checks)
-        solver, reads = trial_requests(passes, False)
-        checked, checks_raw = trial_requests(checks, True)
+        assert passes[0] and len(checks[0]) == 1
+        assert all(len(calls) <= 1 for calls in checks)
+        solver, reads = trial_requests(memos, False)
+        checked, checks_raw = trial_requests(memos, True)
         assert reads is not checks_raw
         for read, raw in ((solver, reads), (checked, checks_raw)):
             assert np.unique(read).size == read.size == raw.count <= n
-        assert sum(len(r.calls) for r in readers) == len(oracle.calls)
+        assert sum(len(m.calls) for m in memos) == len(oracle.calls)
         assert oracle.count == sum(c.size for c in oracle.calls)
 
 
 def test_arccos_queries_read_through_the_pass_memo(legendre_plan_2048, monkeypatch):
     # with delta_0 = sqrt(eps) / 50 the near-zero window on Legendre N = 2048
     # is 1.30 rad, so k-sparse draws go on to the angle search; its cosine
-    # queries read through the pass's reader, on the solver's memo, which
-    # requests no index twice across the trial
+    # queries read through the solver's memo, which requests no index twice
+    # across the trial
     monkeypatch.setattr(onesparse, "_D0_DIV", 50.0)
     cos_calls = []
     real = onesparse.query_cos
@@ -982,17 +1043,16 @@ def test_arccos_queries_read_through_the_pass_memo(legendre_plan_2048, monkeypat
         return real(*args)
 
     monkeypatch.setattr(onesparse, "query_cos", counted_cos)
-    readers = record_readers(monkeypatch)
+    memos, _ = record_readers(monkeypatch)
     plan = legendre_plan_2048
     cfg = ReductionConfig(2, 0.05, 0.1, 1.0)
     oracle = RecordingOracle(1.3 * plan.row(300) - 0.8 * plan.row(1500))
     zhat = recover(plan, oracle, cfg, seed=1)
     assert cos_calls
-    passes, checks = split_readers(readers)
-    for group, in_verify in ((passes, False), (checks, True)):
-        read, raw = trial_requests(group, in_verify)
+    for in_verify in (False, True):
+        read, raw = trial_requests(memos, in_verify)
         assert np.unique(read).size == read.size == raw.count <= plan.n
-    assert sum(len(r.calls) for r in readers) == len(oracle.calls)
+    assert sum(len(m.calls) for m in memos) == len(oracle.calls)
     assert zhat.support() == [300, 1500]
 
 

@@ -15,7 +15,6 @@ from opsparse.boxcar import build_boxcar
 from opsparse.ksparse import (
     QueryOracle,
     RawReads,
-    ResidualReads,
     SampleSchedule,
     SimulatedAccess,
 )
@@ -255,8 +254,7 @@ def test_query_cos_reads_once_and_matches_three_requests(legendre_plan_256):
 
     def accesses():
         yield QueryOracle(x)
-        schedule = SampleSchedule(plan, ResidualReads(RawReads(QueryOracle(x)),
-                                                       np.zeros(plan.n)),
+        schedule = SampleSchedule(plan, RawReads(QueryOracle(x)), np.zeros(plan.n),
                                   filt.degree)
         yield SimulatedAccess(schedule, filt)
 
@@ -544,8 +542,7 @@ def test_solver_refuses_an_oracle_of_another_size(legendre_plan_256):
     other = build_plan(JacobiParams(0.0, 0.0), 128)
     filt = build_boxcar(1.2, 0.5, 0.05)
     oracle = QueryOracle(np.resize(y, 128))
-    schedule = SampleSchedule(other, ResidualReads(RawReads(oracle), np.zeros(128)),
-                              filt.degree)
+    schedule = SampleSchedule(other, RawReads(oracle), np.zeros(128), filt.degree)
     with pytest.raises(ValueError, match="oracle holds 128 entries, the plan N = 256"):
         solve_one_sparse(plan, SimulatedAccess(schedule, filt), 0.01, 0.05,
                          np.random.default_rng(0))
