@@ -39,10 +39,13 @@ def embed(c: np.ndarray) -> np.ndarray:
     x places c symmetrically on a length-4N circle (index 0 doubled), y
     rotates by N, z modulates by powers of omega = exp(-2 pi i / 4N), and f
     keeps the first 2N entries.  The kept half of y is
-    [0, c[N-1..1], 2 c[0], c[1..N-1]], built here directly.
+    [0, c[N-1..1], 2 c[0], c[1..N-1]], built here directly.  An empty c
+    raises ValueError.
     """
     c = np.asarray(c, dtype=np.float64)
     n = len(c)
+    if n < 1:
+        raise ValueError("n must be >= 1")
     y = np.zeros(2 * n)
     y[1:n] = c[:0:-1]
     y[n] = 2.0 * c[0]

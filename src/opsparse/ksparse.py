@@ -11,12 +11,13 @@ sample positions.  A trial reads each entry of x at most once for the
 solver and at most once for the sampled residual check: ``recover`` keeps
 one memo of raw x for each, and every read requests from the oracle only
 the entries of its windows that its memo has not read yet.  A pass's
-residual is its memo minus the pass's image F^T zhat; each bank keeps one
-(D+1) x N moment stack of it (D the bank's widest degree), rebuilt only
-after a read brings new entries, and each of its rounds keeps the stack's
-rows at its own positions.  Candidate spikes must land inside the filter
-pass band and survive the residual check; every one that does is committed
-to the running sparse estimate.
+residual is its memo minus the pass's image F^T zhat.  Each bank opens one
+schedule on each memo at D, its widest degree, and each schedule keeps one
+(D+1) x N moment stack of its memo's residual, rebuilt only after a read
+brings new entries; each round keeps the solver stack's rows at its own
+positions, and each check reads through verify's.  Candidate spikes must
+land inside the filter pass band and survive the residual check; every one
+that does is committed to the running sparse estimate.
 """
 
 from __future__ import annotations
@@ -242,10 +243,11 @@ class RawReads:
     read, so a pass keeps nothing of its own but its image z = F^T zhat.
     ``recover`` keeps two memos per trial: one serves the solver (the
     residual estimate, every round and every one-shot query of every pass),
-    the other every ``verify`` call.  Verify has a memo of
-    its own for one reason only: the benchmark (opsbench) splits a trial's
-    reads by caller and requires verify's to be more than none.  One memo
-    would serve both, and a trial would read each entry at most once.
+    the other every ``verify`` call; each bank reads each memo through one
+    ``SampleSchedule``.  Verify has a memo of its own for one reason only:
+    the benchmark (opsbench) splits a trial's reads by caller and requires
+    verify's to be more than none.  One memo would serve both, and a trial
+    would read each entry at most once.
     """
 
     def __init__(self, oracle):
@@ -280,6 +282,8 @@ class RawReads:
 class SampleSchedule:
     """Sample positions and residual moments shared by the draws of one bank.
 
+    ``peeler`` opens two per bank, at the bank's widest degree: one on the
+    solver's memo for its draws and one on verify's memo for their checks.
     The i-th ``SimulatedAccess.sample`` call of every draw built on this
     schedule gets the bank's i-th position set: s uniform positions, drawn
     from the caller's rng the first time any draw asks for set i.  The raw
@@ -433,8 +437,9 @@ def peeler(plan, reads: RawReads, checks: RawReads, zhat: SparseApprox,
     + 2 width i, and draw i's pass band is the hull of its tile and
     c_i +- width, so neighbouring bands share one float edge and every
     bank's bands tile [0, pi], ends included.  A hit outside its draw's
-    pass band is discarded.  A bank's boxcars are built first, and its
-    draws' ``SimulatedAccess`` share one ``SampleSchedule``.  A pass runs
+    pass band is discarded.  A bank's boxcars are built first, then its two
+    ``SampleSchedule``s at its widest degree D: its draws'
+    ``SimulatedAccess`` share one, and their checks the other.  A pass runs
     whole banks until one verifies a hit or t0 draws, rounded up to whole
     banks, are spent.
 
@@ -443,8 +448,11 @@ def peeler(plan, reads: RawReads, checks: RawReads, zhat: SparseApprox,
     through the solver's memo ``reads``, so the oracle is asked only for
     entries no earlier read of the trial asked for.  Each ``verify`` call
     reads the windows of its fresh positions at the draw's filter degree
-    through a schedule of its own on ``checks``, the memo of every check of
-    the trial.  ``recover`` passes one of each per trial.
+    through the bank's second schedule, on ``checks``, the memo of every
+    check of the trial; its moments are rows r <= that degree of the
+    schedule's stack at D, which carry the bits of a stack at the filter's
+    degree, since ``plan.moments`` computes row r from rows r-1 and r-2
+    alone.  ``recover`` passes one memo of each kind per trial.
     """
     eps = cfg.eps()
     mu0 = cfg.mu0()
@@ -467,7 +475,7 @@ def peeler(plan, reads: RawReads, checks: RawReads, zhat: SparseApprox,
         r_hat = estimate_norm(plan, residual_at, solver_eps, rng)
         floor = ENERGY_TAU * cfg.delta * r_hat / math.sqrt(cfg.k)
 
-        def draw(band, filt, schedule) -> tuple[int, float] | None:
+        def draw(band, filt, schedule, checker) -> tuple[int, float] | None:
             """One filtered solve in its pass band and its check; None on a miss."""
             access = SimulatedAccess(schedule, filt)
             try:
@@ -478,8 +486,8 @@ def peeler(plan, reads: RawReads, checks: RawReads, zhat: SparseApprox,
             h, v = got.index, got.value
             if not band[0] <= plan.theta[h] <= band[1]:
                 return None
-            checker = SimulatedAccess(SampleSchedule(plan, checks, z, filt.degree), filt)
-            if not verify(plan, checker, v, h, mu0 / 2.0, eps, rng, cfg.c_t1):
+            if not verify(plan, SimulatedAccess(checker, filt), v, h, mu0 / 2.0, eps,
+                          rng, cfg.c_t1):
                 return None
             return h, v
 
@@ -497,9 +505,13 @@ def peeler(plan, reads: RawReads, checks: RawReads, zhat: SparseApprox,
                         f"boxcar degree {filt.degree} exceeds budget {budget} "
                         f"at gamma={cfg.gamma}, eps_box={box_eps:.3g}")
                 filters.append((band, filt))
-            schedule = SampleSchedule(plan, reads, z, max(f.degree for _, f in filters))
+            widest = max(f.degree for _, f in filters)
+            # the bank's draws read through the solver's memo, their checks
+            # through verify's: one schedule on each, at the widest degree
+            schedule, checker = (SampleSchedule(plan, raw, z, widest)
+                                 for raw in (reads, checks))
             for band, filt in filters:
-                got = draw(band, filt, schedule)
+                got = draw(band, filt, schedule, checker)
                 # bands overlap where centres are clipped at 0 or pi, so two
                 # draws can report one index
                 if got is not None and abs(got[1]) > abs(found.get(got[0], 0.0)):

@@ -334,13 +334,18 @@ def solve_one_sparse(plan, oracle, eps: float, mu: float, rng, *,
         return prune(plan, oracle, max(lo, wlo), min(hi, whi), mu_stage, eps,
                      rng, floor=floor)
 
+    # approx_arccos refuses a branch collision at either end of [0, pi] and
+    # leaves those angles to the two boundary prunes, so each reaches at
+    # least rho/2 of the search from its end, whatever N
+    end_reach = spread_rho(_ARCCOS_EPS) / 2.0
     c_prime = max(_C_THETA, 4.0 * nu * root_eps * d0)
-    near_zero = min(c_prime / (nu * root_eps * d0 * n), math.pi)
+    near_zero = min(max(c_prime / (nu * root_eps * d0 * n), end_reach), math.pi)
     got = prune_in(0.0, near_zero, mu / 6.0)
     if got is not None:
         return OneSparseResult(*got)
     if near_zero < math.pi:
-        got = prune_in(math.pi - _C_THETA / (nu * n), math.pi, mu / 6.0)
+        near_pi = max(_C_THETA / (nu * n), end_reach)
+        got = prune_in(math.pi - near_pi, math.pi, mu / 6.0)
         if got is not None:
             return OneSparseResult(*got)
         rho0 = spread_rho(d0)

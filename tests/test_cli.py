@@ -351,12 +351,15 @@ def test_recover1_reports_failure_on_empty_signal(tmp_path, capsys):
     (("recover", "--alpha", "0", "--beta", "0", "--n", "32", "--k", "1",
       "--delta", "0.05", "--gamma", "1", "--trials", "1"),
      "filter degree 43 must be < N = 32"),
+    (("dct", "--input", "{sig0}", "--out", "{out}"), "n must be >= 1"),
 ])
 def test_bad_arguments_are_reported(tmp_path, capsys, monkeypatch, argv, match):
-    sig, sig1 = tmp_path / "sig.json", tmp_path / "sig1.json"
+    sig, sig1, sig0 = (tmp_path / f"{name}.json" for name in ("sig", "sig1", "sig0"))
     write_signal(sig, np.zeros(64), 0.0, 0.0)
     write_signal(sig1, np.zeros(1), 0.0, 0.0)
-    argv = [a.format(sig=sig, sig1=sig1, out=tmp_path / "out.json") for a in argv]
+    write_signal(sig0, np.zeros(0), 0.0, 0.0)
+    argv = [a.format(sig=sig, sig1=sig1, sig0=sig0, out=tmp_path / "out.json")
+            for a in argv]
     if "=" in argv[0]:  # a leading NAME=value sets the environment, as in a shell
         name, value = argv.pop(0).split("=", 1)
         monkeypatch.setenv(name, value)

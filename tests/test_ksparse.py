@@ -596,7 +596,9 @@ def test_verify_reads_fresh_windows_at_the_draws_own_width(legendre_plan_2048,
     # the access the peeler hands verify has read nothing before the call,
     # though the pass has read entries of verify's windows, and makes one
     # request: the window union of verify's positions at the draw's own filter
-    # degree, 43, in a bank whose widest is 47
+    # degree, 43, in a bank whose widest is 47.  Its filtered values, read
+    # through the bank's checker at degree 47, carry the bits of a schedule
+    # at the filter's own degree
     plan, n = legendre_plan_2048, legendre_plan_2048.n
 
     class FewChecks(ReductionConfig):
@@ -604,11 +606,12 @@ def test_verify_reads_fresh_windows_at_the_draws_own_width(legendre_plan_2048,
 
     cfg = FewChecks(2, 0.05, 0.1, 1.0)
     narrow_eps = ReductionConfig(2, 0.07, 0.1, 1.0).boxcar_eps()
-    degrees, accesses, checks = [], [], []
+    degrees, filters, accesses, checks = [], [], [], []
 
     def mixed_boxcar(center, width, eps):
         filt = build_boxcar(center, width, narrow_eps if len(degrees) % 2 else eps)
         degrees.append(filt.degree)
+        filters.append(filt)
         return filt
 
     def stub(plan, access, eps, mu, rng, *, window, floor):
@@ -622,7 +625,7 @@ def test_verify_reads_fresh_windows_at_the_draws_own_width(legendre_plan_2048,
         before, state = len(oracle.calls), rng.bit_generator.state
         ok = verify(plan, access, v, h, mu, eps, rng, c_t1)
         checks.append((access, before, len(oracle.calls), state,
-                       _verify_samples(plan, mu, eps, c_t1)))
+                       _verify_samples(plan, mu, eps, c_t1), filters[len(accesses) - 1]))
         return ok
 
     monkeypatch.setattr(ksparse, "build_boxcar", mixed_boxcar)
@@ -630,8 +633,8 @@ def test_verify_reads_fresh_windows_at_the_draws_own_width(legendre_plan_2048,
     oracle = RecordingOracle(plan.row(100))
     peeler(plan, *memos(oracle), SparseApprox(), cfg, stub, np.random.default_rng(4))
     assert len(checks) == 1 and set(degrees) == {43, 47}
-    access, before, after, state, t1 = checks[0]
-    assert t1 == 16 and access not in accesses
+    access, before, after, state, t1, filt = checks[0]
+    assert t1 == 16 and access not in accesses and filt.degree == 43
     replay = np.random.default_rng()
     replay.bit_generator.state = state
     js = replay.integers(0, n, size=t1)
@@ -640,6 +643,12 @@ def test_verify_reads_fresh_windows_at_the_draws_own_width(legendre_plan_2048,
     assert after == before + 1
     np.testing.assert_array_equal(oracle.calls[before], want)
     assert np.intersect1d(np.concatenate(oracle.calls[:before]), want).size > 0
+    # the check's memo has read every window of js, so asking again reads nothing
+    made = len(oracle.calls)
+    got = access.query_many(js)
+    assert len(oracle.calls) == made
+    own = standalone(plan, QueryOracle(plan.row(100)), SparseApprox(), filt).query_many(js)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in own.tolist()]
 
 
 def test_standalone_access_samples_as_a_batch_of_one(peel_plan, batch_filters, rng):
@@ -1027,6 +1036,48 @@ def test_recover_trial_requests_no_entry_twice(peel_plan, monkeypatch):
             assert np.unique(read).size == read.size == raw.count <= n
         assert sum(len(m.calls) for m in memos) == len(oracle.calls)
         assert oracle.count == sum(c.size for c in oracle.calls)
+
+
+def test_each_bank_opens_one_schedule_on_each_memo(peel_plan, monkeypatch):
+    # in one trial every schedule is opened in pairs, one pair per bank,
+    # after the bank's boxcars and before any of its draws solves: the
+    # draws' schedule on the solver's memo, then their checks' on verify's,
+    # both at the bank's widest degree.  No verify call opens one of its own
+    plan = peel_plan
+    cfg = ReductionConfig(2, 0.05, 0.1, 1.0)
+    memos, made = record_readers(monkeypatch)
+    degrees, solves, opened = [], [0], []
+    real_boxcar, real_solver = ksparse.build_boxcar, ksparse.solve_one_sparse
+
+    class Recorded(SampleSchedule):
+        def __init__(self, plan, raw, z, degree):
+            super().__init__(plan, raw, z, degree)
+            opened.append((raw, degree, len(degrees), solves[0]))
+
+    def counted_boxcar(*args):
+        filt = real_boxcar(*args)
+        degrees.append(filt.degree)
+        return filt
+
+    def counted_solver(*args, **kwargs):
+        solves[0] += 1
+        return real_solver(*args, **kwargs)
+
+    monkeypatch.setattr(ksparse, "SampleSchedule", Recorded)
+    monkeypatch.setattr(ksparse, "build_boxcar", counted_boxcar)
+    monkeypatch.setattr(ksparse, "solve_one_sparse", counted_solver)
+    oracle = RecordingOracle(plan.row(60) - 0.8 * plan.row(80))
+    zhat = recover(plan, oracle, cfg, seed=11)
+    assert zhat.support() == [60, 80]
+    reads, checks = memos
+    m = bank_size(cfg)
+    banks = [degrees[i:i + m] for i in range(0, len(degrees), m)]
+    assert made["verifies"] > 1 and len(degrees) == solves[0] == len(banks) * m
+    assert len(opened) == 2 * len(banks)
+    for b, bank in enumerate(banks):
+        pair = opened[2 * b:2 * b + 2]
+        assert [raw for raw, *_ in pair] == [reads, checks]
+        assert [rest for _, *rest in pair] == [[max(bank), (b + 1) * m, b * m]] * 2
 
 
 def test_arccos_queries_read_through_the_pass_memo(legendre_plan_2048, monkeypatch):

@@ -460,6 +460,29 @@ def test_angle_search_checks_the_floor_and_the_window(arccos_reach):
     assert got.index == ell
 
 
+def test_boundary_prunes_reach_the_collisions_the_angle_search_refuses(arccos_reach):
+    # approx_arccos refuses a branch collision at h = 0 or h = w and leaves
+    # those angles to the near-zero and near-pi prunes.  Under these
+    # constants their 1/N reaches were 0.0195 and 4e-6 rad, and noisy spikes
+    # 0.003-0.04 rad from an end failed the search; each prune now reaches
+    # rho/2 = 0.071 rad, rho the search's own
+    plan, _ = arccos_reach
+    gap = np.minimum(plan.theta, math.pi - plan.theta)
+    ends = np.flatnonzero(gap < 0.11)
+    assert ends.size == 142
+    missed = []
+    for h in ends.tolist():
+        gen = np.random.default_rng([0, h])
+        oracle = QueryOracle(spike_signal(plan, h, 1.0, noise=0.01, rng=gen))
+        try:
+            got = solve_one_sparse(plan, oracle, 0.01, 0.02, gen)
+        except RecoveryError:
+            got = None
+        if got is None or got.index != h or abs(got.value - 1.0) > 13 * 0.01:
+            missed.append((h, round(float(gap[h]), 4), got))
+    assert missed == []
+
+
 class ReplayOracle:
     """The solver's reads as it made them inline: positions by rng.integers,
     entries by query_many on a plain QueryOracle."""
