@@ -192,7 +192,13 @@ def sumsq_maxabs(p0, a, b, c, x):
     p_jmax at (1, -1)).  The sums run degree by degree and leave the ends
     out: p_j(1) grows like j^(alpha+1/2), and its square would overflow at
     large alpha or beta.  The ends are swept after the points a fold keeps,
-    so under the fold they cost two points and the mirror none."""
+    so under the fold they cost two points and the mirror none.  The max is
+    taken over the squares the sums already hold, with one square root at
+    the end: sqrt(fl(x^2)) = |x| in binary64 whenever x^2 is a normal,
+    finite number, so it is max |p_j| bit for bit, at three array operations
+    per degree on top of the sweep.  Where a square overflows (alpha = 150
+    near theta = 0.01, far past the exponents a plan builds at) the max is
+    inf, as the sum is."""
     fold = _Fold(b, x)
     jmax = a.shape[0] - 1
     m = fold.u.shape[0]
@@ -201,9 +207,11 @@ def sumsq_maxabs(p0, a, b, c, x):
     for j, p in enumerate(_sweep(p0, a, b, c, np.concatenate((fold.u, (1.0, -1.0))))):
         if j < jmax:
             q = p[:m]
-            ss += np.multiply(q, q, out=tmp)
-            np.maximum(mx, np.abs(q, out=tmp), out=mx)
+            np.multiply(q, q, out=tmp)
+            ss += tmp
+            np.maximum(mx, tmp, out=mx)
         prev, last = last, p
+    np.sqrt(mx, out=mx)
     return (fold.unfold(ss, 0), fold.unfold(mx, 0), fold.unfold(prev[:m], jmax - 1),
             fold.unfold(last[:m], jmax), last[m:])
 

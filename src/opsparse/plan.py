@@ -25,6 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .jacobi import (
+    _MIRROR_TOL,
     JacobiParams,
     compute_roots,
     compute_weights,
@@ -256,9 +257,6 @@ def build_plan(params: JacobiParams, n: int, degree: int = 0) -> TransformPlan:
 _HEAD = "<ddQd"
 # Relative rounding allowed on the bounds of the stored flatness constant U.
 _U_SLACK = 1e-9
-# Largest |theta_l + theta_{N-1-l} - pi| accepted at alpha = beta, where half
-# of the plan's cosines are the negated mirror of the other half.
-_MIRROR_TOL = 1e-12
 
 
 def save_plan(plan: TransformPlan, path) -> None:

@@ -403,20 +403,62 @@ def test_plan_rule_is_roots_plus_weights(alpha, beta, n):
     assert plan.U == u
 
 
-def test_plan_set_up_sweeps(monkeypatch):
-    # Legendre N = 2048: every Newton step is one sweep of the N/2 roots
-    # with theta < pi/2, and one final sweep gives the gate and the weights
-    n = 2048
-    widths = []
-    sweep = _kernels._sweep
+def test_weights_at_alpha_equal_beta_refuse_angles_off_the_mirror():
+    # at alpha = beta root_cosines takes the right half's cosines from the
+    # left's, so angles not symmetric about pi/2 would get mirrored weights
+    theta = np.sort(np.random.default_rng(1).uniform(0.1, 3.0, 8))
+    with pytest.raises(ValueError, match="symmetric about pi/2"):
+        compute_weights(JacobiParams(0.0, 0.0), theta, 8)
+    # the same angles are swept as they are when alpha != beta
+    w, _ = compute_weights(JacobiParams(0.0, 0.1), theta, 8)
+    ss = (orthonormal_table(JacobiParams(0.0, 0.1), 7, np.cos(theta)) ** 2).sum(axis=0)
+    np.testing.assert_allclose(w, 1.0 / ss, rtol=1e-13)
 
-    def spy(p0, a, b, c, x):
+
+def test_plan_set_up_sweeps(monkeypatch):
+    # Legendre N = 2048: the first Newton step sweeps the N/2 roots with
+    # theta < pi/2, each later step only the roots whose previous step was
+    # not exactly 0, and one final sweep gives the gate and the weights
+    n = 2048
+    widths, steps = [], []
+    sweep, refine = _kernels._sweep, _kernels.refine_roots
+
+    def spy_sweep(p0, a, b, c, x):
         widths.append(len(x))
         return sweep(p0, a, b, c, x)
 
-    monkeypatch.setattr(_kernels, "_sweep", spy)
+    def spy_refine(*args):
+        steps.append((args[-1], refine(*args)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(_kernels, "_sweep", spy_sweep)
+    monkeypatch.setattr(_kernels, "refine_roots", spy_refine)
     build_plan(JacobiParams(0.0, 0.0), n)
-    assert sum(w >= n // 2 for w in widths) == _FULL_SWEEPS + 1
+    assert len(steps) == _FULL_SWEEPS and len(widths) == len(steps) + 1
+    assert sum(w >= n // 2 for w in widths) == 2
+    assert widths[0] == n // 2 and widths[-1] >= n // 2
+    for (before, after), (theta, _) in zip(steps, steps[1:]):
+        assert len(theta) == np.count_nonzero(after != before)
+
+
+@pytest.mark.parametrize("alpha, beta", PARAM_GRID)
+def test_refine_roots_on_a_subset_is_the_full_step_gathered(alpha, beta, rng):
+    # gauss_rule steps gathered subsets of its Newton iterates and drops a
+    # root whose step was 0; both rest on each root's step not depending on
+    # the roots swept with it, bit for bit
+    p = JacobiParams(alpha, beta)
+    for n in (65, 2048):
+        newton = (*orthonormal_coeffs(p, n), *_slope_coeffs(p, n), alpha, beta)
+        theta = _root_guess(p, n)[: n // 2 if alpha == beta else n]
+        for _ in range(_FULL_SWEEPS):
+            full = _kernels.refine_roots(*newton, theta)
+            size = rng.integers(1, theta.size + 1)
+            for idx in (np.flatnonzero(full != theta), np.arange(1, theta.size, 2),
+                        np.sort(rng.choice(theta.size, size, replace=False))):
+                got = _kernels.refine_roots(*newton, theta[idx])
+                assert list(map(float.hex, got.tolist())) == \
+                    list(map(float.hex, full[idx].tolist()))
+            theta = full
 
 
 def test_weights_of_large_exponents_raise_no_overflow():
@@ -447,6 +489,9 @@ _PLAN_DIGESTS = [
     (1.5, -0.3, 1024, ["e575f06ba90aaa4e", "45872b770e6a8395", "7f952c5ea4557dfc"]),
     (0.5, 0.5, 65, ["d4fd0c8802f6d470", "02cb436ba78546bc", "c6ea726ccfabd514"]),
     (-0.999, 0.0, 1024, ["e2a76695882db5b1", "6d022a3d08ae1329", "73c03b13e6d3b4a9"]),
+    # the plans the benchmark builds
+    (0.0, 0.0, 8192, ["bebf6fa85a4ad66d", "63b2221bd440df02", "ec6f339b12fbf6da"]),
+    (1.5, -0.3, 4096, ["eb723697eb93cd81", "b3c09c39bcab44d9", "44a365e110dbf91c"]),
 ]
 
 

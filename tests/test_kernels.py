@@ -83,6 +83,20 @@ def test_fold_is_bit_exact(ab, rng):
                     ends, _kernels.recurrence_last(*coeffs, np.array([1.0, -1.0]))[1])
 
 
+@pytest.mark.parametrize("alpha, beta", [(15.0, 0.0), (0.0, 15.0)])
+def test_sumsq_maxabs_max_is_bit_exact_at_large_exponents(alpha, beta):
+    # the max is taken over the squares the sums hold and square-rooted
+    # once; at the largest exponents a plan builds at, over its roots and a
+    # grid up to the ends, it is still max |p_j| bit for bit
+    n = 64
+    p = JacobiParams(alpha, beta)
+    coeffs = orthonormal_coeffs(p, n)
+    x = np.concatenate((build_plan(p, n).lam, np.linspace(-1.0, 1.0, 65)))
+    table = _kernels.recurrence_table(*coeffs, x)
+    np.testing.assert_array_equal(_kernels.sumsq_maxabs(*coeffs, x)[1],
+                                  np.abs(table[:, :-1]).max(axis=1))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 65, 2048])
 def test_plan_roots_are_swept_once_per_mirror_pair(n, tmp_path):
     # root_cosines negates a plan's right half exactly, so at alpha = beta
