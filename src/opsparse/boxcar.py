@@ -17,6 +17,7 @@ quarter, with sigma held, a bounded number of times.
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 from dataclasses import dataclass
@@ -33,6 +34,8 @@ _BOX_FACTOR = 1.5
 _MAX_GROWTHS = 6
 # Relaxation applied to eps during grid verification.
 SLACK = 0.1
+# Filters build_boxcar keeps for reuse, about four banks' worth at gamma = 1.
+_CACHED = 32
 
 
 class BoxcarConstructionError(ValueError):
@@ -97,14 +100,24 @@ def _verify(coeffs: np.ndarray, center: float, width: float, eps: float) -> bool
 
 
 def build_boxcar(center: float, width: float, eps: float) -> BoxcarFilter:
-    """Construct and grid-verify a boxcar filter."""
+    """Construct and grid-verify a boxcar filter.
+
+    The last ``_CACHED`` filters built are kept, one per (center, width,
+    eps), and handed out again with their read-only coefficients: a filter
+    bank's centres clip to exactly 0 or pi at either end, so banks at one
+    width and eps share those filters.
+    """
     if not 0.0 <= center <= math.pi:
         raise ValueError("center must lie in [0, pi]")
     if not 0.0 < width <= math.pi / 2.0:
         raise ValueError("width must lie in (0, pi/2]")
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
-    center, width, eps = float(center), float(width), float(eps)
+    return _build(float(center), float(width), float(eps))
+
+
+@functools.lru_cache(maxsize=_CACHED)
+def _build(center: float, width: float, eps: float) -> BoxcarFilter:
     half = _BOX_FACTOR * width
     margin = half - width  # distance from the pass band edge to the box edge
     # q is the standard-normal quantile Phi^-1(1 - eps/4): with sigma = margin/q
@@ -119,6 +132,7 @@ def build_boxcar(center: float, width: float, eps: float) -> BoxcarFilter:
         m = np.arange(d + 1, dtype=np.float64)
         coeffs = _indicator_coeffs(center, half, d) * np.exp(-0.5 * (m * sigma) ** 2)
         if _verify(coeffs, center, width, eps):
+            coeffs.setflags(write=False)
             return BoxcarFilter(center, width, eps, d, coeffs)
         # the first guess falls a few percent short (its tail bound is loose);
         # a quarter more keeps the degree inside ReductionConfig.degree_budget,

@@ -288,8 +288,11 @@ def compute_roots(params: JacobiParams, n: int) -> np.ndarray:
     return gauss_rule(params, n)[0]
 
 
-def _weights(ss: np.ndarray, mx: np.ndarray):
-    """(w, U) from sum_{j<n} p_j^2 and max_{j<n} |p_j| at each root."""
+def _weights(ss: np.ndarray, mx: np.ndarray, where: str):
+    """(w, U) from sum_{j<n} p_j^2 and max_{j<n} |p_j| at each root;
+    ValueError where a sum is not finite, whose weight would read 0."""
+    if not np.all(np.isfinite(ss)):
+        raise ValueError(f"sum of p_j^2 over j < N is not finite at {where}")
     w = 1.0 / ss
     return w, float(np.max(np.sqrt(w) * mx))
 
@@ -360,7 +363,7 @@ def gauss_rule(params: JacobiParams, n: int):
     worst = float(np.max(np.abs(resid[:g]) / scale))
     if not worst <= RESIDUAL_TOL:  # NaN fails too
         raise ValueError(f"root residual {worst:.3e} exceeds {RESIDUAL_TOL:.1e} at {where}")
-    return (theta, *_weights(ss, mx))
+    return (theta, *_weights(ss, mx, where))
 
 
 def compute_weights(params: JacobiParams, theta: np.ndarray, n: int):
@@ -372,7 +375,9 @@ def compute_weights(params: JacobiParams, theta: np.ndarray, n: int):
     left's, so theta must be symmetric about pi/2, |theta_l +
     theta_{N-1-l} - pi| <= ``_MIRROR_TOL``, as a plan's roots are; other
     angles raise ValueError.  The sweep then runs over half the roots and
-    w_{n-1-l} = w_l.  Returns (weights, U).
+    w_{n-1-l} = w_l.  Returns (weights, U).  Raises ValueError where
+    sum_{j<n} p_j^2 overflows (alpha = 150 near theta = 0.01 at N = 1024),
+    rather than return a weight of 0.
     """
     theta = np.asarray(theta)
     skew = np.abs(theta + theta[::-1] - np.pi)
@@ -380,4 +385,4 @@ def compute_weights(params: JacobiParams, theta: np.ndarray, n: int):
         raise ValueError(f"theta at alpha = beta must be symmetric about pi/2 within "
                          f"{_MIRROR_TOL:g}")
     ss, mx, *_ = _kernels.sumsq_maxabs(*orthonormal_coeffs(params, n), root_cosines(params, theta))
-    return _weights(ss, mx)
+    return _weights(ss, mx, f"alpha={params.alpha}, beta={params.beta}, N={n}")

@@ -11,13 +11,14 @@ sample positions.  A trial reads each entry of x at most once for the
 solver and at most once for the sampled residual check: ``recover`` keeps
 one memo of raw x for each, and every read requests from the oracle only
 the entries of its windows that its memo has not read yet.  A pass's
-residual is its memo minus the pass's image F^T zhat.  Each bank opens one
-schedule on each memo at D, its widest degree, and each schedule keeps one
-(D+1) x N moment stack of its memo's residual, rebuilt only after a read
-brings new entries; each round keeps the solver stack's rows at its own
-positions, and each check reads through verify's.  Candidate spikes must
-land inside the filter pass band and survive the residual check; every one
-that does is committed to the running sparse estimate.
+residual is x minus the pass's image F^T zhat on the entries read.  Each
+bank opens one schedule at D, its widest degree, on both memos, and keeps
+one (D+1) x N moment stack of the residual on every entry either memo has
+read, rebuilt only after a read brings entries neither had; each round
+keeps the stack's rows at its own positions, and each check reads its
+windows through verify's memo and takes rows of the same stack.  Candidate
+spikes must land inside the filter pass band and survive the residual
+check; every one that does is committed to the running sparse estimate.
 """
 
 from __future__ import annotations
@@ -237,13 +238,12 @@ class ReductionConfig:
 class RawReads:
     """A memo of raw x: each entry is requested from the oracle at most once.
 
-    ``x`` holds every entry read so far and zero elsewhere, and ``count`` is
-    how many entries that is.  ``read`` reads the windows around sample
-    positions, and ``residual(z)`` is a pass's residual x - z on the entries
-    read, so a pass keeps nothing of its own but its image z = F^T zhat.
+    ``x`` holds every entry read so far and zero elsewhere, ``seen`` marks
+    them, and ``count`` is how many there are.  ``read`` reads the windows
+    around sample positions and returns the entries it brought in.
     ``recover`` keeps two memos per trial: one serves the solver (the
     residual estimate, every round and every one-shot query of every pass),
-    the other every ``verify`` call; each bank reads each memo through one
+    the other every ``verify`` call; each bank reads both through its one
     ``SampleSchedule``.  Verify has a memo of its own for one reason only:
     the benchmark (opsbench) splits a trial's reads by caller and requires
     verify's to be more than none.  One memo would serve both, and a trial
@@ -253,63 +253,66 @@ class RawReads:
     def __init__(self, oracle):
         self.oracle = oracle
         self.x = np.zeros(len(oracle))
-        self._seen = np.zeros(len(oracle), dtype=bool)
+        self.seen = np.zeros(len(oracle), dtype=bool)
         self.count = 0
 
     def __len__(self) -> int:
         return self.x.size
 
-    def read(self, js: np.ndarray, d: int) -> None:
+    def read(self, js: np.ndarray, d: int) -> np.ndarray:
         """Read the clipped windows max(0, j-d) .. min(N-1, j+d), j in js: one
         oracle request for the entries of their union not read yet, ascending
-        and without repeats, none when every one has been."""
+        and without repeats, none when every one has been.  Returns the
+        entries requested."""
         n = self.x.size
+        if self.count == n:
+            return np.empty(0, dtype=np.int64)
         # +1 where a window opens, -1 past where it closes: the running sum
         # counts the windows covering each entry
         edges = (np.bincount(np.maximum(js - d, 0), minlength=n + 1)
                  - np.bincount(np.minimum(js + d + 1, n), minlength=n + 1))
-        new = np.flatnonzero((np.cumsum(edges[:n]) != 0) & ~self._seen)
+        new = np.flatnonzero((np.cumsum(edges[:n]) != 0) & ~self.seen)
         if new.size:
             self.x[new] = self.oracle.query_many(new)
-            self._seen[new] = True
+            self.seen[new] = True
             self.count += new.size
-
-    def residual(self, z: np.ndarray) -> np.ndarray:
-        """x - z on the entries read so far, zero elsewhere."""
-        return np.where(self._seen, self.x - z, 0.0)
+        return new
 
 
 class SampleSchedule:
-    """Sample positions and residual moments shared by the draws of one bank.
+    """Sample positions and residual moments shared by the draws of one bank
+    and by their checks.
 
-    ``peeler`` opens two per bank, at the bank's widest degree: one on the
-    solver's memo for its draws and one on verify's memo for their checks.
-    The i-th ``SimulatedAccess.sample`` call of every draw built on this
-    schedule gets the bank's i-th position set: s uniform positions, drawn
-    from the caller's rng the first time any draw asks for set i.  The raw
-    windows around them have radius ``degree`` (the largest filter degree in
-    the bank) and are clipped at the ends.  ``moments`` makes every read of
-    the schedule, for rounds and one-shot queries
-    (``SimulatedAccess.query_many``) alike: it reads its window union through
-    the memo ``raw`` (the oracle is asked only for the entries the memo has
-    not read), and returns rows of one cached stack, ``plan.moments`` of
-    y = ``raw.residual(z)`` at ``degree``, rebuilt only when the memo has
-    read new entries since it was last built.  A round keeps its rows from
+    ``peeler`` opens one per bank, at the bank's widest degree, on the
+    solver's memo ``raw`` and verify's memo ``checks``.  The i-th
+    ``SimulatedAccess.sample`` call of every draw built on this schedule
+    gets the bank's i-th position set: s uniform positions, drawn from the
+    caller's rng the first time any draw asks for set i.  The raw windows
+    around them have radius ``degree`` (the largest filter degree in the
+    bank) and are clipped at the ends.  ``moments`` makes every read of the
+    schedule, for rounds and one-shot queries (``SimulatedAccess.query_many``)
+    alike: it reads its window union through the asking memo (the oracle is
+    asked only for the entries that memo has not read), and returns rows of
+    one cached stack, ``plan.moments`` of y at ``degree``, rebuilt only when
+    the read brought entries neither memo had.  A round keeps its rows from
     first use, so every draw of the bank gets them without another gather.
     Each draw's samples stay uniform, so its own failure bound holds; the
     union bound over draws needs no independence.
 
-    y is x - z on every entry the memo has read, in this pass or an earlier
-    one, and zero elsewhere.  A round's moments equal those of x - z on its
-    own window union, zero elsewhere, bit for bit, because a moment of
-    degree r at j reads y only within r of j (``plan.moments``), and every
-    entry there has just been read.
+    y is x - z on every entry either memo has read, in this pass or an
+    earlier one, and zero elsewhere.  The moments a memo asks for equal
+    those of x - z on its own window union, zero elsewhere, bit for bit,
+    because a moment of degree r at j reads y only within r of j
+    (``plan.moments``), and that memo has just read every entry there.
     """
 
-    def __init__(self, plan, raw: RawReads, z: np.ndarray, degree: int):
-        if len(raw) != z.size:
-            raise ValueError(f"oracle holds {len(raw)} entries, the residual "
-                             f"image {z.size}")
+    def __init__(self, plan, raw: RawReads, z: np.ndarray, degree: int,
+                 checks: RawReads | None = None):
+        self.memos = (raw,) if checks is None else (raw, checks)
+        for memo in self.memos:
+            if len(memo) != z.size:
+                raise ValueError(f"oracle holds {len(memo)} entries, the residual "
+                                 f"image {z.size}")
         if degree >= plan.n:
             # a window that wide reads the whole signal for every sample
             raise ValueError(f"filter degree {degree} must be < N = {plan.n}")
@@ -318,20 +321,29 @@ class SampleSchedule:
         self.raw = raw
         self.z = z
         self._rounds: list[tuple[np.ndarray, np.ndarray]] = []
+        self._y = np.zeros(z.size)
+        for memo in self.memos:
+            idx = np.flatnonzero(memo.seen)
+            self._y[idx] = memo.x[idx] - z[idx]
         self._stack: np.ndarray | None = None
-        self._stack_count = -1  # raw.count when the stack was built
 
-    def moments(self, js: np.ndarray, d: int) -> np.ndarray:
+    def moments(self, js: np.ndarray, d: int, raw: RawReads | None = None) -> np.ndarray:
         """The moments (T_r(J) y)_j, r <= d, one row per position j in js,
-        after reading the windows of js at radius d through ``raw``."""
+        after reading the windows of js at radius d through ``raw``, one of
+        the schedule's memos (the first when None)."""
         if d > self.degree:
             raise ValueError(f"moment degree {d} exceeds the schedule's "
                              f"window degree {self.degree}")
-        self.raw.read(js, d)
-        if self._stack_count != self.raw.count:
+        raw = self.raw if raw is None else raw
+        new = raw.read(js, d)
+        self._y[new] = raw.x[new] - self.z[new]
+        # y changed only where no other memo had read the entry
+        for memo in self.memos:
+            if memo is not raw:
+                new = new[~memo.seen[new]]
+        if new.size or self._stack is None:
             self._stack = None  # the old stack goes before the new one is built
-            self._stack = self.plan.moments(self.raw.residual(self.z), self.degree)
-            self._stack_count = self.raw.count
+            self._stack = self.plan.moments(self._y, self.degree)
         return self._stack[:d + 1].T[js]
 
     def round(self, i: int, s: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -355,15 +367,20 @@ class SimulatedAccess:
     from ``schedule``, shared by the draws of one bank; a standalone access
     is a schedule of one, at the filter's own degree.  ``query_many`` takes
     the moments at its positions from ``schedule.moments`` at the filter's
-    degree, which reads their windows through the schedule's memo: by their
-    locality, the same bits as a fresh read of those windows.
+    degree, which reads their windows through ``raw``, one of the schedule's
+    memos (its first when None): by their locality, the same bits as a fresh
+    read of those windows.
     """
 
-    def __init__(self, schedule: SampleSchedule, filt: BoxcarFilter):
+    def __init__(self, schedule: SampleSchedule, filt: BoxcarFilter,
+                 raw: RawReads | None = None):
         if filt.degree > schedule.degree:
             raise ValueError(f"filter degree {filt.degree} exceeds the schedule's "
                              f"window degree {schedule.degree}")
+        if raw is not None and not any(raw is memo for memo in schedule.memos):
+            raise ValueError("the access's memo is not one of its schedule's")
         self._schedule = schedule
+        self._raw = raw
         self._coeffs = np.asarray(filt.coeffs, dtype=np.float64)
         self._rounds = 0
 
@@ -378,10 +395,11 @@ class SimulatedAccess:
 
     def query_many(self, js: np.ndarray) -> np.ndarray:
         """Filtered samples at indices js; each needs at most 2d+1 entries,
-        and one oracle request reads those of their union the trial's memo
+        and one oracle request reads those of their union the access's memo
         has not."""
         js = _indices(js, self._schedule.plan.n)
-        return self._filtered(self._schedule.moments(js, self._coeffs.size - 1))
+        return self._filtered(self._schedule.moments(js, self._coeffs.size - 1,
+                                                     self._raw))
 
     def _filtered(self, mom: np.ndarray) -> np.ndarray:
         # row by row: a BLAS product may sum a row in an order that depends
@@ -437,22 +455,23 @@ def peeler(plan, reads: RawReads, checks: RawReads, zhat: SparseApprox,
     + 2 width i, and draw i's pass band is the hull of its tile and
     c_i +- width, so neighbouring bands share one float edge and every
     bank's bands tile [0, pi], ends included.  A hit outside its draw's
-    pass band is discarded.  A bank's boxcars are built first, then its two
-    ``SampleSchedule``s at its widest degree D: its draws'
-    ``SimulatedAccess`` share one, and their checks the other.  A pass runs
-    whole banks until one verifies a hit or t0 draws, rounded up to whole
-    banks, are spent.
+    pass band is discarded.  A bank's boxcars are built first, then its one
+    ``SampleSchedule`` at its widest degree D, on both memos: its draws'
+    ``SimulatedAccess`` and their checks' all take moments from its one
+    stack.  A pass runs whole banks until one verifies a hit or t0 draws,
+    rounded up to whole banks, are spent.
 
     The dense image z = F^T zhat is formed once per pass.  The estimate of
     R, every sampling round and every solver query of the pass read x - z
     through the solver's memo ``reads``, so the oracle is asked only for
     entries no earlier read of the trial asked for.  Each ``verify`` call
     reads the windows of its fresh positions at the draw's filter degree
-    through the bank's second schedule, on ``checks``, the memo of every
-    check of the trial; its moments are rows r <= that degree of the
-    schedule's stack at D, which carry the bits of a stack at the filter's
-    degree, since ``plan.moments`` computes row r from rows r-1 and r-2
-    alone.  ``recover`` passes one memo of each kind per trial.
+    through ``checks``, the memo of every check of the trial, into the
+    bank's schedule; its moments are rows r <= that degree of the bank's
+    stack at D, which carry the bits of a stack at the filter's degree on
+    verify's windows alone, since ``plan.moments`` computes row r from rows
+    r-1 and r-2 alone and entry j of row r reads y only within r of j.
+    ``recover`` passes one memo of each kind per trial.
     """
     eps = cfg.eps()
     mu0 = cfg.mu0()
@@ -475,7 +494,7 @@ def peeler(plan, reads: RawReads, checks: RawReads, zhat: SparseApprox,
         r_hat = estimate_norm(plan, residual_at, solver_eps, rng)
         floor = ENERGY_TAU * cfg.delta * r_hat / math.sqrt(cfg.k)
 
-        def draw(band, filt, schedule, checker) -> tuple[int, float] | None:
+        def draw(band, filt, schedule) -> tuple[int, float] | None:
             """One filtered solve in its pass band and its check; None on a miss."""
             access = SimulatedAccess(schedule, filt)
             try:
@@ -486,8 +505,8 @@ def peeler(plan, reads: RawReads, checks: RawReads, zhat: SparseApprox,
             h, v = got.index, got.value
             if not band[0] <= plan.theta[h] <= band[1]:
                 return None
-            if not verify(plan, SimulatedAccess(checker, filt), v, h, mu0 / 2.0, eps,
-                          rng, cfg.c_t1):
+            if not verify(plan, SimulatedAccess(schedule, filt, checks), v, h, mu0 / 2.0,
+                          eps, rng, cfg.c_t1):
                 return None
             return h, v
 
@@ -507,11 +526,10 @@ def peeler(plan, reads: RawReads, checks: RawReads, zhat: SparseApprox,
                 filters.append((band, filt))
             widest = max(f.degree for _, f in filters)
             # the bank's draws read through the solver's memo, their checks
-            # through verify's: one schedule on each, at the widest degree
-            schedule, checker = (SampleSchedule(plan, raw, z, widest)
-                                 for raw in (reads, checks))
+            # through verify's, both into one schedule at the widest degree
+            schedule = SampleSchedule(plan, reads, z, widest, checks)
             for band, filt in filters:
-                got = draw(band, filt, schedule, checker)
+                got = draw(band, filt, schedule)
                 # bands overlap where centres are clipped at 0 or pi, so two
                 # draws can report one index
                 if got is not None and abs(got[1]) > abs(found.get(got[0], 0.0)):

@@ -148,8 +148,16 @@ def _estimate(plan, oracle, cand, mu_each, eps, rng, floor=0.0):
             raise RecoveryError(f"filtered norm {u_rounds[0]:.3g} below the "
                                 f"energy floor {floor:.3g}")
         sums.append(np.bincount(js, weights=y, minlength=n))
-    return (float(np.median(u_rounds)),
-            np.median(_correlate(plan, cand, sums, s), axis=0))
+    return float(_odd_median(u_rounds)), _odd_median(_correlate(plan, cand, sums, s))
+
+
+def _odd_median(a: np.ndarray) -> np.ndarray:
+    """np.median(a, axis=0) for an odd number of rows, bit for bit: the
+    middle element of each column, NaN where the column holds one."""
+    mid = a.shape[0] // 2
+    # kth -1 puts each column's largest at the end, NaN where there is one
+    part = np.partition(a, (mid, -1), axis=0)
+    return np.where(np.isnan(part[-1]), np.nan, part[mid])
 
 
 def _prune_over(plan, oracle, cand, mu, eps, rng,

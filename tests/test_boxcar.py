@@ -154,6 +154,23 @@ def test_validation():
         build_boxcar(1.0, 0.2, 1.0)
 
 
+def test_filters_are_kept_per_argument_and_read_only():
+    # a bank's end centres clip to exactly 0 and pi, so one (center, width,
+    # eps) recurs; its filter is built once and its coefficients cannot be
+    # written through the shared object
+    eps = ReductionConfig(2, 0.05, 0.1, 1.0).boxcar_eps()
+    first = build_boxcar(math.pi, 0.25, eps)
+    assert build_boxcar(math.pi, 0.25, eps) is first
+    assert build_boxcar(np.float64(math.pi), 0.25, eps) is first
+    other = build_boxcar(0.0, 0.25, eps)
+    assert other is not first and build_boxcar(0, 0.25, eps) is other
+    assert other.center == 0.0 and type(other.center) is float
+    for filt in (first, other):
+        assert not filt.coeffs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            filt.coeffs[0] = 0.0
+
+
 def test_call_is_chebval():
     filt = build_boxcar(1.2, 0.3, 0.02)
     x = np.array([-0.9, 0.0, 0.4])

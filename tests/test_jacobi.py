@@ -473,6 +473,18 @@ def test_weights_of_large_exponents_raise_no_overflow():
     assert np.all(np.isfinite(w) & (w > 0.0)) and math.isfinite(u)
 
 
+def test_weights_refuse_a_sum_of_squares_that_overflows():
+    # at alpha = 150, N = 1024, p_j(cos 0.01)^2 overflows: the weight there
+    # would read 0, so the call raises, naming the setting
+    p = JacobiParams(150.0, 0.0)
+    theta = np.linspace(0.01, 2.5, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"not finite at alpha=150\.0, beta=0\.0, "
+                                             r"N=1024"):
+            compute_weights(p, theta, 1024)
+
+
 def test_plans_build_up_to_exponent_15_and_not_at_16():
     # JacobiParams takes any exponent above -1, but set-up has a ceiling:
     # at N = 64 a plan builds at 15 and its root angles fail at 16

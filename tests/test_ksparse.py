@@ -4,6 +4,7 @@ the sampled verifier, and the peeling loop."""
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -393,9 +394,10 @@ def test_sample_values_match_query_many(peel_plan, batch_filters, rng):
 
 
 def test_residual_reads_match_the_repeated_scatter(peel_plan, rng):
-    # read(js, d) reads the union of the windows in one request, and the
-    # memo's residual holds the values the scatter of every window, repeats
-    # included, puts there: y and its moments agree bit for bit
+    # read(js, d) reads the union of the windows in one request and returns
+    # it, and the memo holds the values the scatter of every window, repeats
+    # included, puts there: a schedule on it gives the moments of that
+    # scatter's residual bit for bit, reading nothing more
     plan, n = peel_plan, peel_plan.n
     x = rng.standard_normal(n)
     z = SparseApprox({40: 0.6, 200: -0.3}).image(plan)
@@ -410,13 +412,17 @@ def test_residual_reads_match_the_repeated_scatter(peel_plan, rng):
         y[idx] = x[idx] - z[idx]
         oracle = RecordingOracle(x)
         reads = RawReads(oracle)
-        reads.read(js, d)
+        new = reads.read(js, d)
         assert len(oracle.calls) == (1 if js.size else 0), d
+        np.testing.assert_array_equal(new, np.unique(idx))
         assert reads.count == np.unique(idx).size, d
-        got_y = reads.residual(z)
-        assert got_y.tobytes() == y.tobytes(), d
+        held = np.zeros(n)
+        held[idx] = x[idx]
+        assert reads.x.tobytes() == held.tobytes(), d
+        np.testing.assert_array_equal(np.flatnonzero(reads.seen), np.unique(idx))
         want = plan.moments(y, d)[:, js].T
-        got = plan.moments(got_y, d)[:, js].T
+        got = SampleSchedule(plan, reads, z, d).moments(js, d)
+        assert len(oracle.calls) == (1 if js.size else 0), d
         assert got.tobytes() == want.tobytes(), d
 
 
@@ -519,9 +525,10 @@ def test_query_many_reads_through_the_pass_memo(peel_plan, batch_filters, rng):
     assert oracle.count == read.size
 
 
-def counted_plan(n=256):
-    """A fresh Legendre plan whose ``moments`` calls are recorded by degree."""
-    plan = build_plan(JacobiParams(0.0, 0.0), n)
+def counted_plan(n=256, alpha=0.0, beta=0.0):
+    """A fresh plan, Legendre by default, whose ``moments`` calls are recorded
+    by degree."""
+    plan = build_plan(JacobiParams(alpha, beta), n)
     builds = []
 
     def counted(y, deg):
@@ -553,6 +560,73 @@ def test_query_many_builds_no_stack_while_the_memo_has_not_grown(batch_filters, 
         assert got.tobytes() == fresh.tobytes()
         assert len(oracle.calls) == calls + grows
         assert builds[built:] == [wide.degree] * grows
+
+
+@pytest.mark.parametrize("alpha, beta, n", [(0.0, 0.0, 2048), (1.5, -0.3, 1024)],
+                         ids=["legendre", "alpha-ne-beta"])
+def test_one_bank_stack_serves_both_memos_unsaturated(batch_filters, alpha, beta, n):
+    # a bank's one schedule on both memos, where each memo holds windows the
+    # other lacks: every read goes through the asking memo alone, the stack
+    # is rebuilt only when a read brings entries neither memo had, and the
+    # solver's and verify's filtered samples carry the bits of a standalone
+    # access's
+    plan, builds = counted_plan(n, alpha, beta)
+    narrow, wide = batch_filters
+    x = np.random.default_rng(8).standard_normal(n)
+    zhat = SparseApprox({n // 5: 0.6, 3 * n // 4: -0.3})
+    z = zhat.image(plan)
+    oracle = RecordingOracle(x)
+    reads, checks = memos(oracle)
+    # the solver's memo holds 53 .. 187, verify's N/2 + 53 .. N/2 + 187
+    reads.read(np.arange(100, 141), wide.degree)
+    checks.read(np.arange(n // 2 + 100, n // 2 + 141), wide.degree)
+    assert reads.count == checks.count == 135
+    schedule = SampleSchedule(plan, reads, z, wide.degree, checks)
+    draw = SimulatedAccess(schedule, wide)
+    check = SimulatedAccess(schedule, narrow, checks)
+    uncounted = build_plan(JacobiParams(alpha, beta), n)
+
+    def same_bits(got, filt, js):
+        own = standalone(uncounted, QueryOracle(x), zhat, filt).query_many(js)
+        return [v.hex() for v in got.tolist()] == [v.hex() for v in own.tolist()]
+
+    # (positions, access, whether the union grows), by whose windows they lie in
+    steps = [
+        (np.array([110, 130]), draw, False),  # the solver's own
+        (np.array([n // 2 + 120]), draw, False),  # verify's
+        (np.array([120]), check, False),  # the solver's
+        (np.array([n // 2 + 130, n // 2 + 110]), check, False),  # verify's own
+        (np.array([n // 4, n // 4 + 8, 3 * n // 4]), check, True),  # neither's
+        (np.array([n // 4 + 4]), draw, False),  # verify's, read just now
+    ]
+    for i, (js, access, grows) in enumerate(steps):
+        filt, memo, other = (wide, reads, checks) if access is draw else (narrow, checks, reads)
+        held, other_held = memo.seen.copy(), other.count
+        calls, built = len(oracle.calls), len(builds)
+        got = access.query_many(js)
+        assert same_bits(got, filt, js), i
+        want = window_reads(js, filt.degree, n)
+        want = want[~held[want]]
+        assert len(oracle.calls) == calls + (want.size > 0), i
+        if want.size:
+            np.testing.assert_array_equal(oracle.calls[-1], want)
+        assert other.count == other_held, i
+        # the first query builds the stack; later ones only when it grows
+        assert builds[built:] == [wide.degree] * (grows or i == 0), i
+    # a round reads through the solver's memo and its rows carry the same bits
+    js, vals = draw.sample(4, np.random.default_rng(2))
+    assert same_bits(vals, wide, js)
+    assert checks.count + reads.count == oracle.count < 2 * n
+
+
+def test_an_access_refuses_a_memo_its_schedule_does_not_read(peel_plan, batch_filters):
+    narrow, _ = batch_filters
+    oracle = QueryOracle(np.zeros(peel_plan.n))
+    reads, checks = memos(oracle)
+    schedule = SampleSchedule(peel_plan, reads, np.zeros(peel_plan.n), narrow.degree)
+    with pytest.raises(ValueError, match="not one of its schedule's"):
+        SimulatedAccess(schedule, narrow, checks)
+    assert SimulatedAccess(schedule, narrow, reads).query_many(np.array([3])).size == 1
 
 
 def test_bank_round_is_gathered_once_and_serves_every_draw(peel_plan, batch_filters,
@@ -962,9 +1036,10 @@ def record_readers(monkeypatch):
         def read(self, *args):
             calls = self.oracle.calls
             before = len(calls)
-            super().read(*args)
+            new = super().read(*args)
             self.calls += calls[before:]
             self.tags += [(made["passes"] - 1, now["verify"])] * (len(calls) - before)
+            return new
 
     real_estimate = ksparse.estimate_norm
 
@@ -1039,10 +1114,11 @@ def test_recover_trial_requests_no_entry_twice(peel_plan, monkeypatch):
 
 
 def test_each_bank_opens_one_schedule_on_each_memo(peel_plan, monkeypatch):
-    # in one trial every schedule is opened in pairs, one pair per bank,
-    # after the bank's boxcars and before any of its draws solves: the
-    # draws' schedule on the solver's memo, then their checks' on verify's,
-    # both at the bank's widest degree.  No verify call opens one of its own
+    # in one trial every bank opens one schedule, after its boxcars and
+    # before any of its draws solves, on both memos (the solver's first,
+    # verify's second) at the bank's widest degree: its draws and their
+    # checks take moments from its one stack.  No verify call opens one of
+    # its own
     plan = peel_plan
     cfg = ReductionConfig(2, 0.05, 0.1, 1.0)
     memos, made = record_readers(monkeypatch)
@@ -1050,9 +1126,9 @@ def test_each_bank_opens_one_schedule_on_each_memo(peel_plan, monkeypatch):
     real_boxcar, real_solver = ksparse.build_boxcar, ksparse.solve_one_sparse
 
     class Recorded(SampleSchedule):
-        def __init__(self, plan, raw, z, degree):
-            super().__init__(plan, raw, z, degree)
-            opened.append((raw, degree, len(degrees), solves[0]))
+        def __init__(self, plan, raw, z, degree, checks=None):
+            super().__init__(plan, raw, z, degree, checks)
+            opened.append((self.memos, degree, len(degrees), solves[0]))
 
     def counted_boxcar(*args):
         filt = real_boxcar(*args)
@@ -1073,11 +1149,44 @@ def test_each_bank_opens_one_schedule_on_each_memo(peel_plan, monkeypatch):
     m = bank_size(cfg)
     banks = [degrees[i:i + m] for i in range(0, len(degrees), m)]
     assert made["verifies"] > 1 and len(degrees) == solves[0] == len(banks) * m
-    assert len(opened) == 2 * len(banks)
+    assert len(opened) == len(banks)
     for b, bank in enumerate(banks):
-        pair = opened[2 * b:2 * b + 2]
-        assert [raw for raw, *_ in pair] == [reads, checks]
-        assert [rest for _, *rest in pair] == [[max(bank), (b + 1) * m, b * m]] * 2
+        both, *rest = opened[b]
+        assert len(both) == 2 and both[0] is reads and both[1] is checks
+        assert rest == [max(bank), (b + 1) * m, b * m]
+
+
+def test_benchmark_trials_build_one_stack_per_bank(monkeypatch):
+    # the k-sparse benchmark's 57 trials at seed 1 (opsbench, 20 s at its
+    # nominal op time): both memos read all of x at their first read, so
+    # each bank builds its stack once, at its widest degree, and verify
+    # builds none: 60 builds over 60 banks (120 with one stack per memo)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "opsbench"))
+    from workloads import WORKLOADS
+
+    wl = WORKLOADS["ksparse-legendre-n2048"]
+    plan = wl.setup(None)[0]
+    builds, opened = [], []
+
+    def counted(y, deg):
+        builds.append(deg)
+        return type(plan).moments(plan, y, deg)
+
+    class Recorded(SampleSchedule):
+        def __init__(self, *args):
+            super().__init__(*args)
+            opened.append(self.degree)
+
+    monkeypatch.setattr(plan, "moments", counted)
+    monkeypatch.setattr(ksparse, "SampleSchedule", Recorded)
+    trials = np.random.SeedSequence(1).spawn(2)[0].spawn(wl.op_count(20.0))
+    assert len(trials) == 57
+    for i, seq in enumerate(trials):
+        inp = wl.make_input(plan, seq, i)
+        oracle = QueryOracle(inp.values)
+        out = wl.op(plan, oracle, np.random.default_rng(inp.algo_seq))
+        assert wl.check(inp, out) and oracle.count == 2 * plan.n, i
+    assert len(builds) == 60 and builds == opened
 
 
 def test_arccos_queries_read_through_the_pass_memo(legendre_plan_2048, monkeypatch):

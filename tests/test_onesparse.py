@@ -116,19 +116,31 @@ def per_round_estimate(plan, oracle, cand, mu_each, eps, rng):
 @pytest.mark.parametrize("plan_name", ["legendre_plan_4096", "plan_above_dense_limit"],
                          ids=["dense", "forward"])
 def test_estimate_matches_per_round_correlation(plan_name, request):
+    # also with a NaN entry that exactly one of the seven rounds samples:
+    # that round is NaN throughout, and so is every median, as with
+    # np.median, so the estimate makes no hit
     plan = request.getfixturevalue(plan_name)
     assert plan.n in (DENSE_CACHE_LIMIT, DENSE_CACHE_LIMIT + 1)
     mu_each = 1e-9
     assert _round_count(mu_each) == 7
-    y = spike_signal(plan, 1234, 0.9, noise=0.01, rng=np.random.default_rng(2))
-    cand = np.arange(1200, 1300)
-    want_oracle, got_oracle = QueryOracle(y), QueryOracle(y)
-    want = per_round_estimate(plan, want_oracle, cand, mu_each, 0.01,
-                              np.random.default_rng(5))
-    got = _estimate(plan, got_oracle, cand, mu_each, 0.01, np.random.default_rng(5))
-    assert got[0] == want[0]
-    np.testing.assert_array_equal(got[1], want[1])
-    assert got_oracle.count == want_oracle.count == 7 * _sample_size(plan, 0.01)
+    s = _sample_size(plan, 0.01)
+    replay = np.random.default_rng(5)
+    rounds = np.zeros(plan.n, dtype=int)
+    for _ in range(7):
+        rounds[np.unique(replay.integers(0, plan.n, size=s))] += 1
+    for nan in (False, True):
+        y = spike_signal(plan, 1234, 0.9, noise=0.01, rng=np.random.default_rng(2))
+        if nan:
+            y[np.flatnonzero(rounds == 1)[0]] = np.nan
+        cand = np.arange(1200, 1300)
+        want_oracle, got_oracle = QueryOracle(y), QueryOracle(y)
+        want = per_round_estimate(plan, want_oracle, cand, mu_each, 0.01,
+                                  np.random.default_rng(5))
+        got = _estimate(plan, got_oracle, cand, mu_each, 0.01, np.random.default_rng(5))
+        assert math.isnan(got[0]) == np.all(np.isnan(got[1])) == nan
+        np.testing.assert_array_equal(got[0], want[0])
+        assert [v.hex() for v in got[1].tolist()] == [v.hex() for v in want[1].tolist()]
+        assert got_oracle.count == want_oracle.count == 7 * s
 
 
 @pytest.mark.parametrize("mu_each, rounds", [(1e-7, 5), (1e-10, 7)])
