@@ -90,7 +90,8 @@ def write_signal(path, vector: np.ndarray, alpha: float, beta: float,
 
 
 def read_signal(path) -> dict:
-    """Decode a signal file; malformed files raise ValueError or KeyError."""
+    """Decode a signal file; malformed files, non-finite payload entries
+    included, raise ValueError or KeyError."""
     with open(path, encoding="ascii") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != SIGNAL_FORMAT:
@@ -114,6 +115,9 @@ def read_signal(path) -> dict:
     vec = _decode_vector(doc["data"])
     if len(vec) != doc["n"]:
         raise ValueError(f"{path}: payload length {len(vec)} != n={doc['n']}")
+    bad = np.flatnonzero(~np.isfinite(vec))
+    if bad.size:
+        raise ValueError(f"{path}: payload entry {bad[0]} is {vec[bad[0]]}, not a finite number")
     doc["vector"] = vec
     return doc
 

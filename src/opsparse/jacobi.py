@@ -2,11 +2,15 @@
 
 Everything here works with the classical parameters alpha, beta > -1.  The
 orthonormal family is evaluated through a rescaled three-term recurrence whose
-coefficients stay O(1) in the degree.  Roots start from Gatteschi &
-Pittaluga's asymptotic angles and are polished by Newton's method in theta,
-with every step a sweep of that recurrence (Hale & Townsend, SISC 2013)
-over the roots still moving: the step is elementwise, so a root whose step
-was exactly 0 sits at its fixed point and is not swept again.
+coefficients stay O(1) in the degree.  The norms have one definition: the
+ratios h_{j-1}/h_j of ``_recurrence_terms``, rational in j.  They rescale
+that recurrence and the Newton slope, and summed in log space from h_0's
+closed form they give every h_j (``log_norm_factor``), with no per-degree
+lgamma differences.  Roots start from Gatteschi & Pittaluga's asymptotic
+angles and are polished by Newton's method in theta, with every step a
+sweep of that recurrence (Hale & Townsend, SISC 2013) over the roots still
+moving: the step is elementwise, so a root whose step was exactly 0 sits at
+its fixed point and is not swept again.
 They are indexed by *ascending angle* theta = arccos(lambda), i.e.
 descending lambda.  At alpha = beta the family has p_j(-x) = (-1)^j p_j(x) and
 the roots come in +- pairs (Szego, Orthogonal Polynomials, 4.1): Newton runs
@@ -90,36 +94,28 @@ class JacobiParams:
 def log_norm_factor(params: JacobiParams, j) -> np.ndarray | float:
     """log of the squared L2 norm h_j of the classical Jacobi polynomial P_j.
 
-    h_j = 2^(a+b+1)/(2j+a+b+1) * G(j+a+1)G(j+b+1)/(G(j+1)G(j+a+b+1)); the j=0
-    denominator degeneracy at a+b+1 = 0 is removed exactly by rewriting with
-    G(a+b+2).  Accepts scalar or array j.
+    h_0 = 2^(a+b+1) G(a+1)G(b+1)/G(a+b+2), the closed form that holds at
+    a+b+1 = 0 too, and log h_j = log h_0 - sum_{i<=j} log q_i with
+    q_i = h_{i-1}/h_i from ``_recurrence_terms``, the ratios the orthonormal
+    recurrence and the Newton slope use: one definition of the norms, with
+    no lgamma differences to cancel.  Accepts scalar or array j of integral
+    values >= 0 (integral floats included); costs O(max j).
     """
     a, b = params.alpha, params.beta
-    jarr = np.asarray(j)
-    scalar = jarr.ndim == 0
-    jarr = np.atleast_1d(jarr).astype(np.int64)
-    if np.any(jarr < 0):
-        raise ValueError("degree must be >= 0")
-    out = np.empty(jarr.shape[0])
-    base = (a + b + 1.0) * math.log(2.0)
-    for i, jj in enumerate(jarr):
-        if jj == 0:
-            out[i] = (
-                base
-                + math.lgamma(a + 1.0)
-                + math.lgamma(b + 1.0)
-                - math.lgamma(a + b + 2.0)
-            )
-        else:
-            out[i] = (
-                base
-                - math.log(2.0 * jj + a + b + 1.0)
-                + math.lgamma(jj + a + 1.0)
-                + math.lgamma(jj + b + 1.0)
-                - math.lgamma(jj + 1.0)
-                - math.lgamma(jj + a + b + 1.0)
-            )
-    return float(out[0]) if scalar else out
+    jarr = np.atleast_1d(j)
+    ok = np.isfinite(jarr) & (jarr >= 0) & (jarr == np.floor(jarr))  # NaN fails
+    if not np.all(ok):
+        raise ValueError(f"degree must be an integer >= 0, got {jarr[~ok][0]}")
+    jarr = jarr.astype(np.int64)
+    log_h0 = (
+        (a + b + 1.0) * math.log(2.0)
+        + math.lgamma(a + 1.0)
+        + math.lgamma(b + 1.0)
+        - math.lgamma(a + b + 2.0)
+    )
+    q = _recurrence_terms(params, int(jarr.max(initial=0)))[3]
+    out = np.concatenate(([log_h0], log_h0 - np.cumsum(np.log(q))))[jarr]
+    return float(out[0]) if np.ndim(j) == 0 else out
 
 
 def norm_factor(params: JacobiParams, j) -> np.ndarray | float:
@@ -139,6 +135,19 @@ def _terms(a, b, j):
     return A, B, C, ratio
 
 
+def _recurrence_terms(params: JacobiParams, jmax: int):
+    """(A_j, B_j, C_j, q_j) for j = 1..jmax at index j - 1, q_j = h_{j-1}/h_j:
+    the one source of the norm ratios.  j = 1 from the closed forms
+    (C_1 = 0), j >= 2 from ``_terms``' array form, which has the bits of
+    ``recurrence_coeffs`` and of ``_terms``' scalar ratio."""
+    a, b = params.alpha, params.beta
+    terms = np.empty((4, jmax))
+    if jmax:
+        terms[:, 0] = (*recurrence_coeffs(params, 1), (a + b + 3.0) / ((a + 1.0) * (b + 1.0)))
+        terms[:, 1:] = _terms(a, b, np.arange(2.0, jmax + 1.0))
+    return terms
+
+
 def recurrence_coeffs(params: JacobiParams, j: int) -> tuple[float, float, float]:
     """(A_j, B_j, C_j) with P_j = (A_j x + B_j) P_{j-1} - C_j P_{j-2}, j >= 1."""
     a, b = params.alpha, params.beta
@@ -149,19 +158,13 @@ def recurrence_coeffs(params: JacobiParams, j: int) -> tuple[float, float, float
     return _terms(a, b, j)[:3]
 
 
-def _norm_ratio_sq(params: JacobiParams, j: int) -> float:
-    """h_{j-1}/h_j via cancellation-free ratios."""
-    a, b = params.alpha, params.beta
-    if j == 1:
-        return (a + b + 3.0) / ((a + 1.0) * (b + 1.0))
-    return _terms(a, b, j)[3]
-
-
 def orthonormal_coeffs(params: JacobiParams, jmax: int):
     """Coefficient arrays (p0, a, b, c) for the orthonormal recurrence.
 
     p_j = (a[j] x + b[j]) p_{j-1} - c[j] p_{j-2}; index 0 of each array is
-    unused.  p0 = h_0^{-1/2}.  Raises ValueError when log h_0 is not finite
+    unused.  p0 = h_0^{-1/2}, and each later degree is rescaled by
+    sqrt(h_{j-1}/h_j) from ``_recurrence_terms``, the ratios
+    ``log_norm_factor`` sums.  Raises ValueError when log h_0 is not finite
     or p0 would leave the float range, as it can for huge alpha or beta,
     where the lgamma differences in h_0 are lost to round-off.
     """
@@ -175,21 +178,12 @@ def orthonormal_coeffs(params: JacobiParams, jmax: int):
     a = np.zeros(jmax + 1)
     b = np.zeros(jmax + 1)
     c = np.zeros(jmax + 1)
-    if jmax == 0:
-        return p0, a, b, c
-    # A_j r_j, B_j r_j and C_j r_j r_{j-1} with r_j = sqrt(h_{j-1}/h_j): for
-    # j >= 2 the terms of recurrence_coeffs and _norm_ratio_sq over an array
-    # of degrees, j = 1 their closed forms (c[1] = 0)
-    A, B, C, ratio = _terms(params.alpha, params.beta, np.arange(2.0, jmax + 1.0))
-    r = np.empty(jmax + 1)
-    r[1] = _norm_ratio_sq(params, 1)
-    r[2:] = ratio
-    np.sqrt(r[1:], out=r[1:])
-    A1, B1, _ = recurrence_coeffs(params, 1)
-    a[1], b[1] = A1 * r[1], B1 * r[1]
-    a[2:] = A * r[2:]
-    b[2:] = B * r[2:]
-    c[2:] = C * r[2:] * r[1:-1]
+    # A_j r_j, B_j r_j and C_j r_j r_{j-1} with r_j = sqrt(q_j) (c[1] = 0)
+    A, B, C, q = _recurrence_terms(params, jmax)
+    r = np.sqrt(q)
+    a[1:] = A * r
+    b[1:] = B * r
+    c[2:] = C[1:] * r[1:] * r[:-1]
     return p0, a, b, c
 
 
@@ -249,7 +243,8 @@ def _slope_coeffs(params: JacobiParams, n: int) -> tuple[float, float]:
     divided by (2n+a+b) sqrt(h_n)."""
     a, b = params.alpha, params.beta
     t = 2.0 * n + a + b
-    return n * (a - b) / t, 2.0 * (n + a) * (n + b) / t * math.sqrt(_norm_ratio_sq(params, n))
+    q_n = float(_recurrence_terms(params, n)[3, -1])
+    return n * (a - b) / t, 2.0 * (n + a) * (n + b) / t * math.sqrt(q_n)
 
 
 def _root_guess(params: JacobiParams, n: int) -> np.ndarray:

@@ -140,8 +140,9 @@ class TransformPlan:
 
     def side_weights(self) -> np.ndarray:
         """sqrt(h_j * j) for j = 0..N-1, h_j the squared norm of the
-        classical P_j: exactly zero at j = 0.  ``query_cos``'s ratio
-        weights, derived on first use, cached and read-only."""
+        classical P_j from ``log_norm_factor``, that is from the recurrence's
+        own ratios h_{j-1}/h_j: exactly zero at j = 0.  ``query_cos``'s ratio
+        weights, derived on first use in O(N), cached and read-only."""
         if self._side is None:
             j = np.arange(1, self.n, dtype=np.float64)
             side = np.zeros(self.n)

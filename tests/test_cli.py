@@ -104,7 +104,7 @@ def test_signal_fuzz_raises_only_reported_errors(tmp_path, small_signal_text, da
     except (ValueError, KeyError):
         return
     assert doc["vector"].shape == (doc["n"],)
-    assert np.isfinite([doc["alpha"], doc["beta"]]).all()
+    assert np.isfinite([doc["alpha"], doc["beta"]]).all() and np.isfinite(doc["vector"]).all()
 
 
 def test_synth_spectrum_separation_and_noise(rng):
@@ -352,14 +352,20 @@ def test_recover1_reports_failure_on_empty_signal(tmp_path, capsys):
       "--delta", "0.05", "--gamma", "1", "--trials", "1"),
      "filter degree 43 must be < N = 32"),
     (("dct", "--input", "{sig0}", "--out", "{out}"), "n must be >= 1"),
+    # non-finite payloads are refused before a single entry is read
+    (("recover1", "--input", "{nan}"), "payload entry 0 is nan, not a finite number"),
+    (("transform", "--input", "{inf}", "--out", "{out}"),
+     "payload entry 0 is inf, not a finite number"),
+    (("dct", "--input", "{nan5}", "--out", "{out}", "--check"), "payload entry 5 is nan"),
 ])
 def test_bad_arguments_are_reported(tmp_path, capsys, monkeypatch, argv, match):
-    sig, sig1, sig0 = (tmp_path / f"{name}.json" for name in ("sig", "sig1", "sig0"))
-    write_signal(sig, np.zeros(64), 0.0, 0.0)
-    write_signal(sig1, np.zeros(1), 0.0, 0.0)
-    write_signal(sig0, np.zeros(0), 0.0, 0.0)
-    argv = [a.format(sig=sig, sig1=sig1, sig0=sig0, out=tmp_path / "out.json")
-            for a in argv]
+    signals = {"sig": (np.zeros(64), 0.0), "sig1": (np.zeros(1), 0.0), "sig0": (np.zeros(0), 0.0),
+               "nan": (np.full(64, np.nan), 0.0), "inf": (np.full(64, np.inf), 0.5),
+               "nan5": (np.where(np.isin(np.arange(64), (5, 9)), np.nan, 1.0), 0.0)}
+    paths = {name: tmp_path / f"{name}.json" for name in signals}
+    for name, (vector, ab) in signals.items():
+        write_signal(paths[name], vector, ab, ab)
+    argv = [a.format(**paths, out=tmp_path / "out.json") for a in argv]
     if "=" in argv[0]:  # a leading NAME=value sets the environment, as in a shell
         name, value = argv.pop(0).split("=", 1)
         monkeypatch.setenv(name, value)

@@ -32,9 +32,9 @@ from opsparse.jacobi import (
     recurrence_coeffs,
     root_cosines,
     _FULL_SWEEPS,
-    _norm_ratio_sq,
     _root_guess,
     _slope_coeffs,
+    _terms,
 )
 
 PARAM_GRID = [(-0.5, -0.5), (0.0, 0.0), (0.5, 0.5), (1.5, -0.3), (0.0, -0.999)]
@@ -97,17 +97,42 @@ def test_log_norm_factor_array_and_validation():
     assert arr.shape == (3,)
     for i, j in enumerate(js):
         assert arr[i] == pytest.approx(log_norm_factor(p, int(j)))
-    with pytest.raises(ValueError):
-        log_norm_factor(p, -1)
+    # integral floats are degrees; anything else is refused, not truncated
+    assert np.array_equal(log_norm_factor(p, js.astype(np.float64)), arr)
+    assert log_norm_factor(p, 4.0) == arr[2]
+    for bad in (-1, 2.5, np.array([0.0, 1.5]), math.nan, math.inf):
+        with pytest.raises(ValueError, match="degree must be an integer >= 0"):
+            log_norm_factor(p, bad)
+    with pytest.raises(ValueError, match="got 2.5"):
+        norm_factor(JacobiParams(0.0, 0.0), 2.5)
 
 
-@given(params_st, st.integers(min_value=1, max_value=40))
-@settings(max_examples=40, deadline=None)
-def test_norm_ratio_consistency(p, j):
-    # the cancellation-free ratio used by the orthonormal recurrence must
-    # agree with the direct lgamma evaluation
-    ratio = math.exp(log_norm_factor(p, j - 1) - log_norm_factor(p, j))
-    assert _norm_ratio_sq(p, j) == pytest.approx(ratio, rel=1e-10)
+@pytest.mark.parametrize("alpha, beta, closed", [
+    (0.0, 0.0, lambda j: 2.0 / (2.0 * j + 1.0)),
+    (1.0, 1.0, lambda j: 8.0 * (j + 1.0) / ((2.0 * j + 3.0) * (j + 2.0))),
+    (1.0, 0.0, lambda j: 2.0 / (j + 1.0)),
+], ids=["legendre", "gegenbauer-3/2", "alpha=1"])
+def test_norms_match_closed_forms_below_2_20(alpha, beta, closed):
+    # a million summed log ratios drift by about 3e-12; lgamma differences
+    # taken per degree cancel to about 1e-8, which this bound refuses
+    j = np.arange(2**20)
+    h = np.exp(log_norm_factor(JacobiParams(alpha, beta), j))
+    assert np.max(np.abs(h / closed(j.astype(np.float64)) - 1.0)) <= 1e-11
+
+
+@pytest.mark.parametrize("alpha, beta", PARAM_GRID)
+def test_norms_match_gammaln(alpha, beta):
+    # DLMF 18.3: h_j = 2^(a+b+1)/(2j+a+b+1) G(j+a+1)G(j+b+1)/(G(j+1)G(j+a+b+1)),
+    # through scipy's gammaln for j >= 1; h_0 by the G(a+b+2) form
+    p = JacobiParams(alpha, beta)
+    j = np.arange(1.0, 2001.0)
+    g = scipy.special.gammaln
+    ref = ((alpha + beta + 1.0) * math.log(2.0) - np.log(2.0 * j + alpha + beta + 1.0)
+           + g(j + alpha + 1.0) + g(j + beta + 1.0) - g(j + 1.0) - g(j + alpha + beta + 1.0))
+    ref0 = ((alpha + beta + 1.0) * math.log(2.0) + g(alpha + 1.0) + g(beta + 1.0)
+            - g(alpha + beta + 2.0))
+    h = norm_factor(p, np.arange(2001))
+    np.testing.assert_allclose(h, np.exp(np.concatenate(([ref0], ref))), rtol=1e-11, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +204,17 @@ def test_orthonormal_coeffs_degenerate_alpha_beta():
 @pytest.mark.parametrize("jmax", [0, 1, 2, 3, 40, 1000])
 def test_orthonormal_coeffs_match_scalar_forms(alpha, beta, jmax):
     # the array form must give the bits of the scalar recurrence_coeffs and
-    # _norm_ratio_sq, combined as p_j = (a_j x + b_j) p_{j-1} - c_j p_{j-2}
+    # _terms' ratio h_{j-1}/h_j (its closed form at j = 1), combined as
+    # p_j = (a_j x + b_j) p_{j-1} - c_j p_{j-2}
     p = JacobiParams(alpha, beta)
     a, b, c = np.zeros(jmax + 1), np.zeros(jmax + 1), np.zeros(jmax + 1)
     rprev = 0.0
     for j in range(1, jmax + 1):
-        r = math.sqrt(_norm_ratio_sq(p, j))
+        if j == 1:
+            q = (alpha + beta + 3.0) / ((alpha + 1.0) * (beta + 1.0))
+        else:
+            q = _terms(alpha, beta, j)[3]
+        r = math.sqrt(q)
         A, B, C = recurrence_coeffs(p, j)
         a[j], b[j], c[j] = A * r, B * r, C * r * rprev
         rprev = r
