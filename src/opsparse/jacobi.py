@@ -3,7 +3,7 @@
 Everything here works with the classical parameters alpha, beta > -1.  The
 orthonormal family is evaluated through a rescaled three-term recurrence whose
 coefficients stay O(1) in the degree.  The norms have one definition: the
-ratios h_{j-1}/h_j of ``_recurrence_terms``, rational in j.  They rescale
+ratios h_{j-1}/h_j of ``_norm_ratios``, rational in j.  They rescale
 that recurrence and the Newton slope, and summed in log space from h_0's
 closed form they give every h_j (``log_norm_factor``), with no per-degree
 lgamma differences.  Roots start from Gatteschi & Pittaluga's asymptotic
@@ -96,7 +96,7 @@ def log_norm_factor(params: JacobiParams, j) -> np.ndarray | float:
 
     h_0 = 2^(a+b+1) G(a+1)G(b+1)/G(a+b+2), the closed form that holds at
     a+b+1 = 0 too, and log h_j = log h_0 - sum_{i<=j} log q_i with
-    q_i = h_{i-1}/h_i from ``_recurrence_terms``, the ratios the orthonormal
+    q_i = h_{i-1}/h_i from ``_norm_ratios``, the ratios the orthonormal
     recurrence and the Newton slope use: one definition of the norms, with
     no lgamma differences to cancel.  Accepts scalar or array j of integral
     values >= 0 (integral floats included); costs O(max j).
@@ -113,7 +113,7 @@ def log_norm_factor(params: JacobiParams, j) -> np.ndarray | float:
         + math.lgamma(b + 1.0)
         - math.lgamma(a + b + 2.0)
     )
-    q = _recurrence_terms(params, int(jarr.max(initial=0)))[3]
+    q = _norm_ratios(params, int(jarr.max(initial=0)))
     out = np.concatenate(([log_h0], log_h0 - np.cumsum(np.log(q))))[jarr]
     return float(out[0]) if np.ndim(j) == 0 else out
 
@@ -124,28 +124,35 @@ def norm_factor(params: JacobiParams, j) -> np.ndarray | float:
 
 
 def _terms(a, b, j):
-    """(A_j, B_j, C_j, h_{j-1}/h_j) for j >= 2, at a Python or numpy j: one
-    expression for the scalar and the array forms, so both have the same bits."""
+    """(A_j, B_j, C_j) for j >= 2, at a Python or numpy j: one expression for
+    the scalar and the array forms, so both have the same bits."""
     t = 2.0 * j + a + b
     den = 2.0 * j * (j + a + b)
     A = t * (t - 1.0) / den
     B = (t - 1.0) * (a * a - b * b) / (den * (t - 2.0))
     C = (j + a - 1.0) * (j + b - 1.0) * t / (j * (j + a + b) * (t - 2.0))
-    ratio = (t + 1.0) / (t - 1.0) * (j * (j + a + b)) / ((j + a) * (j + b))
-    return A, B, C, ratio
+    return A, B, C
 
 
-def _recurrence_terms(params: JacobiParams, jmax: int):
-    """(A_j, B_j, C_j, q_j) for j = 1..jmax at index j - 1, q_j = h_{j-1}/h_j:
-    the one source of the norm ratios.  j = 1 from the closed forms
-    (C_1 = 0), j >= 2 from ``_terms``' array form, which has the bits of
-    ``recurrence_coeffs`` and of ``_terms``' scalar ratio."""
+def _ratio(a, b, j):
+    """h_{j-1}/h_j for j >= 2, at a Python or numpy j, with ``_terms``' rule
+    of one expression for both forms."""
+    t = 2.0 * j + a + b
+    return (t + 1.0) / (t - 1.0) * (j * (j + a + b)) / ((j + a) * (j + b))
+
+
+def _norm_ratios(params: JacobiParams, jmax: int) -> np.ndarray:
+    """q_j = h_{j-1}/h_j for j = 1..jmax at index j - 1: the one source of
+    the norm ratios.  j = 1 from its closed form, j >= 2 from ``_ratio``'s
+    array form, which has the bits of its scalar form.  No A_j, B_j
+    or C_j is formed, so alpha or beta near 1e155, where their products
+    overflow, leaves the norms finite and warning-free."""
     a, b = params.alpha, params.beta
-    terms = np.empty((4, jmax))
+    q = np.empty(jmax)
     if jmax:
-        terms[:, 0] = (*recurrence_coeffs(params, 1), (a + b + 3.0) / ((a + 1.0) * (b + 1.0)))
-        terms[:, 1:] = _terms(a, b, np.arange(2.0, jmax + 1.0))
-    return terms
+        q[0] = (a + b + 3.0) / ((a + 1.0) * (b + 1.0))
+        q[1:] = _ratio(a, b, np.arange(2.0, jmax + 1.0))
+    return q
 
 
 def recurrence_coeffs(params: JacobiParams, j: int) -> tuple[float, float, float]:
@@ -155,7 +162,7 @@ def recurrence_coeffs(params: JacobiParams, j: int) -> tuple[float, float, float
         raise ValueError("recurrence coefficients start at j = 1")
     if j == 1:
         return (a + b + 2.0) / 2.0, (a - b) / 2.0, 0.0
-    return _terms(a, b, j)[:3]
+    return _terms(a, b, j)
 
 
 def orthonormal_coeffs(params: JacobiParams, jmax: int):
@@ -163,7 +170,7 @@ def orthonormal_coeffs(params: JacobiParams, jmax: int):
 
     p_j = (a[j] x + b[j]) p_{j-1} - c[j] p_{j-2}; index 0 of each array is
     unused.  p0 = h_0^{-1/2}, and each later degree is rescaled by
-    sqrt(h_{j-1}/h_j) from ``_recurrence_terms``, the ratios
+    sqrt(h_{j-1}/h_j) from ``_norm_ratios``, the ratios
     ``log_norm_factor`` sums.  Raises ValueError when log h_0 is not finite
     or p0 would leave the float range, as it can for huge alpha or beta,
     where the lgamma differences in h_0 are lost to round-off.
@@ -179,11 +186,14 @@ def orthonormal_coeffs(params: JacobiParams, jmax: int):
     b = np.zeros(jmax + 1)
     c = np.zeros(jmax + 1)
     # A_j r_j, B_j r_j and C_j r_j r_{j-1} with r_j = sqrt(q_j) (c[1] = 0)
-    A, B, C, q = _recurrence_terms(params, jmax)
-    r = np.sqrt(q)
-    a[1:] = A * r
-    b[1:] = B * r
-    c[2:] = C[1:] * r[1:] * r[:-1]
+    r = np.sqrt(_norm_ratios(params, jmax))
+    if jmax:
+        A, B, _ = recurrence_coeffs(params, 1)
+        a[1], b[1] = A * r[0], B * r[0]
+        A, B, C = _terms(params.alpha, params.beta, np.arange(2.0, jmax + 1.0))
+        a[2:] = A * r[1:]
+        b[2:] = B * r[1:]
+        c[2:] = C * r[1:] * r[:-1]
     return p0, a, b, c
 
 
@@ -243,7 +253,7 @@ def _slope_coeffs(params: JacobiParams, n: int) -> tuple[float, float]:
     divided by (2n+a+b) sqrt(h_n)."""
     a, b = params.alpha, params.beta
     t = 2.0 * n + a + b
-    q_n = float(_recurrence_terms(params, n)[3, -1])
+    q_n = float(_norm_ratios(params, n)[-1])
     return n * (a - b) / t, 2.0 * (n + a) * (n + b) / t * math.sqrt(q_n)
 
 

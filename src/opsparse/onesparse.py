@@ -107,22 +107,48 @@ def _round_count(mu: float) -> int:
     return int(r) | 1
 
 
+# Candidate rows per block of the dense correlation: 512 KB of F at
+# N = 2048 and 1 MB at DENSE_CACHE_LIMIT, so a block stays in a core's L2
+# while every round's product passes over it.  A multiple of four, the row
+# groups of OpenBLAS's matrix-vector kernel, so each row falls in the same
+# kind of group as in one product over all candidates.
+_ROW_BLOCK = 32
+
+
 def _correlate(plan, cand, sums: list[np.ndarray], s: int) -> np.ndarray:
     """(N/s)-scaled correlations of sampling rounds against candidate rows,
     shape (len(sums), number of candidates).
 
     ``cand`` is a slice (a view of F's rows) or an index array; ``sums``
     holds each round's s samples summed into a length-N vector.  Up to
-    ``DENSE_CACHE_LIMIT`` every round is one product with the candidates'
-    rows of the cached dense F.  Above it all rounds are one
-    ``plan.forward`` sweep at the candidate roots only.
+    ``DENSE_CACHE_LIMIT`` the candidates' rows of the cached dense F are
+    walked in blocks of ``_ROW_BLOCK`` (an index array gathers one block at
+    a time), and every round's product with a block is taken while it is
+    cached, so F's rows are read from memory once, not once per round.
+    Each entry is the same matrix-vector product of the same row as one
+    product per round over all candidates, with one BLAS thread: a threaded
+    BLAS splits a large product between its threads and may sum the rows at
+    a split in another order, while a block is below OpenBLAS's threading
+    size.  Above the limit all rounds are one ``plan.forward`` sweep at the
+    candidate roots only.
     """
     n = plan.n
-    if n <= plan_mod.DENSE_CACHE_LIMIT:
-        rows = plan.matrix()[cand]
-        full = np.array([rows @ acc for acc in sums])
-    else:
-        full = plan.forward(np.array(sums), cand)
+    if n > plan_mod.DENSE_CACHE_LIMIT:
+        return (n / s) * plan.forward(np.array(sums), cand)
+    f = plan.matrix()
+    view = isinstance(cand, slice)
+    src = f[cand] if view else cand
+    m = len(src)
+    full = np.empty((len(sums), m))
+    stops = list(range(_ROW_BLOCK, m, _ROW_BLOCK))
+    # numpy takes a 1-row product by dot, which sums in another order than a
+    # matrix-vector product: a 1-row tail joins the block before it
+    if m % _ROW_BLOCK == 1 and stops:
+        stops.pop()
+    for b0, b1 in zip([0] + stops, stops + [m]):
+        rows = src[b0:b1] if view else f[src[b0:b1]]
+        for r, acc in enumerate(sums):
+            np.matmul(rows, acc, out=full[r, b0:b1])
     return (n / s) * full
 
 

@@ -55,7 +55,9 @@ MAGIC = b"OPSP"
 VERSION = 2
 
 # Up to this N the one-sparse solver correlates against the cached dense F
-# (128 MiB at f64), above it through ``forward``; ``matrix()`` caches at any N.
+# (128 MiB at f64), in row blocks that stay in cache while every round's
+# product passes over them, above it through ``forward``; ``matrix()``
+# caches at any N.
 DENSE_CACHE_LIMIT = 4096
 
 

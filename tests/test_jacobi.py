@@ -5,6 +5,7 @@ with scipy.integrate.quad (weight='alg' handles the endpoint singularities)
 before being compared to the closed forms.
 """
 
+import decimal
 import hashlib
 import math
 import warnings
@@ -32,9 +33,9 @@ from opsparse.jacobi import (
     recurrence_coeffs,
     root_cosines,
     _FULL_SWEEPS,
+    _ratio,
     _root_guess,
     _slope_coeffs,
-    _terms,
 )
 
 PARAM_GRID = [(-0.5, -0.5), (0.0, 0.0), (0.5, 0.5), (1.5, -0.3), (0.0, -0.999)]
@@ -120,19 +121,46 @@ def test_norms_match_closed_forms_below_2_20(alpha, beta, closed):
     assert np.max(np.abs(h / closed(j.astype(np.float64)) - 1.0)) <= 1e-11
 
 
+def dlmf_norms(alpha, beta, jmax):
+    """h_0..h_jmax from DLMF 18.3's Gamma ratio as Pochhammer products:
+    h_j / h_0 = (a+1)_j (b+1)_j / ((2j+a+b+1) j! (a+b+2)_{j-1}) for j >= 1
+    (the factor a+b+1 cancelled, so a+b+1 = 0 needs no limit), taken in
+    50-digit decimal arithmetic from the parameters' exact binary values;
+    h_0 from math.lgamma, the closed form log_norm_factor uses."""
+    h0 = math.exp((alpha + beta + 1.0) * math.log(2.0) + math.lgamma(alpha + 1.0)
+                  + math.lgamma(beta + 1.0) - math.lgamma(alpha + beta + 2.0))
+    out = [h0]
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a, b = decimal.Decimal(alpha), decimal.Decimal(beta)
+        prod = decimal.Decimal(1)
+        for j in range(1, jmax + 1):
+            prod *= (a + j) * (b + j) / j
+            if j >= 2:
+                prod /= a + b + j
+            out.append(h0 * float(prod / (2 * j + a + b + 1)))
+    return np.array(out)
+
+
 @pytest.mark.parametrize("alpha, beta", PARAM_GRID)
 def test_norms_match_gammaln(alpha, beta):
-    # DLMF 18.3: h_j = 2^(a+b+1)/(2j+a+b+1) G(j+a+1)G(j+b+1)/(G(j+1)G(j+a+b+1)),
-    # through scipy's gammaln for j >= 1; h_0 by the G(a+b+2) form
-    p = JacobiParams(alpha, beta)
-    j = np.arange(1.0, 2001.0)
-    g = scipy.special.gammaln
-    ref = ((alpha + beta + 1.0) * math.log(2.0) - np.log(2.0 * j + alpha + beta + 1.0)
-           + g(j + alpha + 1.0) + g(j + beta + 1.0) - g(j + 1.0) - g(j + alpha + beta + 1.0))
-    ref0 = ((alpha + beta + 1.0) * math.log(2.0) + g(alpha + 1.0) + g(beta + 1.0)
-            - g(alpha + beta + 2.0))
-    h = norm_factor(p, np.arange(2001))
-    np.testing.assert_allclose(h, np.exp(np.concatenate(([ref0], ref))), rtol=1e-11, atol=0.0)
+    # DLMF 18.3's Gamma-function form, exact but for h_0 (dlmf_norms): the
+    # ratio-built h_j are within 3.5e-14 of it at j <= 2000, and 1e-12
+    # leaves room for another libm's log and exp
+    h = norm_factor(JacobiParams(alpha, beta), np.arange(2001))
+    np.testing.assert_allclose(h, dlmf_norms(alpha, beta, 2000), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1e155, 0.0), (0.0, 1e155)])
+def test_norms_at_huge_exponents_raise_no_warning(alpha, beta):
+    # the recurrence's A_j, B_j and C_j overflow here; the norm ratios do not
+    # need them.  With b = 0 or a = 0, h_j = 2^(s+1) / (2j + s + 1), s = a + b,
+    # and h_0's lgamma terms, near 3.5e157, round log h_j at 1e-14 relative
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = log_norm_factor(JacobiParams(alpha, beta), np.arange(6))
+    s = alpha + beta
+    np.testing.assert_allclose(got, (s + 1.0) * math.log(2.0) - math.log(s + 1.0), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +232,7 @@ def test_orthonormal_coeffs_degenerate_alpha_beta():
 @pytest.mark.parametrize("jmax", [0, 1, 2, 3, 40, 1000])
 def test_orthonormal_coeffs_match_scalar_forms(alpha, beta, jmax):
     # the array form must give the bits of the scalar recurrence_coeffs and
-    # _terms' ratio h_{j-1}/h_j (its closed form at j = 1), combined as
+    # _ratio's h_{j-1}/h_j (its closed form at j = 1), combined as
     # p_j = (a_j x + b_j) p_{j-1} - c_j p_{j-2}
     p = JacobiParams(alpha, beta)
     a, b, c = np.zeros(jmax + 1), np.zeros(jmax + 1), np.zeros(jmax + 1)
@@ -213,7 +241,7 @@ def test_orthonormal_coeffs_match_scalar_forms(alpha, beta, jmax):
         if j == 1:
             q = (alpha + beta + 3.0) / ((alpha + 1.0) * (beta + 1.0))
         else:
-            q = _terms(alpha, beta, j)[3]
+            q = _ratio(alpha, beta, j)
         r = math.sqrt(q)
         A, B, C = recurrence_coeffs(p, j)
         a[j], b[j], c[j] = A * r, B * r, C * r * rprev

@@ -5,7 +5,12 @@ the sampled vector is v * F[ell, :], so correlations against rows of F are
 exactly v at ell and 0 elsewhere.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +146,51 @@ def test_estimate_matches_per_round_correlation(plan_name, request):
         np.testing.assert_array_equal(got[0], want[0])
         assert [v.hex() for v in got[1].tolist()] == [v.hex() for v in want[1].tolist()]
         assert got_oracle.count == want_oracle.count == 7 * s
+
+
+# The dense correlation's block edges against one product per round over
+# all candidates, in a child with one BLAS thread, as the benchmark runs.  A
+# threaded BLAS splits a large product's rows between its threads, and the
+# rows left over at the end of a thread's share past its last group of four
+# are summed in another order; a 32-row block stays below the size at which
+# it splits.
+BLOCK_EDGES_SCRIPT = """
+import json, sys
+import numpy as np
+from opsparse import JacobiParams, build_plan
+from opsparse.onesparse import _correlate
+
+n, s = int(sys.argv[1]), 3000
+plan = build_plan(JacobiParams(0.0, 0.0), n)
+rng = np.random.default_rng(n)
+sums = [np.bincount(rng.integers(0, n, s), weights=rng.standard_normal(s), minlength=n)
+        for _ in range(5)]
+bad = []
+for m in (1, 2, 31, 32, 33, 64, 65, 326):
+    lo = int(rng.integers(0, n - m))
+    for cand in (slice(lo, lo + m), np.sort(rng.choice(n, m, replace=False))):
+        want = (n / s) * np.array([plan.matrix()[cand] @ acc for acc in sums])
+        got = _correlate(plan, cand, sums, s)
+        if got.shape != (5, m) or ([v.hex() for v in got.ravel().tolist()]
+                                   != [v.hex() for v in want.ravel().tolist()]):
+            bad.append([m, type(cand).__name__])
+print(json.dumps(bad))
+"""
+
+
+@pytest.mark.parametrize("n", [2048, DENSE_CACHE_LIMIT])
+def test_blocked_correlation_matches_one_product_per_round(n):
+    # 31..33 and 64, 65 straddle the 32-row block; 33 and 65 end in a 1-row
+    # tail, which numpy would take by dot, summed in another order, were it
+    # not merged into the block before it; 1 is a 1-row set, a dot product
+    # in both; 326 rows is a typical pass band of the k-sparse benchmark
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", BLOCK_EDGES_SCRIPT, str(n)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 @pytest.mark.parametrize("mu_each, rounds", [(1e-7, 5), (1e-10, 7)])
