@@ -109,72 +109,10 @@ def _round_count(mu: float) -> int:
 
 # Candidate rows per block of the dense correlation: 512 KB of F at
 # N = 2048 and 1 MB at DENSE_CACHE_LIMIT, so a block stays in a core's L2
-# while every round's product passes over it.  A multiple of four, the row
+# while its rounds' products pass over it.  A multiple of four, the row
 # groups of OpenBLAS's matrix-vector kernel, so each row falls in the same
 # kind of group as in one product over all candidates.
 _ROW_BLOCK = 32
-
-
-def _correlate(plan, cand, sums: list[np.ndarray], s: int) -> np.ndarray:
-    """(N/s)-scaled correlations of sampling rounds against candidate rows,
-    shape (len(sums), number of candidates).
-
-    ``cand`` is a slice (a view of F's rows) or an index array; ``sums``
-    holds each round's s samples summed into a length-N vector.  Up to
-    ``DENSE_CACHE_LIMIT`` the candidates' rows of the cached dense F are
-    walked in blocks of ``_ROW_BLOCK`` (an index array gathers one block at
-    a time), and every round's product with a block is taken while it is
-    cached, so F's rows are read from memory once, not once per round.
-    Each entry is the same matrix-vector product of the same row as one
-    product per round over all candidates, with one BLAS thread: a threaded
-    BLAS splits a large product between its threads and may sum the rows at
-    a split in another order, while a block is below OpenBLAS's threading
-    size.  Above the limit all rounds are one ``plan.forward`` sweep at the
-    candidate roots only.
-    """
-    n = plan.n
-    if n > plan_mod.DENSE_CACHE_LIMIT:
-        return (n / s) * plan.forward(np.array(sums), cand)
-    f = plan.matrix()
-    view = isinstance(cand, slice)
-    src = f[cand] if view else cand
-    m = len(src)
-    full = np.empty((len(sums), m))
-    stops = list(range(_ROW_BLOCK, m, _ROW_BLOCK))
-    # numpy takes a 1-row product by dot, which sums in another order than a
-    # matrix-vector product: a 1-row tail joins the block before it
-    if m % _ROW_BLOCK == 1 and stops:
-        stops.pop()
-    for b0, b1 in zip([0] + stops, stops + [m]):
-        rows = src[b0:b1] if view else f[src[b0:b1]]
-        for r, acc in enumerate(sums):
-            np.matmul(rows, acc, out=full[r, b0:b1])
-    return (n / s) * full
-
-
-def _estimate(plan, oracle, cand, mu_each, eps, rng, floor=0.0):
-    """Medians of the norm and correlation estimators over shared samples.
-
-    Every round is drawn and read in turn through ``oracle.sample``, whose
-    positions a k-sparse batch's draws share; once all rounds are read, one
-    ``_correlate`` call correlates them against the candidates.  Returns (u,
-    per-candidate medians).  Raises RecoveryError when round 0's norm
-    estimate is below ``floor``: the signal holds too little energy for a
-    spike worth finding.
-    """
-    s = _sample_size(plan, eps)
-    rounds = _round_count(mu_each)
-    n = plan.n
-    u_rounds = np.empty(rounds)
-    sums = []
-    for r in range(rounds):
-        js, y = oracle.sample(s, rng)
-        u_rounds[r] = math.sqrt((n / s) * float(y @ y))
-        if r == 0 and u_rounds[0] < floor:
-            raise RecoveryError(f"filtered norm {u_rounds[0]:.3g} below the "
-                                f"energy floor {floor:.3g}")
-        sums.append(np.bincount(js, weights=y, minlength=n))
-    return float(_odd_median(u_rounds)), _odd_median(_correlate(plan, cand, sums, s))
 
 
 def _odd_median(a: np.ndarray) -> np.ndarray:
@@ -188,18 +126,76 @@ def _odd_median(a: np.ndarray) -> np.ndarray:
 
 def _prune_over(plan, oracle, cand, mu, eps, rng,
                 floor) -> Optional[tuple[int, float]]:
-    """Shared-sample check over ``cand``, a slice or an index array of roots."""
-    roots = np.arange(plan.n)[cand]
-    if len(roots) == 0:
+    """Shared-sample check over ``cand``, a slice or an index array of roots:
+    the first candidate whose median (N/s)-scaled correlation over the
+    rounds exceeds u/10, u the median norm estimate, with that median.
+
+    Every round is drawn and read in turn through ``oracle.sample``, whose
+    positions a k-sparse batch's draws share; RecoveryError when round 0's
+    norm estimate is below ``floor``.  Above ``DENSE_CACHE_LIMIT`` all
+    rounds are correlated in one ``plan.forward`` sweep at the candidate
+    roots.  Up to it the candidates' rows of the cached dense F are walked
+    in ascending blocks of ``_ROW_BLOCK`` (an index array gathers one block
+    at a time), each product taken while the block is cached.  A block
+    first takes the products of R//2 + 1 of its R rounds: when every one is
+    within u/10 (NaN is not), each row's odd median is too, so the block
+    holds no hit and its last rounds are skipped.  Otherwise it takes the
+    rest, and its first hit ends the walk.  Each product taken is the same
+    matrix-vector product of the same row as one product per round over
+    all candidates, with one BLAS thread: a threaded BLAS splits a large
+    product between its threads and may sum the rows at a split in another
+    order, while a block is below OpenBLAS's threading size.
+    """
+    view = isinstance(cand, slice)
+    roots = range(plan.n)[cand] if view else cand
+    m = len(roots)
+    if m == 0:
         return None
-    u, v = _estimate(plan, oracle, cand, mu / len(roots), eps, rng, floor)
+    s = _sample_size(plan, eps)
+    rounds = _round_count(mu / m)
+    n = plan.n
+    u_rounds = np.empty(rounds)
+    sums = []
+    for r in range(rounds):
+        js, y = oracle.sample(s, rng)
+        u_rounds[r] = math.sqrt((n / s) * float(y @ y))
+        if r == 0 and u_rounds[0] < floor:
+            raise RecoveryError(f"filtered norm {u_rounds[0]:.3g} below the "
+                                f"energy floor {floor:.3g}")
+        sums.append(np.bincount(js, weights=y, minlength=n))
+    u = float(_odd_median(u_rounds))
     if u == 0.0:
         return None
-    hits = np.nonzero(np.abs(v) > u / 10.0)[0]
-    if len(hits) == 0:
-        return None
-    first = int(hits[0])
-    return int(roots[first]), float(v[first])
+    t, scale = u / 10.0, n / s
+    if n > plan_mod.DENSE_CACHE_LIMIT:
+        v = _odd_median(scale * plan.forward(np.array(sums), cand))
+        hits = np.flatnonzero(np.abs(v) > t)
+        return (int(roots[hits[0]]), float(v[hits[0]])) if len(hits) else None
+    f = plan.matrix()
+    src = f[cand] if view else cand
+    stops = list(range(_ROW_BLOCK, m, _ROW_BLOCK))
+    # numpy takes a 1-row product by dot, which sums in another order than a
+    # matrix-vector product: a 1-row tail joins the block before it
+    if m % _ROW_BLOCK == 1 and stops:
+        stops.pop()
+    head = rounds // 2 + 1
+    for b0, b1 in zip([0] + stops, stops + [m]):
+        rows = src[b0:b1] if view else f[src[b0:b1]]
+        part = np.empty((rounds, b1 - b0))
+        for r in range(head):
+            np.matmul(rows, sums[r], out=part[r])
+        # every scaled |value| <= t, as one max: rounding is monotone, and
+        # a NaN makes the max NaN, which fails the test
+        if scale * np.abs(part[:head]).max() <= t:
+            continue
+        for r in range(head, rounds):
+            np.matmul(rows, sums[r], out=part[r])
+        part *= scale
+        v = _odd_median(part)
+        hits = np.flatnonzero(np.abs(v) > t)
+        if len(hits):
+            return int(roots[b0 + hits[0]]), float(v[hits[0]])
+    return None
 
 
 def prune(plan, oracle, lo: float, hi: float, mu: float, eps: float, rng, *,
@@ -208,10 +204,12 @@ def prune(plan, oracle, lo: float, hi: float, mu: float, eps: float, rng, *,
 
     Every estimator round is read before any candidate is correlated, so a
     prune over a nonempty interval reads all ``_round_count`` rounds unless
-    round 0 falls below the energy floor.
-    Returns (index, value estimate) for the first passing root in ascending
-    angle order, or None when no candidate passes (zero queries if the
-    interval holds no roots).  ``floor`` is the energy floor of ``_estimate``.
+    round 0 falls below the energy floor ``floor``.  Then the candidates are
+    correlated in ascending angle order, and correlation stops at the first
+    passing root: a block of candidates whose first R//2 + 1 rounds all lie
+    within u/10 holds none, and its last rounds are skipped.
+    Returns (index, value estimate) for the first passing root, or None when
+    no candidate passes (zero queries if the interval holds no roots).
     """
     lo, hi = max(0.0, lo), min(math.pi, hi)
     i0 = int(np.searchsorted(plan.theta, lo, side="left"))

@@ -55,9 +55,9 @@ MAGIC = b"OPSP"
 VERSION = 2
 
 # Up to this N the one-sparse solver correlates against the cached dense F
-# (128 MiB at f64), in row blocks that stay in cache while every round's
-# product passes over them, above it through ``forward``; ``matrix()``
-# caches at any N.
+# (128 MiB at f64), in row blocks that stay in cache while their rounds'
+# products pass over them, block by block up to its first hit; above it
+# through one ``forward`` sweep.  ``matrix()`` caches at any N.
 DENSE_CACHE_LIMIT = 4096
 
 
@@ -244,7 +244,18 @@ class TransformPlan:
 def build_plan(params: JacobiParams, n: int, degree: int = 0) -> TransformPlan:
     """Roots, weights and flatness from ``gauss_rule``.  ``degree``, the
     highest filter degree a caller means to use, is range-checked and fills
-    nothing."""
+    nothing.
+
+    Large exponents are capped, though ``JacobiParams`` takes any
+    alpha, beta > -1.  At alpha = 15 (beta = 0) a plan builds at N = 16, 64
+    and 1024; at 15.5 it is refused at N = 16 but builds at 64 and 1024; at
+    15.9 or 16, and at beta = 16, it is refused at every N tried, with the
+    ValueError "root angles are not strictly increasing".  The cause is the
+    Gatteschi-Pittaluga starting guess: from alpha = 15 on, its largest error
+    is about half the smallest root spacing (0.51 at 15, 0.56 at 16, at each
+    of these N), so Newton can leave the root it started next to and
+    converge to a neighbour's.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0 <= degree < n:

@@ -544,12 +544,16 @@ def test_weights_refuse_a_sum_of_squares_that_overflows():
 
 
 def test_plans_build_up_to_exponent_15_and_not_at_16():
-    # JacobiParams takes any exponent above -1, but set-up has a ceiling:
-    # at N = 64 a plan builds at 15 and its root angles fail at 16
-    build_plan(JacobiParams(15.0, 0.0), 64)
-    for alpha, beta in ((16.0, 0.0), (0.0, 16.0)):
-        with pytest.raises(ValueError, match="root angles are not strictly increasing"):
-            build_plan(JacobiParams(alpha, beta), 64)
+    # JacobiParams takes any exponent above -1, but set-up has the ceiling
+    # build_plan's docstring states: at N = 16, 64 and 1024 a plan builds at
+    # 15, and its root angles fail at 15.9 and 16, where the starting guess
+    # is more than half a root spacing off
+    for n in (16, 64, 1024):
+        build_plan(JacobiParams(15.0, 0.0), n)
+        for alpha, beta in ((16.0, 0.0), (0.0, 16.0), (15.9, 0.0)):
+            with pytest.raises(ValueError,
+                               match="root angles are not strictly increasing"):
+                build_plan(JacobiParams(alpha, beta), n)
 
 
 # sha256 prefixes of theta, weights and U as float64 bytes; they pin set-up

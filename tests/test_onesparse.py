@@ -34,7 +34,7 @@ from opsparse.onesparse import (
     query_cos,
     solve_one_sparse,
     spread_rho,
-    _estimate,
+    _prune_over,
     _round_count,
     _sample_size,
 )
@@ -104,7 +104,7 @@ def per_round_estimate(plan, oracle, cand, mu_each, eps, rng):
     rounds = _round_count(mu_each)
     n = plan.n
     u_rounds = np.empty(rounds)
-    v_rounds = np.empty((rounds, len(cand)))
+    v_rounds = np.empty((rounds, len(np.arange(n)[cand])))
     for r in range(rounds):
         js = rng.integers(0, n, size=s)
         y = oracle.query_many(js)
@@ -118,62 +118,167 @@ def per_round_estimate(plan, oracle, cand, mu_each, eps, rng):
     return float(np.median(u_rounds)), np.median(v_rounds, axis=0)
 
 
+def first_hit(plan, oracle, cand, mu_each, eps, rng):
+    """The prune's answer from every candidate's median over every round:
+    the first candidate whose |median| exceeds u/10, with that median."""
+    u, v = per_round_estimate(plan, oracle, cand, mu_each, eps, rng)
+    hits = np.flatnonzero(np.abs(v) > u / 10.0)
+    if u == 0.0 or len(hits) == 0:
+        return None
+    return int(np.arange(plan.n)[cand][hits[0]]), float(v[hits[0]])
+
+
+def nan_in_round(plan, r, rounds, s, seed):
+    """A position that only round r of the rounds seeded by ``seed`` samples."""
+    replay = np.random.default_rng(seed)
+    hits = np.zeros((rounds, plan.n), dtype=bool)
+    for i in range(rounds):
+        hits[i, replay.integers(0, plan.n, size=s)] = True
+    return int(np.flatnonzero(hits[r] & (hits.sum(axis=0) == 1))[0])
+
+
+# Blocks of the dense walk over 97 and 100 candidates: 97 ends in a 1-row
+# tail, merged into the block before it, 100 in a 4-row block of its own
+WALK_EDGES = {97: [0, 32, 64, 97], 100: [0, 32, 64, 96, 100]}
+
+
+@pytest.mark.parametrize("mu_each, rounds", [(1e-7, 5), (1e-9, 7)], ids=["R5", "R7"])
 @pytest.mark.parametrize("plan_name", ["legendre_plan_4096", "plan_above_dense_limit"],
                          ids=["dense", "forward"])
-def test_estimate_matches_per_round_correlation(plan_name, request):
-    # also with a NaN entry that exactly one of the seven rounds samples:
-    # that round is NaN throughout, and so is every median, as with
-    # np.median, so the estimate makes no hit
+def test_prune_returns_the_first_hit_of_the_per_round_medians(plan_name, mu_each, rounds,
+                                                               request, monkeypatch):
+    # the walk's (index, value) equals, bit for bit, the first hit of every
+    # candidate's median over every round, each round correlated alone; it
+    # reads every round and correlates no block after the hit's.  A NaN
+    # entry that one round samples, inside the first R//2 + 1 rounds or
+    # after them, makes u and that round NaN: no block is cleared, none
+    # holds a hit, and every product is taken
     plan = request.getfixturevalue(plan_name)
     assert plan.n in (DENSE_CACHE_LIMIT, DENSE_CACHE_LIMIT + 1)
-    mu_each = 1e-9
-    assert _round_count(mu_each) == 7
-    s = _sample_size(plan, 0.01)
-    replay = np.random.default_rng(5)
-    rounds = np.zeros(plan.n, dtype=int)
-    for _ in range(7):
-        rounds[np.unique(replay.integers(0, plan.n, size=s))] += 1
-    for nan in (False, True):
-        y = spike_signal(plan, 1234, 0.9, noise=0.01, rng=np.random.default_rng(2))
-        if nan:
-            y[np.flatnonzero(rounds == 1)[0]] = np.nan
-        cand = np.arange(1200, 1300)
+    assert _round_count(mu_each) == rounds
+    dense = plan.n <= DENSE_CACHE_LIMIT
+    eps, seed, head = 0.01, 5, rounds // 2 + 1
+    s = _sample_size(plan, eps)
+    products = []
+    matmul = np.matmul
+
+    def counted(*args, **kwargs):
+        products.append(None)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    cases = []
+    # the forward sweep has no blocks: 97 candidates are enough there
+    for m in (97, 100) if dense else (97,):
+        for cand in (slice(1200, 1200 + m), np.arange(1200, 1200 + 2 * m, 2)):
+            # spikes at these candidate positions: in the first block, in
+            # the merged 1-row tail (96 of 97), in the last block (98 of
+            # 100), two in the first block, one in each of the first two,
+            # and none among the candidates
+            for spikes in ((5,), ({97: 96, 100: 98}[m],), (9, 20), (20, 40), ()):
+                cases.append((cand, spikes, None))
+            if m == 97:
+                for r in (1, rounds - 1):
+                    cases.append((cand, (40,), r))
+    for cand, spikes, nan in cases:
+        roots = np.arange(plan.n)[cand]
+        ell = int(roots[spikes[0]]) if spikes else 300
+        y = spike_signal(plan, ell, 0.9, noise=0.01, rng=np.random.default_rng(2))
+        for p in spikes[1:]:
+            y -= 0.7 * plan.row(int(roots[p]))
+        if nan is not None:
+            y[nan_in_round(plan, nan, rounds, s, seed)] = np.nan
         want_oracle, got_oracle = QueryOracle(y), QueryOracle(y)
-        want = per_round_estimate(plan, want_oracle, cand, mu_each, 0.01,
-                                  np.random.default_rng(5))
-        got = _estimate(plan, got_oracle, cand, mu_each, 0.01, np.random.default_rng(5))
-        assert math.isnan(got[0]) == np.all(np.isnan(got[1])) == nan
-        np.testing.assert_array_equal(got[0], want[0])
-        assert [v.hex() for v in got[1].tolist()] == [v.hex() for v in want[1].tolist()]
-        assert got_oracle.count == want_oracle.count == 7 * s
+        want = first_hit(plan, want_oracle, cand, mu_each, eps, np.random.default_rng(seed))
+        products.clear()
+        got = _prune_over(plan, got_oracle, cand, mu_each * len(roots), eps,
+                          np.random.default_rng(seed), 0.0)
+        assert got_oracle.count == want_oracle.count == rounds * s
+        case = (type(cand).__name__, len(roots), spikes, nan)
+        if not spikes or nan is not None:
+            assert got is None and want is None, case
+        else:
+            assert got[0] == want[0] == ell, case
+            assert got[1].hex() == want[1].hex(), case
+        if not dense:
+            assert products == [], case
+            continue
+        edges = WALK_EDGES[len(roots)]
+        blocks = len(edges) - 1
+        if nan is not None:
+            assert len(products) == rounds * blocks, case
+        else:
+            if spikes:
+                blocks = next(b for b in range(blocks) if spikes[0] < edges[b + 1]) + 1
+            assert head * blocks <= len(products) <= rounds * blocks, case
 
 
-# The dense correlation's block edges against one product per round over
-# all candidates, in a child with one BLAS thread, as the benchmark runs.  A
+# The dense walk's products against one product per round over all
+# candidates, in a child with one BLAS thread, as the benchmark runs.  A
 # threaded BLAS splits a large product's rows between its threads, and the
 # rows left over at the end of a thread's share past its last group of four
 # are summed in another order; a 32-row block stays below the size at which
-# it splits.
+# it splits.  Each product the walk takes is recorded as it is taken.  One
+# NaN entry in round 0, or in round 4, of the five makes u NaN, so the walk
+# clears no block, finds no hit and takes every product; the two runs
+# between them check every round's products bit for bit.
 BLOCK_EDGES_SCRIPT = """
 import json, sys
 import numpy as np
 from opsparse import JacobiParams, build_plan
-from opsparse.onesparse import _correlate
+from opsparse.onesparse import _prune_over, _round_count
 
-n, s = int(sys.argv[1]), 3000
+n = int(sys.argv[1])
 plan = build_plan(JacobiParams(0.0, 0.0), n)
+f = plan.matrix()
 rng = np.random.default_rng(n)
-sums = [np.bincount(rng.integers(0, n, s), weights=rng.standard_normal(s), minlength=n)
-        for _ in range(5)]
+assert _round_count(1e-7) == 5
+
+
+class Rounds:
+    def __init__(self, nan):
+        self.nan, self.sums = nan, []
+
+    def sample(self, s, gen):
+        js, y = gen.integers(0, n, s), gen.standard_normal(s)
+        if len(self.sums) == self.nan:
+            y[0] = np.nan
+        self.sums.append(np.bincount(js, weights=y, minlength=n))
+        return js, y
+
+
+taken = []
+matmul = np.matmul
+
+
+def recorded(rows, acc, out):
+    matmul(rows, acc, out=out)
+    taken.append((rows[0].copy(), len(rows), acc, out.copy()))
+
+
+np.matmul = recorded
 bad = []
 for m in (1, 2, 31, 32, 33, 64, 65, 326):
     lo = int(rng.integers(0, n - m))
     for cand in (slice(lo, lo + m), np.sort(rng.choice(n, m, replace=False))):
-        want = (n / s) * np.array([plan.matrix()[cand] @ acc for acc in sums])
-        got = _correlate(plan, cand, sums, s)
-        if got.shape != (5, m) or ([v.hex() for v in got.ravel().tolist()]
-                                   != [v.hex() for v in want.ravel().tolist()]):
-            bad.append([m, type(cand).__name__])
+        rows = f[cand]
+        for nan in (0, 4):
+            case = [m, type(cand).__name__, nan]
+            oracle, taken[:] = Rounds(nan), []
+            if _prune_over(plan, oracle, cand, 1e-7 * m, 0.01, rng, 0.0) is not None:
+                bad.append(case + ["hit"])
+            want = [rows @ acc for acc in oracle.sums]
+            seen = np.zeros((5, m), dtype=int)
+            for row0, size, acc, out in taken:
+                r = next(i for i, a in enumerate(oracle.sums)
+                         if a.tobytes() == acc.tobytes())
+                b0 = int(np.flatnonzero((rows == row0).all(axis=1))[0])
+                seen[r, b0:b0 + size] += 1
+                if size == 1 < m or ([v.hex() for v in out.tolist()]
+                                     != [v.hex() for v in want[r][b0:b0 + size].tolist()]):
+                    bad.append(case + [r, b0])
+            if not np.all(seen == 1):
+                bad.append(case + ["not every product once"])
 print(json.dumps(bad))
 """
 
@@ -211,6 +316,32 @@ def test_prune_above_dense_limit_is_one_forward_sweep(plan_above_dense_limit,
     got = prune(plan, oracle, lo, hi, 100 * mu_each, 0.01, np.random.default_rng(3))
     assert got[0] == 1234
     assert shapes == [(rounds, plan.n)]
+
+
+def test_benchmark_trials_take_half_the_row_block_products(monkeypatch):
+    # the k-sparse benchmark's 57 trials at seed 1 (opsbench, 20 s at its
+    # nominal op time): their prunes take 6117 row-block products, where
+    # every round of every candidate block took 11960
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "opsbench"))
+    from workloads import WORKLOADS
+
+    wl = WORKLOADS["ksparse-legendre-n2048"]
+    plan = wl.setup(None)[0]
+    products = []
+    matmul = np.matmul
+
+    def counted(*args, **kwargs):
+        products.append(None)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    trials = np.random.SeedSequence(1).spawn(2)[0].spawn(wl.op_count(20.0))
+    assert len(trials) == 57
+    for i, seq in enumerate(trials):
+        inp = wl.make_input(plan, seq, i)
+        out = wl.op(plan, QueryOracle(inp.values), np.random.default_rng(inp.algo_seq))
+        assert wl.check(inp, out), i
+    assert len(products) == 6117
 
 
 # ---------------------------------------------------------------------------
