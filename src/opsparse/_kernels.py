@@ -34,13 +34,15 @@ bit for bit in the sweep: IEEE negation commutes with multiplication and
 subtraction, and the zero additions are skipped, so the sweep at -x yields
 p_j(x) with its sign flipped at odd j, up to the sign of a zero.  A plan's
 roots are laid out for it: ``jacobi.root_cosines`` makes the last h = n // 2
-points the first h negated and reversed, exactly.  Every kernel checks that
-mirror (``_Fold``); where it holds it sweeps the leading n - h points, a
-middle one included, and fills point n-1-l from point l by parity, so a
-plan's sweeps run over half its roots.  Any other point set, a subset of a
-plan's roots too, and any other b are swept point by point.
-``recurrence_table``, ``recurrence_last`` and ``sumsq_maxabs`` return what
-the unfolded sweep returns, bit for bit.
+points the first h negated and reversed, exactly.  Every kernel but
+``recurrence_table`` checks that mirror (``_Fold``); where it holds it
+sweeps the leading n - h points, a middle one included, and fills point
+n-1-l from point l by parity, so a plan's sweeps run over half its roots.
+Any other point set, a subset of a plan's roots too, and any other b are
+swept point by point.  ``recurrence_last`` and ``sumsq_maxabs`` return what
+the unfolded sweep returns, bit for bit.  ``recurrence_table`` sweeps every
+point it is given: ``TransformPlan.matrix`` passes it the leading n - h
+roots alone and derives the mirror rows when they are read.
 
 ``apply_forward`` maps a (B, jmax+1) stack of coefficient rows to
 (B, len(lam)) in one sweep, adding v p_j into row r only where row r's
@@ -111,7 +113,7 @@ class _Fold:
 
     def __init__(self, b, x):
         x = np.asarray(x, dtype=np.float64)
-        self.n = n = x.shape[0]
+        n = x.shape[0]
         h = n // 2
         self.parity = int(not np.any(b[1:]))
         self.mirror = bool(self.parity and h and np.array_equal(x[n - h:], -x[:h][::-1]))
@@ -126,40 +128,24 @@ class _Fold:
         tail = v[..., self.h - 1 :: -1]
         return np.concatenate((v, -tail if j % 2 else tail), axis=-1)
 
-    def unfold_rows(self, table):
-        """Fill, in place, the mirror rows of a point-major table from the
-        swept ones: one reversed-slice copy, odd degrees negated."""
-        if not self.mirror:
-            return
-        tail = table[self.n - self.h :]
-        tail[...] = table[self.h - 1 :: -1]
-        tail[:, 1::2] *= -1.0
-
 
 def recurrence_table(p0, a, b, c, x, scale=None):
     """Table of p_j(x_i), shape (len(x), jmax+1): row i is one point, column
-    j one degree, filled ``_TABLE_BLOCK`` degrees at a time; under the fold
-    the mirror rows are filled from the swept ones in place.  With ``scale``
-    row i is scale[i] p_j(x_i), multiplied as each degree goes into the
-    block buffer; under the fold the mirror rows copy scaled rows, so scale
-    must be its own mirror, scale[n-1-l] = scale[l] bit for bit, as a plan's
-    sqrt(w) is."""
-    fold = _Fold(b, x)
-    m = fold.u.shape[0]
-    ncol = a.shape[0]
-    out = np.empty((fold.n, ncol))
-    buf = np.empty((min(_TABLE_BLOCK, ncol), m))
-    if scale is not None:
-        scale = np.asarray(scale, dtype=np.float64)[:m]
-    for j, p in enumerate(_sweep(p0, a, b, c, fold.u)):
+    j one degree, filled ``_TABLE_BLOCK`` degrees at a time over every
+    point.  With ``scale`` row i is scale[i] p_j(x_i), multiplied as each
+    degree goes into the block buffer."""
+    x = np.asarray(x, dtype=np.float64)
+    n, ncol = x.shape[0], a.shape[0]
+    out = np.empty((n, ncol))
+    buf = np.empty((min(_TABLE_BLOCK, ncol), n))
+    for j, p in enumerate(_sweep(p0, a, b, c, x)):
         k = j % _TABLE_BLOCK
         if scale is None:
             buf[k] = p
         else:
             np.multiply(p, scale, out=buf[k])
         if k == _TABLE_BLOCK - 1 or j == ncol - 1:
-            out[:m, j - k : j + 1] = buf[: k + 1].T
-    fold.unfold_rows(out)
+            out[:, j - k : j + 1] = buf[: k + 1].T
     return out
 
 

@@ -126,17 +126,21 @@ def _odd_median(a: np.ndarray) -> np.ndarray:
 
 def _prune_over(plan, oracle, cand, mu, eps, rng,
                 floor) -> Optional[tuple[int, float]]:
-    """Shared-sample check over ``cand``, a slice or an index array of roots:
-    the first candidate whose median (N/s)-scaled correlation over the
-    rounds exceeds u/10, u the median norm estimate, with that median.
+    """Shared-sample check over ``cand``, a step-1 slice or an index array
+    of roots: the first candidate whose median (N/s)-scaled correlation
+    over the rounds exceeds u/10, u the median norm estimate, with that
+    median.
 
     Every round is drawn and read in turn through ``oracle.sample``, whose
     positions a k-sparse batch's draws share; RecoveryError when round 0's
     norm estimate is below ``floor``.  Above ``DENSE_CACHE_LIMIT`` all
     rounds are correlated in one ``plan.forward`` sweep at the candidate
     roots.  Up to it the candidates' rows of the cached dense F are walked
-    in ascending blocks of ``_ROW_BLOCK`` (an index array gathers one block
-    at a time), each product taken while the block is cached.  A block
+    in ascending blocks of ``_ROW_BLOCK``, each product taken while the
+    block is cached.  A block of stored rows is read in place; a block of
+    mirror rows (alpha = beta) in groups of four is read as its stored rows
+    against the sums with odd entries negated; any other block, an index
+    array's included, is copied into one reused buffer.  A block
     first takes the products of R//2 + 1 of its R rounds: when every one is
     within u/10 (NaN is not), each row's odd median is too, so the block
     holds no hit and its last rounds are skipped.  Otherwise it takes the
@@ -155,43 +159,61 @@ def _prune_over(plan, oracle, cand, mu, eps, rng,
     rounds = _round_count(mu / m)
     n = plan.n
     u_rounds = np.empty(rounds)
-    sums = []
+    sums = np.empty((rounds, n))
     for r in range(rounds):
         js, y = oracle.sample(s, rng)
         u_rounds[r] = math.sqrt((n / s) * float(y @ y))
         if r == 0 and u_rounds[0] < floor:
             raise RecoveryError(f"filtered norm {u_rounds[0]:.3g} below the "
                                 f"energy floor {floor:.3g}")
-        sums.append(np.bincount(js, weights=y, minlength=n))
+        sums[r] = np.bincount(js, weights=y, minlength=n)
     u = float(_odd_median(u_rounds))
     if u == 0.0:
         return None
     t, scale = u / 10.0, n / s
     if n > plan_mod.DENSE_CACHE_LIMIT:
-        v = _odd_median(scale * plan.forward(np.array(sums), cand))
+        v = _odd_median(scale * plan.forward(sums, cand))
         hits = np.flatnonzero(np.abs(v) > t)
         return (int(roots[hits[0]]), float(v[hits[0]])) if len(hits) else None
     f = plan.matrix()
-    src = f[cand] if view else cand
+    kept = f.shape[0]  # F's stored rows; at alpha = beta the rest are mirrors
     stops = list(range(_ROW_BLOCK, m, _ROW_BLOCK))
     # numpy takes a 1-row product by dot, which sums in another order than a
     # matrix-vector product: a 1-row tail joins the block before it
     if m % _ROW_BLOCK == 1 and stops:
         stops.pop()
     head = rounds // 2 + 1
+    neg = buf = None
     for b0, b1 in zip([0] + stops, stops + [m]):
-        rows = src[b0:b1] if view else f[src[b0:b1]]
+        lo, hi, flip = roots[b0], roots[b1 - 1] + 1, False
+        if view and hi <= kept:
+            rows, x = f[lo:hi], sums
+        elif view and lo >= kept and (hi - lo) % 4 == 0:
+            # mirror rows: F[g] @ x is F[N-1-g] @ (x with odd entries
+            # negated), exactly, and a row in a whole group of four is
+            # summed the same way wherever the group sits, so the block is
+            # its stored rows in reverse
+            if neg is None:
+                neg = sums.copy()
+                neg[:, 1::2] *= -1.0
+            rows, x, flip = f[n - hi : n - lo], neg, True
+        else:
+            # rows on both sides of N/2, a mirror block with rows left over
+            # from its groups of four, or an index array: copied
+            if buf is None:
+                buf = np.empty((min(m, _ROW_BLOCK + 1), n))
+            rows, x = plan.take_rows(np.asarray(roots[b0:b1]), buf[: b1 - b0]), sums
         part = np.empty((rounds, b1 - b0))
         for r in range(head):
-            np.matmul(rows, sums[r], out=part[r])
+            np.matmul(rows, x[r], out=part[r])
         # every scaled |value| <= t, as one max: rounding is monotone, and
         # a NaN makes the max NaN, which fails the test
         if scale * np.abs(part[:head]).max() <= t:
             continue
         for r in range(head, rounds):
-            np.matmul(rows, sums[r], out=part[r])
+            np.matmul(rows, x[r], out=part[r])
         part *= scale
-        v = _odd_median(part)
+        v = _odd_median(part[:, ::-1] if flip else part)
         hits = np.flatnonzero(np.abs(v) > t)
         if len(hits):
             return int(roots[b0 + hits[0]]), float(v[hits[0]])

@@ -55,9 +55,10 @@ MAGIC = b"OPSP"
 VERSION = 2
 
 # Up to this N the one-sparse solver correlates against the cached dense F
-# (128 MiB at f64), in row blocks that stay in cache while their rounds'
-# products pass over them, block by block up to its first hit; above it
-# through one ``forward`` sweep.  ``matrix()`` caches at any N.
+# (128 MiB at f64, 64 MiB at alpha = beta, where only the swept half is
+# stored), in row blocks that stay in cache while their rounds' products pass
+# over them, block by block up to its first hit; above it through one
+# ``forward`` sweep.  ``matrix()`` caches at any N.
 DENSE_CACHE_LIMIT = 4096
 
 
@@ -112,17 +113,20 @@ class TransformPlan:
     # -- dense access -------------------------------------------------------
 
     def matrix(self) -> np.ndarray:
-        """Dense F, the root-by-degree recurrence table with each root's row
-        scaled by sqrt(w) as it is filled; cached and read-only.
+        """F's stored rows, F[l] = sqrt(w_l) * (p_0..p_{N-1})(lambda_l): the
+        root-by-degree recurrence table with each row scaled as it is
+        filled; cached and read-only.
 
-        One N x N buffer: at alpha = beta the sweep fills the left half's
-        rows and the mirror rows are copied from them, signed by parity,
-        which holds because w_{N-1-l} = w_l bit for bit (``load_plan``
-        refuses other weights).  ``row`` hands out views of it, so a write
-        through any of them would change every later correlation; numpy
-        refuses it."""
+        At alpha != beta that is all of F, N x N.  At alpha = beta it is the
+        first m = N - N//2 rows, the left half and a middle root, and the
+        rest are derived: p_j(-x) = (-1)^j p_j(x), and the roots and weights
+        are their own mirror bit for bit (``load_plan`` refuses other
+        weights), so F[N-1-l, j] = (-1)^j F[l, j] exactly.  ``row`` hands
+        out views of the stored rows, so a write through one would change
+        every later correlation; numpy refuses it."""
         if self._dense is None:
-            table = _kernels.recurrence_table(*self._coeffs, self.lam, self.sqw)
+            m = self.n - self.n // 2 if self.params.alpha == self.params.beta else self.n
+            table = _kernels.recurrence_table(*self._coeffs, self.lam[:m], self.sqw[:m])
             table.flags.writeable = False
             self._dense = table
         return self._dense
@@ -130,15 +134,33 @@ class TransformPlan:
     def row(self, ell: int) -> np.ndarray:
         """Row F[ell, :] = sqrt(w_ell) * (p_0..p_{N-1})(lambda_ell).
 
-        A read-only view of ``matrix()`` when it is cached, else one
-        recurrence.
+        When ``matrix()`` is cached, a read-only view of a stored row, or for
+        a mirror row a read-only copy of row N-1-ell with its odd degrees
+        negated, which is exact; else one recurrence.
         """
         if not 0 <= ell < self.n:
             raise IndexError(f"row {ell} out of range for N={self.n}")
         if self._dense is not None:
-            return self._dense[ell]
+            if ell < self._dense.shape[0]:
+                return self._dense[ell]
+            out = self.take_rows(np.array([ell]), np.empty((1, self.n)))[0]
+            out.flags.writeable = False
+            return out
         table = _kernels.recurrence_table(*self._coeffs, self.lam[ell : ell + 1])
         return self.sqw[ell] * table[0]
+
+    def take_rows(self, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """F[idx] into ``out``, shape (len(idx), N), from the cached stored
+        rows: each mirror row is its stored row with the odd degrees
+        negated, F's exact bits."""
+        if len(idx) and not (0 <= idx.min() and idx.max() < self.n):
+            raise IndexError(f"rows {idx.min()}..{idx.max()} out of range for N={self.n}")
+        f = self.matrix()
+        mirror = idx >= f.shape[0]
+        np.take(f, np.where(mirror, self.n - 1 - idx, idx), axis=0, out=out, mode="clip")
+        if mirror.any():
+            out[mirror, 1::2] *= -1.0
+        return out
 
     def side_weights(self) -> np.ndarray:
         """sqrt(h_j * j) for j = 0..N-1, h_j the squared norm of the
@@ -338,7 +360,7 @@ def load_plan(path) -> TransformPlan:
     if alpha == beta and not np.all(np.abs(theta + theta[::-1] - np.pi) <= _MIRROR_TOL):
         raise PlanFormatError(f"plan theta at alpha = beta must be symmetric about "
                               f"pi/2 within {_MIRROR_TOL:g}")
-    # matrix() copies the mirror rows of F from rows already scaled by sqrt(w)
+    # F's mirror rows are derived from stored rows already scaled by sqrt(w)
     if alpha == beta and not np.array_equal(weights, weights[::-1]):
         raise PlanFormatError("plan weights at alpha = beta must be their own mirror "
                               "bit for bit")

@@ -14,6 +14,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 from test_boxcar import grid_check
+from test_plan import full_f
 
 from opsparse import (
     JacobiParams,
@@ -64,7 +65,7 @@ def test_criterion_1_transform_orthogonality_and_quadrature(base_plans):
     worst_ortho = 0.0
     worst_quad = 0.0
     for (a, b, n), plan in base_plans.items():
-        mat = plan.matrix()
+        mat = full_f(plan)
         worst_ortho = max(worst_ortho,
                           float(np.abs(mat.T @ mat - np.eye(n)).max()))
         if n == 16:
@@ -161,7 +162,7 @@ def test_criterion_5_filtered_query_equivalence():
               float(rng.uniform(0.02, 0.05))) for _ in range(200)]
     filters = [build_boxcar(*case) for case in cases]
     plan = build_plan(JacobiParams(0.0, 0.0), 64)
-    mat = plan.matrix()
+    mat = full_f(plan)
     worst = 0.0
     over_budget = 0
     for filt in filters:

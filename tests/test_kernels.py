@@ -8,6 +8,8 @@ the adjoint map are checked against references through their callers in
 import numpy as np
 import pytest
 
+from test_plan import full_f
+
 from opsparse import _kernels, build_plan, load_plan, save_plan
 from opsparse.jacobi import JacobiParams, _slope_coeffs, orthonormal_coeffs
 
@@ -48,10 +50,12 @@ def test_recurrence_last_matches_table(jmax):
 
 @pytest.mark.parametrize("ab", [-0.9, -0.5, 0.0, 0.5, 2.0])
 def test_fold_is_bit_exact(ab, rng):
-    # at alpha = beta the table-valued kernels sweep the leading half of
-    # plan-shaped points (x, an optional 0, then -x reversed) and unfold the
-    # rest by parity; they must return what the unfolded sweep returns, and
-    # so must the same points shuffled, which are swept as they are
+    # at alpha = beta recurrence_last and sumsq_maxabs sweep the leading
+    # half of plan-shaped points (x, an optional 0, then -x reversed) and
+    # unfold the rest by parity; they must return what the unfolded sweep
+    # returns, and so must the same points shuffled, which are swept as they
+    # are.  recurrence_table sweeps every point, and at -x it gives the table
+    # signed by parity bit for bit, the identity F's mirror rows rest on
     jmax = 57
     coeffs = orthonormal_coeffs(JacobiParams(ab, ab), jmax)
     parity = np.where(np.arange(jmax + 1) % 2, -1.0, 1.0)
@@ -117,8 +121,7 @@ def test_plan_roots_are_swept_once_per_mirror_pair(n, tmp_path):
 def test_recurrence_table_blocks_match_the_sweep(jmax, rng):
     # the table is filled _kernels._TABLE_BLOCK = 64 degrees at a time: full
     # blocks and a short last one give the per-degree sweep bit for bit, at
-    # mirrored points (the mirror rows filled from the swept ones), the same
-    # points shuffled (swept as they are), unfolded ones and one point
+    # mirrored points, the same points shuffled, unfolded ones and one point
     assert _kernels._TABLE_BLOCK == 64  # the jmax values straddle its edges
     pos = np.sort(rng.uniform(0.0, 1.0, 7))
     mirrored = np.concatenate((pos, [0.0, 1.0], -pos[:4], [-1.0]))
@@ -159,4 +162,4 @@ def test_apply_forward_stack_equals_rows(alpha, beta, n, rng):
                 np.testing.assert_array_equal(got[r], one[0])
             np.testing.assert_array_equal(got[1], 0.0)
         np.testing.assert_array_equal(full[:, cand], got)
-    np.testing.assert_allclose(full, x @ plan.matrix().T, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(full, x @ full_f(plan).T, rtol=0, atol=1e-12)

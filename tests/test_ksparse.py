@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_plan import full_f
+
 from opsparse import (
     JacobiParams,
     QueryOracle,
@@ -241,7 +243,7 @@ def test_simulated_access_matches_dense_application(rng):
     y = rng.standard_normal(64)
     zhat = SparseApprox({5: 0.7, 20: -1.1})
 
-    mat = plan.matrix()
+    mat = full_f(plan)
     weights = filt(plan.lam)
     dense_filter = mat.T @ (weights[:, None] * mat)
     zvals = 0.7 * plan.row(5) - 1.1 * plan.row(20)
@@ -275,7 +277,7 @@ def test_simulated_access_reads_exactly_the_windows_once_per_call(rng):
     plan = build_plan(JacobiParams(0.0, 0.0), n)
     y = rng.standard_normal(n)
     zhat = SparseApprox({9: 0.8, 40: -1.3})
-    mat = plan.matrix()
+    mat = full_f(plan)
     dense_filter = mat.T @ (filt(plan.lam)[:, None] * mat)
     expected = dense_filter @ (y - zhat.image(plan))
     interior = np.arange(d, n - d)
@@ -305,7 +307,7 @@ def test_simulate_query_cost_and_agreement(rng):
     y = rng.standard_normal(64)
     zhat = SparseApprox({30: 0.4})
     d = filt.degree
-    mat = plan.matrix()
+    mat = full_f(plan)
     dense_filter = mat.T @ (filt(plan.lam)[:, None] * mat)
     expected = dense_filter @ (y - 0.4 * plan.row(30))
 
@@ -372,7 +374,7 @@ def test_batch_draws_read_each_round_once_at_the_widest_window(peel_plan,
         np.testing.assert_array_equal(call, reads)
     assert oracle.count == n
     # each draw applies its own filter to the shared windows
-    mat = plan.matrix()
+    mat = full_f(plan)
     resid = y - zhat.image(plan)
     for filt, got in ((narrow, got_a), (wide, got_b)):
         dense = mat.T @ (filt(plan.lam)[:, None] * mat) @ resid

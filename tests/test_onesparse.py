@@ -97,12 +97,15 @@ def plan_above_dense_limit():
 
 
 def per_round_estimate(plan, oracle, cand, mu_each, eps, rng):
-    """The estimator with each round correlated alone: a product with the
-    cached F's candidate rows up to DENSE_CACHE_LIMIT, one forward transform
-    indexed at cand above it."""
+    """The estimator with each round correlated alone: a product with F's
+    candidate rows, stacked from ``plan.row``, up to DENSE_CACHE_LIMIT, one
+    forward transform indexed at cand above it."""
     s = _sample_size(plan, eps)
     rounds = _round_count(mu_each)
     n = plan.n
+    if n <= DENSE_CACHE_LIMIT:
+        plan.matrix()
+        rows = np.stack([plan.row(h) for h in np.arange(n)[cand]])
     u_rounds = np.empty(rounds)
     v_rounds = np.empty((rounds, len(np.arange(n)[cand])))
     for r in range(rounds):
@@ -111,7 +114,7 @@ def per_round_estimate(plan, oracle, cand, mu_each, eps, rng):
         u_rounds[r] = math.sqrt((n / s) * float(y @ y))
         acc = np.bincount(js, weights=y, minlength=n)
         if n <= DENSE_CACHE_LIMIT:
-            corr = plan.matrix()[cand] @ acc
+            corr = rows @ acc
         else:
             corr = plan.forward(acc)[cand]
         v_rounds[r] = (n / s) * corr
@@ -168,9 +171,14 @@ def test_prune_returns_the_first_hit_of_the_per_round_medians(plan_name, mu_each
 
     monkeypatch.setattr(np, "matmul", counted)
     cases = []
-    # the forward sweep has no blocks: 97 candidates are enough there
+    # the forward sweep has no blocks: 97 candidates below N/2 are enough
+    # there.  The dense plan's F stores the rows below N/2 = 2048, and its
+    # candidates also lie in the mirror half or across N/2
     for m in (97, 100) if dense else (97,):
-        for cand in (slice(1200, 1200 + m), np.arange(1200, 1200 + 2 * m, 2)):
+        cands = [slice(1200, 1200 + m), np.arange(1200, 1200 + 2 * m, 2)]
+        if dense:
+            cands += [slice(2900, 2900 + m), np.arange(1950, 1950 + 2 * m, 2)]
+        for cand in cands:
             # spikes at these candidate positions: in the first block, in
             # the merged 1-row tail (96 of 97), in the last block (98 of
             # 100), two in the first block, one in each of the first two,
@@ -214,23 +222,31 @@ def test_prune_returns_the_first_hit_of_the_per_round_medians(plan_name, mu_each
 
 
 # The dense walk's products against one product per round over all
-# candidates, in a child with one BLAS thread, as the benchmark runs.  A
-# threaded BLAS splits a large product's rows between its threads, and the
-# rows left over at the end of a thread's share past its last group of four
-# are summed in another order; a 32-row block stays below the size at which
-# it splits.  Each product the walk takes is recorded as it is taken.  One
-# NaN entry in round 0, or in round 4, of the five makes u NaN, so the walk
-# clears no block, finds no hit and takes every product; the two runs
-# between them check every round's products bit for bit.
+# candidates' exact F rows, the unfolded table scaled by sqrt(w), in a child
+# with one BLAS thread, as the benchmark runs.  A threaded BLAS splits a
+# large product's rows between its threads, and the rows left over at the
+# end of a thread's share past its last group of four are summed in another
+# order; a 32-row block stays below the size at which it splits.  Each
+# product the walk takes is checked as it is taken: its rows must be the
+# candidates' F rows, and its values the reference's bit for bit.  A product
+# of mirror rows read as stored rows is recognised by its sums, whose odd
+# entries are negated, and is read reversed.  One NaN entry in round 0, or
+# in round 4, of the five makes u NaN, so the walk clears no block, finds
+# no hit and takes every product; the two runs between them check every
+# round's products.
 BLOCK_EDGES_SCRIPT = """
 import json, sys
 import numpy as np
-from opsparse import JacobiParams, build_plan
+from opsparse import JacobiParams, _kernels, build_plan
+from opsparse.jacobi import orthonormal_coeffs
 from opsparse.onesparse import _prune_over, _round_count
 
 n = int(sys.argv[1])
 plan = build_plan(JacobiParams(0.0, 0.0), n)
-f = plan.matrix()
+half = plan.matrix().shape[0]
+assert half == n - n // 2
+f = _kernels.recurrence_table(*orthonormal_coeffs(plan.params, n - 1), plan.lam, plan.sqw)
+sign = np.where(np.arange(n) % 2, -1.0, 1.0)
 rng = np.random.default_rng(n)
 assert _round_count(1e-7) == 5
 
@@ -247,39 +263,61 @@ class Rounds:
         return js, y
 
 
-taken = []
 matmul = np.matmul
+bad, now, flipped = [], {}, [0]
 
 
 def recorded(rows, acc, out):
     matmul(rows, acc, out=out)
-    taken.append((rows[0].copy(), len(rows), acc, out.copy()))
+    sums, full, case, seen = now["sums"], now["rows"], now["case"], now["seen"]
+    r = next((i for i, a in enumerate(sums) if a.tobytes() == acc.tobytes()), None)
+    if r is None:
+        r = next(i for i, a in enumerate(sums) if (a * sign).tobytes() == acc.tobytes())
+        rows, out = rows[::-1] * sign, out[::-1]
+        flipped[0] += 1
+    size = len(rows)
+    b0 = int(np.flatnonzero((full == rows[0]).all(axis=1))[0])
+    seen[r, b0:b0 + size] += 1
+    want = (full @ sums[r])[b0:b0 + size]
+    if (size == 1 < len(full) or not np.array_equal(rows, full[b0:b0 + size])
+            or [v.hex() for v in out.tolist()] != [v.hex() for v in want.tolist()]):
+        bad.append(case + [r, b0])
 
 
-np.matmul = recorded
-bad = []
+def mixed(m):
+    # an index array with about half its rows on each side of N/2
+    lo = rng.choice(half, m // 2, replace=False)
+    hi = half + rng.choice(n - half, m - m // 2, replace=False)
+    return np.sort(np.concatenate((lo, hi)))
+
+
+sets = []
 for m in (1, 2, 31, 32, 33, 64, 65, 326):
     lo = int(rng.integers(0, n - m))
-    for cand in (slice(lo, lo + m), np.sort(rng.choice(n, m, replace=False))):
-        rows = f[cand]
-        for nan in (0, 4):
-            case = [m, type(cand).__name__, nan]
-            oracle, taken[:] = Rounds(nan), []
-            if _prune_over(plan, oracle, cand, 1e-7 * m, 0.01, rng, 0.0) is not None:
-                bad.append(case + ["hit"])
-            want = [rows @ acc for acc in oracle.sums]
-            seen = np.zeros((5, m), dtype=int)
-            for row0, size, acc, out in taken:
-                r = next(i for i, a in enumerate(oracle.sums)
-                         if a.tobytes() == acc.tobytes())
-                b0 = int(np.flatnonzero((rows == row0).all(axis=1))[0])
-                seen[r, b0:b0 + size] += 1
-                if size == 1 < m or ([v.hex() for v in out.tolist()]
-                                     != [v.hex() for v in want[r][b0:b0 + size].tolist()]):
-                    bad.append(case + [r, b0])
-            if not np.all(seen == 1):
-                bad.append(case + ["not every product once"])
-print(json.dumps(bad))
+    sets += [slice(lo, lo + m), np.sort(rng.choice(n, m, replace=False))]
+# wholly in the mirror half: blocks of whole groups of four, then last
+# blocks with 1 (merged into the block before), 2, 3 and 2 + 4 rows
+for m in (32, 64, 100, 326, 33, 34, 35, 38):
+    lo = int(rng.integers(half, n - m))
+    sets.append(slice(lo, lo + m))
+# straddling N/2: a block across it, and a 2-row set across it
+sets += [slice(half - 40, half + 60), slice(half - 1, half + 1)]
+sets += [mixed(m) for m in (2, 33, 65, 326)]
+sets.append(np.sort(half + rng.choice(n - half, 65, replace=False)))
+
+np.matmul = recorded
+for cand in sets:
+    rows = f[cand]
+    m = len(rows)
+    for nan in (0, 4):
+        case = [m, type(cand).__name__, nan]
+        oracle = Rounds(nan)
+        now.update(sums=oracle.sums, rows=rows, case=case, seen=np.zeros((5, m), dtype=int))
+        if _prune_over(plan, oracle, cand, 1e-7 * m, 0.01, rng, 0.0) is not None:
+            bad.append(case + ["hit"])
+        if not np.all(now["seen"] == 1):
+            bad.append(case + ["not every product once"])
+print(json.dumps({"bad": bad, "flipped": flipped[0]}))
 """
 
 
@@ -288,14 +326,19 @@ def test_blocked_correlation_matches_one_product_per_round(n):
     # 31..33 and 64, 65 straddle the 32-row block; 33 and 65 end in a 1-row
     # tail, which numpy would take by dot, summed in another order, were it
     # not merged into the block before it; 1 is a 1-row set, a dot product
-    # in both; 326 rows is a typical pass band of the k-sparse benchmark
+    # in both; 326 rows is a typical pass band of the k-sparse benchmark.
+    # At alpha = beta F stores its left half: the mirror-half and straddling
+    # sets check the blocks read as reversed stored rows and the blocks
+    # copied row by row, each of which some set takes
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", BLOCK_EDGES_SCRIPT, str(n)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    out = json.loads(proc.stdout)
+    assert out["bad"] == []
+    assert out["flipped"] > 0
 
 
 @pytest.mark.parametrize("mu_each, rounds", [(1e-7, 5), (1e-10, 7)])

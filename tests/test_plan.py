@@ -30,6 +30,14 @@ def small_plan():
     return build_plan(JacobiParams(0.5, -0.25), 32, degree=6)
 
 
+def full_f(plan):
+    """All N rows of F, stacked from ``plan.row`` once ``matrix()`` is
+    cached: its stored rows, and at alpha = beta the mirror rows derived
+    from them."""
+    plan.matrix()
+    return np.stack([plan.row(h) for h in range(plan.n)])
+
+
 def cheb_t(r, x):
     c = np.zeros(r + 1)
     c[r] = 1.0
@@ -96,16 +104,18 @@ def test_forward_inverse_roundtrip(small_plan, rng):
 
 
 def test_matrix_fills_one_buffer():
-    # the mirror rows are filled in place: no second half- or full-size table
+    # one table and no second one: at alpha = beta it holds the swept half
+    # alone, the mirror rows being derived when they are read
     n = 1024
-    plan = build_plan(JacobiParams(0.0, 0.0), n)
-    tracemalloc.start()
-    try:
-        plan.matrix()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.1 * n * n * 8
+    for alpha, beta, share in ((0.0, 0.0, 0.55), (1.5, -0.3, 1.1)):
+        plan = build_plan(JacobiParams(alpha, beta), n)
+        tracemalloc.start()
+        try:
+            plan.matrix()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= share * n * n * 8, (alpha, beta)
 
 
 def test_row_matches_matrix():
@@ -126,6 +136,11 @@ def test_row_refuses_out_of_range():
         for ell in (-1, 64):
             with pytest.raises(IndexError, match=rf"row {ell} out of range for N=64"):
                 plan.row(ell)
+    # take_rows gathers without numpy's bounds check, so it makes its own
+    out = np.empty((2, 64))
+    for idx in ((3, -1), (64, 3)):
+        with pytest.raises(IndexError, match="out of range for N=64"):
+            plan.take_rows(np.array(idx), out)
 
 
 def test_row_matches_orthonormal_table():
@@ -138,15 +153,36 @@ def test_row_matches_orthonormal_table():
 
 
 def test_matrix_is_the_scaled_table():
-    # one C-ordered N x N array, bit for bit the degree-major table weighted
-    # and transposed; N = 130 spans two full 64-degree blocks of the table
-    # fill and a short one, at folded and unfolded roots
+    # one C-ordered array, bit for bit the degree-major table weighted and
+    # transposed: all N rows at alpha != beta, the leading N - N//2 at
+    # alpha = beta; N = 130 spans two full 64-degree blocks of the table
+    # fill and a short one
     for alpha, beta, n in ((1.5, -0.3, 33), (1.5, -0.3, 130), (0.0, 0.0, 130)):
         plan = build_plan(JacobiParams(alpha, beta), n)
         table = orthonormal_table(plan.params, plan.n - 1, plan.lam)
         f = plan.matrix()
         assert f.flags.c_contiguous
-        np.testing.assert_array_equal(f, (table * plan.sqw).T.copy())
+        assert f.shape == (n - n // 2 if alpha == beta else n, n)
+        np.testing.assert_array_equal(f, (table * plan.sqw).T[: f.shape[0]])
+        np.testing.assert_array_equal(full_f(plan), (table * plan.sqw).T.copy())
+
+
+@pytest.mark.parametrize("alpha, n", [(0.0, 40), (0.5, 41)])
+def test_rows_are_the_unfolded_table(alpha, n):
+    # at alpha = beta every row, stored or mirror, cached or not, is the
+    # unfolded table's row scaled by sqrt(w) bit for bit; mirror rows of a
+    # cached F are copies, read-only like the views of stored rows
+    plan = build_plan(JacobiParams(alpha, alpha), n)
+    want = (orthonormal_table(plan.params, n - 1, plan.lam) * plan.sqw).T
+    uncached = [plan.row(h) for h in range(n)]
+    f = plan.matrix()
+    assert f.shape == (n - n // 2, n)
+    for h in range(n):
+        np.testing.assert_array_equal(uncached[h], want[h])
+        row = plan.row(h)
+        np.testing.assert_array_equal(row, want[h])
+        assert not row.flags.writeable
+        assert np.shares_memory(row, f) == (h < f.shape[0])
 
 
 def test_cached_matrix_is_read_only():
@@ -176,7 +212,7 @@ def test_forward_stack_at_root_subset(alpha, beta, n, rng):
         assert got.shape == (4, len(roots))
         for r in range(4):
             np.testing.assert_array_equal(got[r], plan.forward(x[r])[roots])
-        np.testing.assert_allclose(got, (plan.matrix()[roots] @ x.T).T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, (full_f(plan)[roots] @ x.T).T, rtol=0, atol=1e-12)
     with pytest.raises(ValueError):
         plan.forward(x[None])
     with pytest.raises(ValueError):
@@ -471,8 +507,9 @@ def test_load_checks_the_mirror(tmp_path):
 
 
 def test_load_checks_the_weights_mirror(tmp_path):
-    """matrix() copies F's mirror rows from rows already scaled by sqrt(w),
-    so at alpha = beta weights one ulp off their mirror are refused."""
+    """F's mirror rows are derived from stored rows already scaled by
+    sqrt(w), so at alpha = beta weights one ulp off their mirror are
+    refused."""
     plan = build_plan(JacobiParams(0.5, 0.5), 33)
     weights = plan.weights.copy()
     weights[-4] = np.nextafter(weights[-4], np.inf)
