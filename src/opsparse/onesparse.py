@@ -137,10 +137,8 @@ def _prune_over(plan, oracle, cand, mu, eps, rng,
     rounds are correlated in one ``plan.forward`` sweep at the candidate
     roots.  Up to it the candidates' rows of the cached dense F are walked
     in ascending blocks of ``_ROW_BLOCK``, each product taken while the
-    block is cached.  A block of stored rows is read in place; a block of
-    mirror rows (alpha = beta) in groups of four is read as its stored rows
-    against the sums with odd entries negated; any other block, an index
-    array's included, is copied into one reused buffer.  A block
+    block is cached; ``plan.row_blocks`` takes the products from F's
+    stored rows, at alpha = beta its mirror rows included.  A block
     first takes the products of R//2 + 1 of its R rounds: when every one is
     within u/10 (NaN is not), each row's odd median is too, so the block
     holds no hit and its last rounds are skipped.  Otherwise it takes the
@@ -175,45 +173,26 @@ def _prune_over(plan, oracle, cand, mu, eps, rng,
         v = _odd_median(scale * plan.forward(sums, cand))
         hits = np.flatnonzero(np.abs(v) > t)
         return (int(roots[hits[0]]), float(v[hits[0]])) if len(hits) else None
-    f = plan.matrix()
-    kept = f.shape[0]  # F's stored rows; at alpha = beta the rest are mirrors
     stops = list(range(_ROW_BLOCK, m, _ROW_BLOCK))
     # numpy takes a 1-row product by dot, which sums in another order than a
     # matrix-vector product: a 1-row tail joins the block before it
     if m % _ROW_BLOCK == 1 and stops:
         stops.pop()
     head = rounds // 2 + 1
-    neg = buf = None
+    blocks = plan.row_blocks(sums, min(m, _ROW_BLOCK + 1))
     for b0, b1 in zip([0] + stops, stops + [m]):
-        lo, hi, flip = roots[b0], roots[b1 - 1] + 1, False
-        if view and hi <= kept:
-            rows, x = f[lo:hi], sums
-        elif view and lo >= kept and (hi - lo) % 4 == 0:
-            # mirror rows: F[g] @ x is F[N-1-g] @ (x with odd entries
-            # negated), exactly, and a row in a whole group of four is
-            # summed the same way wherever the group sits, so the block is
-            # its stored rows in reverse
-            if neg is None:
-                neg = sums.copy()
-                neg[:, 1::2] *= -1.0
-            rows, x, flip = f[n - hi : n - lo], neg, True
-        else:
-            # rows on both sides of N/2, a mirror block with rows left over
-            # from its groups of four, or an index array: copied
-            if buf is None:
-                buf = np.empty((min(m, _ROW_BLOCK + 1), n))
-            rows, x = plan.take_rows(np.asarray(roots[b0:b1]), buf[: b1 - b0]), sums
+        blocks.take(roots[b0:b1])
         part = np.empty((rounds, b1 - b0))
         for r in range(head):
-            np.matmul(rows, x[r], out=part[r])
+            blocks.product(r, part[r])
         # every scaled |value| <= t, as one max: rounding is monotone, and
         # a NaN makes the max NaN, which fails the test
         if scale * np.abs(part[:head]).max() <= t:
             continue
         for r in range(head, rounds):
-            np.matmul(rows, x[r], out=part[r])
+            blocks.product(r, part[r])
         part *= scale
-        v = _odd_median(part[:, ::-1] if flip else part)
+        v = _odd_median(part)
         hits = np.flatnonzero(np.abs(v) > t)
         if len(hits):
             return int(roots[b0 + hits[0]]), float(v[hits[0]])

@@ -149,18 +149,30 @@ class TransformPlan:
         table = _kernels.recurrence_table(*self._coeffs, self.lam[ell : ell + 1])
         return self.sqw[ell] * table[0]
 
-    def take_rows(self, idx: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """F[idx] into ``out``, shape (len(idx), N), from the cached stored
-        rows: each mirror row is its stored row with the odd degrees
-        negated, F's exact bits."""
+    def take_rows(self, rows, out: np.ndarray) -> np.ndarray:
+        """F[rows], ``rows`` a step-1 range or an index array, from the
+        cached stored rows: a read-only view when a range lies wholly in
+        them, else gathered into ``out[:len(rows)]``, each mirror row its
+        stored row with the odd degrees negated, F's exact bits."""
+        f = self.matrix()
+        if (isinstance(rows, range) and rows.step == 1
+                and 0 <= rows.start and rows.stop <= f.shape[0]):
+            return f[rows.start : rows.stop]
+        idx = np.asarray(rows)
         if len(idx) and not (0 <= idx.min() and idx.max() < self.n):
             raise IndexError(f"rows {idx.min()}..{idx.max()} out of range for N={self.n}")
-        f = self.matrix()
+        out = out[: len(idx)]
         mirror = idx >= f.shape[0]
         np.take(f, np.where(mirror, self.n - 1 - idx, idx), axis=0, out=out, mode="clip")
         if mirror.any():
             out[mirror, 1::2] *= -1.0
         return out
+
+    def row_blocks(self, x: np.ndarray, size: int) -> "_RowBlocks":
+        """Products of blocks of at most ``size`` of F's rows with the rows
+        of the stack ``x`` (R, N), from the cached stored rows; see
+        ``_RowBlocks``."""
+        return _RowBlocks(self, x, size)
 
     def side_weights(self) -> np.ndarray:
         """sqrt(h_j * j) for j = 0..N-1, h_j the squared norm of the
@@ -261,6 +273,54 @@ class TransformPlan:
             inside = (rows + col >= d) & (rows + col - d < n)
             out[rows[inside], col[inside]] = vals[inside]
         return out
+
+
+class _RowBlocks:
+    """``take(rows)`` makes ``rows``, a step-1 range or an index array, the
+    current block; ``product(r, out)`` writes F[rows] @ x[r] into ``out``,
+    bit for bit the matrix-vector product over F's own rows, with one BLAS
+    thread.
+
+    A range of stored rows is read in place.  At alpha = beta a range of
+    mirror rows whose length is a multiple of four is read as its stored
+    rows, in reverse, against x with its odd entries negated, made once on
+    first need: F[N-1-l] @ v = F[l] @ (v * (-1)^j) exactly.  That keeps the
+    bits because OpenBLAS's dgemv_t kernels sum each row of a group of four
+    the same way whatever its slot in the group, a property of those
+    kernels and not of numpy.  It was checked with OpenBLAS 0.3.31 (the
+    build numpy ships) on an AVX-512 Xeon, on its SkylakeX, Haswell,
+    Sandybridge, Nehalem and fallback cores as picked by OPENBLAS_CORETYPE,
+    which hold two kernels that sum differently; not on aarch64 or another
+    BLAS.  The rows left over from the groups of four are summed another
+    way, so any other block, a range across N/2 or one of such a length and
+    every index array, is gathered into one reused buffer by
+    ``take_rows``."""
+
+    def __init__(self, plan: TransformPlan, x: np.ndarray, size: int):
+        self._plan, self._f, self._x, self._neg = plan, plan.matrix(), x, None
+        self._buf = np.empty((size, plan.n))
+        self._rev = np.empty(size)
+
+    def take(self, rows) -> None:
+        n = self._plan.n
+        if (isinstance(rows, range) and rows.step == 1 and self._f.shape[0] <= rows.start
+                and rows.stop <= n and len(rows) % 4 == 0):
+            if self._neg is None:
+                self._neg = self._x.copy()
+                self._neg[:, 1::2] *= -1.0
+            self._rows, self._v = self._f[n - rows.stop : n - rows.start], self._neg
+            self._flip = True
+        else:
+            self._rows, self._v = self._plan.take_rows(rows, self._buf), self._x
+            self._flip = False
+
+    def product(self, r: int, out: np.ndarray) -> None:
+        if self._flip:
+            rev = self._rev[: len(out)]
+            np.matmul(self._rows, self._v[r], out=rev)
+            out[:] = rev[::-1]
+        else:
+            np.matmul(self._rows, self._v[r], out=out)
 
 
 def build_plan(params: JacobiParams, n: int, degree: int = 0) -> TransformPlan:

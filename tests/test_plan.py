@@ -185,6 +185,25 @@ def test_rows_are_the_unfolded_table(alpha, n):
         assert np.shares_memory(row, f) == (h < f.shape[0])
 
 
+@pytest.mark.parametrize("alpha, beta, n", [(0.0, 0.0, 40), (0.5, 0.5, 41), (1.5, -0.3, 33)])
+def test_take_rows_reads_stored_ranges_in_place(alpha, beta, n):
+    # a range of stored rows is a view of the cache; a range reaching past
+    # them and an index array are F's rows in the caller's buffer
+    plan = build_plan(JacobiParams(alpha, beta), n)
+    want, f = full_f(plan), plan.matrix()
+    kept = f.shape[0]
+    buf = np.full((n, n), np.nan)
+    cases = [range(0, kept), range(kept - 5, kept), range(kept - 2, min(n, kept + 2)),
+             range(kept - 5, n), range(n - 3, n), np.array([n - 1, 2, kept - 1, n // 2]),
+             np.arange(0)]
+    for rows in cases:
+        got = plan.take_rows(rows, buf)
+        np.testing.assert_array_equal(got, want[np.asarray(rows, dtype=int)])
+        in_place = isinstance(rows, range) and rows.stop <= kept
+        assert np.shares_memory(got, f) == (in_place and len(rows) > 0)
+        assert np.shares_memory(got, buf) == (not in_place and len(rows) > 0)
+
+
 def test_cached_matrix_is_read_only():
     # row() hands out views of the cached F: a write through one would change
     # every later correlation, so the cache refuses it
